@@ -318,16 +318,20 @@ def cmd_validate(args) -> int:
     seed = _resolve_seed(args.seed)
     data, digest = manifest.load_spec(args.spec)
     space = manifest.space_from_spec(data, args.probes, seed)
-    results = checks.run_checks(
-        space,
-        probe_count=args.probes,
-        seed=seed,
-        transport_probes=args.transport_probes,
-        mc_samples=args.mc_samples,
-        tol_killing=args.tol_killing,
-        tol_length=args.tol_length,
-        tol_s=args.tol_s,
-    )
+    try:
+        results = checks.run_checks(
+            space,
+            probe_count=args.probes,
+            seed=seed,
+            transport_probes=args.transport_probes,
+            mc_samples=args.mc_samples,
+            tol_killing=args.tol_killing,
+            tol_length=args.tol_length,
+            tol_s=args.tol_s,
+        )
+    except (DomainExitError, NonFiniteStateError) as exc:  # a transport geodesic
+        _emit_error(type(exc).__name__, str(exc), time=exc.time)
+        return EXIT_RUNTIME_WARNING
     all_pass = all(r.passed or r.skipped for r in results)
     report = _base_report("validate", digest, data, seed)
     report["tolerances"] = {

@@ -17,9 +17,12 @@ then "+"/"-".  No implicit multiplication, ASCII only.  Functions:
 sin cos tan exp log sqrt sinh cosh tanh; constants: pi, e.  abs is
 rejected explicitly because it is not smooth.
 
-Evaluation is generic over plain floats and jets; a literal integer
-exponent uses exact repeated multiplication, anything else goes through
-exp(b*log(a)) and therefore needs a positive base.
+Evaluation is generic over the scalar tower: coordinates may be floats,
+1-D NumPy arrays (one value per member of a batch) or jets over either.
+A literal integer exponent uses exact repeated multiplication, anything
+else goes through exp(b*log(a)) and therefore needs a positive base.
+The domain guards raise ExprDomainError when any element of a batch is
+outside the domain.
 """
 
 from __future__ import annotations
@@ -27,10 +30,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping, Optional, Union
+
+import numpy as np
 
 from . import jets
-from .jets import Scalar
+from .jets import Jet, Scalar
 
 __all__ = [
     "ScalarField",
@@ -313,6 +318,30 @@ def parse(source: str, coordinates) -> ScalarField:
 # -- evaluation ---------------------------------------------------------------
 
 
+def _nonpositive(scalar: Scalar) -> Optional[float]:
+    """The standard part of `scalar` if it is <= 0 (for an array, its first
+    such element), else None; NaN passes, as it does for floats."""
+    if isinstance(scalar, float):
+        return scalar if scalar <= 0.0 else None
+    while isinstance(scalar, Jet):
+        scalar = scalar.value
+    if isinstance(scalar, np.ndarray):
+        bad = scalar[scalar <= 0.0]
+        return float(bad[0]) if bad.size else None
+    return scalar if scalar <= 0.0 else None
+
+
+def _has_zero(scalar: Scalar) -> bool:
+    """True when the standard part of `scalar` is 0 (in any array element)."""
+    if isinstance(scalar, float):
+        return scalar == 0.0
+    while isinstance(scalar, Jet):
+        scalar = scalar.value
+    if isinstance(scalar, np.ndarray):
+        return not scalar.all()
+    return scalar == 0.0
+
+
 def _static_int_exponent(node: Node):
     """Integer value of a constant exponent subtree, else None.
 
@@ -340,7 +369,7 @@ def _static_int_exponent(node: Node):
 
 
 def evaluate(field: ScalarField, assignment: Mapping[str, Scalar]) -> Scalar:
-    """Evaluate over floats or jets; value slots agree between the two."""
+    """Evaluate over floats, arrays or jets; value slots agree between them."""
     return _eval(field.ast, assignment)
 
 
@@ -356,25 +385,23 @@ def _eval(node: Node, env: Mapping[str, Scalar]) -> Scalar:
         return -_eval(node.operand, env)
     if isinstance(node, Call):
         arg = _eval(node.args[0], env)
-        if node.func in ("log", "sqrt") and jets.standard_part(arg) <= 0.0:
-            raise ExprDomainError(
-                f"{node.func} of non-positive value {jets.standard_part(arg)}", node
-            )
+        if node.func in ("log", "sqrt"):
+            bad = _nonpositive(arg)
+            if bad is not None:
+                raise ExprDomainError(f"{node.func} of non-positive value {bad}", node)
         return FUNCTIONS[node.func](arg)
     op = node.op
     if op == "^":
         base = _eval(node.left, env)
         k = _static_int_exponent(node.right)
         if k is not None:
-            if k < 0 and jets.standard_part(base) == 0.0:
+            if k < 0 and _has_zero(base):
                 raise ExprDomainError("zero base with negative exponent", node)
             return jets.intpow(base, k)
         exponent = _eval(node.right, env)
-        if jets.standard_part(base) <= 0.0:
-            raise ExprDomainError(
-                f"non-integer power of non-positive base {jets.standard_part(base)}",
-                node,
-            )
+        bad = _nonpositive(base)
+        if bad is not None:
+            raise ExprDomainError(f"non-integer power of non-positive base {bad}", node)
         return jets.powf(base, exponent)
     left = _eval(node.left, env)
     right = _eval(node.right, env)
@@ -384,7 +411,7 @@ def _eval(node: Node, env: Mapping[str, Scalar]) -> Scalar:
         return left - right
     if op == "*":
         return left * right
-    if jets.standard_part(right) == 0.0:
+    if _has_zero(right):
         raise ExprDomainError("division by zero", node)
     return left / right
 
@@ -419,10 +446,9 @@ def _compile(node: Node, names: tuple):
 
             def guarded(args, _node=node):
                 arg = arg_fn(args)
-                if jets.standard_part(arg) <= 0.0:
-                    raise ExprDomainError(
-                        f"{name} of non-positive value {jets.standard_part(arg)}", _node
-                    )
+                bad = _nonpositive(arg)
+                if bad is not None:
+                    raise ExprDomainError(f"{name} of non-positive value {bad}", _node)
                 return fn(arg)
 
             return guarded
@@ -436,7 +462,7 @@ def _compile(node: Node, names: tuple):
 
                 def int_power_guarded(args, _node=node, _k=k):
                     base = left_fn(args)
-                    if jets.standard_part(base) == 0.0:
+                    if _has_zero(base):
                         raise ExprDomainError("zero base with negative exponent", _node)
                     return jets.intpow(base, _k)
 
@@ -446,10 +472,10 @@ def _compile(node: Node, names: tuple):
 
         def general_power(args, _node=node):
             base = left_fn(args)
-            if jets.standard_part(base) <= 0.0:
+            bad = _nonpositive(base)
+            if bad is not None:
                 raise ExprDomainError(
-                    f"non-integer power of non-positive base {jets.standard_part(base)}",
-                    _node,
+                    f"non-integer power of non-positive base {bad}", _node
                 )
             return jets.powf(base, right_fn(args))
 
@@ -464,7 +490,7 @@ def _compile(node: Node, names: tuple):
 
     def division(args, _node=node):
         denominator = right_fn(args)
-        if jets.standard_part(denominator) == 0.0:
+        if _has_zero(denominator):
             raise ExprDomainError("division by zero", _node)
         return left_fn(args) / denominator
 

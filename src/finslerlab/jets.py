@@ -6,6 +6,12 @@ three levels yields exact second and third mixed partials.  Plain floats
 mix freely with Jets and act as constants, which keeps constant-heavy
 expressions cheap.
 
+The innermost leaves may be floats or 1-D float64 NumPy arrays; an
+array leaf holds one value per member of a batch, and the primitives
+below send it to the matching NumPy ufunc, so one evaluation serves the
+whole batch.  Jets sit above arrays: ``Jet.__array_ufunc__ = None``
+makes ``ndarray * Jet`` defer to the Jet operators.
+
 Discipline for nesting: every *Jet-valued* scalar entering a computation
 at a new derivative level must be wrapped as a constant at that level
 (see ``seed_group``); bare floats need no wrapping.
@@ -16,7 +22,9 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence, Union
 
-Scalar = Union[float, "Jet"]
+import numpy as np
+
+Scalar = Union[float, np.ndarray, "Jet"]
 
 __all__ = [
     "Jet",
@@ -51,6 +59,10 @@ class Jet:
 
     __slots__ = ("value", "partials")
 
+    # NumPy binary operators return NotImplemented, so `ndarray op Jet`
+    # reaches the reflected Jet method instead of looping over the array.
+    __array_ufunc__ = None
+
     def __init__(self, value: Scalar, partials: tuple):
         self.value = value
         self.partials = partials
@@ -66,7 +78,7 @@ class Jet:
                 raise ValueError("jet slot count mismatch in +")
             return Jet(
                 self.value + other.value,
-                tuple(a + b for a, b in zip(self.partials, other.partials)),
+                tuple([a + b for a, b in zip(self.partials, other.partials)]),
             )
         return Jet(self.value + other, self.partials)
 
@@ -79,15 +91,15 @@ class Jet:
                 raise ValueError("jet slot count mismatch in -")
             return Jet(
                 self.value - other.value,
-                tuple(a - b for a, b in zip(self.partials, other.partials)),
+                tuple([a - b for a, b in zip(self.partials, other.partials)]),
             )
         return Jet(self.value - other, self.partials)
 
     def __rsub__(self, other):
-        return Jet(other - self.value, tuple(-p for p in self.partials))
+        return Jet(other - self.value, tuple([-p for p in self.partials]))
 
     def __neg__(self):
-        return Jet(-self.value, tuple(-p for p in self.partials))
+        return Jet(-self.value, tuple([-p for p in self.partials]))
 
     def __mul__(self, other):
         if isinstance(other, Jet):
@@ -96,12 +108,12 @@ class Jet:
             sv, ov = self.value, other.value
             return Jet(
                 sv * ov,
-                tuple(sv * q + ov * p for p, q in zip(self.partials, other.partials)),
+                tuple([sv * q + ov * p for p, q in zip(self.partials, other.partials)]),
             )
-        return Jet(self.value * other, tuple(p * other for p in self.partials))
+        return Jet(self.value * other, tuple([p * other for p in self.partials]))
 
     def __rmul__(self, other):
-        return Jet(other * self.value, tuple(other * p for p in self.partials))
+        return Jet(other * self.value, tuple([other * p for p in self.partials]))
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
@@ -110,14 +122,14 @@ class Jet:
             d = other.value
             q = self.value / d
             return Jet(
-                q, tuple((p - q * r) / d for p, r in zip(self.partials, other.partials))
+                q, tuple([(p - q * r) / d for p, r in zip(self.partials, other.partials)])
             )
-        return Jet(self.value / other, tuple(p / other for p in self.partials))
+        return Jet(self.value / other, tuple([p / other for p in self.partials]))
 
     def __rtruediv__(self, other):
         q = other / self.value
         factor = -q / self.value
-        return Jet(q, tuple(factor * p for p in self.partials))
+        return Jet(q, tuple([factor * p for p in self.partials]))
 
     def __pow__(self, exponent):
         if isinstance(exponent, int):
@@ -145,7 +157,7 @@ def seed(point: Sequence[float], directions=None) -> list:
     return [
         Jet(
             float(point[i]),
-            tuple(1.0 if (j == i and i in chosen) else 0.0 for j in range(n)),
+            tuple([1.0 if (j == i and i in chosen) else 0.0 for j in range(n)]),
         )
         for i in range(n)
     ]
@@ -167,7 +179,7 @@ def seed_group(values: Sequence[Scalar], indices: Sequence[int]) -> list:
         if k is None:
             out.append(Jet(val, zeros) if isinstance(val, Jet) else val)
         else:
-            out.append(Jet(val, tuple(1.0 if j == k else 0.0 for j in range(width))))
+            out.append(Jet(val, tuple([1.0 if j == k else 0.0 for j in range(width)])))
     return out
 
 
@@ -192,8 +204,8 @@ def value_of(scalar: Scalar) -> Scalar:
     return scalar
 
 
-def standard_part(scalar: Scalar) -> float:
-    """Innermost plain value of an arbitrarily nested scalar."""
+def standard_part(scalar: Scalar) -> Union[float, np.ndarray]:
+    """Innermost leaf (float or array) of an arbitrarily nested scalar."""
     while isinstance(scalar, Jet):
         scalar = scalar.value
     return scalar
@@ -209,6 +221,8 @@ def is_constant(scalar: Scalar) -> bool:
 def _is_zero(scalar: Scalar) -> bool:
     if isinstance(scalar, Jet):
         return _is_zero(scalar.value) and all(_is_zero(p) for p in scalar.partials)
+    if isinstance(scalar, np.ndarray):
+        return not scalar.any()
     return scalar == 0.0
 
 
@@ -283,75 +297,94 @@ def fd_oracle(
 # -- smooth primitives --------------------------------------------------------
 #
 # Each function recurses through nesting: applying f to the value and
-# chaining f' across the slots handles any depth.  The float branch is the
-# recursion floor, so zero-seeded Jets reproduce plain evaluation bit for
-# bit in the value slot.
+# chaining f' across the slots handles any depth.  The leaf branches are
+# the recursion floor, so zero-seeded Jets reproduce plain evaluation bit
+# for bit in the value slot.  Floats are tested first because they are the
+# common leaf; arrays go to the NumPy ufunc, anything else (ints) to math.
 
 
 def sin(x: Scalar) -> Scalar:
+    if isinstance(x, float):
+        return math.sin(x)
     if isinstance(x, Jet):
         d = cos(x.value)
-        return Jet(sin(x.value), tuple(d * p for p in x.partials))
-    return math.sin(x)
+        return Jet(sin(x.value), tuple([d * p for p in x.partials]))
+    return np.sin(x) if isinstance(x, np.ndarray) else math.sin(x)
 
 
 def cos(x: Scalar) -> Scalar:
+    if isinstance(x, float):
+        return math.cos(x)
     if isinstance(x, Jet):
         d = -sin(x.value)
-        return Jet(cos(x.value), tuple(d * p for p in x.partials))
-    return math.cos(x)
+        return Jet(cos(x.value), tuple([d * p for p in x.partials]))
+    return np.cos(x) if isinstance(x, np.ndarray) else math.cos(x)
 
 
 def tan(x: Scalar) -> Scalar:
+    if isinstance(x, float):
+        return math.tan(x)
     if isinstance(x, Jet):
         t = tan(x.value)
         d = 1.0 + t * t
-        return Jet(t, tuple(d * p for p in x.partials))
-    return math.tan(x)
+        return Jet(t, tuple([d * p for p in x.partials]))
+    return np.tan(x) if isinstance(x, np.ndarray) else math.tan(x)
 
 
 def exp(x: Scalar) -> Scalar:
+    if isinstance(x, float):
+        return math.exp(x)
     if isinstance(x, Jet):
         e = exp(x.value)
-        return Jet(e, tuple(e * p for p in x.partials))
-    return math.exp(x)
+        return Jet(e, tuple([e * p for p in x.partials]))
+    return np.exp(x) if isinstance(x, np.ndarray) else math.exp(x)
 
 
 def log(x: Scalar) -> Scalar:
+    if isinstance(x, float):
+        return math.log(x)
     if isinstance(x, Jet):
         v = x.value
-        return Jet(log(v), tuple(p / v for p in x.partials))
-    return math.log(x)
+        return Jet(log(v), tuple([p / v for p in x.partials]))
+    return np.log(x) if isinstance(x, np.ndarray) else math.log(x)
 
 
 def sqrt(x: Scalar) -> Scalar:
+    if isinstance(x, float):
+        return math.sqrt(x)
     if isinstance(x, Jet):
         s = sqrt(x.value)
         d = 0.5 / s
-        return Jet(s, tuple(d * p for p in x.partials))
-    return math.sqrt(x)
+        return Jet(s, tuple([d * p for p in x.partials]))
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
 def sinh(x: Scalar) -> Scalar:
+    if isinstance(x, float):
+        return math.sinh(x)
     if isinstance(x, Jet):
         d = cosh(x.value)
-        return Jet(sinh(x.value), tuple(d * p for p in x.partials))
-    return math.sinh(x)
+        return Jet(sinh(x.value), tuple([d * p for p in x.partials]))
+    return np.sinh(x) if isinstance(x, np.ndarray) else math.sinh(x)
 
 
 def cosh(x: Scalar) -> Scalar:
+    if isinstance(x, float):
+        return math.cosh(x)
     if isinstance(x, Jet):
         d = sinh(x.value)
-        return Jet(cosh(x.value), tuple(d * p for p in x.partials))
-    return math.cosh(x)
+        return Jet(cosh(x.value), tuple([d * p for p in x.partials]))
+    return np.cosh(x) if isinstance(x, np.ndarray) else math.cosh(x)
 
 
 def tanh(x: Scalar) -> Scalar:
+    if isinstance(x, float):
+        return math.tanh(x)
     if isinstance(x, Jet):
         t = tanh(x.value)
         d = 1.0 - t * t
-        return Jet(t, tuple(d * p for p in x.partials))
-    return math.tanh(x)
+        return Jet(t, tuple([d * p for p in x.partials]))
+    return np.tanh(x) if isinstance(x, np.ndarray) else math.tanh(x)
 
 
 def intpow(x: Scalar, k: int) -> Scalar:

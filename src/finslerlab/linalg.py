@@ -1,15 +1,22 @@
-"""Small dense linear algebra over generic scalars (floats or jets).
+"""Small dense linear algebra over generic scalars (floats, arrays or jets).
 
 Charts here have n <= 4, so plain Gaussian elimination with partial
 pivoting is both fast enough and exact modulo rounding.  Pivots are
 chosen by the magnitude of the standard part, which keeps the pivot
 sequence identical between a float evaluation and a jet evaluation of
-the same matrix.
+the same matrix.  A matrix whose entries are floats and 1-D arrays is a
+batch of matrices, one per array element; `inv` hands it to a stacked
+LAPACK inverse.
 """
 
 from __future__ import annotations
 
-from .jets import standard_part
+from functools import reduce
+from operator import add
+
+import numpy as np
+
+from .jets import Jet, standard_part
 
 
 class SingularMatrixError(ZeroDivisionError):
@@ -39,13 +46,23 @@ def det(matrix) -> object:
 
 
 def inv(matrix) -> list:
-    """Inverse via Gauss-Jordan; raises SingularMatrixError on rank loss."""
+    """Inverse via Gauss-Jordan; raises SingularMatrixError on rank loss.
+
+    A batch (float and array entries, at least one array) is inverted by
+    one stacked `np.linalg.inv`; its entries come back as arrays, and a
+    singular member raises SingularMatrixError for the whole batch.
+    """
     n = len(matrix)
+    leaves = {type(entry) for row in matrix for entry in row}
+    if np.ndarray in leaves and Jet not in leaves:
+        return _inv_batch(matrix, n)
+    # Float matrices skip the standard-part walk; the pivots are the same.
+    magnitude = abs if leaves == {float} else (lambda e: abs(standard_part(e)))
     a = [list(row) for row in matrix]
     b = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
     for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: abs(standard_part(a[r][col])))
-        if abs(standard_part(a[pivot_row][col])) == 0.0:
+        pivot_row = max(range(col, n), key=lambda r: magnitude(a[r][col]))
+        if magnitude(a[pivot_row][col]) == 0.0:
             raise SingularMatrixError(f"singular matrix (pivot column {col})")
         if pivot_row != col:
             a[col], a[pivot_row] = a[pivot_row], a[col]
@@ -66,6 +83,20 @@ def inv(matrix) -> list:
     return b
 
 
+def _inv_batch(matrix, n: int) -> list:
+    """inv of a batch of matrices given by float and 1-D array entries."""
+    size = next(len(e) for row in matrix for e in row if isinstance(e, np.ndarray))
+    stacked = np.empty((size, n, n))
+    for i, row in enumerate(matrix):
+        for j, entry in enumerate(row):
+            stacked[:, i, j] = entry
+    try:
+        result = np.linalg.inv(stacked)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"singular matrix in a batch of {size}: {exc}") from None
+    return [list(row) for row in np.ascontiguousarray(result.transpose(1, 2, 0))]
+
+
 def matvec(matrix, vector) -> list:
     return [
         sum_(row[j] * vector[j] for j in range(len(vector))) for row in matrix
@@ -78,7 +109,7 @@ def dot(u, v):
 
 def sum_(terms):
     """Left-to-right sum without a float 0 start (keeps jet types clean)."""
-    total = None
-    for t in terms:
-        total = t if total is None else total + t
-    return 0.0 if total is None else total
+    terms = iter(terms)
+    for first in terms:
+        return reduce(add, terms, first)
+    return 0.0

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import expr, jets
 from .core import CoordinateChart, FinslerStructure, probe_points
-from .jets import Scalar, partial, seed_group, standard_part
+from .jets import Jet, Scalar, partial, seed_group, standard_part
 from .linalg import det, inv, sum_
 
 __all__ = [
@@ -227,6 +227,10 @@ def finsler(space: RandersSpace) -> FinslerStructure:
         return alpha(space, x, v) + beta(space, x, v)
 
     def fast_spray(x, v):
+        if isinstance(v[0], np.ndarray):
+            # A batch of points: one closed-form evaluation over array
+            # leaves, kept off the per-point entry point.
+            return _closed_form(space, x, v)[0]
         if all(standard_part(c) == 0.0 for c in v):
             return [0.0] * space.dimension
         return spray_closed_form(space, x, v)[0]
@@ -252,33 +256,36 @@ def beta_length(space: RandersSpace, x) -> float:
 
 
 def _first_order_data(space: RandersSpace, x):
-    """a, da, b, db at float x from one jet pass.
+    """a, da, b, db at x from one jet pass (float leaves, or array leaves
+    for a batch of points).
 
     da[k][i][j] = da_ij/dx_k and db[k][i] = db_i/dx_k.
     """
     n = space.dimension
-    xs = seed_group([float(c) for c in x], range(n))
-    aj = a_at(space, xs)
-    bj = b_at(space, xs)
-    a = [[standard_part(aj[i][j]) for j in range(n)] for i in range(n)]
-    da = [
-        [[standard_part(partial(aj[i][j], k)) for j in range(n)] for i in range(n)]
-        for k in range(n)
+    xs = seed_group([c if isinstance(c, np.ndarray) else float(c) for c in x], range(n))
+    # Entries are one-level jets over leaves, or leaf constants.
+    zeros = (0.0,) * n
+    aj = [
+        [(e.value, e.partials) if isinstance(e, Jet) else (e, zeros) for e in row]
+        for row in a_at(space, xs)
     ]
-    b = [standard_part(bi) for bi in bj]
-    db = [[standard_part(partial(bj[i], k)) for i in range(n)] for k in range(n)]
+    bj = [(e.value, e.partials) if isinstance(e, Jet) else (e, zeros) for e in b_at(space, xs)]
+    a = [[value for value, _ in row] for row in aj]
+    da = [[[slots[k] for _, slots in row] for row in aj] for k in range(n)]
+    b = [value for value, _ in bj]
+    db = [[slots[k] for _, slots in bj] for k in range(n)]
     return a, da, b, db
 
 
 def levi_civita(space: RandersSpace, x) -> list:
     """Christoffel symbols of a_ij at a float point."""
     a, da, _, _ = _first_order_data(space, x)
-    return _levi_civita_from(a, da)
+    return _levi_civita_from(inv(a), da)
 
 
-def _levi_civita_from(a, da) -> list:
-    n = len(a)
-    a_inv = inv(a)
+def _levi_civita_from(a_inv, da) -> list:
+    """Christoffel symbols from the inverse metric and da[k][i][j] = da_ij/dx_k."""
+    n = len(a_inv)
     gamma = []
     for k in range(n):
         mat = [[0.0] * n for _ in range(n)]
@@ -295,7 +302,7 @@ def _levi_civita_from(a, da) -> list:
 def covariant_derivative(space: RandersSpace, x) -> list:
     """b_{i|j} = db_i/dx_j - sum_k b_k gamma~^k_ij at a float point."""
     a, da, b, db = _first_order_data(space, x)
-    gamma = _levi_civita_from(a, da)
+    gamma = _levi_civita_from(inv(a), da)
     n = space.dimension
     return [
         [
@@ -309,9 +316,9 @@ def covariant_derivative(space: RandersSpace, x) -> list:
 def length_gradient(space: RandersSpace, x) -> list:
     """d(||beta||^2)/dx_i via the covariant identity 2 sum_j b_{j|i} b^j."""
     a, da, b, db = _first_order_data(space, x)
-    gamma = _levi_civita_from(a, da)
-    n = space.dimension
     a_inv = inv(a)
+    gamma = _levi_civita_from(a_inv, da)
+    n = space.dimension
     b_up = [sum(a_inv[i][j] * b[j] for j in range(n)) for i in range(n)]
     bcov = [
         [db[j][i] - sum(b[k] * gamma[k][i][j] for k in range(n)) for j in range(n)]
@@ -324,7 +331,8 @@ def length_gradient(space: RandersSpace, x) -> list:
 
 
 class _PointData:
-    """Per-point ingredients of the closed-form spray."""
+    """Per-point ingredients of the closed-form spray (for a batch of
+    points when the leaves of x are arrays)."""
 
     __slots__ = ("a", "a_inv", "b", "b_up", "bcov", "gamma")
 
@@ -332,12 +340,12 @@ class _PointData:
         n = space.dimension
         a, da, b, db = _first_order_data(space, x)
         self.a = a
-        self.a_inv = inv(a)
+        self.a_inv = a_inv = inv(a)
         self.b = b
-        self.b_up = [sum(self.a_inv[i][j] * b[j] for j in range(n)) for i in range(n)]
-        self.gamma = _levi_civita_from(a, da)
+        self.b_up = [sum([a_inv[i][j] * b[j] for j in range(n)]) for i in range(n)]
+        self.gamma = gamma = _levi_civita_from(a_inv, da)
         self.bcov = [
-            [db[j][i] - sum(b[k] * self.gamma[k][i][j] for k in range(n)) for j in range(n)]
+            [db[j][i] - sum([b[k] * gamma[k][i][j] for k in range(n)]) for j in range(n)]
             for i in range(n)
         ]
 
@@ -345,7 +353,7 @@ class _PointData:
 def _alpha_of(data: _PointData, v) -> Scalar:
     n = len(data.b)
     return jets.sqrt(
-        sum_(data.a[i][j] * (v[i] * v[j]) for i in range(n) for j in range(n))
+        sum_([data.a[i][j] * (v[i] * v[j]) for i in range(n) for j in range(n)])
     )
 
 
@@ -353,25 +361,29 @@ def _xy_split(data: _PointData, v):
     """(X, Y, riem) of the spray decomposition at generic v."""
     n = len(data.b)
     al = _alpha_of(data, v)
-    f = al + sum_(bi * vi for bi, vi in zip(data.b, v))
+    f = al + sum_([bi * vi for bi, vi in zip(data.b, v)])
     riem = [
-        sum_(data.gamma[i][j][k] * (v[j] * v[k]) for j in range(n) for k in range(n))
+        sum_([data.gamma[i][j][k] * (v[j] * v[k]) for j in range(n) for k in range(n)])
         for i in range(n)
     ]
     q = data.bcov
     x_cmp = []
     for i in range(n):
         s = sum_(
-            q[j][k] * (data.a_inv[i][j] * v[k] - data.a_inv[i][k] * v[j])
-            for j in range(n)
-            for k in range(n)
+            [
+                q[j][k] * (data.a_inv[i][j] * v[k] - data.a_inv[i][k] * v[j])
+                for j in range(n)
+                for k in range(n)
+            ]
         )
         x_cmp.append(s * al)
-    s1 = sum_(q[j][k] * (v[j] * v[k]) for j in range(n) for k in range(n))
+    s1 = sum_([q[j][k] * (v[j] * v[k]) for j in range(n) for k in range(n)])
     s2 = sum_(
-        q[j][k] * (data.b_up[k] * v[j] - data.b_up[j] * v[k])
-        for j in range(n)
-        for k in range(n)
+        [
+            q[j][k] * (data.b_up[k] * v[j] - data.b_up[j] * v[k])
+            for j in range(n)
+            for k in range(n)
+        ]
     )
     common = s1 + s2 * al
     y_cmp = [(v[i] / f) * common for i in range(n)]
@@ -382,6 +394,11 @@ def spray_closed_form(space: RandersSpace, x, v):
     """(G, X, Y, riem) from the Randers closed form; v must be nonzero."""
     if all(standard_part(c) == 0.0 for c in v):
         raise InvalidSpaceError("closed-form spray needs v != 0")
+    return _closed_form(space, x, v)
+
+
+def _closed_form(space: RandersSpace, x, v):
+    """spray_closed_form without the zero check; leaves may be arrays."""
     data = _PointData(space, x)
     x_cmp, y_cmp, riem = _xy_split(data, v)
     g = [r + xc + yc for r, xc, yc in zip(riem, x_cmp, y_cmp)]

@@ -7,7 +7,8 @@ The primary computation is the trace formula
 with the nonlinear connection from the generic tensor calculus and a
 jet-evaluable measure density sigma.  The transport-based definition
 (the t-derivative of log(sqrt(det g) / sigma) along the unit-speed
-geodesic) is implemented independently and serves as the oracle.
+geodesic) is implemented independently and serves as the oracle; a
+batch of oracle probes integrates all its geodesics as one RK4 run.
 
 The Busemann-Hausdorff density is available in closed form (Randers) and
 as a Monte-Carlo unit-ball volume estimate; the Monte-Carlo estimate is
@@ -23,7 +24,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import expr, jets, randers
-from .core import FinslerStructure, fundamental_tensor, geodesic, nonlinear_connection
+from .core import (
+    FinslerStructure,
+    fundamental_tensor,
+    geodesic,
+    geodesic_batch,
+    nonlinear_connection,
+)
 from .jets import partial, seed_group, standard_part
 from .linalg import det
 from .randers import RandersSpace
@@ -43,6 +50,7 @@ __all__ = [
     "bh_density_monte_carlo",
     "s_curvature",
     "s_curvature_transport",
+    "s_curvature_transport_batch",
     "measure_uniqueness_check",
 ]
 
@@ -162,31 +170,85 @@ def s_curvature_transport(
     steps: int = 100,
     richardson: bool = True,
 ) -> float:
-    """Transport-definition oracle for the S-curvature.
+    """Transport-definition oracle for the S-curvature at one (x, v).
 
-    Normalizes v to unit F-speed, integrates the geodesic to +-h,
-    central-differences log(sqrt(det g)/sigma) and rescales by F(v)
-    (S is positively 1-homogeneous).  With richardson=True the h and
-    h/2 differences are combined for fourth-order accuracy.
+    Normalizes v to unit F-speed, integrates the geodesic to +-h on float
+    leaves, central-differences log(sqrt(det g)/sigma) and rescales by
+    F(v) (S is positively 1-homogeneous).  With richardson=True the h and
+    h/2 differences are combined for fourth-order accuracy.  This is the
+    one-probe case of s_curvature_transport_batch.
     """
+    return s_curvature_transport_batch(F, measure, [x], [v], h, steps, richardson)[0]
+
+
+def s_curvature_transport_batch(
+    F: FinslerStructure,
+    measure: Measure,
+    xs: Sequence,
+    vs: Sequence,
+    h: float = 1e-3,
+    steps: int = 100,
+    richardson: bool = True,
+) -> list[float]:
+    """The transport oracle at every (xs[k], vs[k]), in input order.
+
+    With two or more probes, the forward and backward geodesics of all
+    of them advance in lock-step as one geodesic_batch run over array
+    leaves, so each RK4 stage evaluates the spray once for the batch
+    (F.fast_spray must accept array leaves, as the Randers closed form
+    does).  One probe stays on float leaves and calls geodesic.  The
+    values equal those of one s_curvature_transport call per probe up to
+    rounding, and a failure raises what the first failing call of such
+    a loop would raise.
+    """
+    if steps % 2:
+        steps += 1
+    starts, error = [], None
+    for x, v in zip(xs, vs):
+        try:
+            starts.append(_unit_start(F, x, v))
+        except (ArithmeticError, ValueError) as exc:
+            error = exc  # raised after the probes before it
+            break
+    if len(starts) == 1:  # float leaves: forward, then backward
+        x, unit = xs[0], starts[0][1]
+        paths = [geodesic(F, x, unit, h, steps), geodesic(F, x, unit, -h, steps)]
+        state, done = (lambda k, index: paths[k].state(index)), 1
+    else:  # trajectory 2k is probe k forward, 2k + 1 backward
+        batch = geodesic_batch(
+            F,
+            [x for x in xs[: len(starts)] for _ in (0, 1)],
+            [unit for _, unit in starts for _ in (0, 1)],
+            [h, -h] * len(starts),
+            steps,
+        )
+        if batch.error is not None:
+            error = batch.error
+        state, done = batch.state, batch.count // 2
+
+    def phi(k, index):
+        return _log_ratio(F, measure, *state(k, index))
+
+    out = []
+    for k in range(done):
+        fval, forward, backward = starts[k][0], 2 * k, 2 * k + 1
+        d_full = (phi(forward, steps) - phi(backward, steps)) / (2.0 * h)
+        if not richardson:
+            out.append(fval * d_full)
+            continue
+        d_half = (phi(forward, steps // 2) - phi(backward, steps // 2)) / h
+        out.append(fval * (4.0 * d_half - d_full) / 3.0)
+    if error is not None:
+        raise error
+    return out
+
+
+def _unit_start(F: FinslerStructure, x, v) -> tuple[float, list[float]]:
+    """(F(x, v), v / F(x, v)) for the transport oracle."""
     fval = float(standard_part(F(list(x), list(v))))
     if fval <= 0.0:
         raise ValueError("transport oracle needs F(v) > 0")
-    unit = [float(c) / fval for c in v]
-    if steps % 2:
-        steps += 1
-    forward = geodesic(F, x, unit, h, steps)
-    backward = geodesic(F, x, unit, -h, steps)
-
-    def phi(path, index):
-        xx, uu = path.state(index)
-        return _log_ratio(F, measure, xx, uu)
-
-    d_full = (phi(forward, steps) - phi(backward, steps)) / (2.0 * h)
-    if not richardson:
-        return fval * d_full
-    d_half = (phi(forward, steps // 2) - phi(backward, steps // 2)) / h
-    return fval * (4.0 * d_half - d_full) / 3.0
+    return fval, [float(c) / fval for c in v]
 
 
 # -- Busemann-Hausdorff density by Monte Carlo -----------------------------------

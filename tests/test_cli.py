@@ -254,6 +254,16 @@ class TestValidate:
         assert "s-formula-vs-transport" in names
         assert "theorem-end-to-end" in names
 
+    def test_transport_leaving_the_chart_exit_four(self, capsys, spec_path):
+        def mutate(data):
+            data["domain"] = [[-0.01, 0.01], [-0.01, 0.01]]
+
+        code, report = run_json(capsys, "validate", spec_path("flat-const", mutate))
+        assert code == EXIT_WARNING
+        assert report["error"]["type"] == "DomainExitError"
+        assert report["error"]["time"] == pytest.approx(-0.00041, abs=1e-12)
+        assert "left the chart" in report["error"]["message"]
+
     def test_invalid_space_exit_one(self, capsys, spec_path):
         def mutate(data):
             data["beta"] = ["1.2", "0"]

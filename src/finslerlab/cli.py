@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -136,6 +137,11 @@ def _emit_error(kind: str, message: str, **extra) -> None:
     _emit({"error": {"type": kind, "message": message, **extra}})
 
 
+def _usage_error(message: str) -> int:
+    _emit_error("UsageError", message)
+    return EXIT_USAGE
+
+
 def _parse_vector(text: str, dimension: int, label: str) -> tuple[float, ...]:
     try:
         values = tuple(float(part) for part in text.split(","))
@@ -164,6 +170,8 @@ def _base_report(command: str, digest: str, data: dict, seed) -> dict:
 
 def cmd_analyze(args) -> int:
     started = time.perf_counter()
+    if args.probes < 0:
+        return _usage_error(f"--probes must be >= 0, got {args.probes}")
     seed = _resolve_seed(args.seed)
     data, digest = manifest.load_spec(args.spec)
     space = manifest.space_from_spec(data, args.probes, seed)
@@ -212,14 +220,17 @@ def cmd_analyze(args) -> int:
 
 def cmd_s_curvature(args) -> int:
     started = time.perf_counter()
+    if not (args.h > 0.0 and math.isfinite(args.h)):
+        return _usage_error(f"--h must be finite and > 0, got {args.h}")
+    if args.steps < 1:
+        return _usage_error(f"--steps must be >= 1, got {args.steps}")
     seed = _resolve_seed(args.seed)
     data, digest = manifest.load_spec(args.spec)
     space = manifest.space_from_spec(data, seed=seed)
     point = _parse_vector(args.point, space.dimension, "--point")
     vector = _parse_vector(args.vector, space.dimension, "--vector")
     if not space.chart.contains(point):
-        _emit_error("UsageError", f"point {point} is outside the chart domain")
-        return EXIT_USAGE
+        return _usage_error(f"point {point} is outside the chart domain")
     measure = manifest.measure_from_spec(space, data, args.measure)
     F = randers.finsler(space)
     s_formula = scurvature.s_curvature(F, measure, point, vector)
@@ -236,8 +247,8 @@ def cmd_s_curvature(args) -> int:
                 steps=args.steps,
                 richardson=not args.no_richardson,
             )
-        except DomainExitError as exc:
-            warning = {"type": "DomainExitError", "message": str(exc), "exit_time": exc.time}
+        except (DomainExitError, NonFiniteStateError) as exc:
+            warning = {"type": type(exc).__name__, "message": str(exc), "exit_time": exc.time}
     sample = scurvature.SCurvatureSample(
         x=point,
         v=vector,
@@ -275,8 +286,7 @@ def cmd_geodesic(args) -> int:
     start = _parse_vector(args.start, space.dimension, "--from")
     direction = _parse_vector(args.direction, space.dimension, "--dir")
     if args.steps < 1:
-        _emit_error("UsageError", "--steps must be >= 1")
-        return EXIT_USAGE
+        return _usage_error("--steps must be >= 1")
     F = randers.finsler(space)
     warning = None
     try:
@@ -315,6 +325,12 @@ def cmd_geodesic(args) -> int:
 
 def cmd_validate(args) -> int:
     started = time.perf_counter()
+    if args.probes < 1:
+        return _usage_error(f"--probes must be >= 1, got {args.probes}")
+    if args.transport_probes < 0:
+        return _usage_error(f"--transport-probes must be >= 0, got {args.transport_probes}")
+    if args.mc_samples < 10_000:
+        return _usage_error(f"--mc-samples must be at least 10000, got {args.mc_samples}")
     seed = _resolve_seed(args.seed)
     data, digest = manifest.load_spec(args.spec)
     space = manifest.space_from_spec(data, args.probes, seed)
@@ -368,8 +384,7 @@ def cmd_bh(args) -> int:
     space = manifest.space_from_spec(data, seed=seed)
     point = _parse_vector(args.point, space.dimension, "--point")
     if args.samples < 10_000:
-        _emit_error("UsageError", f"--samples must be at least 10000, got {args.samples}")
-        return EXIT_USAGE
+        return _usage_error(f"--samples must be at least 10000, got {args.samples}")
     closed = float(randers.bh_density_closed_form(space, point))
     estimate, std_error = scurvature.bh_density_monte_carlo(
         space, point, args.samples, seed

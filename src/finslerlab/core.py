@@ -31,7 +31,6 @@ __all__ = [
     "FinslerStructure",
     "SprayOutput",
     "GeodesicPath",
-    "GeodesicBatch",
     "StructureValidityError",
     "DomainExitError",
     "NonFiniteStateError",
@@ -136,37 +135,6 @@ class GeodesicPath:
 
     def state(self, index: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
         return self.points[index], self.velocities[index]
-
-
-@dataclass
-class GeodesicBatch:
-    """Outcome of geodesic_batch: trajectories 0..count-1 completed; error
-    is what trajectory `count` raised (None when every one completed).
-
-    `run` is the integration itself: a path whose leaves are arrays with
-    one element per trajectory (arrays may shorten after a failure).
-    """
-
-    run: GeodesicPath
-    count: int
-    error: Optional[Exception] = None
-
-    def path(self, k: int) -> GeodesicPath:
-        """The path of completed trajectory k, on float leaves."""
-        self._check(k)
-        return _lane(self.run, k)
-
-    def state(self, k: int, index: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """(point, velocity) of completed trajectory k after `index` steps."""
-        self._check(k)
-        return (
-            tuple([float(c[k]) for c in self.run.points[index]]),
-            tuple([float(c[k]) for c in self.run.velocities[index]]),
-        )
-
-    def _check(self, k: int) -> None:
-        if not 0 <= k < self.count:
-            raise IndexError(f"trajectory {k} did not complete (count {self.count})")
 
 
 def _check_nonzero(v) -> None:
@@ -372,7 +340,6 @@ def geodesic(
 
     Raises DomainExitError (carrying the truncated path) when the path
     leaves the chart domain, NonFiniteStateError on blow-up.
-    geodesic_batch runs the same loop for many trajectories at once.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -381,9 +348,15 @@ def geodesic(
         spray_fn = F.fast_spray or (lambda xx, vv: spray(F, xx, vv))
     x = [float(c) for c in x0]
     u = [float(c) for c in v0]
-    path, failure = _rk4(F.chart, spray_fn, x, u, time / steps, steps)
-    if failure.error is not None:
-        raise failure.error
+    path = GeodesicPath(times=[0.0], points=[tuple(x)], velocities=[tuple(u)])
+    for t, x, u in _rk4(spray_fn, x, u, time / steps, steps):
+        if not all(math.isfinite(c) for c in itertools.chain(x, u)):
+            raise NonFiniteStateError(t)
+        if not F.chart.contains(x):
+            raise DomainExitError(t, path)
+        path.times.append(t)
+        path.points.append(tuple(x))
+        path.velocities.append(tuple(u))
     return path
 
 
@@ -393,78 +366,56 @@ def geodesic_batch(
     v0s: Sequence[Sequence[float]],
     times: Sequence[float],
     steps: int = 1000,
-) -> GeodesicBatch:
-    """geodesic for many trajectories in lock-step: one RK4 run whose
-    state leaves are 1-D arrays with one element per trajectory.
+) -> Optional[GeodesicPath]:
+    """geodesic for many trajectories in lock-step, or None on any failure.
 
-    Trajectory k starts at (x0s[k], v0s[k]) and runs to times[k] (either
-    sign).  F.fast_spray must accept array leaves, as the Randers closed
-    form does.  The outcome is the one of a loop of geodesic calls in
-    input order: the paths of the trajectories before the first that
-    fails, and the exception that one raises (the same type and time;
-    a DomainExitError carries its truncated path).  Trajectories after a
-    failed one are dropped from the run.
+    One RK4 run whose state leaves are 1-D arrays with one element per
+    trajectory; trajectory k starts at (x0s[k], v0s[k]) and runs to
+    times[k] (either sign).  F.fast_spray must accept array leaves, as
+    the Randers closed form does.  The returned path has array leaves
+    (times from the first step on).  The batch only detects failure: a
+    zero start vector, a spray that raises, or a state that turns
+    non-finite or leaves the chart in any trajectory gives None, and the
+    caller runs geodesic per trajectory to learn which one fails and how.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if F.fast_spray is None:
         raise TypeError("geodesic_batch needs F.fast_spray, a spray over array leaves")
-    count, error = len(x0s), None
-    for k, v0 in enumerate(v0s):
-        try:
+    try:
+        for v0 in v0s:
             _check_nonzero(v0)
-        except StructureValidityError as exc:
-            count, error = k, exc
-            break
-    x = [np.array([float(x0[i]) for x0 in x0s[:count]]) for i in range(F.chart.dimension)]
-    u = [np.array([float(v0[i]) for v0 in v0s[:count]]) for i in range(F.chart.dimension)]
-    if count == 0:
-        return GeodesicBatch(GeodesicPath([0.0], [tuple(x)], [tuple(u)]), 0, error)
-    h = np.array([t / steps for t in times[:count]])
-    with np.errstate(all="ignore"):  # non-finite lanes are caught per step
-        path, failure = _rk4(F.chart, F.fast_spray, x, u, h, steps)
-    if failure.error is not None:
-        count, error = failure.index, failure.error
-    return GeodesicBatch(path, count, error)
-
-
-class _Failure:
-    """The first trajectory, in input order, that failed during a run.
-
-    Only trajectories before the recorded one are still checked, so each
-    new record replaces the previous one.
-    """
-
-    __slots__ = ("index", "error")
-
-    def __init__(self):
-        self.index = math.inf
-        self.error: Optional[Exception] = None
-
-    def record(self, index: int, error: Exception) -> None:
-        self.index, self.error = index, error
-
-
-def _rk4(chart: CoordinateChart, spray_fn: Callable, x: list, u: list, h, steps: int):
-    """The RK4 loop behind geodesic and geodesic_batch, generic over leaves.
-
-    Float leaves carry one trajectory; 1-D array leaves (with h an array
-    too) carry a batch.  After every step the trajectories are checked
-    for a finite state inside the chart; the first failure in input
-    order is recorded, and the trajectories from it on are dropped (for
-    floats the loop stops).  Returns (path, failure): the path with
-    leaves of the input type, shorter arrays after a drop.
-    """
-    failure = _Failure()
+    except StructureValidityError:
+        return None
+    n = F.chart.dimension
+    x = [np.array([float(x0[i]) for x0 in x0s]) for i in range(n)]
+    u = [np.array([float(v0[i]) for v0 in v0s]) for i in range(n)]
+    h = np.array([t / steps for t in times])
+    bounds = F.chart.bounds
     path = GeodesicPath(times=[0.0], points=[tuple(x)], velocities=[tuple(u)])
+    with np.errstate(all="ignore"):  # a non-finite lane fails the batch below
+        try:
+            for t, x, u in _rk4(F.fast_spray, x, u, h, steps):
+                inside = all(((lo < c) & (c < hi)).all() for c, (lo, hi) in zip(x, bounds))
+                if not (inside and all(np.isfinite(c).all() for c in itertools.chain(x, u))):
+                    return None
+                path.times.append(t)
+                path.points.append(tuple(x))
+                path.velocities.append(tuple(u))
+        except (ArithmeticError, ValueError):
+            return None
+    return path
+
+
+def _rk4(spray_fn: Callable, x: list, u: list, h, steps: int):
+    """Classical RK4 steps for eta'' + G(eta') = 0, generic over leaves:
+    yields (t, x, u) after each step.  Float leaves carry one trajectory;
+    1-D array leaves, with h an array too, carry a batch."""
 
     def rhs(xx, uu):
         G = spray_fn(xx, uu)
         return uu, [-standard_part(c) for c in G]
 
-    batch = isinstance(h, np.ndarray)
-    if batch:
-        rhs = _replaying(rhs, failure)
     for step in range(steps):
         k1x, k1u = rhs(x, u)
         k2x, k2u = rhs(
@@ -487,81 +438,7 @@ def _rk4(chart: CoordinateChart, spray_fn: Callable, x: list, u: list, h, steps:
             ui + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
             for ui, a, b, c, d in zip(u, k1u, k2u, k3u, k4u)
         ]
-        t = (step + 1) * h
-        if batch:
-            _check_batch(chart, path, t, x, u, failure)
-        elif not all(math.isfinite(c) for c in itertools.chain(x, u)):
-            failure.record(0, NonFiniteStateError(t))
-        elif not chart.contains(x):
-            failure.record(0, DomainExitError(t, path))
-        if failure.error is not None:
-            keep = failure.index
-            if keep == 0:
-                break
-            if keep < len(h):  # a batch drops the failed trajectory and those after it
-                x, u, h, t = [c[:keep] for c in x], [c[:keep] for c in u], h[:keep], t[:keep]
-        path.times.append(t)
-        path.points.append(tuple(x))
-        path.velocities.append(tuple(u))
-    return path, failure
-
-
-def _check_batch(chart, path, t, x, u, failure: _Failure) -> None:
-    """Record the first live trajectory whose state is non-finite or
-    outside the chart (the float checks of _rk4, per element)."""
-    live = min(len(t), failure.index)
-    finite = np.logical_and.reduce([np.isfinite(c[:live]) for c in itertools.chain(x, u)])
-    ok = finite.copy()
-    for c, (lo, hi) in zip(x, chart.bounds):
-        ok &= (lo < c[:live]) & (c[:live] < hi)
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        j = int(bad[0])
-        tj = float(t[j])
-        failure.record(
-            j, DomainExitError(tj, _lane(path, j)) if finite[j] else NonFiniteStateError(tj)
-        )
-
-
-def _replaying(rhs: Callable, failure: _Failure) -> Callable:
-    """rhs over array leaves with float semantics for failures.
-
-    One evaluation serves the batch.  When it raises, or yields a
-    non-finite value for a live trajectory, the live trajectories are
-    evaluated one by one on float leaves: the first that raises is
-    recorded as failed with that exception, and its lane and every later
-    one read NaN (they are dropped at the end of the step).
-    """
-
-    def batch_rhs(xx, uu):
-        live = min(len(uu[0]), failure.index)
-        try:
-            _, du = rhs(xx, uu)
-            if all(np.isfinite(c[:live]).all() for c in du):
-                return uu, du
-        except (ArithmeticError, ValueError):
-            pass
-        du = [np.full(len(c), np.nan) for c in uu]
-        for j in range(live):
-            try:
-                _, row = rhs([float(c[j]) for c in xx], [float(c[j]) for c in uu])
-            except (ArithmeticError, ValueError) as exc:
-                failure.record(j, exc)
-                break
-            for c, value in zip(du, row):
-                c[j] = value
-        return uu, du
-
-    return batch_rhs
-
-
-def _lane(path: GeodesicPath, k: int) -> GeodesicPath:
-    """Trajectory k of a path with array leaves, on float leaves."""
-    return GeodesicPath(
-        times=[0.0] + [float(t[k]) for t in path.times[1:]],
-        points=[tuple([float(c[k]) for c in p]) for p in path.points],
-        velocities=[tuple([float(c[k]) for c in p]) for p in path.velocities],
-    )
+        yield (step + 1) * h, x, u
 
 
 # -- identities ----------------------------------------------------------------

@@ -97,16 +97,6 @@ def _inv_batch(matrix, n: int) -> list:
     return [list(row) for row in np.ascontiguousarray(result.transpose(1, 2, 0))]
 
 
-def matvec(matrix, vector) -> list:
-    return [
-        sum_(row[j] * vector[j] for j in range(len(vector))) for row in matrix
-    ]
-
-
-def dot(u, v):
-    return sum_(a * b for a, b in zip(u, v))
-
-
 def sum_(terms):
     """Left-to-right sum without a float 0 start (keeps jet types clean)."""
     terms = iter(terms)

@@ -301,30 +301,17 @@ def _levi_civita_from(a_inv, da) -> list:
 
 def covariant_derivative(space: RandersSpace, x) -> list:
     """b_{i|j} = db_i/dx_j - sum_k b_k gamma~^k_ij at a float point."""
-    a, da, b, db = _first_order_data(space, x)
-    gamma = _levi_civita_from(inv(a), da)
-    n = space.dimension
-    return [
-        [
-            db[j][i] - sum(b[k] * gamma[k][i][j] for k in range(n))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    return _PointData(space, x).bcov
 
 
 def length_gradient(space: RandersSpace, x) -> list:
     """d(||beta||^2)/dx_i via the covariant identity 2 sum_j b_{j|i} b^j."""
-    a, da, b, db = _first_order_data(space, x)
-    a_inv = inv(a)
-    gamma = _levi_civita_from(a_inv, da)
-    n = space.dimension
-    b_up = [sum(a_inv[i][j] * b[j] for j in range(n)) for i in range(n)]
-    bcov = [
-        [db[j][i] - sum(b[k] * gamma[k][i][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-    return [2.0 * sum(bcov[j][i] * b_up[j] for j in range(n)) for i in range(n)]
+    return _length_gradient(_PointData(space, x))
+
+
+def _length_gradient(data: _PointData) -> list:
+    n = len(data.b)
+    return [2.0 * sum(data.bcov[j][i] * data.b_up[j] for j in range(n)) for i in range(n)]
 
 
 # -- closed-form spray ------------------------------------------------------------
@@ -454,7 +441,8 @@ def analyze_beta(space: RandersSpace, probes: Sequence) -> BetaAnalysis:
     lmax = 0.0
     grad_sup = 0.0
     for x in probes:
-        bc = covariant_derivative(space, x)
+        data = _PointData(space, x)  # b_{i|j} and b^i for both defects
+        bc = data.bcov
         covs.append(bc)
         n = space.dimension
         killing = max(
@@ -466,7 +454,7 @@ def analyze_beta(space: RandersSpace, probes: Sequence) -> BetaAnalysis:
         length = float(standard_part(beta_length(space, x)))
         lmin = min(lmin, length)
         lmax = max(lmax, length)
-        grad_sup = max(grad_sup, max(abs(c) for c in length_gradient(space, x)))
+        grad_sup = max(grad_sup, max(abs(c) for c in _length_gradient(data)))
     return BetaAnalysis(
         probes=list(probes),
         covariant=covs,

@@ -175,10 +175,17 @@ def s_curvature_transport(
     Normalizes v to unit F-speed, integrates the geodesic to +-h on float
     leaves, central-differences log(sqrt(det g)/sigma) and rescales by
     F(v) (S is positively 1-homogeneous).  With richardson=True the h and
-    h/2 differences are combined for fourth-order accuracy.  This is the
-    one-probe case of s_curvature_transport_batch.
+    h/2 differences are combined for fourth-order accuracy.  Raises what
+    geodesic raises when a path leaves the chart or blows up.
     """
-    return s_curvature_transport_batch(F, measure, [x], [v], h, steps, richardson)[0]
+    if steps % 2:
+        steps += 1
+    fval, unit = _unit_start(F, x, v)
+    forward = geodesic(F, x, unit, h, steps)
+    backward = geodesic(F, x, unit, -h, steps)
+    return _central_difference(
+        F, measure, fval, forward.state, backward.state, h, steps, richardson
+    )
 
 
 def s_curvature_transport_batch(
@@ -196,51 +203,57 @@ def s_curvature_transport_batch(
     of them advance in lock-step as one geodesic_batch run over array
     leaves, so each RK4 stage evaluates the spray once for the batch
     (F.fast_spray must accept array leaves, as the Randers closed form
-    does).  One probe stays on float leaves and calls geodesic.  The
-    values equal those of one s_curvature_transport call per probe up to
-    rounding, and a failure raises what the first failing call of such
-    a loop would raise.
+    does).  The values equal those of one s_curvature_transport call per
+    probe up to rounding.  One probe, or a batch that fails anywhere, is
+    computed by exactly that loop of calls, so a failure raises what the
+    first failing call raises.
     """
     if steps % 2:
         steps += 1
-    starts, error = [], None
-    for x, v in zip(xs, vs):
+    run = None
+    if len(xs) >= 2:
         try:
-            starts.append(_unit_start(F, x, v))
-        except (ArithmeticError, ValueError) as exc:
-            error = exc  # raised after the probes before it
-            break
-    if len(starts) == 1:  # float leaves: forward, then backward
-        x, unit = xs[0], starts[0][1]
-        paths = [geodesic(F, x, unit, h, steps), geodesic(F, x, unit, -h, steps)]
-        state, done = (lambda k, index: paths[k].state(index)), 1
-    else:  # trajectory 2k is probe k forward, 2k + 1 backward
-        batch = geodesic_batch(
-            F,
-            [x for x in xs[: len(starts)] for _ in (0, 1)],
-            [unit for _, unit in starts for _ in (0, 1)],
-            [h, -h] * len(starts),
-            steps,
+            starts = [_unit_start(F, x, v) for x, v in zip(xs, vs)]
+        except (ArithmeticError, ValueError):
+            pass
+        else:  # trajectory 2k is probe k forward, 2k + 1 backward
+            run = geodesic_batch(
+                F,
+                [x for x in xs for _ in (0, 1)],
+                [unit for _, unit in starts for _ in (0, 1)],
+                [h, -h] * len(starts),
+                steps,
+            )
+    if run is None:
+        return [
+            s_curvature_transport(F, measure, x, v, h, steps, richardson)
+            for x, v in zip(xs, vs)
+        ]
+
+    def lane(k):
+        return lambda index: (
+            tuple([float(c[k]) for c in run.points[index]]),
+            tuple([float(c[k]) for c in run.velocities[index]]),
         )
-        if batch.error is not None:
-            error = batch.error
-        state, done = batch.state, batch.count // 2
 
-    def phi(k, index):
-        return _log_ratio(F, measure, *state(k, index))
+    return [
+        _central_difference(F, measure, fval, lane(2 * k), lane(2 * k + 1), h, steps, richardson)
+        for k, (fval, _) in enumerate(starts)
+    ]
 
-    out = []
-    for k in range(done):
-        fval, forward, backward = starts[k][0], 2 * k, 2 * k + 1
-        d_full = (phi(forward, steps) - phi(backward, steps)) / (2.0 * h)
-        if not richardson:
-            out.append(fval * d_full)
-            continue
-        d_half = (phi(forward, steps // 2) - phi(backward, steps // 2)) / h
-        out.append(fval * (4.0 * d_half - d_full) / 3.0)
-    if error is not None:
-        raise error
-    return out
+
+def _central_difference(F, measure, fval, forward, backward, h, steps, richardson) -> float:
+    """F(v) times the central difference of log(sqrt(det g)/sigma) between
+    the states forward(index) and backward(index) of the two paths."""
+
+    def phi(state, index):
+        return _log_ratio(F, measure, *state(index))
+
+    d_full = (phi(forward, steps) - phi(backward, steps)) / (2.0 * h)
+    if not richardson:
+        return fval * d_full
+    d_half = (phi(forward, steps // 2) - phi(backward, steps // 2)) / h
+    return fval * (4.0 * d_half - d_full) / 3.0
 
 
 def _unit_start(F: FinslerStructure, x, v) -> tuple[float, list[float]]:

@@ -60,6 +60,16 @@ class TestAnalyze:
         assert report["results"]["reason"] == "killing-violated"
         assert report["results"]["killing_defect_sup"] == pytest.approx(0.8, abs=1e-12)
 
+    def test_negative_probes(self, capsys, spec_path):
+        code, report = run_json(capsys, "analyze", spec_path("flat-const"), "--probes", "-5")
+        assert code == EXIT_USAGE
+        assert "--probes" in report["error"]["message"]
+
+    def test_zero_probes_reads_the_corners(self, capsys, spec_path):
+        code, report = run_json(capsys, "analyze", spec_path("flat-const"), "--probes", "0")
+        assert code == EXIT_OK
+        assert report["results"]["probe_count"] == 4
+
     def test_asymmetric_metric_exit_one(self, capsys, spec_path):
         def mutate(data):
             data["metric"] = [["1", "0.5"], ["0.4", "1"]]
@@ -162,6 +172,46 @@ class TestSCurvature:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--h", "0"), ("--h", "-1e-3"), ("--h", "inf"), ("--h", "nan"),
+         ("--steps", "0"), ("--steps", "-3")],
+    )
+    def test_bad_oracle_flags(self, capsys, spec_path, flag, value):
+        code, report = run_json(
+            capsys,
+            "s-curvature",
+            spec_path("flat-const"),
+            "--point", "0,0",
+            "--vector", "1,0",
+            "--oracle",
+            f"{flag}={value}",
+        )
+        assert code == EXIT_USAGE
+        assert report["error"]["type"] == "UsageError"
+        assert flag in report["error"]["message"]
+
+    def test_oracle_blow_up_is_a_warning(self, capsys, spec_path):
+        def mutate(data):
+            data["beta"] = ["0.99", "0"]
+
+        # F(-1, 0) = 0.01, so the unit start is (-100, 0) and the first
+        # step of length 5e307 overflows.
+        code, report = run_json(
+            capsys,
+            "s-curvature",
+            spec_path("flat-const", mutate),
+            "--point", "0,0",
+            "--vector=-1,0",
+            "--oracle",
+            "--h", "1e308",
+            "--steps", "2",
+        )
+        assert code == EXIT_WARNING
+        assert report["results"]["s_transport"] is None
+        assert report["warning"]["type"] == "NonFiniteStateError"
+        assert report["warning"]["exit_time"] == 5e307
+
     def test_custom_measure_from_spec(self, capsys, spec_path):
         def mutate(data):
             data["measure"] = {"kind": "custom", "density": "exp(x1)"}
@@ -263,6 +313,17 @@ class TestValidate:
         assert report["error"]["type"] == "DomainExitError"
         assert report["error"]["time"] == pytest.approx(-0.00041, abs=1e-12)
         assert "left the chart" in report["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--mc-samples", "5"), ("--transport-probes", "-1"), ("--probes", "-5"),
+         ("--probes", "0")],
+    )
+    def test_bad_flags(self, capsys, spec_path, flag, value):
+        code, report = run_json(capsys, "validate", spec_path("flat-const"), f"{flag}={value}")
+        assert code == EXIT_USAGE
+        assert report["error"]["type"] == "UsageError"
+        assert flag in report["error"]["message"]
 
     def test_invalid_space_exit_one(self, capsys, spec_path):
         def mutate(data):

@@ -36,7 +36,6 @@ from .randers import (
 )
 from .scurvature import (
     Measure,
-    SCurvatureSample,
     bh_density_monte_carlo,
     s_curvature,
     s_curvature_transport,
@@ -54,7 +53,6 @@ __all__ = [
     "BetaAnalysis",
     "TheoremVerdict",
     "Measure",
-    "SCurvatureSample",
     "parse",
     "evaluate",
     "free_variables",

@@ -123,9 +123,9 @@ def run_checks(
     results.append(_result("euler-v-over-F", euler, 1e-9, "(n-1)/F identity"))
 
     # One-form identities.
+    analysis = randers.analyze_beta(space, points)
     grad_two_path = 0.0
-    for x in points:
-        covariant_path = randers.length_gradient(space, x)
+    for x, covariant_path in zip(points, analysis.length_gradients):
         xs = seed_group([float(c) for c in x], range(n))
         lsq = randers.beta_length_squared(space, xs)
         direct = [standard_part(partial(lsq, i)) for i in range(n)]
@@ -158,7 +158,6 @@ def run_checks(
     results.append(_result("trace-dX-vanishes", trace_x, 1e-9))
     results.append(_result("trace-dY-closed-form", trace_y, 1e-9))
 
-    analysis = randers.analyze_beta(space, points)
     if (
         analysis.killing_defect_sup <= tol_killing
         and analysis.length_gradient_sup <= 1e-10
@@ -186,12 +185,8 @@ def run_checks(
             )
         )
 
-    verdict = randers.theorem_verdict(
-        space, points, tol_killing=tol_killing, tol_length=tol_length
-    )
-    tight = randers.theorem_verdict(
-        space, points, tol_killing=tol_killing * 0.1, tol_length=tol_length * 0.1
-    )
+    verdict = randers.decide(space, analysis, tol_killing, tol_length)
+    tight = randers.decide(space, analysis, tol_killing * 0.1, tol_length * 0.1)
     mono_ok = not (tight.admits and not verdict.admits)
     results.append(
         CheckResult(
@@ -200,10 +195,12 @@ def run_checks(
         )
     )
 
-    # S-curvature: formula vs transport, homogeneity, measure laws.
+    # S-curvature: formula vs transport, homogeneity, measure laws.  S for
+    # the BH measure is evaluated once per probe pair and read by every check.
     bh = scurvature.busemann_hausdorff_measure(space)
+    s_bh = [scurvature.s_curvature(F, bh, x, v) for x, v in pairs]
     transport_pairs = pairs[: min(transport_probes, len(pairs))]
-    formula = [scurvature.s_curvature(F, bh, x, v) for x, v in transport_pairs]
+    formula = s_bh[: len(transport_pairs)]
     transport = scurvature.s_curvature_transport_batch(
         F, bh, [x for x, _ in transport_pairs], [v for _, v in transport_pairs], h=1e-3, steps=100
     )
@@ -218,8 +215,7 @@ def run_checks(
     shift_diff = 0.0
     scaled = scurvature.Measure("custom", lambda xx: 2.7 * bh.density(xx))
     shifted = scurvature.Measure("custom", lambda xx: jet_exp(xx[0]) * bh.density(xx))
-    for x, v in subset:
-        s0 = scurvature.s_curvature(F, bh, x, v)
+    for (x, v), s0 in zip(subset, s_bh):
         for c in (0.5, 2.0):
             sc = scurvature.s_curvature(F, bh, x, [c * vi for vi in v])
             s_homog = max(s_homog, abs(sc - c * s0) / (1.0 + abs(s0)))
@@ -239,27 +235,17 @@ def run_checks(
                 f"{mc_samples} samples, seed {mc_seed}")
     )
 
-    max_s_bh = 0.0
-    for x, v in pairs:
-        max_s_bh = max(max_s_bh, abs(scurvature.s_curvature(F, bh, x, v)))
+    max_s_bh = max([0.0, *map(abs, s_bh)])
     if verdict.admits:
         results.append(
             _result("theorem-end-to-end", max_s_bh, tol_s, "admits: S vanishes for the BH measure")
         )
     else:
-        floor = math.inf
-        for m in (
-            scurvature.lebesgue_measure(),
-            scurvature.riemannian_volume_measure(space),
-            bh,
-        ):
-            if m.kind == "busemann-hausdorff":
-                best = max_s_bh
-            else:
-                best = max(
-                    abs(scurvature.s_curvature(F, m, x, v)) for x, v in pairs
-                )
-            floor = min(floor, best)
+        floor = min(
+            max(abs(scurvature.s_curvature(F, m, x, v)) for x, v in pairs)
+            for m in (scurvature.lebesgue_measure(), scurvature.riemannian_volume_measure(space))
+        )
+        floor = min(floor, max_s_bh)
         results.append(
             CheckResult(
                 "theorem-end-to-end", floor, 0.05, floor >= 0.05,

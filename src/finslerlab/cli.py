@@ -26,7 +26,7 @@ import time
 
 from . import __version__, catalog, checks, manifest, randers, scurvature
 from .core import DomainExitError, NonFiniteStateError, geodesic, probe_points
-from .expr import ExprError
+from .expr import ExprDomainError, ExprError
 from .manifest import SpecValidationError
 from .randers import InvalidSpaceError
 
@@ -142,6 +142,16 @@ def _usage_error(message: str) -> int:
     return EXIT_USAGE
 
 
+def _flag_error(args, *flags):
+    """Message for the first flag whose value is not finite and > 0; None
+    when every value can run."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if not (value > 0.0 and math.isfinite(value)):
+            return f"{flag} must be finite and > 0, got {value}"
+    return None
+
+
 def _parse_vector(text: str, dimension: int, label: str) -> tuple[float, ...]:
     try:
         values = tuple(float(part) for part in text.split(","))
@@ -172,6 +182,9 @@ def cmd_analyze(args) -> int:
     started = time.perf_counter()
     if args.probes < 0:
         return _usage_error(f"--probes must be >= 0, got {args.probes}")
+    message = _flag_error(args, "--tol-killing", "--tol-length")
+    if message:
+        return _usage_error(message)
     seed = _resolve_seed(args.seed)
     data, digest = manifest.load_spec(args.spec)
     space = manifest.space_from_spec(data, args.probes, seed)
@@ -180,21 +193,12 @@ def cmd_analyze(args) -> int:
         space, points, tol_killing=args.tol_killing, tol_length=args.tol_length
     )
     analysis = verdict.analysis
-    per_probe = []
-    for x, cov in zip(analysis.probes, analysis.covariant):
-        n = space.dimension
-        per_probe.append(
-            {
-                "x": list(x),
-                "beta_length": randers.beta_length(space, x),
-                "killing_defect": max(
-                    abs(cov[i][j] + cov[j][i]) for i in range(n) for j in range(n)
-                ),
-                "parallel_defect": max(
-                    abs(cov[i][j]) for i in range(n) for j in range(n)
-                ),
-            }
+    per_probe = [
+        {"x": list(x), "beta_length": length, "killing_defect": kd, "parallel_defect": pd}
+        for x, length, kd, pd in zip(
+            analysis.probes, analysis.lengths, analysis.killing_defects, analysis.parallel_defects
         )
+    ]
     report = _base_report("analyze", digest, data, seed)
     report["tolerances"] = {
         "killing": args.tol_killing,
@@ -220,8 +224,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_s_curvature(args) -> int:
     started = time.perf_counter()
-    if not (args.h > 0.0 and math.isfinite(args.h)):
-        return _usage_error(f"--h must be finite and > 0, got {args.h}")
+    message = _flag_error(args, "--h")
+    if message:
+        return _usage_error(message)
     if args.steps < 1:
         return _usage_error(f"--steps must be >= 1, got {args.steps}")
     seed = _resolve_seed(args.seed)
@@ -249,20 +254,15 @@ def cmd_s_curvature(args) -> int:
             )
         except (DomainExitError, NonFiniteStateError) as exc:
             warning = {"type": type(exc).__name__, "message": str(exc), "exit_time": exc.time}
-    sample = scurvature.SCurvatureSample(
-        x=point,
-        v=vector,
-        s_formula=s_formula,
-        s_transport=s_transport,
-        measure_kind=measure.kind,
-    )
+        except ExprDomainError as exc:  # an RK4 stage point outside an expression's domain
+            warning = {"type": type(exc).__name__, "message": str(exc)}
     report = _base_report("s-curvature", digest, data, seed)
     report["results"] = {
-        "x": list(sample.x),
-        "v": list(sample.v),
-        "measure": sample.measure_kind,
-        "s_formula": sample.s_formula,
-        "s_transport": sample.s_transport,
+        "x": list(point),
+        "v": list(vector),
+        "measure": measure.kind,
+        "s_formula": s_formula,
+        "s_transport": s_transport,
         "oracle": {
             "h": args.h,
             "steps": args.steps,
@@ -287,6 +287,8 @@ def cmd_geodesic(args) -> int:
     direction = _parse_vector(args.direction, space.dimension, "--dir")
     if args.steps < 1:
         return _usage_error("--steps must be >= 1")
+    if not math.isfinite(args.time):
+        return _usage_error(f"--time must be finite, got {args.time}")
     F = randers.finsler(space)
     warning = None
     try:
@@ -331,6 +333,9 @@ def cmd_validate(args) -> int:
         return _usage_error(f"--transport-probes must be >= 0, got {args.transport_probes}")
     if args.mc_samples < 10_000:
         return _usage_error(f"--mc-samples must be at least 10000, got {args.mc_samples}")
+    message = _flag_error(args, "--tol-killing", "--tol-length", "--tol-s")
+    if message:
+        return _usage_error(message)
     seed = _resolve_seed(args.seed)
     data, digest = manifest.load_spec(args.spec)
     space = manifest.space_from_spec(data, args.probes, seed)

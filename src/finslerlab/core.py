@@ -334,7 +334,6 @@ def geodesic(
     v0: Sequence[float],
     time: float,
     steps: int = 1000,
-    spray_fn: Optional[Callable] = None,
 ) -> GeodesicPath:
     """Classical fixed-step RK4 for eta'' + G(eta') = 0 on float leaves.
 
@@ -344,8 +343,7 @@ def geodesic(
     if steps < 1:
         raise ValueError("steps must be >= 1")
     _check_nonzero(v0)
-    if spray_fn is None:
-        spray_fn = F.fast_spray or (lambda xx, vv: spray(F, xx, vv))
+    spray_fn = F.fast_spray or (lambda xx, vv: spray(F, xx, vv))
     x = [float(c) for c in x0]
     u = [float(c) for c in v0]
     path = GeodesicPath(times=[0.0], points=[tuple(x)], velocities=[tuple(u)])

@@ -31,7 +31,6 @@ __all__ = [
     "Scalar",
     "seed",
     "seed_group",
-    "promote",
     "partial",
     "value_of",
     "standard_part",
@@ -181,13 +180,6 @@ def seed_group(values: Sequence[Scalar], indices: Sequence[int]) -> list:
         else:
             out.append(Jet(val, tuple([1.0 if j == k else 0.0 for j in range(width)])))
     return out
-
-
-def promote(value: Scalar, width: int) -> Scalar:
-    """Embed a scalar as a constant at a new outermost level of `width` slots."""
-    if isinstance(value, Jet):
-        return Jet(value, (0.0,) * width)
-    return value
 
 
 def partial(scalar: Scalar, k: int) -> Scalar:

@@ -45,6 +45,7 @@ __all__ = [
     "is_berwald",
     "analyze_beta",
     "theorem_verdict",
+    "decide",
     "bh_density_closed_form",
 ]
 
@@ -86,15 +87,35 @@ def _fns(space: RandersSpace) -> dict:
 
 @dataclass
 class BetaAnalysis:
-    """Probe statistics of the one-form's covariant derivative and length."""
+    """Per-probe rows of the one-form's covariant derivative and length;
+    the sups and the length range are folds over the rows."""
 
     probes: list
     covariant: list  # one b_{i|j} matrix per probe
-    killing_defect_sup: float
-    parallel_defect_sup: float
-    length_min: float
-    length_max: float
-    length_gradient_sup: float
+    killing_defects: list  # max |b_{i|j} + b_{j|i}| per probe
+    parallel_defects: list  # max |b_{i|j}| per probe
+    lengths: list  # ||beta|| per probe
+    length_gradients: list  # d(||beta||^2)/dx_i per probe
+
+    @property
+    def killing_defect_sup(self) -> float:
+        return max([0.0, *self.killing_defects])
+
+    @property
+    def parallel_defect_sup(self) -> float:
+        return max([0.0, *self.parallel_defects])
+
+    @property
+    def length_min(self) -> float:
+        return min([math.inf, *self.lengths])
+
+    @property
+    def length_max(self) -> float:
+        return max([0.0, *self.lengths])
+
+    @property
+    def length_gradient_sup(self) -> float:
+        return max([0.0, *(max(abs(c) for c in g) for g in self.length_gradients)])
 
 
 @dataclass
@@ -434,36 +455,19 @@ def trace_dY_closed_form(space: RandersSpace, x, v) -> float:
 
 
 def analyze_beta(space: RandersSpace, probes: Sequence) -> BetaAnalysis:
-    covs = []
-    killing = 0.0
-    parallel = 0.0
-    lmin = float("inf")
-    lmax = 0.0
-    grad_sup = 0.0
-    for x in probes:
+    n = space.dimension
+    rows = BetaAnalysis(list(probes), [], [], [], [], [])
+    for x in rows.probes:
         data = _PointData(space, x)  # b_{i|j} and b^i for both defects
         bc = data.bcov
-        covs.append(bc)
-        n = space.dimension
-        killing = max(
-            killing, max(abs(bc[i][j] + bc[j][i]) for i in range(n) for j in range(n))
+        rows.covariant.append(bc)
+        rows.killing_defects.append(
+            max(abs(bc[i][j] + bc[j][i]) for i in range(n) for j in range(n))
         )
-        parallel = max(
-            parallel, max(abs(bc[i][j]) for i in range(n) for j in range(n))
-        )
-        length = float(standard_part(beta_length(space, x)))
-        lmin = min(lmin, length)
-        lmax = max(lmax, length)
-        grad_sup = max(grad_sup, max(abs(c) for c in _length_gradient(data)))
-    return BetaAnalysis(
-        probes=list(probes),
-        covariant=covs,
-        killing_defect_sup=killing,
-        parallel_defect_sup=parallel,
-        length_min=lmin,
-        length_max=lmax,
-        length_gradient_sup=grad_sup,
-    )
+        rows.parallel_defects.append(max(abs(bc[i][j]) for i in range(n) for j in range(n)))
+        rows.lengths.append(beta_length(space, x))
+        rows.length_gradients.append(_length_gradient(data))
+    return rows
 
 
 def is_berwald(space: RandersSpace, probes: Sequence, tol: float) -> bool:
@@ -481,18 +485,25 @@ def theorem_verdict(
     probe_count: int = 100,
     seed: int = 0,
 ) -> TheoremVerdict:
-    """Decide whether the space admits a measure with vanishing S-curvature.
+    """Decide whether the space admits a measure with vanishing S-curvature
+    (analyze_beta on the probes, then decide)."""
+    if probes is None:
+        probes = probe_points(space.chart, probe_count, seed)
+    return decide(space, analyze_beta(space, probes), tol_killing, tol_length)
+
+
+def decide(
+    space: RandersSpace, analysis: BetaAnalysis, tol_killing: float, tol_length: float
+) -> TheoremVerdict:
+    """The verdict from a finished analysis.
 
     The decision reads the one-form alone: the defect sups must certify a
     Killing form of constant length.  On success the Busemann-Hausdorff
     density samples are attached as the certificate (any other vanishing-S
     measure is a constant multiple of it).
     """
-    if tol_killing <= 0 or tol_length <= 0:
+    if not (tol_killing > 0 and tol_length > 0):
         raise ValueError("tolerances must be positive")
-    if probes is None:
-        probes = probe_points(space.chart, probe_count, seed)
-    analysis = analyze_beta(space, probes)
     if analysis.killing_defect_sup > tol_killing:
         return TheoremVerdict(
             False, REASON_KILLING, analysis, None, tol_killing, tol_length
@@ -505,7 +516,7 @@ def theorem_verdict(
         return TheoremVerdict(
             False, REASON_LENGTH, analysis, None, tol_killing, tol_length
         )
-    densities = [float(bh_density_closed_form(space, x)) for x in probes]
+    densities = [float(bh_density_closed_form(space, x)) for x in analysis.probes]
     return TheoremVerdict(
         True, REASON_SATISFIED, analysis, densities, tol_killing, tol_length
     )

@@ -37,7 +37,6 @@ from .randers import RandersSpace
 
 __all__ = [
     "Measure",
-    "SCurvatureSample",
     "MeasureUniquenessError",
     "MEASURE_KINDS",
     "lebesgue_measure",
@@ -71,15 +70,6 @@ class Measure:
     def __post_init__(self):
         if self.kind not in MEASURE_KINDS:
             raise ValueError(f"measure kind must be one of {MEASURE_KINDS}")
-
-
-@dataclass
-class SCurvatureSample:
-    x: tuple
-    v: tuple
-    s_formula: float
-    s_transport: Optional[float]
-    measure_kind: str
 
 
 def lebesgue_measure() -> Measure:

@@ -1,6 +1,7 @@
 import pytest
 
-from finslerlab import checks
+from finslerlab import checks, randers, scurvature
+from finslerlab.core import probe_pairs
 
 
 @pytest.mark.parametrize("name", ["flat-nonkilling", "rotational-killing"])
@@ -32,3 +33,28 @@ def test_battery_passes_on_admitting_space(spaces):
     assert not by_name["killing-skew-contraction"].skipped
     assert by_name["theorem-end-to-end"].note.startswith("admits")
     assert by_name["theorem-end-to-end"].observed <= 1e-8
+
+
+@pytest.mark.parametrize("name", ["flat-nonkilling", "polar-riemannian"])
+def test_battery_evaluates_each_probe_value_once(spaces, monkeypatch, name):
+    calls = {"analyze_beta": 0, "s_bh": 0}
+    analyze_beta = randers.analyze_beta
+    s_curvature = scurvature.s_curvature
+
+    def counting_analyze_beta(*args, **kwargs):
+        calls["analyze_beta"] += 1
+        return analyze_beta(*args, **kwargs)
+
+    def counting_s_curvature(F, measure, x, v):
+        if measure.kind == "busemann-hausdorff":
+            calls["s_bh"] += 1
+        return s_curvature(F, measure, x, v)
+
+    monkeypatch.setattr(randers, "analyze_beta", counting_analyze_beta)
+    monkeypatch.setattr(scurvature, "s_curvature", counting_s_curvature)
+    space = spaces[name]
+    checks.run_checks(space, probe_count=25, transport_probes=5, mc_samples=10_000)
+    pairs = probe_pairs(space.chart, 25, 0)
+    subset = pairs[:20]
+    # S_BH once per pair, plus S_BH at 0.5 v and 2 v on the homogeneity subset.
+    assert calls == {"analyze_beta": 1, "s_bh": len(pairs) + 2 * len(subset)}

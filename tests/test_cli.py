@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from finslerlab import catalog
+from finslerlab import catalog, randers
 from finslerlab.cli import main
+from finslerlab.core import probe_points
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -64,6 +65,28 @@ class TestAnalyze:
         code, report = run_json(capsys, "analyze", spec_path("flat-const"), "--probes", "-5")
         assert code == EXIT_USAGE
         assert "--probes" in report["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--tol-killing", "-1"), ("--tol-killing", "nan"), ("--tol-length", "0"),
+         ("--tol-length", "inf")],
+    )
+    def test_bad_tolerances(self, capsys, spec_path, flag, value):
+        code, report = run_json(capsys, "analyze", spec_path("flat-nonkilling"), f"{flag}={value}")
+        assert code == EXIT_USAGE
+        assert report["error"]["type"] == "UsageError"
+        assert flag in report["error"]["message"]
+
+    def test_per_probe_rows_are_the_analysis_rows(self, capsys, spec_path, spaces):
+        code, report = run_json(capsys, "analyze", spec_path("sphere-hopf"), "--probes", "12")
+        assert code == EXIT_OK
+        space = spaces["sphere-hopf"]
+        analysis = randers.analyze_beta(space, probe_points(space.chart, 12, 0))
+        rows = report["results"]["per_probe"]
+        assert [row["x"] for row in rows] == [list(x) for x in analysis.probes]
+        assert [row["beta_length"] for row in rows] == analysis.lengths
+        assert [row["killing_defect"] for row in rows] == analysis.killing_defects
+        assert [row["parallel_defect"] for row in rows] == analysis.parallel_defects
 
     def test_zero_probes_reads_the_corners(self, capsys, spec_path):
         code, report = run_json(capsys, "analyze", spec_path("flat-const"), "--probes", "0")
@@ -212,6 +235,26 @@ class TestSCurvature:
         assert report["warning"]["type"] == "NonFiniteStateError"
         assert report["warning"]["exit_time"] == 5e307
 
+    def test_oracle_outside_an_expression_domain_is_a_warning(self, capsys, spec_path):
+        def mutate(data):
+            data["metric"] = [["1 + sqrt(x1)", "0"], ["0", "1 + sqrt(x1)"]]
+            data["domain"] = [[0.0, 1.0], [-1.0, 1.0]]
+
+        # The formula at x1 = 0.0008 is fine; an RK4 stage point of the
+        # backward geodesic steps to x1 < 0, where sqrt(x1) is undefined.
+        code, report = run_json(
+            capsys,
+            "s-curvature",
+            spec_path("euclidean2", mutate),
+            "--point", "0.0008,0",
+            "--vector=-1,0",
+            "--oracle",
+        )
+        assert code == EXIT_WARNING
+        assert report["warning"]["type"] == "ExprDomainError"
+        assert report["results"]["s_transport"] is None
+        assert report["results"]["s_formula"] is not None
+
     def test_custom_measure_from_spec(self, capsys, spec_path):
         def mutate(data):
             data["measure"] = {"kind": "custom", "density": "exp(x1)"}
@@ -278,6 +321,17 @@ class TestGeodesic:
         assert report["warning"]["exit_time"] <= 0.14
         assert len(report["results"]["times"]) < 51
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_bad_time(self, capsys, spec_path, value):
+        code, report = run_json(
+            capsys,
+            "geodesic", spec_path("flat-const"),
+            "--from", "0,0", "--dir", "1,0", f"--time={value}",
+        )
+        assert code == EXIT_USAGE
+        assert report["error"]["type"] == "UsageError"
+        assert "--time" in report["error"]["message"]
+
     def test_bad_steps(self, capsys, spec_path):
         code = main(
             [
@@ -317,7 +371,9 @@ class TestValidate:
     @pytest.mark.parametrize(
         "flag,value",
         [("--mc-samples", "5"), ("--transport-probes", "-1"), ("--probes", "-5"),
-         ("--probes", "0")],
+         ("--probes", "0"), ("--tol-killing", "-1"), ("--tol-killing", "nan"),
+         ("--tol-length", "0"), ("--tol-length", "inf"), ("--tol-s", "-1e-8"),
+         ("--tol-s", "nan")],
     )
     def test_bad_flags(self, capsys, spec_path, flag, value):
         code, report = run_json(capsys, "validate", spec_path("flat-const"), f"{flag}={value}")

@@ -278,6 +278,43 @@ class TestVerdict:
     def test_bad_tolerances(self, spaces):
         with pytest.raises(ValueError):
             theorem_verdict(spaces["flat-const"], tol_killing=-1.0)
+        with pytest.raises(ValueError):
+            theorem_verdict(spaces["flat-const"], tol_length=math.nan)
+
+
+class TestBetaAnalysisRows:
+    def test_rows_are_the_per_point_values(self, spaces):
+        for name in catalog.NAMES:
+            sp = spaces[name]
+            points = probe_points(sp.chart, 12)
+            analysis = analyze_beta(sp, points)
+            assert analysis.probes == points
+            assert analysis.covariant == [covariant_derivative(sp, x) for x in points]
+            assert analysis.lengths == [beta_length(sp, x) for x in points]
+            assert analysis.length_gradients == [length_gradient(sp, x) for x in points]
+
+    def test_sups_are_folds_of_the_rows(self, spaces):
+        for name in catalog.NAMES:
+            sp = spaces[name]
+            analysis = analyze_beta(sp, probe_points(sp.chart, 12))
+            n = sp.dimension
+            killing = parallel = grad = lmax = 0.0
+            lmin = math.inf
+            for bc, length, g in zip(
+                analysis.covariant, analysis.lengths, analysis.length_gradients
+            ):
+                killing = max(
+                    killing, max(abs(bc[i][j] + bc[j][i]) for i in range(n) for j in range(n))
+                )
+                parallel = max(parallel, max(abs(bc[i][j]) for i in range(n) for j in range(n)))
+                grad = max(grad, max(abs(c) for c in g))
+                lmin = min(lmin, length)
+                lmax = max(lmax, length)
+            assert analysis.killing_defect_sup == killing
+            assert analysis.parallel_defect_sup == parallel
+            assert analysis.length_gradient_sup == grad
+            assert analysis.length_min == lmin
+            assert analysis.length_max == lmax
 
 
 class TestBhDensity:

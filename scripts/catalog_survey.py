@@ -13,7 +13,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from finslerlab import catalog, randers, scurvature
-from finslerlab.core import probe_pairs, probe_points
+from finslerlab.core import nonlinear_connection, probe_pairs, probe_points
 
 
 def main() -> int:
@@ -36,6 +36,7 @@ def main() -> int:
         an = verdict.analysis
         F = randers.finsler(sp)
         pairs = probe_pairs(sp.chart, args.probes, args.seed)
+        connections = [nonlinear_connection(F, x, v) for x, v in pairs]  # one N per pair
         peaks = []
         for measure in (
             scurvature.lebesgue_measure(),
@@ -43,7 +44,10 @@ def main() -> int:
             scurvature.busemann_hausdorff_measure(sp),
         ):
             peaks.append(
-                max(abs(scurvature.s_curvature(F, measure, x, v)) for x, v in pairs)
+                max(
+                    abs(scurvature.s_curvature_from(N, measure, x, v))
+                    for N, (x, v) in zip(connections, pairs)
+                )
             )
         print(
             f"{name:20s} {str(verdict.admits):6s} {verdict.reason:20s} "

@@ -13,7 +13,6 @@ from .core import (
     CoordinateChart,
     FinslerStructure,
     GeodesicPath,
-    SprayOutput,
     cartan_tensor,
     formal_christoffel,
     fundamental_tensor,
@@ -46,7 +45,6 @@ __all__ = [
     "CoordinateChart",
     "FinslerStructure",
     "GeodesicPath",
-    "SprayOutput",
     "ScalarField",
     "Jet",
     "RandersSpace",

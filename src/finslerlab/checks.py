@@ -33,6 +33,9 @@ from .randers import RandersSpace
 
 __all__ = ["CheckResult", "run_checks"]
 
+# Seed of the Monte-Carlo Busemann-Hausdorff density check.
+MC_SEED = 20240
+
 
 @dataclass
 class CheckResult:
@@ -59,7 +62,6 @@ def run_checks(
     seed: int = 0,
     transport_probes: int = 50,
     mc_samples: int = 1_000_000,
-    mc_seed: int = 20240,
     tol_killing: float = 1e-9,
     tol_length: float = 1e-8,
     tol_s: float = 1e-8,
@@ -79,6 +81,7 @@ def run_checks(
     cartan_defect = 0.0
     n_rewrite = 0.0
     euler = 0.0
+    connections = []  # N(x, v) per pair, shared by every measure's S below
     for x, v in pairs:
         fv = F(x, v)
         min_f = min(min_f, fv)
@@ -103,6 +106,7 @@ def run_checks(
             ),
         )
         Nj = nonlinear_connection(F, x, v)
+        connections.append(Nj)
         Nd = nonlinear_connection_definitional(F, x, v)
         n_rewrite = max(
             n_rewrite,
@@ -163,12 +167,7 @@ def run_checks(
         and analysis.length_gradient_sup <= 1e-10
     ):
         worst = 0.0
-        for x, bc in zip(analysis.probes, analysis.covariant):
-            a_inv = np.linalg.inv(
-                np.array([[standard_part(e) for e in row] for row in randers.a_at(space, x)])
-            )
-            b = np.array([standard_part(c) for c in randers.b_at(space, x)])
-            b_up = a_inv @ b
+        for bc, b_up in zip(analysis.covariant, analysis.raised):
             for i in range(n):
                 worst = max(
                     worst,
@@ -195,10 +194,11 @@ def run_checks(
         )
     )
 
-    # S-curvature: formula vs transport, homogeneity, measure laws.  S for
-    # the BH measure is evaluated once per probe pair and read by every check.
+    # S-curvature: formula vs transport, homogeneity, measure laws.  Every
+    # measure's S at a probe pair reads the pair's one N; S for the BH
+    # measure is evaluated once per pair and read by every check.
     bh = scurvature.busemann_hausdorff_measure(space)
-    s_bh = [scurvature.s_curvature(F, bh, x, v) for x, v in pairs]
+    s_bh = [scurvature.s_curvature_from(N, bh, x, v) for N, (x, v) in zip(connections, pairs)]
     transport_pairs = pairs[: min(transport_probes, len(pairs))]
     formula = s_bh[: len(transport_pairs)]
     transport = scurvature.s_curvature_transport_batch(
@@ -215,12 +215,12 @@ def run_checks(
     shift_diff = 0.0
     scaled = scurvature.Measure("custom", lambda xx: 2.7 * bh.density(xx))
     shifted = scurvature.Measure("custom", lambda xx: jet_exp(xx[0]) * bh.density(xx))
-    for (x, v), s0 in zip(subset, s_bh):
+    for (x, v), N, s0 in zip(subset, connections, s_bh):
         for c in (0.5, 2.0):
             sc = scurvature.s_curvature(F, bh, x, [c * vi for vi in v])
             s_homog = max(s_homog, abs(sc - c * s0) / (1.0 + abs(s0)))
-        scale_diff = max(scale_diff, abs(scurvature.s_curvature(F, scaled, x, v) - s0))
-        shifted_s = scurvature.s_curvature(F, shifted, x, v)
+        scale_diff = max(scale_diff, abs(scurvature.s_curvature_from(N, scaled, x, v) - s0))
+        shifted_s = scurvature.s_curvature_from(N, shifted, x, v)
         shift_diff = max(shift_diff, abs(shifted_s - (s0 - v[0])))
     results.append(_result("s-homogeneity", s_homog, 1e-9, "relative to 1 + |S|"))
     results.append(_result("measure-scale-invariance", scale_diff, 1e-12, "sigma -> 2.7 sigma"))
@@ -228,11 +228,11 @@ def run_checks(
 
     midpoint = tuple(0.5 * (lo + hi) for lo, hi in space.chart.bounds)
     closed = float(randers.bh_density_closed_form(space, midpoint))
-    mc, se = scurvature.bh_density_monte_carlo(space, midpoint, mc_samples, mc_seed)
+    mc, se = scurvature.bh_density_monte_carlo(space, midpoint, mc_samples, MC_SEED)
     gate = max(0.01 * closed, 3.0 * se)
     results.append(
         _result("bh-monte-carlo-vs-closed", abs(mc - closed), gate,
-                f"{mc_samples} samples, seed {mc_seed}")
+                f"{mc_samples} samples, seed {MC_SEED}")
     )
 
     max_s_bh = max([0.0, *map(abs, s_bh)])
@@ -242,7 +242,10 @@ def run_checks(
         )
     else:
         floor = min(
-            max(abs(scurvature.s_curvature(F, m, x, v)) for x, v in pairs)
+            max(
+                abs(scurvature.s_curvature_from(N, m, x, v))
+                for N, (x, v) in zip(connections, pairs)
+            )
             for m in (scurvature.lebesgue_measure(), scurvature.riemannian_volume_measure(space))
         )
         floor = min(floor, max_s_bh)

@@ -285,6 +285,8 @@ def cmd_geodesic(args) -> int:
     space = manifest.space_from_spec(data, seed=seed)
     start = _parse_vector(args.start, space.dimension, "--from")
     direction = _parse_vector(args.direction, space.dimension, "--dir")
+    if not space.chart.contains(start):
+        return _usage_error(f"point {start} is outside the chart domain")
     if args.steps < 1:
         return _usage_error("--steps must be >= 1")
     if not math.isfinite(args.time):
@@ -388,6 +390,8 @@ def cmd_bh(args) -> int:
     data, digest = manifest.load_spec(args.spec)
     space = manifest.space_from_spec(data, seed=seed)
     point = _parse_vector(args.point, space.dimension, "--point")
+    if not space.chart.contains(point):
+        return _usage_error(f"point {point} is outside the chart domain")
     if args.samples < 10_000:
         return _usage_error(f"--samples must be at least 10000, got {args.samples}")
     closed = float(randers.bh_density_closed_form(space, point))

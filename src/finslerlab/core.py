@@ -29,7 +29,6 @@ from .linalg import inv, sum_
 __all__ = [
     "CoordinateChart",
     "FinslerStructure",
-    "SprayOutput",
     "GeodesicPath",
     "StructureValidityError",
     "DomainExitError",
@@ -41,7 +40,6 @@ __all__ = [
     "spray",
     "nonlinear_connection",
     "nonlinear_connection_definitional",
-    "spray_data",
     "geodesic",
     "geodesic_batch",
     "euler_identity_residual",
@@ -115,16 +113,6 @@ class FinslerStructure:
 
     def __call__(self, x: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
         return self.func(x, v)
-
-
-@dataclass
-class SprayOutput:
-    G: list
-    N: list
-    g: list
-    g_inv: list
-    gamma: list
-    cartan: list
 
 
 @dataclass
@@ -301,30 +289,6 @@ def nonlinear_connection_definitional(F: FinslerStructure, x, v) -> list[list[fl
     return out
 
 
-def spray_data(F: FinslerStructure, x, v) -> SprayOutput:
-    """All spray by-products at a float (x, v) in one bundle."""
-    _check_nonzero(v)
-    g, dg = _metric_and_dx(F, x, v)
-    g_inv = inv(g)
-    gamma = _gamma_from(g_inv, dg)
-    n = F.chart.dimension
-    G = [
-        sum_(gamma[i][j][k] * v[j] * v[k] for j in range(n) for k in range(n))
-        for i in range(n)
-    ]
-    return SprayOutput(
-        G=[standard_part(c) for c in G],
-        N=nonlinear_connection(F, x, v),
-        g=[[standard_part(e) for e in row] for row in g],
-        g_inv=[[standard_part(e) for e in row] for row in g_inv],
-        gamma=[[[standard_part(e) for e in row] for row in mat] for mat in gamma],
-        cartan=[
-            [[standard_part(e) for e in row] for row in mat]
-            for mat in cartan_tensor(F, x, v)
-        ],
-    )
-
-
 # -- geodesics ----------------------------------------------------------------
 
 
@@ -484,11 +448,9 @@ def probe_pairs(
     return out
 
 
-def corner_points(chart: CoordinateChart, shrink: float = 0.01) -> list[tuple[float, ...]]:
-    """The 2^n domain corners pulled inward by `shrink` of each width."""
-    axes = [
-        (lo + shrink * (hi - lo), hi - shrink * (hi - lo)) for lo, hi in chart.bounds
-    ]
+def corner_points(chart: CoordinateChart) -> list[tuple[float, ...]]:
+    """The 2^n domain corners pulled inward by 1% of each width."""
+    axes = [(lo + 0.01 * (hi - lo), hi - 0.01 * (hi - lo)) for lo, hi in chart.bounds]
     return [tuple(p) for p in itertools.product(*axes)]
 
 

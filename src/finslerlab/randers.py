@@ -96,6 +96,7 @@ class BetaAnalysis:
     parallel_defects: list  # max |b_{i|j}| per probe
     lengths: list  # ||beta|| per probe
     length_gradients: list  # d(||beta||^2)/dx_i per probe
+    raised: list  # b^i = a^{ij} b_j per probe
 
     @property
     def killing_defect_sup(self) -> float:
@@ -456,9 +457,9 @@ def trace_dY_closed_form(space: RandersSpace, x, v) -> float:
 
 def analyze_beta(space: RandersSpace, probes: Sequence) -> BetaAnalysis:
     n = space.dimension
-    rows = BetaAnalysis(list(probes), [], [], [], [], [])
+    rows = BetaAnalysis(list(probes), [], [], [], [], [], [])
     for x in rows.probes:
-        data = _PointData(space, x)  # b_{i|j} and b^i for both defects
+        data = _PointData(space, x)  # b_{i|j} and b^i for every row
         bc = data.bcov
         rows.covariant.append(bc)
         rows.killing_defects.append(
@@ -467,6 +468,7 @@ def analyze_beta(space: RandersSpace, probes: Sequence) -> BetaAnalysis:
         rows.parallel_defects.append(max(abs(bc[i][j]) for i in range(n) for j in range(n)))
         rows.lengths.append(beta_length(space, x))
         rows.length_gradients.append(_length_gradient(data))
+        rows.raised.append(data.b_up)
     return rows
 
 

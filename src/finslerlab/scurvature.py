@@ -48,6 +48,7 @@ __all__ = [
     "unit_ball_volume",
     "bh_density_monte_carlo",
     "s_curvature",
+    "s_curvature_from",
     "s_curvature_transport",
     "s_curvature_transport_batch",
     "measure_uniqueness_check",
@@ -129,10 +130,18 @@ def unit_ball_volume(n: int) -> float:
 
 def s_curvature(F: FinslerStructure, measure: Measure, x, v) -> float:
     """Trace formula S(v) = sum_i { N^i_i - v^i dlog(sigma)/dx^i }; S(0) = 0."""
-    n = F.chart.dimension
     if all(float(c) == 0.0 for c in v):
         return 0.0
-    N = nonlinear_connection(F, x, v)
+    return s_curvature_from(nonlinear_connection(F, x, v), measure, x, v)
+
+
+def s_curvature_from(N, measure: Measure, x, v) -> float:
+    """The trace formula given the nonlinear connection N = N(x, v).
+
+    N depends on F alone, so callers that read several measures at one
+    (x, v) compute it once and pass it to each.
+    """
+    n = len(N)
     trace = sum(N[i][i] for i in range(n))
     xs = seed_group([float(c) for c in x], range(n))
     sigma = measure.density(xs)
@@ -256,6 +265,9 @@ def _unit_start(F: FinslerStructure, x, v) -> tuple[float, list[float]]:
 
 # -- Busemann-Hausdorff density by Monte Carlo -----------------------------------
 
+# Rows per Monte-Carlo draw; the hit counts of the chunks are summed.
+MC_CHUNK_ROWS = 65_536
+
 
 def bh_density_monte_carlo(
     space: RandersSpace, x, sample_count: int, rng_seed: int
@@ -265,7 +277,9 @@ def bh_density_monte_carlo(
     The F-unit ball satisfies alpha(v) < 1/(1 - ||beta||), so the sampling
     box is that ellipsoid's bounding box in the a(x)-eigenbasis.  The RNG
     is counter-based (numpy Philox keyed with the 64-bit seed), which
-    makes estimates bit-reproducible for a fixed seed.
+    makes estimates bit-reproducible for a fixed seed.  Samples are drawn
+    MC_CHUNK_ROWS rows at a time from the one stream, so memory stays
+    bounded whatever the sample count.
     """
     if sample_count < 10_000:
         raise ValueError("sample_count must be at least 10^4")
@@ -285,10 +299,12 @@ def bh_density_monte_carlo(
     box_volume = float(np.prod(2.0 * half_width))
 
     rng = np.random.Generator(np.random.Philox(key=rng_seed))
-    y = rng.uniform(-half_width, half_width, size=(sample_count, n))
-    alpha_vals = np.sqrt((y * y) @ lam)
-    beta_vals = y @ (q.T @ b)
-    hits = int(np.count_nonzero(alpha_vals + beta_vals < 1.0))
+    b_eigen = q.T @ b
+    hits = 0
+    for start in range(0, sample_count, MC_CHUNK_ROWS):
+        rows = min(MC_CHUNK_ROWS, sample_count - start)
+        y = rng.uniform(-half_width, half_width, size=(rows, n))
+        hits += int(np.count_nonzero(np.sqrt((y * y) @ lam) + y @ b_eigen < 1.0))
     p = hits / sample_count
     if p == 0.0:
         raise randers.InvalidSpaceError("unit ball missed entirely; degenerate data")
@@ -320,8 +336,11 @@ def measure_uniqueness_check(
     max1 = 0.0
     max2 = 0.0
     for x, v in probes:
-        max1 = max(max1, abs(s_curvature(F, measure1, x, v)))
-        max2 = max(max2, abs(s_curvature(F, measure2, x, v)))
+        if all(float(c) == 0.0 for c in v):
+            continue  # S(0) = 0 under every measure
+        N = nonlinear_connection(F, x, v)
+        max1 = max(max1, abs(s_curvature_from(N, measure1, x, v)))
+        max2 = max(max2, abs(s_curvature_from(N, measure2, x, v)))
     both = max1 <= tol and max2 <= tol
     ratios = [
         standard_part(measure1.density(list(x)))

@@ -37,24 +37,37 @@ def test_battery_passes_on_admitting_space(spaces):
 
 @pytest.mark.parametrize("name", ["flat-nonkilling", "polar-riemannian"])
 def test_battery_evaluates_each_probe_value_once(spaces, monkeypatch, name):
-    calls = {"analyze_beta": 0, "s_bh": 0}
+    # flat-nonkilling refuses (the Lebesgue and volume floor is read),
+    # polar-riemannian admits (the Killing-skew check runs)
+    calls = {"analyze_beta": 0, "s_bh": 0, "nonlinear_connection": 0}
     analyze_beta = randers.analyze_beta
-    s_curvature = scurvature.s_curvature
+    s_curvature_from = scurvature.s_curvature_from
+    nonlinear_connection = scurvature.nonlinear_connection
 
     def counting_analyze_beta(*args, **kwargs):
         calls["analyze_beta"] += 1
         return analyze_beta(*args, **kwargs)
 
-    def counting_s_curvature(F, measure, x, v):
+    def counting_s_curvature_from(N, measure, x, v):
+        # s_curvature evaluates through s_curvature_from too, so every S_BH
+        # read is counted here, whichever of the two the battery calls
         if measure.kind == "busemann-hausdorff":
             calls["s_bh"] += 1
-        return s_curvature(F, measure, x, v)
+        return s_curvature_from(N, measure, x, v)
+
+    def counting_nonlinear_connection(F, x, v):
+        calls["nonlinear_connection"] += 1
+        return nonlinear_connection(F, x, v)
 
     monkeypatch.setattr(randers, "analyze_beta", counting_analyze_beta)
-    monkeypatch.setattr(scurvature, "s_curvature", counting_s_curvature)
+    monkeypatch.setattr(scurvature, "s_curvature_from", counting_s_curvature_from)
+    monkeypatch.setattr(checks, "nonlinear_connection", counting_nonlinear_connection)
+    monkeypatch.setattr(scurvature, "nonlinear_connection", counting_nonlinear_connection)
     space = spaces[name]
     checks.run_checks(space, probe_count=25, transport_probes=5, mc_samples=10_000)
     pairs = probe_pairs(space.chart, 25, 0)
     subset = pairs[:20]
-    # S_BH once per pair, plus S_BH at 0.5 v and 2 v on the homogeneity subset.
-    assert calls == {"analyze_beta": 1, "s_bh": len(pairs) + 2 * len(subset)}
+    # S_BH once per pair, plus S_BH at 0.5 v and 2 v on the homogeneity subset;
+    # N once per pair for every measure, plus N at 0.5 v and 2 v on the subset.
+    once = len(pairs) + 2 * len(subset)
+    assert calls == {"analyze_beta": 1, "s_bh": once, "nonlinear_connection": once}

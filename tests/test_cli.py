@@ -321,6 +321,17 @@ class TestGeodesic:
         assert report["warning"]["exit_time"] <= 0.14
         assert len(report["results"]["times"]) < 51
 
+    def test_start_outside_domain(self, capsys, spec_path):
+        # polar-riemannian's chart is x1 > 0; the run used to start anyway
+        code, report = run_json(
+            capsys,
+            "geodesic", spec_path("polar-riemannian"),
+            "--from=-1,0", "--dir", "1,0", "--time", "0.1",
+        )
+        assert code == EXIT_USAGE
+        assert report["error"]["type"] == "UsageError"
+        assert "outside the chart domain" in report["error"]["message"]
+
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_bad_time(self, capsys, spec_path, value):
         code, report = run_json(
@@ -418,6 +429,16 @@ class TestBh:
         results = report["results"]
         assert results["closed_form"] == 1.0
         assert abs(results["monte_carlo"] - 1.0) <= 3.0 * results["std_error"]
+
+    @pytest.mark.parametrize(
+        "name,point", [("polar-riemannian", "-1,0"), ("flat-nonkilling", "5,0")]
+    )
+    def test_point_outside_domain(self, capsys, spec_path, name, point):
+        # a usage error, not a density (polar) or an invalid spec (flat-nonkilling)
+        code, report = run_json(capsys, "bh", spec_path(name), f"--point={point}")
+        assert code == EXIT_USAGE
+        assert report["error"]["type"] == "UsageError"
+        assert "outside the chart domain" in report["error"]["message"]
 
     def test_sample_floor(self, capsys, spec_path):
         code, report = run_json(

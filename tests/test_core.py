@@ -20,7 +20,6 @@ from finslerlab.core import (
     probe_pairs,
     probe_points,
     spray,
-    spray_data,
 )
 from finslerlab.jets import fd_oracle, standard_part
 
@@ -284,12 +283,6 @@ class TestNonlinearConnection:
                 direction = [1.0 if m == j else 0.0 for m in range(2)]
                 fd = fd_oracle(g_i, v, direction, order=1, step=1e-6)
                 assert N[i][j] == pytest.approx(0.5 * fd, abs=1e-6)
-
-    def test_spray_data_bundle(self, structures):
-        out = spray_data(structures["flat-nonkilling"], (0.5, 0.0), (1.0, 0.0))
-        assert out.G[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert out.N[0][0] + out.N[1][1] == pytest.approx(0.5, abs=1e-12)
-        assert out.g[0][0] > 0.0 and out.g_inv[0][0] > 0.0
 
 
 class TestGeodesic:

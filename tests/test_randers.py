@@ -7,7 +7,9 @@ from finslerlab.core import probe_pairs, probe_points, spray
 from finslerlab.jets import partial, seed_group, standard_part
 from finslerlab.randers import (
     InvalidSpaceError,
+    a_at,
     analyze_beta,
+    b_at,
     beta_length,
     beta_length_squared,
     bh_density_closed_form,
@@ -292,6 +294,12 @@ class TestBetaAnalysisRows:
             assert analysis.covariant == [covariant_derivative(sp, x) for x in points]
             assert analysis.lengths == [beta_length(sp, x) for x in points]
             assert analysis.length_gradients == [length_gradient(sp, x) for x in points]
+            for x, b_up in zip(points, analysis.raised):  # a_ij b^j = b_i
+                a = [[float(e) for e in row] for row in a_at(sp, x)]
+                for ai, bi in zip(a, b_at(sp, x)):
+                    assert sum(aij * bj for aij, bj in zip(ai, b_up)) == pytest.approx(
+                        float(bi), abs=1e-14
+                    )
 
     def test_sups_are_folds_of_the_rows(self, spaces):
         for name in catalog.NAMES:

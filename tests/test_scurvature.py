@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import pytest
 
-from finslerlab import jets, randers
+from finslerlab import catalog, jets, randers, scurvature
 from finslerlab.core import probe_pairs
 from finslerlab.scurvature import (
     Measure,
@@ -15,7 +16,9 @@ from finslerlab.scurvature import (
     measure_uniqueness_check,
     riemannian_volume_density,
     riemannian_volume_measure,
+    nonlinear_connection,
     s_curvature,
+    s_curvature_from,
     s_curvature_transport,
     unit_ball_volume,
 )
@@ -69,6 +72,26 @@ class TestMonteCarlo:
         assert a == b
         assert a != c
 
+    def test_recorded_estimates(self, spaces):
+        # values of the single-draw implementation; chunked draws keep the stream
+        assert bh_density_monte_carlo(spaces["flat-const"], (0.0, 0.0), 200_000, 20240) == (
+            0.6486069563113785,
+            0.0022011239920046595,
+        )
+        assert bh_density_monte_carlo(
+            spaces["sphere-hopf"], (0.0, 0.0, 0.0), 200_000, 7
+        ) == (6.647796600308765, 0.028309593216158106)
+
+    def test_memory_is_bounded(self, spaces):
+        # one draw of all samples peaked at 53 MB here
+        tracemalloc.start()
+        try:
+            bh_density_monte_carlo(spaces["sphere-hopf"], (0.0, 0.0, 0.0), 1_000_000, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
 
 class TestSCurvatureFormula:
     def test_riemannian_volume_measure_vanishes(self, spaces, structures):
@@ -101,6 +124,23 @@ class TestSCurvatureFormula:
         bad = Measure("custom", lambda x: x[0])  # vanishes at x1 = 0
         with pytest.raises(ValueError, match="not positive"):
             s_curvature(structures["flat-const"], bad, (0.0, 0.5), (1.0, 0.0))
+
+    def test_from_connection_equals_s_curvature(self, spaces, structures):
+        for name in catalog.NAMES:
+            sp = spaces[name]
+            F = structures[name]
+            names = sp.chart.names
+            measures = [
+                measure_from_kind(sp, kind)
+                for kind in ("lebesgue", "riemannian-volume", "busemann-hausdorff")
+            ]
+            measures.append(
+                measure_from_kind(sp, "custom", expr.parse(f"exp(0.3*{names[0]})", names))
+            )
+            for x, v in probe_pairs(sp.chart, 4):
+                N = nonlinear_connection(F, x, v)
+                for measure in measures:
+                    assert s_curvature_from(N, measure, x, v) == s_curvature(F, measure, x, v)
 
     def test_homogeneity(self, spaces, structures):
         F = structures["rotational-killing"]
@@ -185,6 +225,19 @@ class TestMeasureUniqueness:
         both, spread = measure_uniqueness_check(sp, bh, shifted, pairs, tol=1e-8)
         assert not both
         assert spread > 0.1
+
+    def test_one_connection_per_probe(self, spaces, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            scurvature,
+            "nonlinear_connection",
+            lambda F, x, v: calls.append(x) or nonlinear_connection(F, x, v),
+        )
+        sp = spaces["flat-const"]
+        bh = busemann_hausdorff_measure(sp)
+        pairs = probe_pairs(sp.chart, 20)
+        measure_uniqueness_check(sp, bh, lebesgue_measure(), pairs, tol=1e-8)
+        assert calls == [x for x, _ in pairs]
 
     def test_volume_equals_bh_on_riemannian(self, spaces):
         sp = spaces["euclidean2"]

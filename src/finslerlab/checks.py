@@ -17,16 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import randers, scurvature
-from .core import (
-    cartan_tensor,
-    euler_identity_residual,
-    fundamental_tensor,
-    nonlinear_connection,
-    nonlinear_connection_definitional,
-    probe_pairs,
-    probe_points,
-    spray,
-)
+from .core import PairTensors, euler_identity_residual, fundamental_tensor, probe_pairs, probe_points
 from .jets import exp as jet_exp
 from .jets import partial, seed_group, standard_part
 from .randers import RandersSpace
@@ -81,14 +72,16 @@ def run_checks(
     cartan_defect = 0.0
     n_rewrite = 0.0
     euler = 0.0
-    connections = []  # N(x, v) per pair, shared by every measure's S below
+    tensors = []  # one PairTensors per pair: g, A, N, G for every check below
     for x, v in pairs:
         fv = F(x, v)
         min_f = min(min_f, fv)
         for c in (0.5, 2.0, 3.0):
             cv = [c * vi for vi in v]
             homog = max(homog, abs(F(x, cv) - c * fv) / fv)
-        g = fundamental_tensor(F, x, v)
+        t = PairTensors(F, x, v)
+        tensors.append(t)
+        g = t.g
         quad = sum(g[i][j] * v[i] * v[j] for i in range(n) for j in range(n))
         gvv = max(gvv, abs(quad - fv * fv) / (fv * fv))
         g2 = fundamental_tensor(F, x, [2.0 * vi for vi in v])
@@ -96,23 +89,17 @@ def run_checks(
             g_homog, max(abs(g2[i][j] - g[i][j]) for i in range(n) for j in range(n))
         )
         min_eig = min(min_eig, float(np.linalg.eigvalsh(np.array(g)).min()))
-        A = cartan_tensor(F, x, v)
         cartan_defect = max(
             cartan_defect,
-            max(
-                abs(sum(standard_part(A[i][j][k]) * v[k] for k in range(n)))
-                for i in range(n)
-                for j in range(n)
-            ),
+            max(abs(sum(t.A[i][j][k] * v[k] for k in range(n))) for i in range(n) for j in range(n)),
         )
-        Nj = nonlinear_connection(F, x, v)
-        connections.append(Nj)
-        Nd = nonlinear_connection_definitional(F, x, v)
+        Nd = t.definitional_N()
         n_rewrite = max(
             n_rewrite,
-            max(abs(Nj[i][j] - Nd[i][j]) for i in range(n) for j in range(n)),
+            max(abs(t.N[i][j] - Nd[i][j]) for i in range(n) for j in range(n)),
         )
         euler = max(euler, euler_identity_residual(F, x, v))
+    connections = [t.N for t in tensors]  # shared by every measure's S below
     results.append(
         CheckResult("finsler-positivity", min_f, 0.0, min_f > 0.0, note="min F over probes; must stay positive")
     )
@@ -141,21 +128,14 @@ def run_checks(
     spray_diff = 0.0
     trace_x = 0.0
     trace_y = 0.0
-    for x, v in pairs:
-        closed = randers.spray_closed_form(space, x, v)[0]
-        generic = [standard_part(c) for c in spray(F, x, v)]
-        denom = 1.0 + max(abs(c) for c in generic)
-        spray_diff = max(
-            spray_diff, max(abs(a - b) for a, b in zip(closed, generic)) / denom
-        )
-        trace_x = max(trace_x, abs(randers.trace_dX_dv(space, x, v)))
-        trace_y = max(
-            trace_y,
-            abs(
-                randers.trace_dY_dv(space, x, v)
-                - randers.trace_dY_closed_form(space, x, v)
-            ),
-        )
+    for (x, v), t in zip(pairs, tensors):
+        data = randers._PointData(space, x)  # one per pair for the spray and both traces
+        closed = randers._closed_form(data, v)[0]
+        denom = 1.0 + max(abs(c) for c in t.G)
+        spray_diff = max(spray_diff, max(abs(a - b) for a, b in zip(closed, t.G)) / denom)
+        dx, dy = randers._v_traces(data, v)
+        trace_x = max(trace_x, abs(dx))
+        trace_y = max(trace_y, abs(dy - randers._trace_dY_closed_form(data, v)))
     results.append(
         _result("spray-closed-vs-generic", spray_diff, 1e-8, "relative to 1 + |G|_inf")
     )
@@ -184,8 +164,8 @@ def run_checks(
             )
         )
 
-    verdict = randers.decide(space, analysis, tol_killing, tol_length)
-    tight = randers.decide(space, analysis, tol_killing * 0.1, tol_length * 0.1)
+    verdict = randers.decide(analysis, tol_killing, tol_length)
+    tight = randers.decide(analysis, tol_killing * 0.1, tol_length * 0.1)
     mono_ok = not (tight.admits and not verdict.admits)
     results.append(
         CheckResult(

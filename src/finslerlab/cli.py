@@ -7,11 +7,13 @@
     finslerlab bh           SPEC --point P [--samples N --seed S]
     finslerlab catalog      [NAME]
 
-Reports are JSON on stdout; re-running with identical inputs and seed
-reproduces the report byte for byte except the wall_time_s field.  Exit
-codes: 0 success (analyze: measure admitted), 1 invalid spec or failed
-validation, 2 usage error, 3 no admissible measure, 4 runtime domain
-warning.  FINSLERLAB_SEED sets the default seed; an explicit --seed wins.
+Reports are strict JSON on stdout (no NaN or Infinity); re-running with
+identical inputs and seed reproduces the report byte for byte except the
+wall_time_s field.  Exit codes: 0 success (analyze: measure admitted),
+1 invalid spec or failed validation, 2 usage error, 3 no admissible
+measure, 4 runtime domain warning (a path left the chart or blew up, or
+a result came out non-finite).  FINSLERLAB_SEED sets the default seed;
+an explicit --seed wins.  Seeds are integers in [0, 2**64).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import sys
 import time
 
 from . import __version__, catalog, checks, manifest, randers, scurvature
-from .core import DomainExitError, NonFiniteStateError, geodesic, probe_points
+from .core import MIN_VECTOR_NORM, DomainExitError, NonFiniteStateError, geodesic, probe_points
 from .expr import ExprDomainError, ExprError
 from .manifest import SpecValidationError
 from .randers import InvalidSpaceError
@@ -36,6 +38,13 @@ EXIT_USAGE = 2
 EXIT_NO_MEASURE = 3
 EXIT_RUNTIME_WARNING = 4
 
+# Seeds key NumPy's generators: the Halton scrambling and the 64-bit Philox key.
+SEED_LIMIT = 2**64
+
+
+class NonFiniteResultError(ArithmeticError):
+    """A report value came out NaN or infinite."""
+
 
 def main(argv=None) -> int:
     parser = _build_parser()
@@ -45,6 +54,9 @@ def main(argv=None) -> int:
     except (SpecValidationError, InvalidSpaceError, ExprError, FileNotFoundError) as exc:
         _emit_error(type(exc).__name__, str(exc))
         return EXIT_INVALID_SPEC
+    except NonFiniteResultError as exc:
+        _emit_error(type(exc).__name__, str(exc))
+        return EXIT_RUNTIME_WARNING
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -118,19 +130,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_seed(flag_value) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get("FINSLERLAB_SEED")
-    if env:
+    """--seed, else FINSLERLAB_SEED, else 0; a usage error outside [0, 2**64)."""
+    label, seed = "--seed", flag_value
+    if seed is None:
+        label, env = "FINSLERLAB_SEED", os.environ.get("FINSLERLAB_SEED")
         try:
-            return int(env)
+            seed = int(env) if env else 0
         except ValueError:
-            raise SpecValidationError(f"FINSLERLAB_SEED must be an integer, got {env!r}")
-    return 0
+            seed = env
+    if not (isinstance(seed, int) and 0 <= seed < SEED_LIMIT):
+        _usage_exit(f"{label} must be an integer in [0, 2**64), got {seed!r}")
+    return seed
 
 
 def _emit(report: dict) -> None:
-    print(json.dumps(report, sort_keys=True, indent=2))
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        raise NonFiniteResultError("the result holds a NaN or infinite value") from None
+    print(text)
 
 
 def _emit_error(kind: str, message: str, **extra) -> None:
@@ -140,6 +158,12 @@ def _emit_error(kind: str, message: str, **extra) -> None:
 def _usage_error(message: str) -> int:
     _emit_error("UsageError", message)
     return EXIT_USAGE
+
+
+def _usage_exit(message: str):
+    """_usage_error for helpers that cannot return the exit code."""
+    _usage_error(message)
+    raise SystemExit(EXIT_USAGE)
 
 
 def _flag_error(args, *flags):
@@ -156,11 +180,11 @@ def _parse_vector(text: str, dimension: int, label: str) -> tuple[float, ...]:
     try:
         values = tuple(float(part) for part in text.split(","))
     except ValueError:
-        _emit_error("UsageError", f"{label} must be comma-separated numbers, got {text!r}")
-        raise SystemExit(EXIT_USAGE)
+        _usage_exit(f"{label} must be comma-separated numbers, got {text!r}")
     if len(values) != dimension:
-        _emit_error("UsageError", f"{label} needs {dimension} components, got {len(values)}")
-        raise SystemExit(EXIT_USAGE)
+        _usage_exit(f"{label} needs {dimension} components, got {len(values)}")
+    if not all(math.isfinite(c) for c in values):
+        _usage_exit(f"{label} components must be finite, got {text!r}")
     return values
 
 
@@ -236,9 +260,13 @@ def cmd_s_curvature(args) -> int:
     vector = _parse_vector(args.vector, space.dimension, "--vector")
     if not space.chart.contains(point):
         return _usage_error(f"point {point} is outside the chart domain")
+    if 0.0 < math.hypot(*vector) < MIN_VECTOR_NORM:
+        return _usage_error(f"--vector must be 0 or have norm >= {MIN_VECTOR_NORM}, got {vector}")
     measure = manifest.measure_from_spec(space, data, args.measure)
     F = randers.finsler(space)
     s_formula = scurvature.s_curvature(F, measure, point, vector)
+    if not math.isfinite(s_formula):  # F(v) overflowed; the oracle would start at v / F(v) = 0
+        raise NonFiniteResultError(f"S-curvature {s_formula} at v = {vector}")
     s_transport = None
     warning = None
     if args.oracle and any(c != 0.0 for c in vector):
@@ -287,6 +315,8 @@ def cmd_geodesic(args) -> int:
     direction = _parse_vector(args.direction, space.dimension, "--dir")
     if not space.chart.contains(start):
         return _usage_error(f"point {start} is outside the chart domain")
+    if math.hypot(*direction) < MIN_VECTOR_NORM:
+        return _usage_error(f"--dir must have norm >= {MIN_VECTOR_NORM}, got {direction}")
     if args.steps < 1:
         return _usage_error("--steps must be >= 1")
     if not math.isfinite(args.time):

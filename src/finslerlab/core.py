@@ -4,7 +4,10 @@ Everything is derived from one scalar function F(x, v) that must be
 positively 1-homogeneous in v and smooth away from v = 0.  Derivatives
 are taken with nested jets, so the fundamental tensor, Cartan tensor,
 formal Christoffel symbols, spray and nonlinear connection come out
-exact up to rounding.
+exact up to rounding.  PairTensors holds all of them at one probe pair
+from a single jet evaluation of F^2/2; the public functions that need
+less (fundamental_tensor, spray, nonlinear_connection) seed only the
+levels they read.
 
 Conventions match the source data for this tool: the geodesic equation
 is eta'' + G(eta') = 0 with G the plain gamma-contraction (no factor 2),
@@ -34,6 +37,7 @@ __all__ = [
     "DomainExitError",
     "NonFiniteStateError",
     "MIN_VECTOR_NORM",
+    "PairTensors",
     "fundamental_tensor",
     "cartan_tensor",
     "formal_christoffel",
@@ -126,7 +130,7 @@ class GeodesicPath:
 
 
 def _check_nonzero(v) -> None:
-    norm = math.sqrt(sum(standard_part(c) ** 2 for c in v))
+    norm = math.hypot(*(standard_part(c) for c in v))
     if norm < MIN_VECTOR_NORM:
         raise StructureValidityError(
             f"tangent vector too close to 0 (|v| = {norm}); tensors are undefined there"
@@ -137,44 +141,31 @@ def _is_exact_zero(v) -> bool:
     return all(standard_part(c) == 0.0 for c in v)
 
 
-def _half_f_squared(F, scalars, n: int) -> Scalar:
-    f = F(scalars[:n], scalars[n:])
+def _half_f_squared(F: FinslerStructure, x, v, levels: str) -> Scalar:
+    """F^2/2 at (x, v) under one new jet level per letter of `levels`,
+    innermost first: "v" seeds the components of v, "x" those of x."""
+    n = F.chart.dimension
+    s = list(x) + list(v)
+    for level in levels:
+        s = seed_group(s, range(n, 2 * n) if level == "v" else range(n))
+    f = F(s[:n], s[n:])
     return 0.5 * (f * f)
 
 
-def _metric(F: FinslerStructure, x, v) -> list:
-    """g_ij = half v-Hessian of F^2, entries generic scalars."""
-    n = F.chart.dimension
-    v_idx = range(n, 2 * n)
-    s = seed_group(list(x) + list(v), v_idx)
-    s = seed_group(s, v_idx)
-    r = _half_f_squared(F, s, n)
+def _v_hessian(r, n: int) -> list:
     return [[partial(partial(r, i), j) for j in range(n)] for i in range(n)]
 
 
 def _metric_and_dx(F: FinslerStructure, x, v) -> tuple[list, list]:
     """(g, dg) with dg[k][i][j] = dg_ij/dx_k, from one seeded evaluation."""
     n = F.chart.dimension
-    v_idx = range(n, 2 * n)
-    s = seed_group(list(x) + list(v), v_idx)
-    s = seed_group(s, v_idx)
-    s = seed_group(s, range(n))
-    r = _half_f_squared(F, s, n)
-    inner = value_of(r)
-    g = [[partial(partial(inner, i), j) for j in range(n)] for i in range(n)]
-    dg = [
-        [[partial(partial(partial(r, k), i), j) for j in range(n)] for i in range(n)]
-        for k in range(n)
-    ]
-    return g, dg
+    r = _half_f_squared(F, x, v, "vvx")
+    return _v_hessian(value_of(r), n), [_v_hessian(partial(r, k), n) for k in range(n)]
 
 
-def fundamental_tensor(F: FinslerStructure, x, v) -> list[list[float]]:
-    """g_ij(v) with a positive-definiteness check at float arguments."""
-    _check_nonzero(v)
-    g = _metric(F, x, v)
-    n = len(g)
-    gf = [[standard_part(g[i][j]) for j in range(n)] for i in range(n)]
+def _checked_standard_part(g, x, v) -> list[list[float]]:
+    """The standard parts of g; raises unless they form a positive definite matrix."""
+    gf = [[standard_part(e) for e in row] for row in g]
     try:
         np.linalg.cholesky(np.array(gf))
     except np.linalg.LinAlgError:
@@ -182,35 +173,27 @@ def fundamental_tensor(F: FinslerStructure, x, v) -> list[list[float]]:
             f"fundamental tensor not positive definite at x={tuple(map(standard_part, x))}, "
             f"v={tuple(map(standard_part, v))}"
         ) from None
+    return gf
+
+
+def fundamental_tensor(F: FinslerStructure, x, v) -> list[list[float]]:
+    """g_ij(v) = half v-Hessian of F^2, with a positive-definiteness check."""
+    _check_nonzero(v)
+    g = _v_hessian(_half_f_squared(F, x, v, "vv"), F.chart.dimension)
+    _checked_standard_part(g, x, v)
     return g
 
 
 def cartan_tensor(F: FinslerStructure, x, v) -> list:
     """A_ijk = (F/2) dg_ij/dv_k = (F/4) third v-derivative of F^2."""
-    _check_nonzero(v)
-    n = F.chart.dimension
-    v_idx = range(n, 2 * n)
-    s = list(x) + list(v)
-    for _ in range(3):
-        s = seed_group(s, v_idx)
-    r = _half_f_squared(F, s, n)
-    fval = F(x, v)
-    half_f = 0.5 * fval
-    return [
-        [
-            [half_f * partial(partial(partial(r, i), j), k) for k in range(n)]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    return PairTensors(F, x, v).A
 
 
 def formal_christoffel(F: FinslerStructure, x, v) -> list:
     """gamma^i_jk(v), symmetric in (j, k); raises on singular g."""
     _check_nonzero(v)
     g, dg = _metric_and_dx(F, x, v)
-    g_inv = inv(g)
-    return _gamma_from(g_inv, dg)
+    return _gamma_from(inv(g), dg)
 
 
 def _gamma_from(g_inv, dg) -> list:
@@ -229,16 +212,25 @@ def _gamma_from(g_inv, dg) -> list:
     return gamma
 
 
-def spray(F: FinslerStructure, x, v) -> list:
-    """Spray coefficients G^i(v) = sum gamma^i_jk v^j v^k; G(0) = 0."""
-    n = F.chart.dimension
-    if _is_exact_zero(v):
-        return [0.0] * n
-    gamma = formal_christoffel(F, x, v)
+def _spray_from(gamma, v) -> list:
+    n = len(v)
     return [
         sum_(gamma[i][j][k] * (v[j] * v[k]) for j in range(n) for k in range(n))
         for i in range(n)
     ]
+
+
+def _connection_from(G) -> list[list[float]]:
+    """N^i_j = (1/2) dG^i/dv^j from G over jets whose outermost level seeds v."""
+    n = len(G)
+    return [[0.5 * standard_part(partial(G[i], j)) for j in range(n)] for i in range(n)]
+
+
+def spray(F: FinslerStructure, x, v) -> list:
+    """Spray coefficients G^i(v) = sum gamma^i_jk v^j v^k; G(0) = 0."""
+    if _is_exact_zero(v):
+        return [0.0] * F.chart.dimension
+    return _spray_from(formal_christoffel(F, x, v), v)
 
 
 def nonlinear_connection(F: FinslerStructure, x, v) -> list[list[float]]:
@@ -247,46 +239,70 @@ def nonlinear_connection(F: FinslerStructure, x, v) -> list[list[float]]:
     if _is_exact_zero(v):
         return [[0.0] * n for _ in range(n)]
     s = seed_group([float(c) for c in x] + [float(c) for c in v], range(n, 2 * n))
-    G = spray(F, s[:n], s[n:])
-    return [
-        [0.5 * standard_part(partial(G[i], j)) for j in range(n)] for i in range(n)
-    ]
+    return _connection_from(spray(F, s[:n], s[n:]))
 
 
 def nonlinear_connection_definitional(F: FinslerStructure, x, v) -> list[list[float]]:
-    """N from its defining contraction (test cross-check, v != 0 only):
+    """N from its defining contraction (test cross-check, v != 0 only)."""
+    return PairTensors(F, x, v).definitional_N()
 
-    N^i_j = sum_k { gamma^i_jk v^k - A^i_jk G^k / F }.
+
+class PairTensors:
+    """What one evaluation of F^2/2 at a float probe (x, v) holds.
+
+    F^2/2 is evaluated once, over the four jet levels (v, v, v, x) that
+    nonlinear_connection uses.  The value slots of the g jets are g_ij,
+    their outer-v partials give the Cartan tensor, and the formal
+    Christoffel symbols gamma, the spray G and the nonlinear connection N
+    follow from the same jets.  Every entry is a float; f is F(x, v).
+    The (x, v) counterpart of randers._PointData.
     """
-    _check_nonzero(v)
-    n = F.chart.dimension
-    g, dg = _metric_and_dx(F, x, v)
-    g_inv = inv(g)
-    gamma = _gamma_from(g_inv, dg)
-    A = cartan_tensor(F, x, v)
-    G = [
-        sum_(gamma[i][j][k] * v[j] * v[k] for j in range(n) for k in range(n))
-        for i in range(n)
-    ]
-    fval = F(x, v)
-    out = []
-    for i in range(n):
-        a_up = [
-            [sum_(g_inv[i][l] * A[l][j][k] for l in range(n)) for k in range(n)]
-            for j in range(n)
+
+    __slots__ = ("f", "g", "g_inv", "A", "gamma", "G", "N", "v")
+
+    def __init__(self, F: FinslerStructure, x, v):
+        _check_nonzero(v)
+        n = F.chart.dimension
+        s = seed_group([float(c) for c in x] + [float(c) for c in v], range(n, 2 * n))
+        g, dg = _metric_and_dx(F, s[:n], s[n:])
+        self.g = _checked_standard_part(g, x, v)
+        g_inv = inv(g)
+        gamma = _gamma_from(g_inv, dg)
+        G = _spray_from(gamma, s[n:])
+        self.N = _connection_from(G)
+        self.f = F(x, v)
+        half_f = 0.5 * self.f
+        self.A = [
+            [[half_f * partial(g[i][j], k) for k in range(n)] for j in range(n)]
+            for i in range(n)
         ]
-        out.append(
-            [
-                standard_part(
-                    sum_(
-                        gamma[i][j][k] * v[k] - a_up[j][k] * G[k] / fval
-                        for k in range(n)
-                    )
-                )
+        self.g_inv = [[standard_part(e) for e in row] for row in g_inv]
+        self.gamma = [[[standard_part(e) for e in row] for row in m] for m in gamma]
+        self.G = [standard_part(c) for c in G]
+        self.v = v
+
+    def definitional_N(self) -> list[list[float]]:
+        """N^i_j = sum_k { gamma^i_jk v^k - A^i_jk G^k / F }, with its own
+        G = sum gamma^i_jk v^j v^k: a formula independent of N's jets."""
+        gamma, v, A = self.gamma, self.v, self.A
+        n = len(v)
+        G = [
+            sum_(gamma[i][j][k] * v[j] * v[k] for j in range(n) for k in range(n))
+            for i in range(n)
+        ]
+        out = []
+        for i in range(n):
+            a_up = [
+                [sum_(self.g_inv[i][l] * A[l][j][k] for l in range(n)) for k in range(n)]
                 for j in range(n)
             ]
-        )
-    return out
+            out.append(
+                [
+                    sum_(gamma[i][j][k] * v[k] - a_up[j][k] * G[k] / self.f for k in range(n))
+                    for j in range(n)
+                ]
+            )
+        return out
 
 
 # -- geodesics ----------------------------------------------------------------

@@ -124,7 +124,7 @@ class TheoremVerdict:
     admits: bool
     reason: str  # killing-violated | length-not-constant | satisfied
     analysis: BetaAnalysis
-    bh_density_probe_values: Optional[list]
+    bh_density_probe_values: Optional[list]  # the certificate, set by theorem_verdict
     tol_killing: float
     tol_length: float
 
@@ -252,7 +252,7 @@ def finsler(space: RandersSpace) -> FinslerStructure:
         if isinstance(v[0], np.ndarray):
             # A batch of points: one closed-form evaluation over array
             # leaves, kept off the per-point entry point.
-            return _closed_form(space, x, v)[0]
+            return _closed_form(_PointData(space, x), v)[0]
         if all(standard_part(c) == 0.0 for c in v):
             return [0.0] * space.dimension
         return spray_closed_form(space, x, v)[0]
@@ -403,12 +403,11 @@ def spray_closed_form(space: RandersSpace, x, v):
     """(G, X, Y, riem) from the Randers closed form; v must be nonzero."""
     if all(standard_part(c) == 0.0 for c in v):
         raise InvalidSpaceError("closed-form spray needs v != 0")
-    return _closed_form(space, x, v)
+    return _closed_form(_PointData(space, x), v)
 
 
-def _closed_form(space: RandersSpace, x, v):
+def _closed_form(data: _PointData, v):
     """spray_closed_form without the zero check; leaves may be arrays."""
-    data = _PointData(space, x)
     x_cmp, y_cmp, riem = _xy_split(data, v)
     g = [r + xc + yc for r, xc, yc in zip(riem, x_cmp, y_cmp)]
     return g, x_cmp, y_cmp, riem
@@ -416,20 +415,20 @@ def _closed_form(space: RandersSpace, x, v):
 
 def trace_dX_dv(space: RandersSpace, x, v) -> float:
     """sum_i dX^i/dv^i via jets (identically zero, kept as a live check)."""
-    data = _PointData(space, x)
-    n = space.dimension
-    vs = seed_group([float(c) for c in v], range(n))
-    x_cmp, _, _ = _xy_split(data, vs)
-    return standard_part(sum_(partial(x_cmp[i], i) for i in range(n)))
+    return _v_traces(_PointData(space, x), v)[0]
 
 
 def trace_dY_dv(space: RandersSpace, x, v) -> float:
     """sum_i dY^i/dv^i via jets."""
-    data = _PointData(space, x)
-    n = space.dimension
+    return _v_traces(_PointData(space, x), v)[1]
+
+
+def _v_traces(data: _PointData, v) -> tuple[float, float]:
+    """(sum_i dX^i/dv^i, sum_i dY^i/dv^i) from one X/Y split at seeded v."""
+    n = len(data.b)
     vs = seed_group([float(c) for c in v], range(n))
-    _, y_cmp, _ = _xy_split(data, vs)
-    return standard_part(sum_(partial(y_cmp[i], i) for i in range(n)))
+    x_cmp, y_cmp, _ = _xy_split(data, vs)
+    return tuple(standard_part(sum_(partial(c[i], i) for i in range(n))) for c in (x_cmp, y_cmp))
 
 
 def trace_dY_closed_form(space: RandersSpace, x, v) -> float:
@@ -438,8 +437,11 @@ def trace_dY_closed_form(space: RandersSpace, x, v) -> float:
     (n+1)/2 * sum (b_{i|j}+b_{j|i}) v^i v^j / F
       + (n+1) * sum (b_{i|j}-b_{j|i}) b^j alpha v^i / F.
     """
-    data = _PointData(space, x)
-    n = space.dimension
+    return _trace_dY_closed_form(_PointData(space, x), v)
+
+
+def _trace_dY_closed_form(data: _PointData, v) -> float:
+    n = len(data.b)
     q = data.bcov
     al = standard_part(_alpha_of(data, v))
     f = al + sum(bi * vi for bi, vi in zip(data.b, v))
@@ -488,39 +490,38 @@ def theorem_verdict(
     seed: int = 0,
 ) -> TheoremVerdict:
     """Decide whether the space admits a measure with vanishing S-curvature
-    (analyze_beta on the probes, then decide)."""
+    (analyze_beta on the probes, then decide).  On success the
+    Busemann-Hausdorff density samples are attached as the certificate
+    (any other vanishing-S measure is a constant multiple of it)."""
     if probes is None:
         probes = probe_points(space.chart, probe_count, seed)
-    return decide(space, analyze_beta(space, probes), tol_killing, tol_length)
+    verdict = decide(analyze_beta(space, probes), tol_killing, tol_length)
+    if verdict.admits:
+        verdict.bh_density_probe_values = [
+            float(bh_density_closed_form(space, x)) for x in verdict.analysis.probes
+        ]
+    return verdict
 
 
-def decide(
-    space: RandersSpace, analysis: BetaAnalysis, tol_killing: float, tol_length: float
-) -> TheoremVerdict:
-    """The verdict from a finished analysis.
+def decide(analysis: BetaAnalysis, tol_killing: float, tol_length: float) -> TheoremVerdict:
+    """The verdict from a finished analysis, without the certificate.
 
     The decision reads the one-form alone: the defect sups must certify a
-    Killing form of constant length.  On success the Busemann-Hausdorff
-    density samples are attached as the certificate (any other vanishing-S
-    measure is a constant multiple of it).
+    Killing form of constant length.
     """
     if not (tol_killing > 0 and tol_length > 0):
         raise ValueError("tolerances must be positive")
     if analysis.killing_defect_sup > tol_killing:
-        return TheoremVerdict(
-            False, REASON_KILLING, analysis, None, tol_killing, tol_length
-        )
-    length_ok = (
+        reason = REASON_KILLING
+    elif (
         analysis.length_max - analysis.length_min <= tol_length
         and analysis.length_gradient_sup <= tol_length
-    )
-    if not length_ok:
-        return TheoremVerdict(
-            False, REASON_LENGTH, analysis, None, tol_killing, tol_length
-        )
-    densities = [float(bh_density_closed_form(space, x)) for x in analysis.probes]
+    ):
+        reason = REASON_SATISFIED
+    else:
+        reason = REASON_LENGTH
     return TheoremVerdict(
-        True, REASON_SATISFIED, analysis, densities, tol_killing, tol_length
+        reason == REASON_SATISFIED, reason, analysis, None, tol_killing, tol_length
     )
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from finslerlab import checks, randers, scurvature
+from finslerlab import checks, core, randers, scurvature
 from finslerlab.core import probe_pairs
 
 
@@ -39,10 +39,10 @@ def test_battery_passes_on_admitting_space(spaces):
 def test_battery_evaluates_each_probe_value_once(spaces, monkeypatch, name):
     # flat-nonkilling refuses (the Lebesgue and volume floor is read),
     # polar-riemannian admits (the Killing-skew check runs)
-    calls = {"analyze_beta": 0, "s_bh": 0, "nonlinear_connection": 0}
+    calls = {"analyze_beta": 0, "s_bh": 0, "half_f_squared": 0}
     analyze_beta = randers.analyze_beta
     s_curvature_from = scurvature.s_curvature_from
-    nonlinear_connection = scurvature.nonlinear_connection
+    half_f_squared = core._half_f_squared
 
     def counting_analyze_beta(*args, **kwargs):
         calls["analyze_beta"] += 1
@@ -55,19 +55,23 @@ def test_battery_evaluates_each_probe_value_once(spaces, monkeypatch, name):
             calls["s_bh"] += 1
         return s_curvature_from(N, measure, x, v)
 
-    def counting_nonlinear_connection(F, x, v):
-        calls["nonlinear_connection"] += 1
-        return nonlinear_connection(F, x, v)
+    def counting_half_f_squared(*args):
+        calls["half_f_squared"] += 1
+        return half_f_squared(*args)
 
     monkeypatch.setattr(randers, "analyze_beta", counting_analyze_beta)
     monkeypatch.setattr(scurvature, "s_curvature_from", counting_s_curvature_from)
-    monkeypatch.setattr(checks, "nonlinear_connection", counting_nonlinear_connection)
-    monkeypatch.setattr(scurvature, "nonlinear_connection", counting_nonlinear_connection)
+    monkeypatch.setattr(core, "_half_f_squared", counting_half_f_squared)
     space = spaces[name]
     checks.run_checks(space, probe_count=25, transport_probes=5, mc_samples=10_000)
     pairs = probe_pairs(space.chart, 25, 0)
     subset = pairs[:20]
-    # S_BH once per pair, plus S_BH at 0.5 v and 2 v on the homogeneity subset;
-    # N once per pair for every measure, plus N at 0.5 v and 2 v on the subset.
-    once = len(pairs) + 2 * len(subset)
-    assert calls == {"analyze_beta": 1, "s_bh": once, "nonlinear_connection": once}
+    transport = 5
+    # S_BH once per pair, plus S_BH at 0.5 v and 2 v on the homogeneity subset.
+    # F^2/2 once per pair for g, A, N and G, once more for g at 2 v; N at 0.5 v
+    # and 2 v on the subset; g at the four Richardson states of each oracle probe.
+    assert calls == {
+        "analyze_beta": 1,
+        "s_bh": len(pairs) + 2 * len(subset),
+        "half_f_squared": 2 * len(pairs) + 2 * len(subset) + 4 * transport,
+    }

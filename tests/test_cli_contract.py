@@ -1,0 +1,152 @@
+"""The CLI contract under generated flag values.
+
+Every command on every catalog spec, with flag values drawn to include
+non-finite, negative, zero and out-of-chart numbers and out-of-range
+seeds, must print strict JSON on stdout (no NaN, no Infinity), return
+an exit code the `cli` docstring documents, raise nothing, and print the
+same report again on a rerun (wall_time_s excluded).
+"""
+
+import contextlib
+import io
+import json
+import math
+import os
+import re
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from finslerlab import catalog, cli, scurvature
+
+# "0 success ..., 1 invalid spec ..., 2 usage error, ..." in the cli docstring
+DOCUMENTED_EXIT_CODES = {
+    int(code)
+    for code in re.findall(r"\b(\d) (?:success|invalid|usage|no admissible|runtime)", cli.__doc__)
+}
+WALL_TIME = re.compile(r'^ *"wall_time_s": .*\n', re.MULTILINE)
+
+SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1e-13, 1e300, -1e300]
+numbers = st.one_of(st.sampled_from(SPECIAL), st.floats(-3.0, 7.0))
+COMMANDS = ["analyze", "s-curvature", "geodesic", "validate", "bh"]
+
+
+def vectors(n):
+    """Comma-joined components, special values included, any length up to n + 1."""
+    return st.one_of(
+        st.lists(numbers, min_size=n, max_size=n),
+        st.lists(numbers, min_size=1, max_size=n + 1),
+    ).map(lambda cs: ",".join(map(repr, cs)))
+
+
+def inside(bounds):
+    """A point of the open chart box."""
+    return st.tuples(*(st.floats(lo, hi, exclude_min=True, exclude_max=True) for lo, hi in bounds)).map(
+        lambda cs: ",".join(map(repr, cs))
+    )
+
+
+@st.composite
+def invocations(draw):
+    """(catalog name, argv after the spec path, FINSLERLAB_SEED or None).
+
+    Half the calls draw every flag from values that run; the other half
+    draw each flag from either kind, so most of them hit a usage error.
+    """
+    name = draw(st.sampled_from(catalog.NAMES))
+    spec = catalog.spec(name)
+    n = len(spec["coordinates"])
+    malformed = draw(st.booleans())
+
+    def pick(runs, fails):
+        return draw(fails if malformed and draw(st.booleans()) else runs)
+
+    tolerance = st.sampled_from([1e-9, 1e-8, 1e-6])
+    command = draw(st.sampled_from(COMMANDS))
+    point = pick(inside(spec["domain"]), vectors(n))
+    vector = pick(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n).map(
+        lambda cs: ",".join(map(repr, cs))), vectors(n))
+    if command == "analyze":
+        flags = {
+            "--probes": pick(st.integers(0, 4), st.integers(-2, -1)),
+            "--tol-killing": pick(tolerance, numbers),
+            "--tol-length": pick(tolerance, numbers),
+        }
+    elif command == "s-curvature":
+        flags = {
+            "--point": point,
+            "--vector": vector,
+            "--measure": draw(st.sampled_from(scurvature.MEASURE_KINDS)),
+            "--h": pick(st.floats(1e-4, 1e-2), numbers),
+            "--steps": pick(st.integers(1, 20), st.integers(-1, 0)),
+        }
+        for switch in ("--oracle", "--no-richardson"):
+            if draw(st.booleans()):
+                flags[switch] = None
+    elif command == "geodesic":
+        flags = {
+            "--from": point,
+            "--dir": vector,
+            "--time": pick(st.floats(-1.0, 1.0), numbers),
+            "--steps": pick(st.integers(1, 20), st.integers(-1, 0)),
+        }
+    elif command == "validate":
+        flags = {
+            "--probes": pick(st.integers(1, 3), st.integers(-1, 0)),
+            "--transport-probes": pick(st.integers(0, 2), st.just(-1)),
+            "--mc-samples": pick(st.just(10_000), st.just(9_999)),
+            "--tol-s": pick(tolerance, numbers),
+        }
+    else:
+        flags = {"--point": point, "--samples": pick(st.just(10_000), st.just(9_999))}
+    seed = pick(st.one_of(st.none(), st.integers(0, 5)), st.sampled_from([-1, 2**64]))
+    if seed is not None:
+        flags["--seed"] = seed
+    env_seed = pick(st.sampled_from([None, "", "5"]), st.sampled_from(["-1", "seven"]))
+    # --flag=value keeps argparse from reading a value like -1,0 as a flag
+    options = [flag if value is None else f"{flag}={value}" for flag, value in flags.items()]
+    return name, [command, *options], env_seed
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-strict JSON constant {token}")
+
+
+def _run(argv, env_seed):
+    """(exit code, stdout, stderr) of one call."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ):
+        os.environ.pop("FINSLERLAB_SEED", None)
+        if env_seed is not None:
+            os.environ["FINSLERLAB_SEED"] = env_seed
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # what a helper raises, or argparse
+                code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def spec_paths(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("catalog")
+    paths = {}
+    for name in catalog.NAMES:
+        paths[name] = directory / f"{name}.json"
+        paths[name].write_text(json.dumps(catalog.spec(name)))
+    return paths
+
+
+@settings(max_examples=60, deadline=None)
+@given(invocations())
+def test_every_invocation_keeps_the_contract(spec_paths, invocation):
+    name, (command, *options), env_seed = invocation
+    argv = [command, str(spec_paths[name]), *options]
+    code, out, err = _run(argv, env_seed)
+    assert code in DOCUMENTED_EXIT_CODES
+    json.loads(out, parse_constant=_reject_constant)
+    assert "Traceback" not in err
+    again_code, again_out, _ = _run(argv, env_seed)
+    assert (again_code, WALL_TIME.sub("", again_out)) == (code, WALL_TIME.sub("", out))

@@ -8,6 +8,7 @@ from finslerlab.core import (
     DomainExitError,
     FinslerStructure,
     NonFiniteStateError,
+    PairTensors,
     StructureValidityError,
     cartan_tensor,
     corner_points,
@@ -194,6 +195,30 @@ class TestCartanTensor:
                 for j in range(2)
             )
             assert worst <= 1e-10
+
+
+class TestPairTensors:
+    def test_matches_the_public_tensors_exactly(self, spaces, structures):
+        # one evaluation of F^2/2 gives g, G and N bit for bit as their own
+        # evaluations do
+        for name, sp in spaces.items():
+            F = structures[name]
+            for x, v in probe_pairs(sp.chart, 10):
+                t = PairTensors(F, x, v)
+                assert t.g == fundamental_tensor(F, x, v)
+                assert t.G == spray(F, x, v)
+                assert t.N == nonlinear_connection(F, x, v)
+                assert t.f == F(x, v)
+
+    def test_invalid_probes_rejected(self, structures):
+        with pytest.raises(StructureValidityError):
+            PairTensors(structures["flat-const"], (0.0, 0.0), (1e-13, 0.0))
+        chart = CoordinateChart(("x1", "x2"), ((-1.0, 1.0), (-1.0, 1.0)))
+        F = FinslerStructure(
+            chart, lambda x, v: jets.sqrt(jets.sqrt(v[0] ** 4 + v[1] ** 4))
+        )
+        with pytest.raises(StructureValidityError):
+            PairTensors(F, (0.0, 0.0), (1.0, 0.0))
 
 
 class TestFormalChristoffel:

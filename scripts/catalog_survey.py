@@ -13,7 +13,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from finslerlab import catalog, randers, scurvature
-from finslerlab.core import nonlinear_connection, probe_pairs, probe_points
+from finslerlab.core import nonlinear_connection, probe_grid
 
 
 def main() -> int:
@@ -31,11 +31,10 @@ def main() -> int:
     print("-" * len(header))
     for name in catalog.NAMES:
         sp = catalog.space(name)
-        points = probe_points(sp.chart, args.probes, args.seed)
+        pairs, points = probe_grid(sp.chart, args.probes, args.seed)
         verdict = randers.theorem_verdict(sp, points)
         an = verdict.analysis
         F = randers.finsler(sp)
-        pairs = probe_pairs(sp.chart, args.probes, args.seed)
         connections = [nonlinear_connection(F, x, v) for x, v in pairs]  # one N per pair
         peaks = []
         for measure in (

@@ -18,6 +18,7 @@ from .core import (
     fundamental_tensor,
     geodesic,
     nonlinear_connection,
+    probe_grid,
     probe_pairs,
     probe_points,
     spray,
@@ -66,6 +67,7 @@ __all__ = [
     "spray",
     "nonlinear_connection",
     "geodesic",
+    "probe_grid",
     "probe_pairs",
     "probe_points",
     "build_space",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import randers, scurvature
-from .core import PairTensors, euler_identity_residual, fundamental_tensor, probe_pairs, probe_points
+from .core import PairTensors, euler_identity_residual, fundamental_tensor
 from .jets import exp as jet_exp
 from .jets import partial, seed_group, standard_part
 from .randers import RandersSpace
@@ -49,18 +49,18 @@ def _result(name, observed, tolerance, note="") -> CheckResult:
 
 def run_checks(
     space: RandersSpace,
-    probe_count: int = 100,
-    seed: int = 0,
+    pairs: list,
+    points: list,
     transport_probes: int = 50,
     mc_samples: int = 1_000_000,
     tol_killing: float = 1e-9,
     tol_length: float = 1e-8,
     tol_s: float = 1e-8,
 ) -> list[CheckResult]:
+    """The battery on one probe grid: (pairs, points) = core.probe_grid,
+    as manifest.probed_space returns them."""
     F = randers.finsler(space)
     n = space.dimension
-    pairs = probe_pairs(space.chart, probe_count, seed)
-    points = probe_points(space.chart, probe_count, seed)
     results: list[CheckResult] = []
 
     # F positivity and 1-homogeneity; g recovers F^2 and is 0-homogeneous.

@@ -27,7 +27,7 @@ import sys
 import time
 
 from . import __version__, catalog, checks, manifest, randers, scurvature
-from .core import MIN_VECTOR_NORM, DomainExitError, NonFiniteStateError, geodesic, probe_points
+from .core import MIN_VECTOR_NORM, DomainExitError, NonFiniteStateError, geodesic
 from .expr import ExprDomainError, ExprError
 from .manifest import SpecValidationError
 from .randers import InvalidSpaceError
@@ -38,7 +38,9 @@ EXIT_USAGE = 2
 EXIT_NO_MEASURE = 3
 EXIT_RUNTIME_WARNING = 4
 
-# Seeds key NumPy's generators: the Halton scrambling and the 64-bit Philox key.
+# Seeds key NumPy generators: default_rng(seed) shuffles the probe grid's
+# Halton digits (core._scrambled_halton) and the Monte-Carlo density keys
+# Philox with the seed, whose key is 64 bits wide.
 SEED_LIMIT = 2**64
 
 
@@ -59,8 +61,17 @@ def main(argv=None) -> int:
         return EXIT_RUNTIME_WARNING
 
 
+class _JsonArgumentParser(argparse.ArgumentParser):
+    """Reports what argparse rejects (a value it cannot convert, a missing
+    flag, an unknown command) as a JSON UsageError with exit 2.  Its
+    subparsers are of this class too; --help and --version are unchanged."""
+
+    def error(self, message):
+        _usage_exit(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _JsonArgumentParser(
         prog="finslerlab",
         description="Finsler-geometric analyses of Randers spaces given as JSON specs",
     )
@@ -211,8 +222,7 @@ def cmd_analyze(args) -> int:
         return _usage_error(message)
     seed = _resolve_seed(args.seed)
     data, digest = manifest.load_spec(args.spec)
-    space = manifest.space_from_spec(data, args.probes, seed)
-    points = probe_points(space.chart, args.probes, seed)
+    space, _, points = manifest.probed_space(data, args.probes, seed)
     verdict = randers.theorem_verdict(
         space, points, tol_killing=args.tol_killing, tol_length=args.tol_length
     )
@@ -370,12 +380,12 @@ def cmd_validate(args) -> int:
         return _usage_error(message)
     seed = _resolve_seed(args.seed)
     data, digest = manifest.load_spec(args.spec)
-    space = manifest.space_from_spec(data, args.probes, seed)
+    space, pairs, points = manifest.probed_space(data, args.probes, seed)
     try:
         results = checks.run_checks(
             space,
-            probe_count=args.probes,
-            seed=seed,
+            pairs,
+            points,
             transport_probes=args.transport_probes,
             mc_samples=args.mc_samples,
             tol_killing=args.tol_killing,

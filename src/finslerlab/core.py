@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .jets import Scalar, partial, seed_group, standard_part, value_of
 from .linalg import inv, sum_
@@ -49,6 +47,7 @@ __all__ = [
     "euler_identity_residual",
     "probe_pairs",
     "probe_points",
+    "probe_grid",
     "corner_points",
 ]
 
@@ -436,6 +435,92 @@ def euler_identity_residual(F: FinslerStructure, x, v) -> float:
 # -- deterministic probe grids --------------------------------------------------
 
 
+def _primes(count: int) -> list[int]:
+    primes: list[int] = []
+    k = 2
+    while len(primes) < count:
+        if all(k % p for p in primes if p * p <= k):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def _scrambled_halton(d: int, count: int, seed: int) -> np.ndarray:
+    """count x d scrambled Halton points (Owen, arXiv:1706.02808).
+
+    Column k uses the k-th prime b and ceil(54 / log2 b) - 1 digit
+    permutations of range(b), shuffled in base order by one
+    default_rng(seed).  Point i is the sum over every permutation j of
+    perm_j[digit_j(i)] * w_j, with w_0 = 1/b and w_(j+1) = w_j / b, digits
+    past i's length (0) included.  The sum runs in j order (cumsum), so
+    the points match SciPy's qmc.Halton(d, scramble=True, seed=seed) bit
+    for bit.
+    """
+    rng = np.random.default_rng(seed)
+    out = np.empty((count, d))
+    for column, base in enumerate(_primes(d)):
+        depth = math.ceil(54 / math.log2(base)) - 1
+        perms = np.repeat(np.arange(base)[None], depth, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        weights = [1.0 / base]
+        for _ in range(depth - 1):
+            weights.append(weights[-1] / base)
+        digits = np.arange(count)[:, None] // base ** np.arange(depth) % base
+        terms = perms[np.arange(depth), digits] * np.array(weights)
+        out[:, column] = np.cumsum(terms, axis=1)[:, -1]
+    return out
+
+
+def _polevl(t, coefs):
+    acc = coefs[0]
+    for c in coefs[1:]:
+        acc = acc * t + c
+    return acc
+
+
+def _p1evl(t, coefs):  # leading coefficient 1
+    return _polevl(t, (1.0, *coefs))
+
+
+# Cephes ndtri rational approximations: P0/Q0 for |y - 1/2| <= 1/2 - exp(-2),
+# P1/Q1 for the tails with sqrt(-2 log y) in [2, 8).
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_SQRT_2PI = 2.50662827463100050242
+
+
+def _ndtri(u: np.ndarray) -> np.ndarray:
+    """Inverse standard normal CDF for u in [1e-12, 1 - 1e-12], as Cephes.
+
+    There sqrt(-2 log y) < 7.5, so Cephes' third branch (>= 8) is never
+    needed.  The logs go through math.log, the same libm call as Cephes.
+    """
+    upper = u > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - u, u)
+    central = y > _EXP_M2
+    out = np.empty_like(u)
+    yc = y[central] - 0.5
+    y2 = yc * yc
+    out[central] = (yc + yc * (y2 * _polevl(y2, _P0) / _p1evl(y2, _Q0))) * _SQRT_2PI
+    tail = ~central
+    x = np.sqrt(np.array([-2.0 * math.log(t) for t in y[tail]]))
+    z = 1.0 / x
+    x = x - np.array([math.log(t) for t in x]) / x - z * _polevl(z, _P1) / _p1evl(z, _Q1)
+    out[tail] = np.where(upper[tail], x, -x)
+    return out
+
+
 def probe_pairs(
     chart: CoordinateChart, count: int = 100, seed: int = 0
 ) -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
@@ -445,23 +530,16 @@ def probe_pairs(
     the rest go through the normal inverse CDF and are normalized.
     """
     n = chart.dimension
-    sampler = qmc.Halton(d=2 * n, scramble=True, seed=seed)
-    u = sampler.random(count)
-    out = []
-    for row in u:
-        x = tuple(
-            lo + (0.01 + 0.98 * float(t)) * (hi - lo)
-            for t, (lo, hi) in zip(row[:n], chart.bounds)
-        )
-        z = ndtri(np.clip(row[n:], 1e-12, 1.0 - 1e-12))
-        norm = float(np.linalg.norm(z))
-        if norm < 1e-9:
-            z = np.zeros(n)
-            z[0] = 1.0
-            norm = 1.0
-        v = tuple(float(c) / norm for c in z)
-        out.append((x, v))
-    return out
+    u = _scrambled_halton(2 * n, count, seed)
+    lo, hi = np.array(chart.bounds, dtype=float).T
+    xs = lo + (0.01 + 0.98 * u[:, :n]) * (hi - lo)
+    zs = _ndtri(np.clip(u[:, n:], 1e-12, 1.0 - 1e-12))
+    norms = np.sqrt([z.dot(z) for z in zs])  # np.linalg.norm, row by row
+    degenerate = norms < 1e-9
+    zs[degenerate] = np.eye(n)[0]
+    norms[degenerate] = 1.0
+    vs = zs / norms[:, None]
+    return [(tuple(x), tuple(v)) for x, v in zip(xs.tolist(), vs.tolist())]
 
 
 def corner_points(chart: CoordinateChart) -> list[tuple[float, ...]]:
@@ -474,6 +552,10 @@ def probe_points(
     chart: CoordinateChart, count: int = 100, seed: int = 0
 ) -> list[tuple[float, ...]]:
     """Probe x-positions: the Halton set plus the shrunk domain corners."""
-    pts = [x for x, _ in probe_pairs(chart, count, seed)]
-    pts.extend(corner_points(chart))
-    return pts
+    return probe_grid(chart, count, seed)[1]
+
+
+def probe_grid(chart: CoordinateChart, count: int = 100, seed: int = 0) -> tuple[list, list]:
+    """(probe_pairs, probe_points) of one (count, seed), from one Halton set."""
+    pairs = probe_pairs(chart, count, seed)
+    return pairs, [x for x, _ in pairs] + corner_points(chart)

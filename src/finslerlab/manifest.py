@@ -27,6 +27,7 @@ import json
 from pathlib import Path
 
 from . import expr, randers, scurvature
+from .core import probe_grid
 
 SCHEMA_VERSION = 1
 
@@ -36,6 +37,7 @@ __all__ = [
     "validate_spec_data",
     "load_spec",
     "space_from_spec",
+    "probed_space",
     "measure_from_spec",
     "spec_digest",
 ]
@@ -133,11 +135,19 @@ def validate_spec_data(data) -> None:
 
 def space_from_spec(data: dict, probe_count: int = 100, seed: int = 0):
     """Build and probe-validate the RandersSpace described by `data`."""
+    return probed_space(data, probe_count, seed)[0]
+
+
+def probed_space(data: dict, probe_count: int, seed: int):
+    """space_from_spec that also hands back the probe grid it validated on:
+    (space, pairs, points), with (pairs, points) = core.probe_grid.  A
+    command that probes builds its one grid here."""
     space = randers.build_space(
         data["coordinates"], data["domain"], data["metric"], data["beta"]
     )
-    randers.validate_space(space, probe_count, seed)
-    return space
+    pairs, points = probe_grid(space.chart, probe_count, seed)
+    randers.validate_space(space, points)
+    return space, pairs, points
 
 
 def measure_from_spec(space, data: dict, kind: str | None = None):

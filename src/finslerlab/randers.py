@@ -184,10 +184,11 @@ def _check_symmetry(chart, parsed, metric) -> None:
                     )
 
 
-def validate_space(space: RandersSpace, count: int = 100, seed: int = 0) -> None:
-    """Probe-based admissibility: a positive definite and sup ||beta|| < 1."""
+def validate_space(space: RandersSpace, points: Sequence) -> None:
+    """Probe-based admissibility at the given x-positions (e.g. probe_points):
+    a positive definite and sup ||beta|| < 1."""
     worst_len = 0.0
-    for x in probe_points(space.chart, count, seed):
+    for x in points:
         a = _a_floats(space, x)
         try:
             np.linalg.cholesky(np.array(a))

@@ -258,8 +258,8 @@ def _central_difference(F, measure, fval, forward, backward, h, steps, richardso
 def _unit_start(F: FinslerStructure, x, v) -> tuple[float, list[float]]:
     """(F(x, v), v / F(x, v)) for the transport oracle."""
     fval = float(standard_part(F(list(x), list(v))))
-    if fval <= 0.0:
-        raise ValueError("transport oracle needs F(v) > 0")
+    if not (0.0 < fval < math.inf):  # NaN fails too
+        raise ValueError(f"transport oracle needs a finite F(v) > 0, got {fval}")
     return fval, [float(c) / fval for c in v]
 
 

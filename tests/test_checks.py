@@ -1,7 +1,7 @@
 import pytest
 
 from finslerlab import checks, core, randers, scurvature
-from finslerlab.core import probe_pairs
+from finslerlab.core import probe_grid
 
 
 @pytest.mark.parametrize("name", ["flat-nonkilling", "rotational-killing"])
@@ -9,7 +9,7 @@ def test_battery_passes_on_refusing_spaces(spaces, name):
     # admits = False exercises the witness branch of theorem-end-to-end
     results = checks.run_checks(
         spaces[name],
-        probe_count=25,
+        *probe_grid(spaces[name].chart, 25),
         transport_probes=5,
         mc_samples=50_000,
     )
@@ -23,7 +23,7 @@ def test_battery_passes_on_refusing_spaces(spaces, name):
 def test_battery_passes_on_admitting_space(spaces):
     results = checks.run_checks(
         spaces["polar-riemannian"],
-        probe_count=25,
+        *probe_grid(spaces["polar-riemannian"].chart, 25),
         transport_probes=5,
         mc_samples=50_000,
     )
@@ -63,8 +63,8 @@ def test_battery_evaluates_each_probe_value_once(spaces, monkeypatch, name):
     monkeypatch.setattr(scurvature, "s_curvature_from", counting_s_curvature_from)
     monkeypatch.setattr(core, "_half_f_squared", counting_half_f_squared)
     space = spaces[name]
-    checks.run_checks(space, probe_count=25, transport_probes=5, mc_samples=10_000)
-    pairs = probe_pairs(space.chart, 25, 0)
+    pairs, points = probe_grid(space.chart, 25)
+    checks.run_checks(space, pairs, points, transport_probes=5, mc_samples=10_000)
     subset = pairs[:20]
     transport = 5
     # S_BH once per pair, plus S_BH at 0.5 v and 2 v on the homogeneity subset.

@@ -1,9 +1,15 @@
 import copy
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
-from finslerlab import catalog, randers
+import finslerlab
+from finslerlab import catalog, core, randers
 from finslerlab.cli import main
 from finslerlab.core import probe_points
 
@@ -465,3 +471,43 @@ class TestCatalog:
     def test_unknown_name(self, capsys):
         code, report = run_json(capsys, "catalog", "bogus")
         assert code == EXIT_USAGE
+
+
+class TestProcess:
+    def test_no_scipy_at_import(self, spec_path):
+        script = textwrap.dedent(
+            f"""
+            import contextlib, io, sys
+            from finslerlab import cli
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["analyze", {spec_path("flat-const")!r}])
+            print(code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+            """
+        )
+        src = str(Path(finslerlab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.stdout.strip() == f"{EXIT_OK} []", result.stderr
+
+    @pytest.mark.parametrize("name", ["flat-const", "sphere-hopf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze"],
+            ["validate", "--probes", "10", "--transport-probes", "2", "--mc-samples", "10000"],
+        ],
+    )
+    def test_one_probe_grid_per_command(self, capsys, monkeypatch, spec_path, name, argv):
+        builds = []
+        halton = core._scrambled_halton
+
+        def counting_halton(*args):
+            builds.append(args)
+            return halton(*args)
+
+        monkeypatch.setattr(core, "_scrambled_halton", counting_halton)
+        command, *flags = argv
+        run(capsys, command, spec_path(name), *flags)
+        assert len(builds) == 1

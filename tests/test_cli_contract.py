@@ -4,7 +4,9 @@ Every command on every catalog spec, with flag values drawn to include
 non-finite, negative, zero and out-of-chart numbers and out-of-range
 seeds, must print strict JSON on stdout (no NaN, no Infinity), return
 an exit code the `cli` docstring documents, raise nothing, and print the
-same report again on a rerun (wall_time_s excluded).
+same report again on a rerun (wall_time_s excluded).  Command lines that
+argparse itself rejects are a JSON UsageError with exit 2 and nothing on
+stderr.
 """
 
 import contextlib
@@ -110,6 +112,58 @@ def invocations(draw):
     return name, [command, *options], env_seed
 
 
+def _not_a(kind, text):
+    try:
+        kind(text)
+    except ValueError:
+        return True
+    return False
+
+
+@st.composite
+def argparse_rejections(draw):
+    """(catalog name, argv after the spec path) that argparse itself refuses:
+    a value its type cannot convert, a value that looks like a flag, a
+    missing required flag, an unknown command, flag or choice."""
+    name = draw(st.sampled_from(catalog.NAMES))
+    n = len(catalog.spec(name)["coordinates"])
+    text = st.text(max_size=8)
+    negative = st.lists(st.floats(-3.0, -0.1), min_size=n, max_size=n).map(
+        lambda cs: ",".join(map(repr, cs))
+    )
+    case = draw(st.sampled_from(
+        ["int", "float", "flag-like", "missing", "unknown-command", "unknown-flag", "choice"]
+    ))
+    if case == "int":
+        command, flag = draw(st.sampled_from(
+            [("analyze", "--probes"), ("validate", "--mc-samples"), ("geodesic", "--steps"),
+             ("bh", "--samples"), ("analyze", "--seed")]
+        ))
+        argv = [command, f"{flag}={draw(text.filter(lambda t: _not_a(int, t)))}"]
+    elif case == "float":
+        command, flag = draw(st.sampled_from(
+            [("analyze", "--tol-killing"), ("validate", "--tol-s"), ("s-curvature", "--h")]
+        ))
+        argv = [command, f"{flag}={draw(text.filter(lambda t: _not_a(float, t)))}"]
+    elif case == "flag-like":  # "-1,0" after a space reads as a flag, not a value
+        argv = ["s-curvature", "--point", ",".join(["0.1"] * n), "--vector", draw(negative)]
+    elif case == "missing":
+        argv = draw(st.sampled_from([
+            ["s-curvature", "--point", ",".join(["0.1"] * n)],
+            ["geodesic", "--from", ",".join(["0.1"] * n), "--dir", ",".join(["1"] * n)],
+            ["bh"],
+        ]))
+    elif case == "unknown-command":
+        argv = [draw(text.filter(lambda t: t not in COMMANDS + ["catalog"] and not t.startswith("-")))]
+    elif case == "unknown-flag":  # a prefix of --help would print the help
+        letters = st.text("abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=6)
+        argv = [draw(st.sampled_from(COMMANDS)), "--" + draw(letters.filter(lambda t: not "help".startswith(t)))]
+    else:
+        argv = ["s-curvature", "--point", "0,0", "--vector", "1,0",
+                f"--measure={draw(text.filter(lambda t: t not in scurvature.MEASURE_KINDS))}"]
+    return name, argv
+
+
 def _reject_constant(token):
     raise ValueError(f"non-strict JSON constant {token}")
 
@@ -150,3 +204,30 @@ def test_every_invocation_keeps_the_contract(spec_paths, invocation):
     assert "Traceback" not in err
     again_code, again_out, _ = _run(argv, env_seed)
     assert (again_code, WALL_TIME.sub("", again_out)) == (code, WALL_TIME.sub("", out))
+
+
+@settings(max_examples=60, deadline=None)
+@given(argparse_rejections())
+def test_argparse_rejections_are_json_usage_errors(spec_paths, rejection):
+    name, (command, *options) = rejection
+    argv = [command, str(spec_paths[name]), *options]
+    code, out, err = _run(argv, None)
+    assert code == cli.EXIT_USAGE
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert report["error"]["type"] == "UsageError"
+    assert err == ""
+
+
+@pytest.mark.parametrize("argv", [[], ["frobnicate"], ["analyze"], ["--bogus"]])
+def test_bad_command_lines_are_json_usage_errors(argv):
+    code, out, err = _run(argv, None)
+    assert code == cli.EXIT_USAGE
+    assert json.loads(out, parse_constant=_reject_constant)["error"]["type"] == "UsageError"
+    assert err == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["analyze", "--help"]])
+def test_help_and_version_exit_zero(argv):
+    code, out, _ = _run(argv, None)
+    assert code == 0
+    assert out

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -18,6 +19,7 @@ from finslerlab.core import (
     geodesic,
     nonlinear_connection,
     nonlinear_connection_definitional,
+    probe_grid,
     probe_pairs,
     probe_points,
     spray,
@@ -401,3 +403,120 @@ class TestProbes:
         for c in corners:
             assert chart.contains(c)
         assert probe_points(chart, 10) == probe_points(chart, 10)
+
+    def test_grid_is_pairs_and_points(self, spaces):
+        chart = spaces["sphere-hopf"].chart
+        assert probe_grid(chart, 10, 3) == (probe_pairs(chart, 10, 3), probe_points(chart, 10, 3))
+
+
+# Probe grids recorded with SciPy 1.17.1 (qmc.Halton and special.ndtri), on
+# the chart below: the first pair in full as float.hex, and every grid as
+# the first 16 hex digits of the sha256 of its float.hex lines.
+PIN_SEEDS = (0, 1, 7, 2**32, 2**64 - 1)
+GRID_DIGESTS = {
+    (2, 0, 0): "e3b0c44298fc1c14",
+    (2, 0, 1): "e3b0c44298fc1c14",
+    (2, 0, 7): "e3b0c44298fc1c14",
+    (2, 0, 4294967296): "e3b0c44298fc1c14",
+    (2, 0, 18446744073709551615): "e3b0c44298fc1c14",
+    (2, 1, 0): "e01fd31d9aad784a",
+    (2, 1, 1): "68e391f1c714b20d",
+    (2, 1, 7): "c546be0b2fbebe16",
+    (2, 1, 4294967296): "9dbe83d235f2682c",
+    (2, 1, 18446744073709551615): "3bd1a158007b76c2",
+    (2, 100, 0): "df74ffcb32330fa3",
+    (2, 100, 1): "ef3507a4ba1153e4",
+    (2, 100, 7): "46ed54748153405e",
+    (2, 100, 4294967296): "639eb9d72e2fe690",
+    (2, 100, 18446744073709551615): "609253e46de120f1",
+    (2, 257, 0): "0fe41bb2122e5cc5",
+    (2, 257, 1): "a4b0fa2b645c847a",
+    (2, 257, 7): "45d0650afb1a5798",
+    (2, 257, 4294967296): "2ad98021fcec224a",
+    (2, 257, 18446744073709551615): "2a03edc63147b174",
+    (3, 0, 0): "e3b0c44298fc1c14",
+    (3, 0, 1): "e3b0c44298fc1c14",
+    (3, 0, 7): "e3b0c44298fc1c14",
+    (3, 0, 4294967296): "e3b0c44298fc1c14",
+    (3, 0, 18446744073709551615): "e3b0c44298fc1c14",
+    (3, 1, 0): "c48c8456b7a359c8",
+    (3, 1, 1): "8dd5e33a520442fc",
+    (3, 1, 7): "6e4656d1999bbb07",
+    (3, 1, 4294967296): "58ff1deb129e2e6c",
+    (3, 1, 18446744073709551615): "5605be57ffb610b8",
+    (3, 100, 0): "4e86f0e801f7abe4",
+    (3, 100, 1): "ce39ee254df36e42",
+    (3, 100, 7): "7d1c856671de65ed",
+    (3, 100, 4294967296): "684f199d1ad209c4",
+    (3, 100, 18446744073709551615): "288dd22cdb7c8b0f",
+    (3, 257, 0): "80b7c6611f04859a",
+    (3, 257, 1): "7440f22787f508af",
+    (3, 257, 7): "2b332542040782c3",
+    (3, 257, 4294967296): "e22d59d4017e13aa",
+    (3, 257, 18446744073709551615): "89d2c96c56c39d79",
+    (4, 0, 0): "e3b0c44298fc1c14",
+    (4, 0, 1): "e3b0c44298fc1c14",
+    (4, 0, 7): "e3b0c44298fc1c14",
+    (4, 0, 4294967296): "e3b0c44298fc1c14",
+    (4, 0, 18446744073709551615): "e3b0c44298fc1c14",
+    (4, 1, 0): "a3f92f960c30c773",
+    (4, 1, 1): "8857ab3b610e473c",
+    (4, 1, 7): "69bb361d18f6072a",
+    (4, 1, 4294967296): "998b6e484ecfb1c6",
+    (4, 1, 18446744073709551615): "3bb658969bd186da",
+    (4, 100, 0): "3ea3d12d47b2e847",
+    (4, 100, 1): "f1aa1453d20c6819",
+    (4, 100, 7): "e25bfba6bf7c0918",
+    (4, 100, 4294967296): "18649c98ecd4ece6",
+    (4, 100, 18446744073709551615): "a4b8ec6540c17e67",
+    (4, 257, 0): "ceb5f12518a8e5b7",
+    (4, 257, 1): "7558355e85d60bd4",
+    (4, 257, 7): "846afc3289a92b6e",
+    (4, 257, 4294967296): "9c8a5e4a9f4c2c78",
+    (4, 257, 18446744073709551615): "dc927493d8bfd340",
+}
+FIRST_PAIRS = {
+    (2, 0): ('-0x1.5b6f18790af1cp-1', '-0x1.b79d0f9bca8bdp+0', '-0x1.3436ad4564ceep-1', '0x1.98d67d63a2c99p-1'),
+    (2, 1): ('-0x1.08d71086adac8p-1', '0x1.0413b633bfceep+0', '-0x1.eea145982112bp-1', '0x1.0876938deae6ap-2'),
+    (2, 7): ('-0x1.56bc96184fe98p-1', '0x1.1560e853f47bep+1', '0x1.c8dfc39b60d91p-1', '0x1.ce36600e548e6p-2'),
+    (2, 4294967296): ('0x1.fbbf6c67960e4p-2', '-0x1.26213bc43eeaep+0', '-0x1.1dd4452fb3918p-7', '0x1.fffb0370805acp-1'),
+    (2, 18446744073709551615): ('-0x1.0ebf1b90df35cp-3', '0x1.372b43cfbe376p+1', '0x1.fef1edc132aecp-1', '-0x1.06ce58d8507f4p-4'),
+    (3, 0): ('-0x1.5b6f18790af1cp-1', '-0x1.b79d0f9bca8bdp+0', '-0x1.2be336fe00148p+0', '0x1.c2dcc2d2433a1p-1', '-0x1.bed44b6b3a212p-4', '0x1.d837dd58bb487p-2'),
+    (3, 1): ('-0x1.08d71086adac8p-1', '0x1.0413b633bfceep+0', '-0x1.e737539a0f53cp+0', '0x1.3182433ef77cap-2', '0x1.858dc61516803p-1', '0x1.270e487e4419cp-1'),
+    (3, 7): ('-0x1.56bc96184fe98p-1', '0x1.1560e853f47bep+1', '0x1.28cc0c46dab0cp+1', '0x1.5b46e08b06ec2p-2', '-0x1.26512749449a1p-2', '0x1.caa05443e2a63p-1'),
+    (3, 4294967296): ('0x1.fbbf6c67960e4p-2', '-0x1.26213bc43eeaep+0', '-0x1.4f69469957800p-8', '0x1.6b398348a5b9cp-2', '0x1.0bae118f7e6d2p-2', '0x1.cb9df63ba0850p-1'),
+    (3, 18446744073709551615): ('-0x1.0ebf1b90df35cp-3', '0x1.372b43cfbe376p+1', '0x1.c4ab973ede9f8p-1', '-0x1.0486f784da04ep-4', '0x1.fc3d84033fc78p-1', '0x1.a57239b79f6a3p-4'),
+    (4, 0): ('-0x1.5b6f18790af1cp-1', '-0x1.b79d0f9bca8bdp+0', '-0x1.2be336fe00148p+0', '0x1.a1304f76ea5f4p+0', '-0x1.bccca8ad5e805p-5', '0x1.d612b3fe746e9p-3', '-0x1.28918c9703fecp-1', '-0x1.8f82642de7966p-1'),
+    (4, 1): ('-0x1.08d71086adac8p-1', '0x1.0413b633bfceep+0', '-0x1.e737539a0f53cp+0', '0x1.e2759c9b7c100p-2', '0x1.68566888475ddp-2', '0x1.10ed435d3f8c6p-2', '-0x1.c973f77c763ffp-1', '-0x1.53320b674c454p-4'),
+    (4, 7): ('-0x1.56bc96184fe98p-1', '0x1.1560e853f47bep+1', '0x1.28cc0c46dab0cp+1', '0x1.7cce2f7e3cddcp+0', '-0x1.f8ae6fe332575p-3', '0x1.89373a33b1018p-1', '-0x1.6a5faa7464508p-2', '0x1.e4e1eafa3b929p-2'),
+    (4, 4294967296): ('0x1.fbbf6c67960e4p-2', '-0x1.26213bc43eeaep+0', '-0x1.4f69469957800p-8', '0x1.e73bf2333d330p-2', '0x1.07a5a22419689p-4', '0x1.c4b13ad6fd807p-3', '-0x1.58622b78afa70p-5', '0x1.f1c8147ac2f1bp-1'),
+    (4, 18446744073709551615): ('-0x1.0ebf1b90df35cp-3', '0x1.372b43cfbe376p+1', '0x1.c4ab973ede9f8p-1', '-0x1.4a90fac35dfb0p-2', '0x1.15781f0588586p-2', '0x1.cc2b660b000d3p-6', '-0x1.c904a0bbe6939p-1', '0x1.6fd4032d80e27p-2'),
+}
+
+
+def _pin_chart(n):
+    return CoordinateChart(
+        tuple(f"x{i}" for i in range(n)), tuple((-1.0 - i, 2.0 + 0.5 * i) for i in range(n))
+    )
+
+
+def _grid_digest(pairs):
+    text = "\n".join(" ".join(c.hex() for c in x + v) for x, v in pairs)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestPinnedGrids:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("seed", PIN_SEEDS)
+    def test_first_pair_bit_for_bit(self, n, seed):
+        ((x, v),) = probe_pairs(_pin_chart(n), 1, seed)
+        assert tuple(c.hex() for c in x + v) == FIRST_PAIRS[(n, seed)]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("count", [0, 1, 100, 257])
+    def test_grid_bit_for_bit(self, n, count):
+        for seed in PIN_SEEDS:
+            pairs = probe_pairs(_pin_chart(n), count, seed)
+            assert len(pairs) == count
+            assert all(type(c) is float for x, v in pairs for c in x + v)
+            assert _grid_digest(pairs) == GRID_DIGESTS[(n, count, seed)], seed

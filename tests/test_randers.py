@@ -51,12 +51,12 @@ class TestStructure:
     def test_invalid_length_rejected(self):
         space = build_space(["x1", "x2"], BOX, FLAT, ["1.2", "0"])
         with pytest.raises(InvalidSpaceError, match="length"):
-            validate_space(space)
+            validate_space(space, probe_points(space.chart))
 
     def test_non_positive_definite_rejected(self):
         space = build_space(["x1", "x2"], BOX, [["1", "0"], ["0", "-1"]], ["0", "0"])
         with pytest.raises(InvalidSpaceError, match="positive definite"):
-            validate_space(space)
+            validate_space(space, probe_points(space.chart))
 
     def test_asymmetric_metric_rejected(self):
         with pytest.raises(InvalidSpaceError, match="asymmetric"):
@@ -66,7 +66,7 @@ class TestStructure:
         space = build_space(
             ["x1", "x2"], BOX, [["1", "0.1*x1"], ["x1*0.1", "2"]], ["0", "0"]
         )
-        validate_space(space)
+        validate_space(space, probe_points(space.chart))
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidSpaceError):
@@ -77,7 +77,7 @@ class TestStructure:
         names = ["x1", "x2", "x3", "x4"]
         metric = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
         space = build_space(names, [(-1.0, 1.0)] * 4, metric, ["0.3", "0", "0", "0"])
-        validate_space(space, count=20)
+        validate_space(space, probe_points(space.chart, 20))
         verdict = theorem_verdict(space, probe_count=20)
         assert verdict.admits
         expected = (1.0 - 0.09) ** 2.5  # (n+1)/2 = 2.5

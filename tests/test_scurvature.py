@@ -20,6 +20,7 @@ from finslerlab.scurvature import (
     s_curvature,
     s_curvature_from,
     s_curvature_transport,
+    s_curvature_transport_batch,
     unit_ball_volume,
 )
 from finslerlab import expr
@@ -184,6 +185,18 @@ class TestTransportOracle:
                 sf = s_curvature(F, measure, x, v)
                 st = s_curvature_transport(F, measure, x, v, h=1e-3, steps=100)
                 assert abs(sf - st) <= 1e-5
+
+    # F(v) overflows to inf at |v| = 1e300, and is NaN for a NaN component;
+    # neither may reach the geodesic as a zero or NaN unit start vector.
+    @pytest.mark.parametrize("v", [(0.0, 1e300), (math.nan, 1.0)])
+    def test_non_finite_f_is_rejected(self, structures, v):
+        F = structures["euclidean2"]
+        measure = lebesgue_measure()
+        with pytest.raises(ValueError, match="finite F"):
+            s_curvature_transport(F, measure, (0.1, 0.2), v)
+        # the batch hands the failing probe to the per-probe call
+        with pytest.raises(ValueError, match="finite F"):
+            s_curvature_transport_batch(F, measure, [(0.1, 0.2), (0.3, 0.0)], [(1.0, 0.0), v])
 
 
 class TestMeasureLaws:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import randers, scurvature
+from . import jets, randers, scurvature
 from .core import PairTensors, euler_identity_residual, fundamental_tensor
 from .jets import exp as jet_exp
 from .jets import partial, seed_group, standard_part
@@ -113,29 +113,32 @@ def run_checks(
     results.append(_result("connection-rewrite-vs-definitional", n_rewrite, 1e-8))
     results.append(_result("euler-v-over-F", euler, 1e-9, "(n-1)/F identity"))
 
-    # One-form identities.
+    # One-form identities.  Each loop over the probes below is one
+    # jets.lanewise pass: a function of one probe's values, evaluated
+    # once over array leaves with one lane per probe.
     analysis = randers.analyze_beta(space, points)
-    grad_two_path = 0.0
-    for x, covariant_path in zip(points, analysis.length_gradients):
-        xs = seed_group([float(c) for c in x], range(n))
-        lsq = randers.beta_length_squared(space, xs)
-        direct = [standard_part(partial(lsq, i)) for i in range(n)]
-        grad_two_path = max(
-            grad_two_path, max(abs(a - b) for a, b in zip(covariant_path, direct))
-        )
-    results.append(_result("length-gradient-two-path", grad_two_path, 1e-10))
 
-    spray_diff = 0.0
-    trace_x = 0.0
-    trace_y = 0.0
-    for (x, v), t in zip(pairs, tensors):
+    def gradient_gap(p):  # p = (*x, *d(||beta||^2)/dx by the covariant path)
+        lsq = randers.beta_length_squared(space, seed_group(randers._leaves(p[:n]), range(n)))
+        direct = [standard_part(partial(lsq, i)) for i in range(n)]
+        return jets.maximum([abs(a - b) for a, b in zip(p[n:], direct)])
+
+    gaps = jets.lanewise(
+        gradient_gap, [(*x, *g) for x, g in zip(points, analysis.length_gradients)]
+    )
+    results.append(_result("length-gradient-two-path", max([0.0, *gaps]), 1e-10))
+
+    def spray_and_traces(p):  # p = (*x, *v, *G) of one pair
+        x, v, G = p[:n], p[n : 2 * n], p[2 * n :]
         data = randers._PointData(space, x)  # one per pair for the spray and both traces
         closed = randers._closed_form(data, v)[0]
-        denom = 1.0 + max(abs(c) for c in t.G)
-        spray_diff = max(spray_diff, max(abs(a - b) for a, b in zip(closed, t.G)) / denom)
+        denom = 1.0 + jets.maximum([abs(c) for c in G])
+        spray = jets.maximum([abs(a - b) for a, b in zip(closed, G)]) / denom
         dx, dy = randers._v_traces(data, v)
-        trace_x = max(trace_x, abs(dx))
-        trace_y = max(trace_y, abs(dy - randers._trace_dY_closed_form(data, v)))
+        return [spray, abs(dx), abs(dy - randers._trace_dY_closed_form(data, v))]
+
+    rows = jets.lanewise(spray_and_traces, [(*x, *v, *t.G) for (x, v), t in zip(pairs, tensors)])
+    spray_diff, trace_x, trace_y = [max([0.0, *column]) for column in zip(*rows)] or [0.0] * 3
     results.append(
         _result("spray-closed-vs-generic", spray_diff, 1e-8, "relative to 1 + |G|_inf")
     )
@@ -146,13 +149,13 @@ def run_checks(
         analysis.killing_defect_sup <= tol_killing
         and analysis.length_gradient_sup <= 1e-10
     ):
-        worst = 0.0
-        for bc, b_up in zip(analysis.covariant, analysis.raised):
-            for i in range(n):
-                worst = max(
-                    worst,
-                    abs(sum((bc[i][j] - bc[j][i]) * b_up[j] for j in range(n))),
-                )
+        def skew_contraction(p):  # p = (*b_{i|j} row by row, *b^i) at one probe
+            bc, b_up = [p[i * n : (i + 1) * n] for i in range(n)], p[n * n :]
+            return [abs(sum((bc[i][j] - bc[j][i]) * b_up[j] for j in range(n))) for i in range(n)]
+
+        probes = zip(analysis.covariant, analysis.raised)
+        rows = jets.lanewise(skew_contraction, [(*sum(bc, []), *b_up) for bc, b_up in probes])
+        worst = max([0.0, *(value for row in rows for value in row)])
         results.append(
             _result("killing-skew-contraction", worst, 1e-9, "sum_j (b_i|j - b_j|i) b^j")
         )

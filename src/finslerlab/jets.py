@@ -7,10 +7,16 @@ mix freely with Jets and act as constants, which keeps constant-heavy
 expressions cheap.
 
 The innermost leaves may be floats or 1-D float64 NumPy arrays; an
-array leaf holds one value per member of a batch, and the primitives
-below send it to the matching NumPy ufunc, so one evaluation serves the
-whole batch.  Jets sit above arrays: ``Jet.__array_ufunc__ = None``
-makes ``ndarray * Jet`` defer to the Jet operators.
+array leaf holds one value per member of a batch (one lane per point),
+so one evaluation serves the whole batch.  Every lane equals the float
+evaluation of its point bit for bit: ``+ - * /`` and ``sqrt`` are
+correctly rounded in NumPy as in Python, and the other primitives map
+``math``'s function over the lanes, because NumPy's ``exp``, ``log``,
+``tanh`` and their kin may differ from ``math`` in the last place.
+Jets sit above arrays: ``Jet.__array_ufunc__ = None`` makes
+``ndarray * Jet`` defer to the Jet operators.  ``lanewise`` runs a
+per-point function once over the lanes of a grid and hands a batch that
+fails back to the per-point loop.
 
 Discipline for nesting: every *Jet-valued* scalar entering a computation
 at a new derivative level must be wrapped as a constant at that level
@@ -39,6 +45,9 @@ __all__ = [
     "hessian",
     "third_order",
     "fd_oracle",
+    "lanewise",
+    "select",
+    "maximum",
     "sin",
     "cos",
     "tan",
@@ -218,6 +227,66 @@ def _is_zero(scalar: Scalar) -> bool:
     return scalar == 0.0
 
 
+# -- lanes: one array leaf per coordinate, one lane per point ----------------
+
+
+def lanewise(fn: Callable, points: Sequence) -> list:
+    """[fn(p) for p in points], from one call of fn over array leaves.
+
+    fn maps a point (a sequence of scalars) to a scalar or to nested lists
+    of scalars.  The batch passes one 1-D array per coordinate, with one
+    lane per point, under NumPy's raising error state, and lane k of its
+    result is point k's value; the values come back as Python floats in
+    nested lists.  A batch that raises ArithmeticError or ValueError (a
+    singular pivot, a domain guard, an overflow that ``math`` raises or
+    NumPy would turn into inf) hands the points to the per-point loop on
+    float leaves, which raises what it raises.
+    """
+    points = list(points)
+    if points:
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                lanes = [np.array(c, dtype=float) for c in zip(*points)]
+                return _unstack(fn(lanes), len(points))
+        except (ArithmeticError, ValueError):
+            pass
+    return [_unstack(fn(p), 1)[0] for p in points]
+
+
+def _unstack(value, size: int) -> list:
+    """The `size` lanes of nested lists whose leaves are floats or arrays."""
+    if isinstance(value, (list, tuple)):
+        parts = [_unstack(v, size) for v in value]
+        return [list(lane) for lane in zip(*parts)] if parts else [[] for _ in range(size)]
+    return np.broadcast_to(value, (size,)).tolist()
+
+
+def select(mask: np.ndarray, x: Scalar, y: Scalar) -> Scalar:
+    """x in the lanes where mask holds, y elsewhere, at every jet level."""
+    if np.ndim(mask) == 0:  # one decision for every lane
+        return x if mask else y
+    if isinstance(x, Jet) or isinstance(y, Jet):
+        width = len((x if isinstance(x, Jet) else y).partials)
+        x, y = [s if isinstance(s, Jet) else Jet(s, (0.0,) * width) for s in (x, y)]
+        return Jet(
+            select(mask, x.value, y.value),
+            tuple([select(mask, p, q) for p, q in zip(x.partials, y.partials)]),
+        )
+    return np.where(mask, x, y)
+
+
+def maximum(values: Sequence) -> Union[float, np.ndarray]:
+    """max(values) lane by lane over float and array leaves: a value
+    replaces the running maximum only where it is greater, as in max."""
+    best = values[0]
+    for v in values[1:]:
+        if isinstance(v, np.ndarray) or isinstance(best, np.ndarray):
+            best = np.where(v > best, v, best)
+        elif v > best:
+            best = v
+    return best
+
+
 # -- derivative drivers -------------------------------------------------------
 
 
@@ -292,7 +361,14 @@ def fd_oracle(
 # chaining f' across the slots handles any depth.  The leaf branches are
 # the recursion floor, so zero-seeded Jets reproduce plain evaluation bit
 # for bit in the value slot.  Floats are tested first because they are the
-# common leaf; arrays go to the NumPy ufunc, anything else (ints) to math.
+# common leaf; arrays go lane by lane through math (sqrt through np.sqrt,
+# which rounds the same), anything else (ints) to math.
+
+
+def _per_lane(fn: Callable, x: np.ndarray) -> np.ndarray:
+    """math's fn in every lane: equal to the float path bit for bit, and
+    raising where math raises (OverflowError, ValueError)."""
+    return np.fromiter(map(fn, x.tolist()), float, len(x))
 
 
 def sin(x: Scalar) -> Scalar:
@@ -301,7 +377,7 @@ def sin(x: Scalar) -> Scalar:
     if isinstance(x, Jet):
         d = cos(x.value)
         return Jet(sin(x.value), tuple([d * p for p in x.partials]))
-    return np.sin(x) if isinstance(x, np.ndarray) else math.sin(x)
+    return _per_lane(math.sin, x) if isinstance(x, np.ndarray) else math.sin(x)
 
 
 def cos(x: Scalar) -> Scalar:
@@ -310,7 +386,7 @@ def cos(x: Scalar) -> Scalar:
     if isinstance(x, Jet):
         d = -sin(x.value)
         return Jet(cos(x.value), tuple([d * p for p in x.partials]))
-    return np.cos(x) if isinstance(x, np.ndarray) else math.cos(x)
+    return _per_lane(math.cos, x) if isinstance(x, np.ndarray) else math.cos(x)
 
 
 def tan(x: Scalar) -> Scalar:
@@ -320,7 +396,7 @@ def tan(x: Scalar) -> Scalar:
         t = tan(x.value)
         d = 1.0 + t * t
         return Jet(t, tuple([d * p for p in x.partials]))
-    return np.tan(x) if isinstance(x, np.ndarray) else math.tan(x)
+    return _per_lane(math.tan, x) if isinstance(x, np.ndarray) else math.tan(x)
 
 
 def exp(x: Scalar) -> Scalar:
@@ -329,7 +405,7 @@ def exp(x: Scalar) -> Scalar:
     if isinstance(x, Jet):
         e = exp(x.value)
         return Jet(e, tuple([e * p for p in x.partials]))
-    return np.exp(x) if isinstance(x, np.ndarray) else math.exp(x)
+    return _per_lane(math.exp, x) if isinstance(x, np.ndarray) else math.exp(x)
 
 
 def log(x: Scalar) -> Scalar:
@@ -338,7 +414,7 @@ def log(x: Scalar) -> Scalar:
     if isinstance(x, Jet):
         v = x.value
         return Jet(log(v), tuple([p / v for p in x.partials]))
-    return np.log(x) if isinstance(x, np.ndarray) else math.log(x)
+    return _per_lane(math.log, x) if isinstance(x, np.ndarray) else math.log(x)
 
 
 def sqrt(x: Scalar) -> Scalar:
@@ -357,7 +433,7 @@ def sinh(x: Scalar) -> Scalar:
     if isinstance(x, Jet):
         d = cosh(x.value)
         return Jet(sinh(x.value), tuple([d * p for p in x.partials]))
-    return np.sinh(x) if isinstance(x, np.ndarray) else math.sinh(x)
+    return _per_lane(math.sinh, x) if isinstance(x, np.ndarray) else math.sinh(x)
 
 
 def cosh(x: Scalar) -> Scalar:
@@ -366,7 +442,7 @@ def cosh(x: Scalar) -> Scalar:
     if isinstance(x, Jet):
         d = sinh(x.value)
         return Jet(cosh(x.value), tuple([d * p for p in x.partials]))
-    return np.cosh(x) if isinstance(x, np.ndarray) else math.cosh(x)
+    return _per_lane(math.cosh, x) if isinstance(x, np.ndarray) else math.cosh(x)
 
 
 def tanh(x: Scalar) -> Scalar:
@@ -376,7 +452,7 @@ def tanh(x: Scalar) -> Scalar:
         t = tanh(x.value)
         d = 1.0 - t * t
         return Jet(t, tuple([d * p for p in x.partials]))
-    return np.tanh(x) if isinstance(x, np.ndarray) else math.tanh(x)
+    return _per_lane(math.tanh, x) if isinstance(x, np.ndarray) else math.tanh(x)
 
 
 def intpow(x: Scalar, k: int) -> Scalar:

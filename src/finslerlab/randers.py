@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -186,17 +186,24 @@ def _check_symmetry(chart, parsed, metric) -> None:
 
 def validate_space(space: RandersSpace, points: Sequence) -> None:
     """Probe-based admissibility at the given x-positions (e.g. probe_points):
-    a positive definite and sup ||beta|| < 1."""
-    worst_len = 0.0
-    for x in points:
-        a = _a_floats(space, x)
+    a positive definite and sup ||beta|| < 1.
+
+    One pass over array leaves (jets.lanewise) evaluates a(x) once for
+    the grid, runs one stacked Cholesky factorisation on it and computes
+    every ||beta|| from it with one beta_length call.
+    """
+
+    def length(x):
+        a = a_at(space, x)
         try:
-            np.linalg.cholesky(np.array(a))
+            np.linalg.cholesky(_stacked(a))
         except np.linalg.LinAlgError:
             raise InvalidSpaceError(
                 f"metric not positive definite at x = {x}"
             ) from None
-        worst_len = max(worst_len, beta_length(space, x))
+        return beta_length(space, x, a)
+
+    worst_len = max([0.0, *jets.lanewise(length, points)])
     if worst_len >= 1.0:
         raise InvalidSpaceError(
             f"one-form length reaches {worst_len:.6g} >= 1; F is not positive"
@@ -223,8 +230,16 @@ def b_at(space: RandersSpace, x) -> list:
     return [fn(args) for fn in _fns(space)["b"]]
 
 
-def _a_floats(space, x) -> list:
-    return [[standard_part(e) for e in row] for row in a_at(space, x)]
+def _stacked(matrix) -> np.ndarray:
+    """A matrix of float or 1-D array leaves as one (n, n) or (lanes, n, n) array."""
+    n = len(matrix)
+    flat = np.array(np.broadcast_arrays(*[e for row in matrix for e in row]))
+    return np.moveaxis(flat, 0, -1).reshape(flat.shape[1:] + (n, n))
+
+
+def _leaves(values) -> list:
+    """Float coordinates as floats, array coordinates (a batch) as they are."""
+    return [c if isinstance(c, np.ndarray) else float(c) for c in values]
 
 
 def alpha(space: RandersSpace, x, v) -> Scalar:
@@ -265,14 +280,22 @@ def beta_length_squared(space: RandersSpace, x) -> Scalar:
     """||beta||^2(x) = a^ij b_i b_j; jet-evaluable (smooth even at zeros)."""
     a = a_at(space, x)
     b = b_at(space, x)
-    a_inv = inv(a)
-    n = space.dimension
+    return _length_squared(inv(a), b)
+
+
+def _length_squared(a_inv, b) -> Scalar:
+    n = len(b)
     return sum_(a_inv[i][j] * (b[i] * b[j]) for i in range(n) for j in range(n))
 
 
-def beta_length(space: RandersSpace, x) -> float:
-    """||beta||(x) at a float point (not differentiable where beta vanishes)."""
-    return math.sqrt(standard_part(beta_length_squared(space, x)))
+def beta_length(space: RandersSpace, x, a=None) -> Union[float, np.ndarray]:
+    """||beta||(x) at a float point, or in every lane of array leaves (not
+    differentiable where beta vanishes).  `a`, the metric at x, spares
+    its evaluation when the caller already holds it."""
+    if a is None:
+        a = a_at(space, x)
+    b = b_at(space, x)
+    return jets.sqrt(standard_part(_length_squared(inv(a), b)))
 
 
 # -- covariant derivative of beta -----------------------------------------------
@@ -285,7 +308,7 @@ def _first_order_data(space: RandersSpace, x):
     da[k][i][j] = da_ij/dx_k and db[k][i] = db_i/dx_k.
     """
     n = space.dimension
-    xs = seed_group([c if isinstance(c, np.ndarray) else float(c) for c in x], range(n))
+    xs = seed_group(_leaves(x), range(n))
     # Entries are one-level jets over leaves, or leaf constants.
     zeros = (0.0,) * n
     aj = [
@@ -424,10 +447,10 @@ def trace_dY_dv(space: RandersSpace, x, v) -> float:
     return _v_traces(_PointData(space, x), v)[1]
 
 
-def _v_traces(data: _PointData, v) -> tuple[float, float]:
+def _v_traces(data: _PointData, v) -> tuple[Scalar, Scalar]:
     """(sum_i dX^i/dv^i, sum_i dY^i/dv^i) from one X/Y split at seeded v."""
     n = len(data.b)
-    vs = seed_group([float(c) for c in v], range(n))
+    vs = seed_group(_leaves(v), range(n))
     x_cmp, y_cmp, _ = _xy_split(data, vs)
     return tuple(standard_part(sum_(partial(c[i], i) for i in range(n))) for c in (x_cmp, y_cmp))
 
@@ -441,7 +464,7 @@ def trace_dY_closed_form(space: RandersSpace, x, v) -> float:
     return _trace_dY_closed_form(_PointData(space, x), v)
 
 
-def _trace_dY_closed_form(data: _PointData, v) -> float:
+def _trace_dY_closed_form(data: _PointData, v) -> Scalar:
     n = len(data.b)
     q = data.bcov
     al = standard_part(_alpha_of(data, v))
@@ -459,20 +482,26 @@ def _trace_dY_closed_form(data: _PointData, v) -> float:
 
 
 def analyze_beta(space: RandersSpace, probes: Sequence) -> BetaAnalysis:
-    n = space.dimension
-    rows = BetaAnalysis(list(probes), [], [], [], [], [], [])
-    for x in rows.probes:
-        data = _PointData(space, x)  # b_{i|j} and b^i for every row
-        bc = data.bcov
-        rows.covariant.append(bc)
-        rows.killing_defects.append(
-            max(abs(bc[i][j] + bc[j][i]) for i in range(n) for j in range(n))
-        )
-        rows.parallel_defects.append(max(abs(bc[i][j]) for i in range(n) for j in range(n)))
-        rows.lengths.append(beta_length(space, x))
-        rows.length_gradients.append(_length_gradient(data))
-        rows.raised.append(data.b_up)
-    return rows
+    """The per-probe rows, from one _PointData over array leaves
+    (jets.lanewise)."""
+    probes = list(probes)
+    rows = jets.lanewise(lambda x: _beta_row(_PointData(space, x)), probes)
+    return BetaAnalysis(probes, *map(list, zip(*rows) if rows else [()] * 6))
+
+
+def _beta_row(data: _PointData) -> list:
+    """One probe's (or one batch's) row of BetaAnalysis fields; ||beta||^2
+    sums as beta_length_squared does, so the lengths equal beta_length."""
+    n = len(data.b)
+    bc = data.bcov  # b_{i|j} and b^i for every row
+    return [
+        bc,
+        jets.maximum([abs(bc[i][j] + bc[j][i]) for i in range(n) for j in range(n)]),
+        jets.maximum([abs(bc[i][j]) for i in range(n) for j in range(n)]),
+        jets.sqrt(_length_squared(data.a_inv, data.b)),
+        _length_gradient(data),
+        data.b_up,
+    ]
 
 
 def is_berwald(space: RandersSpace, probes: Sequence, tol: float) -> bool:
@@ -498,9 +527,9 @@ def theorem_verdict(
         probes = probe_points(space.chart, probe_count, seed)
     verdict = decide(analyze_beta(space, probes), tol_killing, tol_length)
     if verdict.admits:
-        verdict.bh_density_probe_values = [
-            float(bh_density_closed_form(space, x)) for x in verdict.analysis.probes
-        ]
+        verdict.bh_density_probe_values = jets.lanewise(
+            lambda x: bh_density_closed_form(space, x), verdict.analysis.probes
+        )
     return verdict
 
 
@@ -530,10 +559,14 @@ def bh_density_closed_form(space: RandersSpace, x) -> Scalar:
     """sigma_BH(x) = (1 - ||beta||^2)^((n+1)/2) * sqrt(det a); jet-evaluable."""
     n = space.dimension
     a = a_at(space, x)
-    len_sq = beta_length_squared(space, x)
-    if standard_part(len_sq) >= 1.0:
+    b = b_at(space, x)
+    len_sq = _length_squared(inv(a), b)
+    worst = standard_part(len_sq)
+    if isinstance(worst, np.ndarray):
+        worst = worst.max()
+    if worst >= 1.0:
         raise InvalidSpaceError(
-            f"||beta||^2 = {standard_part(len_sq):.6g} >= 1 at x = "
+            f"||beta||^2 = {worst:.6g} >= 1 at x = "
             f"{tuple(standard_part(c) for c in x)}"
         )
     base = 1.0 - len_sq

@@ -203,7 +203,8 @@ def s_curvature_transport_batch(
     leaves, so each RK4 stage evaluates the spray once for the batch
     (F.fast_spray must accept array leaves, as the Randers closed form
     does).  The values equal those of one s_curvature_transport call per
-    probe up to rounding.  One probe, or a batch that fails anywhere, is
+    probe bit for bit: each array lane computes what the float path
+    computes.  One probe, or a batch that fails anywhere, is
     computed by exactly that loop of calls, so a failure raises what the
     first failing call raises.
     """

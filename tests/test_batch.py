@@ -1,17 +1,24 @@
 """Array leaves through the scalar tower, and the batched transport oracle.
 
-A 1-D float64 array leaf holds one value per member of a batch; every
-layer must treat it element by element exactly as it treats a float.
-NumPy's transcendentals may differ from `math` by 1 ulp, so those
-comparisons allow a few ulps; pure arithmetic must match exactly.
+A 1-D float64 array leaf holds one value per member of a batch (one
+lane per point); every layer must treat it lane by lane exactly as it
+treats a float.  Every comparison here is exact: the transcendental
+primitives map `math` over the lanes, `inv` and `det` pivot lane by
+lane, and a batch that fails hands its points to the float loop.
 """
 
+import contextlib
+import io
+import json
+import math
+import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from finslerlab import catalog, expr, jets, manifest, randers
+from finslerlab import catalog, cli, expr, jets, manifest, randers
 from finslerlab.core import (
     DomainExitError,
     FinslerStructure,
@@ -21,7 +28,7 @@ from finslerlab.core import (
 )
 from finslerlab.expr import ExprDomainError
 from finslerlab.jets import Jet, seed_group
-from finslerlab.linalg import SingularMatrixError, inv
+from finslerlab.linalg import SingularMatrixError, det, inv
 from finslerlab.scurvature import (
     busemann_hausdorff_measure,
     lebesgue_measure,
@@ -60,6 +67,18 @@ TINY_SPEC = {
     "domain": [[-0.01, 0.01], [-0.01, 0.01]],
 }
 
+# a00 = 0.2 + x2^2 against |a10| = 0.5 |x1|: the partial-pivot row of
+# column 0 changes across the grid (row 1 wins where |x1| > 0.4 + 2 x2^2).
+PIVOT_SPEC = {
+    "schema": 1,
+    "name": "lane-pivots",
+    "dimension": 2,
+    "coordinates": ["x1", "x2"],
+    "metric": [["0.2 + x2^2", "0.5*x1"], ["0.5*x1", "4"]],
+    "beta": ["0.3*tanh(x2)", "0.2*exp(-x1^2)"],
+    "domain": [[-1.0, 1.0], [-1.0, 1.0]],
+}
+
 PRIMITIVES = ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh", "tanh")
 GENERATED = (
     "x1^2*sin(x2) - exp(-x1)/(2 + cos(x1*x2))",
@@ -70,13 +89,11 @@ GENERATED = (
 )
 
 
-def assert_ulps(actual, expected, ulps):
-    """Element-wise |actual - expected| <= ulps units in the last place."""
-    actual = np.asarray(actual, dtype=float)
-    expected = np.asarray(expected, dtype=float)
-    assert actual.shape == expected.shape
-    scale = np.spacing(np.maximum(np.abs(actual), np.abs(expected)))
-    assert np.all(np.abs(actual - expected) <= ulps * scale), (actual, expected)
+def assert_lanes(actual, expected):
+    """Lane k of `actual` (an array or a float constant) is expected[k],
+    bit for bit; -0.0 and 0.0 count as different."""
+    lanes = np.broadcast_to(actual, (len(expected),)).tolist()
+    assert [repr(a) for a in lanes] == [repr(float(e)) for e in expected]
 
 
 def leaves(values):
@@ -93,18 +110,22 @@ class TestJetsArrayLeaves:
         points = self.POSITIVE if name in ("log", "sqrt") else self.X
         out = fn(leaves(points))
         assert isinstance(out, np.ndarray)
-        assert_ulps(out, [fn(p) for p in points], 1)
+        assert_lanes(out, [fn(p) for p in points])
 
     @pytest.mark.parametrize("name", PRIMITIVES)
     def test_primitive_on_jets_over_arrays(self, name):
         fn = getattr(jets, name)
         points = self.POSITIVE if name in ("log", "sqrt") else self.X
         batched = fn(Jet(leaves(points), (np.ones(len(points)), 0.5)))
-        for k, p in enumerate(points):
-            single = fn(Jet(p, (1.0, 0.5)))
-            assert_ulps(batched.value[k], single.value, 1)
-            for slot, expected in zip(batched.partials, single.partials):
-                assert_ulps(np.broadcast_to(slot, len(points))[k], expected, 4)
+        singles = [fn(Jet(p, (1.0, 0.5))) for p in points]
+        assert_lanes(batched.value, [single.value for single in singles])
+        for slot, slot_value in enumerate(batched.partials):
+            assert_lanes(slot_value, [single.partials[slot] for single in singles])
+
+    @pytest.mark.parametrize("name", ("exp", "cosh", "sinh"))
+    def test_overflow_raises_as_math_does(self, name):
+        with pytest.raises(OverflowError):
+            getattr(jets, name)(leaves([0.5, 800.0, 1.0]))
 
     def test_intpow_is_exact(self):
         x = leaves(self.X)
@@ -115,7 +136,7 @@ class TestJetsArrayLeaves:
 
     def test_powf(self):
         out = jets.powf(leaves(self.POSITIVE), 1.7)
-        assert_ulps(out, [jets.powf(p, 1.7) for p in self.POSITIVE], 4)
+        assert_lanes(out, [jets.powf(p, 1.7) for p in self.POSITIVE])
 
     def test_ndarray_operators_defer_to_jet(self):
         jet = Jet(2.0, (1.0, 0.0))
@@ -159,19 +180,16 @@ class TestExprArrayLeaves:
         rng = np.random.default_rng(len(source))
         columns = [rng.uniform(lo + 0.01, hi - 0.01, size=12) for lo, hi in domain]
         points = list(zip(*[c.tolist() for c in columns]))
-        compiled = np.broadcast_to(fn(tuple(columns)), (12,))
-        evaluated = np.broadcast_to(expr.evaluate(field, dict(zip(names, columns))), (12,))
         floats = [fn(p) for p in points]
         assert floats == [expr.evaluate(field, dict(zip(names, p))) for p in points]
-        assert_ulps(compiled, floats, 8)
-        assert_ulps(evaluated, floats, 8)
+        assert_lanes(fn(tuple(columns)), floats)
+        assert_lanes(expr.evaluate(field, dict(zip(names, columns))), floats)
         # First-order jets over array leaves against jets over floats.
         batched = fn(tuple(seed_group(columns, range(len(names)))))
-        for k, p in enumerate(points):
-            single = fn(tuple(seed_group(list(p), range(len(names)))))
-            for i in range(len(names)):
-                got = np.broadcast_to(jets.partial(batched, i), (12,))[k]
-                assert_ulps(got, jets.partial(single, i), 64)
+        singles = [fn(tuple(seed_group(list(p), range(len(names))))) for p in points]
+        assert_lanes(jets.standard_part(batched), [jets.standard_part(s) for s in singles])
+        for i in range(len(names)):
+            assert_lanes(jets.partial(batched, i), [jets.partial(s, i) for s in singles])
 
     @pytest.mark.parametrize(
         "source,bad,match",
@@ -198,6 +216,43 @@ class TestExprArrayLeaves:
         assert np.all(np.isfinite(fn((good, x2))))
 
 
+def _lane(entry, k):
+    """Lane k of a scalar whose leaves are arrays or floats, at every jet level."""
+    if isinstance(entry, Jet):
+        return Jet(_lane(entry.value, k), tuple(_lane(p, k) for p in entry.partials))
+    return float(entry[k]) if isinstance(entry, np.ndarray) else entry
+
+
+def _flat(entry):
+    """Every leaf of a scalar, in slot order, as a repr (so -0.0 != 0.0)."""
+    if isinstance(entry, Jet):
+        return _flat(entry.value) + [leaf for p in entry.partials for leaf in _flat(p)]
+    return [repr(float(entry))]
+
+
+def _entries(nested):
+    """The scalars of nested lists, row by row."""
+    if isinstance(nested, (list, tuple)):
+        return [e for item in nested for e in _entries(item)]
+    return [nested]
+
+
+def assert_matches_lanes(batched, per_lane):
+    """Lane k of `batched` equals per_lane[k], for nested lists of scalars."""
+    for k, expected in enumerate(per_lane):
+        got = [_flat(_lane(e, k)) for e in _entries(batched)]
+        assert got == [_flat(e) for e in _entries(expected)], k
+
+
+def _random_batches(n, size, seed):
+    """Random SPD matrices and random unsymmetric ones, whose pivot rows vary by lane."""
+    rng = np.random.default_rng(seed)
+    root = rng.uniform(-1.0, 1.0, (size, n, n))
+    spd = root @ root.transpose(0, 2, 1) + 0.1 * np.eye(n)
+    general = rng.uniform(-1.0, 1.0, (size, n, n))
+    return [[[stack[:, i, j].copy() for j in range(n)] for i in range(n)] for stack in (spd, general)]
+
+
 class TestInvBatch:
     def test_matches_float_inverses(self):
         rng = np.random.default_rng(3)
@@ -208,23 +263,55 @@ class TestInvBatch:
             for i in range(n)
         ]
         matrix[0][2] = matrix[2][0] = 0.25  # a float entry mixed into the batch
-        batched = inv(matrix)
-        for k in range(size):
-            single = inv(
-                [[e if isinstance(e, float) else float(e[k]) for e in row] for row in matrix]
-            )
-            for i in range(n):
-                for j in range(n):
-                    assert batched[i][j][k] == pytest.approx(single[i][j], rel=1e-14, abs=1e-15)
+        lanes = [[[_lane(e, k) for e in row] for row in matrix] for k in range(size)]
+        assert_matches_lanes(inv(matrix), [inv(m) for m in lanes])
+        assert_matches_lanes(det(matrix), [det(m) for m in lanes])
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_random_batches_equal_float_path(self, n):
+        size = 100
+        for matrix in _random_batches(n, size, seed=n):
+            lanes = [[[_lane(e, k) for e in row] for row in matrix] for k in range(size)]
+            assert_matches_lanes(inv(matrix), [inv(m) for m in lanes])
+            assert_matches_lanes(det(matrix), [det(m) for m in lanes])
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_jets_over_arrays_equal_jets_over_floats(self, n):
+        size = 40
+        for matrix in _random_batches(n, size, seed=10 + n):
+            # Entry (i, j) depends on a two-slot seed, so every pivot carries partials.
+            t = seed_group([np.zeros(size), 0.0], range(2))
+            jets_matrix = [
+                [e + (0.1 * (i + 1)) * t[0] - (0.05 * j) * t[1] * e for j, e in enumerate(row)]
+                for i, row in enumerate(matrix)
+            ]
+            lanes = [[[_lane(e, k) for e in row] for row in jets_matrix] for k in range(size)]
+            assert_matches_lanes(inv(jets_matrix), [inv(m) for m in lanes])
+            assert_matches_lanes(det(jets_matrix), [det(m) for m in lanes])
 
     def test_singular_member_raises(self):
         a = leaves([1.0, 2.0, 1.0])
         with pytest.raises(SingularMatrixError):
             inv([[a, 1.0], [1.0, leaves([3.0, 4.0, 1.0])]])
 
+    def test_det_of_a_singular_lane_is_the_float_value(self):
+        # Lane 1 has a zero pivot in column 0, lane 2 in column 1.
+        matrix = [
+            [leaves([2.0, 0.0, 1.0]), leaves([1.0, 1.0, 2.0]), 0.5],
+            [leaves([1.0, 0.0, 2.0]), leaves([3.0, 2.0, 4.0]), 1.0],
+            [0.25, leaves([0.5, 0.0, 1.0]), leaves([1.0, 1.0, 3.0])],
+        ]
+        lanes = [[[_lane(e, k) for e in row] for row in matrix] for k in range(3)]
+        expected = [det(m) for m in lanes]
+        assert expected[1] == 0.0 and expected[2] == 0.0
+        assert_matches_lanes(det(matrix), expected)
+
 
 def _space_cases():
-    return [(name, None) for name in catalog.NAMES] + [("generated-hopf-n3", HOPF_SPEC)]
+    return [(name, None) for name in catalog.NAMES] + [
+        ("generated-hopf-n3", HOPF_SPEC),
+        ("lane-pivots", PIVOT_SPEC),
+    ]
 
 
 class TestTransportBatch:
@@ -238,7 +325,7 @@ class TestTransportBatch:
         batch = s_curvature_transport_batch(F, measure, xs, vs)
         single = [s_curvature_transport(F, measure, x, v) for x, v in pairs]
         assert len(batch) == 20
-        assert max(abs(b - s) for b, s in zip(batch, single)) <= 1e-12
+        assert [repr(b) for b in batch] == [repr(s) for s in single]
 
     def test_one_probe_reproduces_recorded_values(self, spaces, structures):
         # Values of the per-probe float oracle recorded before the batch existed.
@@ -322,7 +409,7 @@ class TestGeodesicBatch:
             single = geodesic(F, x, v, t, steps=40)
             assert [float(s[k]) for s in run.times[1:]] == single.times[1:]
             for p, q in zip(run.points + run.velocities, single.points + single.velocities):
-                assert [float(c[k]) for c in p] == pytest.approx(q, rel=1e-13, abs=1e-14)
+                assert tuple(float(c[k]) for c in p) == q
 
     def test_any_failing_trajectory_gives_none(self, structures):
         F = structures["flat-const"]
@@ -350,3 +437,167 @@ class TestGeodesicBatch:
                     randers.finsler(space), busemann_hausdorff_measure(space),
                     [(0.0, 0.0), (0.0095, 0.0)], [(1.0, 0.0)] * 2,
                 )
+
+
+def per_point_loop(fn, points):
+    """jets.lanewise's fallback alone: fn on float leaves, point by point."""
+    return [jets._unstack(fn(p), 1)[0] for p in points]
+
+
+def batch_only(fn, points):
+    """jets.lanewise without its fallback: a batch that fails raises."""
+    points = list(points)
+    with np.errstate(all="raise", under="ignore"):
+        lanes = [np.array(c, dtype=float) for c in zip(*points)]
+        return jets._unstack(fn(lanes), len(points))
+
+
+def run_cli(argv):
+    """(exit code, JSON report without wall_time_s) of one in-process call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    report = json.loads(out.getvalue())
+    report.pop("wall_time_s", None)
+    return code, report
+
+
+def outcome(call):
+    """The repr of what a call returns, or the type and message of what
+    it raises."""
+    try:
+        return "returned", repr(call())
+    except Exception as exc:  # noqa: BLE001 - the comparison is the test
+        return type(exc).__name__, str(exc)
+
+
+class TestLanePivots:
+    def test_pivot_rows_vary_across_the_grid(self):
+        space, _, points = manifest.probed_space(PIVOT_SPEC, 100, 0)
+        a = randers.a_at(space, [leaves(c) for c in zip(*points)])
+        row_one = np.abs(a[1][0]) > np.abs(a[0][0])
+        assert row_one.any() and not row_one.all()
+
+    def test_inv_and_det_of_the_metric_equal_the_float_path(self):
+        space, _, points = manifest.probed_space(PIVOT_SPEC, 100, 0)
+        columns = [leaves(c) for c in zip(*points)]
+        for batched, singles in (
+            (columns, [list(p) for p in points]),
+            (seed_group(columns, range(2)), [seed_group(list(p), range(2)) for p in points]),
+        ):
+            a = randers.a_at(space, batched)
+            per_lane = [randers.a_at(space, x) for x in singles]
+            assert_matches_lanes(inv(a), [inv(m) for m in per_lane])
+            assert_matches_lanes(det(a), [det(m) for m in per_lane])
+
+    @pytest.mark.parametrize("command", ["analyze", "validate"])
+    def test_report_through_the_batch_equals_the_per_point_path(self, tmp_path, command):
+        path = tmp_path / "pivots.json"
+        path.write_text(json.dumps(PIVOT_SPEC))
+        argv = [command, str(path), "--seed", "3"]
+        if command == "validate":
+            argv += ["--mc-samples", "10000"]
+        calls = []
+        beta_length = randers.beta_length
+
+        def counted(space, x, *rest):
+            calls.append(isinstance(x[0], np.ndarray))
+            return beta_length(space, x, *rest)
+
+        with mock.patch.object(jets, "lanewise", batch_only), \
+                mock.patch.object(randers, "beta_length", counted):
+            batched = run_cli(argv)
+        assert calls.count(True) == 1  # validate_space: one call over the grid
+        with mock.patch.object(jets, "lanewise", per_point_loop):
+            assert run_cli(argv) == batched
+        assert batched[0] == (cli.EXIT_NO_MEASURE if command == "analyze" else cli.EXIT_OK)
+
+    def test_geodesic_batch_runs(self):
+        space = manifest.space_from_spec(PIVOT_SPEC)
+        F = randers.finsler(space)
+        pairs = probe_pairs(space.chart, 30)
+        run = geodesic_batch(F, [x for x, _ in pairs], [v for _, v in pairs], [0.05] * 30, 10)
+        assert run is not None
+
+
+def _failing_specs():
+    """Spaces on (-1, 1)^2 that fail at exactly one point of the probe grid
+    (100 probes, seed 0): the one where s = x1 + x2 is smallest or largest."""
+    chart = catalog.space("flat-const").chart
+    points = manifest.probe_grid(chart, 100, 0)[1]
+    sums = sorted(x1 + x2 for x1, x2 in points)
+    low = 0.5 * (sums[0] + sums[1])  # only the smallest s lies below
+    high = 0.5 * (sums[-1] + sums[-2])  # only the largest s lies above
+    lowest = min(points, key=sum)
+    overflow = math.log(sys.float_info.max)  # where math.exp starts to raise
+
+    def spec(name, metric00, beta0):
+        return {
+            "schema": 1, "name": name, "dimension": 2, "coordinates": ["x1", "x2"],
+            "metric": [[metric00, "0"], ["0", "1"]], "beta": [beta0, "0.1"],
+            "domain": [[-1.0, 1.0], [-1.0, 1.0]],
+        }
+
+    return {
+        "not-positive-definite": (
+            spec("npd", f"x1 + x2 - {low!r}", "0.1"), "InvalidSpaceError", f"at x = {lowest!r}"
+        ),
+        "length-reaches-one": (
+            # ||beta||^2 = b0^2 + 0.01 reaches 1 where b0 > sqrt(0.99)
+            spec("long", "1", f"0.5*(x1 + x2) + {math.sqrt(0.99) - 0.5 * high!r}"),
+            "InvalidSpaceError", "one-form length reaches 1",
+        ),
+        "expression-domain": (
+            spec("domain", f"1 + sqrt(x1 + x2 - {low!r})", "0.1"),
+            "ExprDomainError", "sqrt of non-positive",
+        ),
+        "math-overflow": (
+            spec("overflow", f"1 + exp({overflow!r} + 1000*(x1 + x2 - {high!r}))", "0.1"),
+            "OverflowError", "math range error",
+        ),
+    }
+
+
+class TestFailureParity:
+    """A batch that fails hands the grid to the per-point float loop, so
+    every failure reads as it does there: same exception type and
+    message, same CLI exit code and report."""
+
+    @pytest.mark.parametrize("case", sorted(_failing_specs()))
+    def test_probed_space(self, case):
+        spec, kind, fragment = _failing_specs()[case]
+        batched = outcome(lambda: manifest.probed_space(spec, 100, 0)[1:])
+        with mock.patch.object(jets, "lanewise", per_point_loop):
+            assert outcome(lambda: manifest.probed_space(spec, 100, 0)[1:]) == batched
+        assert batched[0] == kind and fragment in batched[1]
+
+    @pytest.mark.parametrize("case", sorted(_failing_specs()))
+    def test_beta_analysis_and_verdict(self, case):
+        spec = _failing_specs()[case][0]
+        space = randers.build_space(spec["coordinates"], spec["domain"], spec["metric"], spec["beta"])
+        points = manifest.probe_grid(space.chart, 100, 0)[1]
+
+        def verdict():
+            v = randers.theorem_verdict(space, points)
+            return vars(v.analysis), v.reason, v.bh_density_probe_values
+
+        batched = outcome(verdict)
+        with mock.patch.object(jets, "lanewise", per_point_loop):
+            assert outcome(verdict) == batched
+
+    @pytest.mark.parametrize("command", ["analyze", "validate"])
+    @pytest.mark.parametrize("case", sorted(_failing_specs()))
+    def test_cli(self, tmp_path, case, command):
+        spec, kind, _ = _failing_specs()[case]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        argv = [command, str(path), "--seed", "0"]
+        batched = outcome(lambda: run_cli(argv))
+        with mock.patch.object(jets, "lanewise", per_point_loop):
+            assert outcome(lambda: run_cli(argv)) == batched
+        if kind == "OverflowError":  # not a spec error the CLI reports
+            assert batched[0] == "OverflowError"
+        else:
+            code, report = run_cli(argv)
+            assert code == cli.EXIT_INVALID_SPEC
+            assert report["error"]["type"] == kind

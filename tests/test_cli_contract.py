@@ -6,7 +6,9 @@ seeds, must print strict JSON on stdout (no NaN, no Infinity), return
 an exit code the `cli` docstring documents, raise nothing, and print the
 same report again on a rerun (wall_time_s excluded).  Command lines that
 argparse itself rejects are a JSON UsageError with exit 2 and nothing on
-stderr.
+stderr.  The same contract holds for `analyze` and `validate` on specs
+drawn from the benchmark's generator (perfbench/specgen.py, imported
+as it is): every family at n = 2-4, with seeded coefficients.
 """
 
 import contextlib
@@ -14,7 +16,10 @@ import io
 import json
 import math
 import os
+import random
 import re
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -22,6 +27,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finslerlab import catalog, cli, scurvature
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import specgen  # noqa: E402
 
 # "0 success ..., 1 invalid spec ..., 2 usage error, ..." in the cli docstring
 DOCUMENTED_EXIT_CODES = {
@@ -110,6 +118,30 @@ def invocations(draw):
     # --flag=value keeps argparse from reading a value like -1,0 as a flag
     options = [flag if value is None else f"{flag}={value}" for flag, value in flags.items()]
     return name, [command, *options], env_seed
+
+
+@st.composite
+def generated_invocations(draw):
+    """(spec from specgen, argv after the spec path): analyze or validate
+    on a drawn family, dimension, expression size and coefficient seed."""
+    family = draw(st.sampled_from(specgen.FAMILIES))
+    n = draw(st.sampled_from(specgen.DIMENSIONS[family]))
+    size = draw(st.sampled_from(specgen.SIZES))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    spec = specgen.generate(rng, family, n, size, f"contract-{family}-n{n}-s{size}")
+    command = draw(st.sampled_from(["analyze", "validate"]))
+    if command == "analyze":
+        flags = {"--tol-killing": draw(st.sampled_from([1e-9, 1e-8, 1e-6]))}
+        probes = draw(st.sampled_from([None, 0, 1, 4, 20]))
+    else:
+        flags = {"--transport-probes": draw(st.integers(0, 2)), "--mc-samples": 10_000}
+        probes = draw(st.integers(1, 3))
+    if probes is not None:
+        flags["--probes"] = probes
+    seed = draw(st.one_of(st.none(), st.integers(0, 5)))
+    if seed is not None:
+        flags["--seed"] = seed
+    return spec, [command, *(f"{flag}={value}" for flag, value in flags.items())]
 
 
 def _not_a(kind, text):
@@ -203,6 +235,25 @@ def test_every_invocation_keeps_the_contract(spec_paths, invocation):
     json.loads(out, parse_constant=_reject_constant)
     assert "Traceback" not in err
     again_code, again_out, _ = _run(argv, env_seed)
+    assert (again_code, WALL_TIME.sub("", again_out)) == (code, WALL_TIME.sub("", out))
+
+
+@settings(max_examples=40, deadline=None)
+@given(generated_invocations())
+def test_generated_specs_keep_the_contract(tmp_path_factory, invocation):
+    spec, (command, *options) = invocation
+    path = tmp_path_factory.mktemp("generated") / f"{spec['name']}.json"
+    path.write_bytes(specgen.dump(spec))
+    argv = [command, str(path), *options]
+    code, out, err = _run(argv, None)
+    assert code in DOCUMENTED_EXIT_CODES
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert "Traceback" not in err
+    if command == "analyze" and not any(o.startswith("--probes") for o in options):
+        expected = specgen.expectation(spec)
+        assert code == (cli.EXIT_OK if expected["admits"] else cli.EXIT_NO_MEASURE)
+        assert report["results"]["reason"] == expected["reason"]
+    again_code, again_out, _ = _run(argv, None)
     assert (again_code, WALL_TIME.sub("", again_out)) == (code, WALL_TIME.sub("", out))
 
 

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets, randers, scurvature
-from .core import PairTensors, euler_identity_residual, fundamental_tensor
+from .core import PairTensors, _connection_at, euler_identity_residual, fundamental_tensor
+from .jets import _leaves, partial, seed_group, standard_part
 from .jets import exp as jet_exp
-from .jets import partial, seed_group, standard_part
+from .linalg import _stacked
 from .randers import RandersSpace
 
 __all__ = ["CheckResult", "run_checks"]
@@ -64,42 +65,45 @@ def run_checks(
     results: list[CheckResult] = []
 
     # F positivity and 1-homogeneity; g recovers F^2 and is 0-homogeneous.
-    min_f = math.inf
-    homog = 0.0
-    gvv = 0.0
-    g_homog = 0.0
-    min_eig = math.inf
-    cartan_defect = 0.0
-    n_rewrite = 0.0
-    euler = 0.0
-    tensors = []  # one PairTensors per pair: g, A, N, G for every check below
-    for x, v in pairs:
+    # Each loop over the probes is one jets.lanewise pass: a function of
+    # one probe's values, evaluated once over array leaves with one lane
+    # per probe.  The folds below take each sup in the per-pair order.
+    def pair_row(p):  # p = (*x, *v) of one pair
+        x, v = p[:n], p[n:]
         fv = F(x, v)
-        min_f = min(min_f, fv)
-        for c in (0.5, 2.0, 3.0):
-            cv = [c * vi for vi in v]
-            homog = max(homog, abs(F(x, cv) - c * fv) / fv)
-        t = PairTensors(F, x, v)
-        tensors.append(t)
+        homog = [abs(F(x, [c * vi for vi in v]) - c * fv) / fv for c in (0.5, 2.0, 3.0)]
+        t = PairTensors(F, x, v)  # g, A, N, G for every check below
         g = t.g
         quad = sum(g[i][j] * v[i] * v[j] for i in range(n) for j in range(n))
-        gvv = max(gvv, abs(quad - fv * fv) / (fv * fv))
         g2 = fundamental_tensor(F, x, [2.0 * vi for vi in v])
-        g_homog = max(
-            g_homog, max(abs(g2[i][j] - g[i][j]) for i in range(n) for j in range(n))
-        )
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(np.array(g)).min()))
-        cartan_defect = max(
-            cartan_defect,
-            max(abs(sum(t.A[i][j][k] * v[k] for k in range(n))) for i in range(n) for j in range(n)),
-        )
         Nd = t.definitional_N()
-        n_rewrite = max(
-            n_rewrite,
-            max(abs(t.N[i][j] - Nd[i][j]) for i in range(n) for j in range(n)),
-        )
-        euler = max(euler, euler_identity_residual(F, x, v))
-    connections = [t.N for t in tensors]  # shared by every measure's S below
+        return [
+            fv,
+            homog,
+            abs(quad - fv * fv) / (fv * fv),
+            jets.maximum([abs(g2[i][j] - g[i][j]) for i in range(n) for j in range(n)]),
+            np.linalg.eigvalsh(_stacked(g)).min(axis=-1),
+            jets.maximum(
+                [abs(sum(t.A[i][j][k] * v[k] for k in range(n))) for i in range(n) for j in range(n)]
+            ),
+            jets.maximum([abs(t.N[i][j] - Nd[i][j]) for i in range(n) for j in range(n)]),
+            euler_identity_residual(F, x, v),
+            t.N,
+            t.G,
+        ]
+
+    rows = jets.lanewise(pair_row, [(*x, *v) for x, v in pairs])
+    fvs, homogs, gvvs, g_homogs, eigs, cartans, rewrites, eulers, connections, sprays = (
+        map(list, zip(*rows)) if rows else [[]] * 10
+    )
+    min_f = min([math.inf, *fvs])
+    homog = max([0.0, *(h for row in homogs for h in row)])
+    gvv = max([0.0, *gvvs])
+    g_homog = max([0.0, *g_homogs])
+    min_eig = min([math.inf, *eigs])
+    cartan_defect = max([0.0, *cartans])
+    n_rewrite = max([0.0, *rewrites])
+    euler = max([0.0, *eulers])
     results.append(
         CheckResult("finsler-positivity", min_f, 0.0, min_f > 0.0, note="min F over probes; must stay positive")
     )
@@ -113,13 +117,11 @@ def run_checks(
     results.append(_result("connection-rewrite-vs-definitional", n_rewrite, 1e-8))
     results.append(_result("euler-v-over-F", euler, 1e-9, "(n-1)/F identity"))
 
-    # One-form identities.  Each loop over the probes below is one
-    # jets.lanewise pass: a function of one probe's values, evaluated
-    # once over array leaves with one lane per probe.
+    # One-form identities.
     analysis = randers.analyze_beta(space, points)
 
     def gradient_gap(p):  # p = (*x, *d(||beta||^2)/dx by the covariant path)
-        lsq = randers.beta_length_squared(space, seed_group(randers._leaves(p[:n]), range(n)))
+        lsq = randers.beta_length_squared(space, seed_group(_leaves(p[:n]), range(n)))
         direct = [standard_part(partial(lsq, i)) for i in range(n)]
         return jets.maximum([abs(a - b) for a, b in zip(p[n:], direct)])
 
@@ -137,7 +139,7 @@ def run_checks(
         dx, dy = randers._v_traces(data, v)
         return [spray, abs(dx), abs(dy - randers._trace_dY_closed_form(data, v))]
 
-    rows = jets.lanewise(spray_and_traces, [(*x, *v, *t.G) for (x, v), t in zip(pairs, tensors)])
+    rows = jets.lanewise(spray_and_traces, [(*x, *v, *G) for (x, v), G in zip(pairs, sprays)])
     spray_diff, trace_x, trace_y = [max([0.0, *column]) for column in zip(*rows)] or [0.0] * 3
     results.append(
         _result("spray-closed-vs-generic", spray_diff, 1e-8, "relative to 1 + |G|_inf")
@@ -180,8 +182,18 @@ def run_checks(
     # S-curvature: formula vs transport, homogeneity, measure laws.  Every
     # measure's S at a probe pair reads the pair's one N; S for the BH
     # measure is evaluated once per pair and read by every check.
+    def s_at_pairs(measures, count):
+        """S under each of `measures` at each of the first `count` pairs."""
+
+        def s_row(p):  # p = (*x, *v, *N row by row) of one pair
+            x, v, N = p[:n], p[n : 2 * n], [p[(2 + i) * n : (3 + i) * n] for i in range(n)]
+            return [scurvature.s_curvature_from(N, m, x, v) for m in measures]
+
+        grid = zip(pairs[:count], connections)
+        return jets.lanewise(s_row, [(*x, *v, *sum(N, [])) for (x, v), N in grid])
+
     bh = scurvature.busemann_hausdorff_measure(space)
-    s_bh = [scurvature.s_curvature_from(N, bh, x, v) for N, (x, v) in zip(connections, pairs)]
+    s_bh = [s for s, in s_at_pairs([bh], len(pairs))]
     transport_pairs = pairs[: min(transport_probes, len(pairs))]
     formula = s_bh[: len(transport_pairs)]
     transport = scurvature.s_curvature_transport_batch(
@@ -192,18 +204,23 @@ def run_checks(
         _result("s-formula-vs-transport", transport_diff, 1e-5, "h = 1e-3, Richardson")
     )
 
+    # S at 0.5v and 2v builds its own N: one lane per (pair, c).
     subset = pairs[:20]
-    s_homog = 0.0
-    scale_diff = 0.0
-    shift_diff = 0.0
+
+    def s_bh_own_n(p):  # p = (*x, *w) with w = c v
+        x, w = p[:n], p[n:]
+        return scurvature.s_curvature_from(_connection_at(F, x, w), bh, x, w)
+
+    cs = (0.5, 2.0)
+    s_cv = jets.lanewise(s_bh_own_n, [(*x, *[c * vi for vi in v]) for x, v in subset for c in cs])
     scaled = scurvature.Measure("custom", lambda xx: 2.7 * bh.density(xx))
     shifted = scurvature.Measure("custom", lambda xx: jet_exp(xx[0]) * bh.density(xx))
-    for (x, v), N, s0 in zip(subset, connections, s_bh):
-        for c in (0.5, 2.0):
-            sc = scurvature.s_curvature(F, bh, x, [c * vi for vi in v])
+    laws = s_at_pairs([scaled, shifted], len(subset))
+    s_homog = scale_diff = shift_diff = 0.0
+    for k, ((x, v), s0, (scaled_s, shifted_s)) in enumerate(zip(subset, s_bh, laws)):
+        for c, sc in zip(cs, s_cv[2 * k : 2 * k + 2]):
             s_homog = max(s_homog, abs(sc - c * s0) / (1.0 + abs(s0)))
-        scale_diff = max(scale_diff, abs(scurvature.s_curvature_from(N, scaled, x, v) - s0))
-        shifted_s = scurvature.s_curvature_from(N, shifted, x, v)
+        scale_diff = max(scale_diff, abs(scaled_s - s0))
         shift_diff = max(shift_diff, abs(shifted_s - (s0 - v[0])))
     results.append(_result("s-homogeneity", s_homog, 1e-9, "relative to 1 + |S|"))
     results.append(_result("measure-scale-invariance", scale_diff, 1e-12, "sigma -> 2.7 sigma"))
@@ -224,13 +241,9 @@ def run_checks(
             _result("theorem-end-to-end", max_s_bh, tol_s, "admits: S vanishes for the BH measure")
         )
     else:
-        floor = min(
-            max(
-                abs(scurvature.s_curvature_from(N, m, x, v))
-                for N, (x, v) in zip(connections, pairs)
-            )
-            for m in (scurvature.lebesgue_measure(), scurvature.riemannian_volume_measure(space))
-        )
+        measures = [scurvature.lebesgue_measure(), scurvature.riemannian_volume_measure(space)]
+        rows = s_at_pairs(measures, len(pairs))
+        floor = min(max(abs(row[k]) for row in rows) for k in range(len(measures)))
         floor = min(floor, max_s_bh)
         results.append(
             CheckResult(

@@ -10,9 +10,12 @@
 Reports are strict JSON on stdout (no NaN or Infinity); re-running with
 identical inputs and seed reproduces the report byte for byte except the
 wall_time_s field.  Exit codes: 0 success (analyze: measure admitted),
-1 invalid spec or failed validation, 2 usage error, 3 no admissible
-measure, 4 runtime domain warning (a path left the chart or blew up, or
-a result came out non-finite).  FINSLERLAB_SEED sets the default seed;
+1 invalid spec or failed validation (among them a spec expression that
+is undefined or overflows, an OverflowError from math, at a point the
+command evaluates), 2 usage error, 3 no admissible measure, 4 runtime
+domain warning (a path left the chart or blew up, an RK4 stage point of
+geodesic or s-curvature --oracle overflowed, or a result came out
+non-finite).  FINSLERLAB_SEED sets the default seed;
 an explicit --seed wins.  Seeds are integers in [0, 2**64).
 """
 
@@ -53,7 +56,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (SpecValidationError, InvalidSpaceError, ExprError, FileNotFoundError) as exc:
+    except (
+        SpecValidationError, InvalidSpaceError, ExprError, FileNotFoundError, OverflowError
+    ) as exc:
         _emit_error(type(exc).__name__, str(exc))
         return EXIT_INVALID_SPEC
     except NonFiniteResultError as exc:
@@ -292,7 +297,7 @@ def cmd_s_curvature(args) -> int:
             )
         except (DomainExitError, NonFiniteStateError) as exc:
             warning = {"type": type(exc).__name__, "message": str(exc), "exit_time": exc.time}
-        except ExprDomainError as exc:  # an RK4 stage point outside an expression's domain
+        except (ExprDomainError, OverflowError) as exc:  # at an RK4 stage point
             warning = {"type": type(exc).__name__, "message": str(exc)}
     report = _base_report("s-curvature", digest, data, seed)
     report["results"] = {
@@ -340,6 +345,9 @@ def cmd_geodesic(args) -> int:
         warning = {"type": "DomainExitError", "message": str(exc), "exit_time": exc.time}
     except NonFiniteStateError as exc:
         _emit_error("NonFiniteStateError", str(exc), time=exc.time)
+        return EXIT_RUNTIME_WARNING
+    except OverflowError as exc:  # a spec expression at an RK4 stage point
+        _emit_error("OverflowError", str(exc))
         return EXIT_RUNTIME_WARNING
     speeds = [float(F(x, v)) for x, v in zip(path.points, path.velocities)]
     if args.csv:

@@ -4,10 +4,12 @@ Everything is derived from one scalar function F(x, v) that must be
 positively 1-homogeneous in v and smooth away from v = 0.  Derivatives
 are taken with nested jets, so the fundamental tensor, Cartan tensor,
 formal Christoffel symbols, spray and nonlinear connection come out
-exact up to rounding.  PairTensors holds all of them at one probe pair
-from a single jet evaluation of F^2/2; the public functions that need
-less (fundamental_tensor, spray, nonlinear_connection) seed only the
-levels they read.
+exact up to rounding.  PairTensors holds all of them from a single jet
+evaluation of F^2/2, per pair or per lane: on float leaves for one
+probe pair, on 1-D array leaves for a grid of pairs with one lane per
+pair, each lane equal to the float evaluation of its pair bit for bit.
+The public functions that need less (fundamental_tensor, spray,
+nonlinear_connection) seed only the levels they read.
 
 Conventions match the source data for this tool: the geodesic equation
 is eta'' + G(eta') = 0 with G the plain gamma-contraction (no factor 2),
@@ -24,8 +26,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .jets import Scalar, partial, seed_group, standard_part, value_of
-from .linalg import inv, sum_
+from .jets import Scalar, _leaves, partial, seed_group, standard_part, value_of
+from .linalg import _stacked, inv, sum_
 
 __all__ = [
     "CoordinateChart",
@@ -129,11 +131,18 @@ class GeodesicPath:
 
 
 def _check_nonzero(v) -> None:
-    norm = math.hypot(*(standard_part(c) for c in v))
-    if norm < MIN_VECTOR_NORM:
-        raise StructureValidityError(
-            f"tangent vector too close to 0 (|v| = {norm}); tensors are undefined there"
-        )
+    """Raises unless |v| >= MIN_VECTOR_NORM; over array leaves, in every lane."""
+    parts = [standard_part(c) for c in v]
+    if any(isinstance(c, np.ndarray) for c in parts):
+        lanes = zip(*[c.tolist() for c in np.broadcast_arrays(*parts)])
+    else:
+        lanes = (parts,)
+    for lane in lanes:
+        norm = math.hypot(*lane)
+        if norm < MIN_VECTOR_NORM:
+            raise StructureValidityError(
+                f"tangent vector too close to 0 (|v| = {norm}); tensors are undefined there"
+            )
 
 
 def _is_exact_zero(v) -> bool:
@@ -163,10 +172,11 @@ def _metric_and_dx(F: FinslerStructure, x, v) -> tuple[list, list]:
 
 
 def _checked_standard_part(g, x, v) -> list[list[float]]:
-    """The standard parts of g; raises unless they form a positive definite matrix."""
+    """The standard parts of g; raises unless they form a positive definite
+    matrix (in every lane, by one stacked Cholesky, over array leaves)."""
     gf = [[standard_part(e) for e in row] for row in g]
     try:
-        np.linalg.cholesky(np.array(gf))
+        np.linalg.cholesky(_stacked(gf))
     except np.linalg.LinAlgError:
         raise StructureValidityError(
             f"fundamental tensor not positive definite at x={tuple(map(standard_part, x))}, "
@@ -234,11 +244,20 @@ def spray(F: FinslerStructure, x, v) -> list:
 
 def nonlinear_connection(F: FinslerStructure, x, v) -> list[list[float]]:
     """N^i_j = (1/2) dG^i/dv^j via one extra jet level; N(0) = 0."""
-    n = F.chart.dimension
     if _is_exact_zero(v):
+        n = F.chart.dimension
         return [[0.0] * n for _ in range(n)]
-    s = seed_group([float(c) for c in x] + [float(c) for c in v], range(n, 2 * n))
-    return _connection_from(spray(F, s[:n], s[n:]))
+    return _connection_at(F, x, v)
+
+
+def _connection_at(F: FinslerStructure, x, v) -> list:
+    """nonlinear_connection at a v != 0, over float or array leaves."""
+    n = F.chart.dimension
+    s = seed_group(_leaves(x) + _leaves(v), range(n, 2 * n))
+    xs, vs = s[:n], s[n:]
+    _check_nonzero(vs)
+    g, dg = _metric_and_dx(F, xs, vs)
+    return _connection_from(_spray_from(_gamma_from(inv(g), dg), vs))
 
 
 def nonlinear_connection_definitional(F: FinslerStructure, x, v) -> list[list[float]]:
@@ -247,14 +266,17 @@ def nonlinear_connection_definitional(F: FinslerStructure, x, v) -> list[list[fl
 
 
 class PairTensors:
-    """What one evaluation of F^2/2 at a float probe (x, v) holds.
+    """What one evaluation of F^2/2 at (x, v) holds, per pair or per lane.
 
     F^2/2 is evaluated once, over the four jet levels (v, v, v, x) that
     nonlinear_connection uses.  The value slots of the g jets are g_ij,
     their outer-v partials give the Cartan tensor, and the formal
     Christoffel symbols gamma, the spray G and the nonlinear connection N
-    follow from the same jets.  Every entry is a float; f is F(x, v).
-    The (x, v) counterpart of randers._PointData.
+    follow from the same jets.  f is F(x, v).  On float leaves every
+    entry is a float; on 1-D array leaves (a grid of pairs, one lane per
+    pair, as jets.lanewise passes them) every entry is an array whose
+    lane k equals the float entry of pair k bit for bit.  The (x, v)
+    counterpart of randers._PointData.
     """
 
     __slots__ = ("f", "g", "g_inv", "A", "gamma", "G", "N", "v")
@@ -262,7 +284,7 @@ class PairTensors:
     def __init__(self, F: FinslerStructure, x, v):
         _check_nonzero(v)
         n = F.chart.dimension
-        s = seed_group([float(c) for c in x] + [float(c) for c in v], range(n, 2 * n))
+        s = seed_group(_leaves(x) + _leaves(v), range(n, 2 * n))
         g, dg = _metric_and_dx(F, s[:n], s[n:])
         self.g = _checked_standard_part(g, x, v)
         g_inv = inv(g)
@@ -422,10 +444,10 @@ def _rk4(spray_fn: Callable, x: list, u: list, h, steps: int):
 
 
 def euler_identity_residual(F: FinslerStructure, x, v) -> float:
-    """| sum_i d/dv^i (v^i / F) - (n-1)/F | at a float probe."""
+    """| sum_i d/dv^i (v^i / F) - (n-1)/F |, per pair or per lane."""
     _check_nonzero(v)
     n = F.chart.dimension
-    s = seed_group([float(c) for c in x] + [float(c) for c in v], range(n, 2 * n))
+    s = seed_group(_leaves(x) + _leaves(v), range(n, 2 * n))
     xs, vs = s[:n], s[n:]
     fval = F(xs, vs)
     trace = sum_(partial(vs[i] / fval, i) for i in range(n))

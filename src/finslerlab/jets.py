@@ -253,6 +253,11 @@ def lanewise(fn: Callable, points: Sequence) -> list:
     return [_unstack(fn(p), 1)[0] for p in points]
 
 
+def _leaves(values) -> list:
+    """Float coordinates as floats, array coordinates (a batch) as they are."""
+    return [c if isinstance(c, np.ndarray) else float(c) for c in values]
+
+
 def _unstack(value, size: int) -> list:
     """The `size` lanes of nested lists whose leaves are floats or arrays."""
     if isinstance(value, (list, tuple)):

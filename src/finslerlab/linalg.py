@@ -100,6 +100,16 @@ def inv(matrix) -> list:
     return b
 
 
+def _stacked(matrix) -> np.ndarray:
+    """A matrix of float or 1-D array leaves as one (n, n) or (lanes, n, n) array."""
+    entries = [e for row in matrix for e in row]
+    if not any(isinstance(e, np.ndarray) for e in entries):
+        return np.array(matrix, dtype=float)
+    n = len(matrix)
+    flat = np.array(np.broadcast_arrays(*entries))
+    return np.moveaxis(flat, 0, -1).reshape(flat.shape[1:] + (n, n))
+
+
 def _has_lanes(matrix) -> bool:
     return any(isinstance(standard_part(e), np.ndarray) for row in matrix for e in row)
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import expr, jets
 from .core import CoordinateChart, FinslerStructure, probe_points
-from .jets import Jet, Scalar, partial, seed_group, standard_part
-from .linalg import det, inv, sum_
+from .jets import Jet, Scalar, _leaves, partial, seed_group, standard_part
+from .linalg import _stacked, det, inv, sum_
 
 __all__ = [
     "RandersSpace",
@@ -228,18 +228,6 @@ def a_at(space: RandersSpace, x) -> list:
 def b_at(space: RandersSpace, x) -> list:
     args = tuple(x)
     return [fn(args) for fn in _fns(space)["b"]]
-
-
-def _stacked(matrix) -> np.ndarray:
-    """A matrix of float or 1-D array leaves as one (n, n) or (lanes, n, n) array."""
-    n = len(matrix)
-    flat = np.array(np.broadcast_arrays(*[e for row in matrix for e in row]))
-    return np.moveaxis(flat, 0, -1).reshape(flat.shape[1:] + (n, n))
-
-
-def _leaves(values) -> list:
-    """Float coordinates as floats, array coordinates (a batch) as they are."""
-    return [c if isinstance(c, np.ndarray) else float(c) for c in values]
 
 
 def alpha(space: RandersSpace, x, v) -> Scalar:

@@ -31,7 +31,7 @@ from .core import (
     geodesic_batch,
     nonlinear_connection,
 )
-from .jets import partial, seed_group, standard_part
+from .jets import _leaves, partial, seed_group, standard_part
 from .linalg import det
 from .randers import RandersSpace
 
@@ -139,25 +139,30 @@ def s_curvature_from(N, measure: Measure, x, v) -> float:
     """The trace formula given the nonlinear connection N = N(x, v).
 
     N depends on F alone, so callers that read several measures at one
-    (x, v) compute it once and pass it to each.
+    (x, v) compute it once and pass it to each.  Generic over leaves: on
+    1-D array leaves (one lane per pair) every lane is the float value of
+    its pair, and the density must be positive in every lane.
     """
     n = len(N)
     trace = sum(N[i][i] for i in range(n))
-    xs = seed_group([float(c) for c in x], range(n))
+    xs = seed_group(_leaves(x), range(n))
     sigma = measure.density(xs)
     sigma_val = standard_part(sigma)
-    if not sigma_val > 0.0:
+    lowest = sigma_val.min() if isinstance(sigma_val, np.ndarray) else sigma_val
+    if not lowest > 0.0:
         raise ValueError(f"measure density {sigma_val} is not positive at x = {tuple(x)}")
     dlog = [standard_part(partial(sigma, i)) / sigma_val for i in range(n)]
-    return trace - sum(float(v[i]) * dlog[i] for i in range(n))
+    v = _leaves(v)
+    return trace - sum(v[i] * dlog[i] for i in range(n))
 
 
-def _log_ratio(F: FinslerStructure, measure: Measure, x, u) -> float:
-    """log( sqrt(det g_u) / sigma ) at a path state (x, u)."""
+def _log_ratio(F: FinslerStructure, measure: Measure, x, u):
+    """log( sqrt(det g_u) / sigma ) at a path state (x, u), or in every
+    lane of a batch of states over array leaves."""
     g = fundamental_tensor(F, x, u)
     d = standard_part(det(g))
     sigma = standard_part(measure.density(list(x)))
-    return 0.5 * math.log(d) - math.log(sigma)
+    return 0.5 * jets.log(d) - jets.log(sigma)
 
 
 def s_curvature_transport(
@@ -182,9 +187,12 @@ def s_curvature_transport(
     fval, unit = _unit_start(F, x, v)
     forward = geodesic(F, x, unit, h, steps)
     backward = geodesic(F, x, unit, -h, steps)
-    return _central_difference(
-        F, measure, fval, forward.state, backward.state, h, steps, richardson
-    )
+    phis = [
+        _log_ratio(F, measure, *path.state(index))
+        for index in _end_indices(steps, richardson)
+        for path in (forward, backward)
+    ]
+    return _central_difference(fval, phis, h, richardson)
 
 
 def s_curvature_transport_batch(
@@ -202,11 +210,16 @@ def s_curvature_transport_batch(
     of them advance in lock-step as one geodesic_batch run over array
     leaves, so each RK4 stage evaluates the spray once for the batch
     (F.fast_spray must accept array leaves, as the Randers closed form
-    does).  The values equal those of one s_curvature_transport call per
-    probe bit for bit: each array lane computes what the float path
-    computes.  One probe, or a batch that fails anywhere, is
-    computed by exactly that loop of calls, so a failure raises what the
-    first failing call raises.
+    does).  The end states the central differences read, 2 or 4 per
+    probe, are then evaluated in one pass over array leaves
+    (jets.lanewise, one lane per state): one fundamental_tensor, det and
+    density evaluation for all of them.  The values equal those of one
+    s_curvature_transport call per probe bit for bit: each array lane
+    computes what the float path computes.  One probe, or a batch whose
+    geodesics fail anywhere, is computed by exactly that loop of calls,
+    so a failure raises what the first failing call raises; end states
+    whose pass fails are evaluated one by one on floats in the order the
+    loop reads them.
     """
     if steps % 2:
         steps += 1
@@ -230,29 +243,35 @@ def s_curvature_transport_batch(
             for x, v in zip(xs, vs)
         ]
 
-    def lane(k):
-        return lambda index: (
-            tuple([float(c[k]) for c in run.points[index]]),
-            tuple([float(c[k]) for c in run.velocities[index]]),
-        )
-
+    n = F.chart.dimension
+    indices = _end_indices(steps, richardson)
+    rows = {}  # step index -> one (*x, *u) row per trajectory
+    for index in indices:
+        leaves = (*run.points[index], *run.velocities[index])
+        rows[index] = list(zip(*[c.tolist() for c in leaves]))
+    # Probe k reads trajectories 2k (forward) and 2k + 1 (backward).
+    states = [rows[i][2 * k + back] for k in range(len(starts)) for i in indices for back in (0, 1)]
+    phis = jets.lanewise(lambda p: _log_ratio(F, measure, p[:n], p[n:]), states)
+    per_probe = 2 * len(indices)
     return [
-        _central_difference(F, measure, fval, lane(2 * k), lane(2 * k + 1), h, steps, richardson)
+        _central_difference(fval, phis[k * per_probe : (k + 1) * per_probe], h, richardson)
         for k, (fval, _) in enumerate(starts)
     ]
 
 
-def _central_difference(F, measure, fval, forward, backward, h, steps, richardson) -> float:
-    """F(v) times the central difference of log(sqrt(det g)/sigma) between
-    the states forward(index) and backward(index) of the two paths."""
+def _end_indices(steps, richardson) -> tuple:
+    """The step indices whose states _central_difference reads, forward
+    then backward at each: the path end, then (Richardson) its midpoint."""
+    return (steps, steps // 2) if richardson else (steps,)
 
-    def phi(state, index):
-        return _log_ratio(F, measure, *state(index))
 
-    d_full = (phi(forward, steps) - phi(backward, steps)) / (2.0 * h)
+def _central_difference(fval, phis, h, richardson) -> float:
+    """F(v) times the central difference of log(sqrt(det g)/sigma), from
+    its values phis at the _end_indices states (forward, backward, ...)."""
+    d_full = (phis[0] - phis[1]) / (2.0 * h)
     if not richardson:
         return fval * d_full
-    d_half = (phi(forward, steps // 2) - phi(backward, steps // 2)) / h
+    d_half = (phis[2] - phis[3]) / h
     return fval * (4.0 * d_half - d_full) / 3.0
 
 

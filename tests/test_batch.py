@@ -13,29 +13,37 @@ import json
 import math
 import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from finslerlab import catalog, cli, expr, jets, manifest, randers
+from finslerlab import catalog, checks, cli, expr, jets, manifest, randers, scurvature
 from finslerlab.core import (
     DomainExitError,
     FinslerStructure,
+    PairTensors,
     geodesic,
     geodesic_batch,
+    nonlinear_connection,
+    probe_grid,
     probe_pairs,
 )
 from finslerlab.expr import ExprDomainError
 from finslerlab.jets import Jet, seed_group
-from finslerlab.linalg import SingularMatrixError, det, inv
+from finslerlab.linalg import SingularMatrixError, _stacked, det, inv
 from finslerlab.scurvature import (
     busemann_hausdorff_measure,
     lebesgue_measure,
     riemannian_volume_measure,
+    s_curvature_from,
     s_curvature_transport,
     s_curvature_transport_batch,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import specgen  # noqa: E402
 
 # A scaled sphere-hopf space (n = 3) as the benchmark's spec generator draws it.
 HOPF_SPEC = {
@@ -595,9 +603,93 @@ class TestFailureParity:
         batched = outcome(lambda: run_cli(argv))
         with mock.patch.object(jets, "lanewise", per_point_loop):
             assert outcome(lambda: run_cli(argv)) == batched
-        if kind == "OverflowError":  # not a spec error the CLI reports
-            assert batched[0] == "OverflowError"
-        else:
-            code, report = run_cli(argv)
-            assert code == cli.EXIT_INVALID_SPEC
-            assert report["error"]["type"] == kind
+        # An overflow on the grid is a spec error too: strict JSON, exit 1.
+        assert batched[0] == "returned"
+        code, report = run_cli(argv)
+        assert code == cli.EXIT_INVALID_SPEC
+        assert report["error"]["type"] == kind
+
+
+def _battery_cases():
+    """The catalog spaces and one generated space per specgen family and
+    dimension (n = 2-4)."""
+    generated = specgen.generate_set(0, specgen.family_grid(), "lanes")
+    return [(name, None) for name in catalog.NAMES] + [(spec["name"], spec) for spec in generated]
+
+
+def _pair_lanes(pairs):
+    """x and v of a list of pairs as 1-D array leaves, one lane per pair."""
+    return [[leaves(c) for c in zip(*column)] for column in zip(*pairs)]
+
+
+class TestBatteryLanes:
+    """The battery's (x, v) passes over array leaves, one lane per pair,
+    against the per-pair float path."""
+
+    @pytest.mark.parametrize("name,spec", _battery_cases())
+    def test_pair_tensors_equal_the_float_path(self, name, spec):
+        space = manifest.space_from_spec(spec) if spec else catalog.space(name)
+        F = randers.finsler(space)
+        pairs = probe_pairs(space.chart, 30, 4)
+        lanes = PairTensors(F, *_pair_lanes(pairs))
+        singles = [PairTensors(F, x, v) for x, v in pairs]
+        for field in PairTensors.__slots__:
+            assert_matches_lanes(getattr(lanes, field), [getattr(t, field) for t in singles])
+        assert_matches_lanes(lanes.definitional_N(), [t.definitional_N() for t in singles])
+        # One stacked eigvalsh gives each pair's smallest eigenvalue of g.
+        smallest = np.linalg.eigvalsh(_stacked(lanes.g)).min(axis=-1)
+        assert_lanes(smallest, [np.linalg.eigvalsh(np.array(t.g)).min() for t in singles])
+
+    @pytest.mark.parametrize("name,spec", _space_cases())
+    def test_run_checks_equals_the_per_point_path(self, name, spec):
+        space = manifest.space_from_spec(spec) if spec else catalog.space(name)
+        pairs, points = probe_grid(space.chart, 20, 5)
+
+        def battery():
+            results = checks.run_checks(space, pairs, points, transport_probes=4, mc_samples=10_000)
+            return [repr(r) for r in results]
+
+        with mock.patch.object(jets, "lanewise", batch_only):
+            batched = battery()
+        with mock.patch.object(jets, "lanewise", per_point_loop):
+            assert battery() == batched
+        assert battery() == batched
+
+    def test_transport_end_states_are_one_pass(self, spaces, structures):
+        measure = busemann_hausdorff_measure(spaces["sphere-hopf"])
+        pairs = probe_pairs(spaces["sphere-hopf"].chart, 5)
+        xs, vs = [x for x, _ in pairs], [v for _, v in pairs]
+        calls = []
+        fundamental_tensor = scurvature.fundamental_tensor
+
+        def counted(F, x, u):
+            calls.append(np.size(x[0]))
+            return fundamental_tensor(F, x, u)
+
+        with mock.patch.object(scurvature, "fundamental_tensor", counted), \
+                mock.patch.object(jets, "lanewise", batch_only):
+            batch = s_curvature_transport_batch(structures["sphere-hopf"], measure, xs, vs)
+        assert calls == [4 * len(pairs)]  # both Richardson states of both paths, per probe
+        single = [s_curvature_transport(structures["sphere-hopf"], measure, x, v) for x, v in pairs]
+        assert [repr(b) for b in batch] == [repr(s) for s in single]
+
+    def test_s_curvature_from_raises_the_float_error_on_a_bad_lane(self, spaces, structures):
+        # A density that is positive except at the pair whose x1 is smallest.
+        pairs = probe_pairs(spaces["flat-nonkilling"].chart, 10)
+        lowest = min(pairs)[0]
+        cut = 0.5 * (lowest[0] + sorted(x[0] for x, _ in pairs)[1])
+        measure = scurvature.Measure("custom", lambda x: x[0] - cut)
+        grid = [
+            (*x, *v, *sum(nonlinear_connection(structures["flat-nonkilling"], x, v), []))
+            for x, v in pairs
+        ]
+
+        def s_value(p):
+            return s_curvature_from([p[4:6], p[6:8]], measure, p[:2], p[2:4])
+
+        with pytest.raises(ValueError, match="is not positive"):
+            batch_only(s_value, grid)
+        batched = outcome(lambda: jets.lanewise(s_value, grid))
+        assert batched == outcome(lambda: per_point_loop(s_value, grid))
+        assert batched[0] == "ValueError"
+        assert batched[1].endswith(f"is not positive at x = {lowest!r}")

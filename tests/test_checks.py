@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from finslerlab import checks, core, randers, scurvature
 from finslerlab.core import probe_grid
+from finslerlab.jets import standard_part
 
 
 @pytest.mark.parametrize("name", ["flat-nonkilling", "rotational-killing"])
@@ -35,11 +37,17 @@ def test_battery_passes_on_admitting_space(spaces):
     assert by_name["theorem-end-to-end"].observed <= 1e-8
 
 
+def _lanes(x) -> int:
+    """Points one call evaluates: the lane count of array leaves, else 1."""
+    return np.size(standard_part(x[0]))
+
+
 @pytest.mark.parametrize("name", ["flat-nonkilling", "polar-riemannian"])
 def test_battery_evaluates_each_probe_value_once(spaces, monkeypatch, name):
     # flat-nonkilling refuses (the Lebesgue and volume floor is read),
     # polar-riemannian admits (the Killing-skew check runs)
     calls = {"analyze_beta": 0, "s_bh": 0, "half_f_squared": 0}
+    lanes = {"s_bh": 0, "half_f_squared": 0}
     analyze_beta = randers.analyze_beta
     s_curvature_from = scurvature.s_curvature_from
     half_f_squared = core._half_f_squared
@@ -53,11 +61,13 @@ def test_battery_evaluates_each_probe_value_once(spaces, monkeypatch, name):
         # read is counted here, whichever of the two the battery calls
         if measure.kind == "busemann-hausdorff":
             calls["s_bh"] += 1
+            lanes["s_bh"] += _lanes(x)
         return s_curvature_from(N, measure, x, v)
 
-    def counting_half_f_squared(*args):
+    def counting_half_f_squared(F, x, *args):
         calls["half_f_squared"] += 1
-        return half_f_squared(*args)
+        lanes["half_f_squared"] += _lanes(x)
+        return half_f_squared(F, x, *args)
 
     monkeypatch.setattr(randers, "analyze_beta", counting_analyze_beta)
     monkeypatch.setattr(scurvature, "s_curvature_from", counting_s_curvature_from)
@@ -70,8 +80,10 @@ def test_battery_evaluates_each_probe_value_once(spaces, monkeypatch, name):
     # S_BH once per pair, plus S_BH at 0.5 v and 2 v on the homogeneity subset.
     # F^2/2 once per pair for g, A, N and G, once more for g at 2 v; N at 0.5 v
     # and 2 v on the subset; g at the four Richardson states of each oracle probe.
-    assert calls == {
-        "analyze_beta": 1,
+    assert lanes == {
         "s_bh": len(pairs) + 2 * len(subset),
         "half_f_squared": 2 * len(pairs) + 2 * len(subset) + 4 * transport,
     }
+    # Each of those is one pass over array leaves: S_BH on the grid and on
+    # the subset; F^2/2 for PairTensors, g at 2 v, the subset and the oracle.
+    assert calls == {"analyze_beta": 1, "s_bh": 2, "half_f_squared": 4}

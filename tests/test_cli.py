@@ -33,6 +33,13 @@ def spec_path(tmp_path):
     return write
 
 
+def overflow_past_the_edge(data):
+    """A one-form defined on x1 < 0 whose exp(1000*x1) overflows (math
+    raises OverflowError) past x1 = 0.71, just outside the chart."""
+    data["beta"] = ["0", "0.1/(1 + exp(1000*x1))"]
+    data["domain"] = [[-1.0, 0.0], [-1.0, 1.0]]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -261,6 +268,25 @@ class TestSCurvature:
         assert report["results"]["s_transport"] is None
         assert report["results"]["s_formula"] is not None
 
+    def test_oracle_overflow_is_a_warning(self, capsys, spec_path):
+        mutate = overflow_past_the_edge
+        # The formula at x1 = -0.01 is fine; an RK4 stage point of the
+        # forward geodesic reaches x1 ~ 1, where exp(1000*x1) overflows.
+        code, report = run_json(
+            capsys,
+            "s-curvature",
+            spec_path("euclidean2", mutate),
+            "--point=-0.01,0",
+            "--vector", "1,0",
+            "--oracle",
+            "--h", "2",
+            "--steps", "2",
+        )
+        assert code == EXIT_WARNING
+        assert report["warning"] == {"type": "OverflowError", "message": "math range error"}
+        assert report["results"]["s_transport"] is None
+        assert report["results"]["s_formula"] is not None
+
     def test_custom_measure_from_spec(self, capsys, spec_path):
         def mutate(data):
             data["measure"] = {"kind": "custom", "density": "exp(x1)"}
@@ -326,6 +352,20 @@ class TestGeodesic:
         assert report["results"]["status"] == "domain-exit"
         assert report["warning"]["exit_time"] <= 0.14
         assert len(report["results"]["times"]) < 51
+
+    def test_stage_overflow_exit_four(self, capsys, spec_path):
+        # The k2 stage point of the one step sits at x1 ~ 0.99.
+        code, report = run_json(
+            capsys,
+            "geodesic",
+            spec_path("euclidean2", overflow_past_the_edge),
+            "--from=-0.01,0",
+            "--dir", "1,0",
+            "--time", "2",
+            "--steps", "1",
+        )
+        assert code == EXIT_WARNING
+        assert report == {"error": {"type": "OverflowError", "message": "math range error"}}
 
     def test_start_outside_domain(self, capsys, spec_path):
         # polar-riemannian's chart is x1 > 0; the run used to start anyway

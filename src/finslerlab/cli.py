@@ -13,10 +13,10 @@ wall_time_s field.  Exit codes: 0 success (analyze: measure admitted),
 1 invalid spec or failed validation (among them a spec expression that
 is undefined or overflows, an OverflowError from math, at a point the
 command evaluates), 2 usage error, 3 no admissible measure, 4 runtime
-domain warning (a path left the chart or blew up, an RK4 stage point of
-geodesic or s-curvature --oracle overflowed, or a result came out
-non-finite).  FINSLERLAB_SEED sets the default seed;
-an explicit --seed wins.  Seeds are integers in [0, 2**64).
+domain warning (a path left the chart or blew up, math overflowed or
+left its domain at an RK4 stage point of geodesic or s-curvature
+--oracle, or a result came out non-finite).  FINSLERLAB_SEED sets the
+default seed; an explicit --seed wins.  Seeds are integers in [0, 2**64).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import time
 
 from . import __version__, catalog, checks, manifest, randers, scurvature
 from .core import MIN_VECTOR_NORM, DomainExitError, NonFiniteStateError, geodesic
-from .expr import ExprDomainError, ExprError
+from .expr import ExprError
 from .manifest import SpecValidationError
 from .randers import InvalidSpaceError
 
@@ -297,7 +297,7 @@ def cmd_s_curvature(args) -> int:
             )
         except (DomainExitError, NonFiniteStateError) as exc:
             warning = {"type": type(exc).__name__, "message": str(exc), "exit_time": exc.time}
-        except (ExprDomainError, OverflowError) as exc:  # at an RK4 stage point
+        except (ValueError, OverflowError) as exc:  # math or an expression at an RK4 stage point
             warning = {"type": type(exc).__name__, "message": str(exc)}
     report = _base_report("s-curvature", digest, data, seed)
     report["results"] = {
@@ -346,8 +346,10 @@ def cmd_geodesic(args) -> int:
     except NonFiniteStateError as exc:
         _emit_error("NonFiniteStateError", str(exc), time=exc.time)
         return EXIT_RUNTIME_WARNING
-    except OverflowError as exc:  # a spec expression at an RK4 stage point
-        _emit_error("OverflowError", str(exc))
+    except ExprError:
+        raise  # a spec expression undefined at an RK4 stage point: exit 1 from main
+    except (ValueError, OverflowError) as exc:  # math at an RK4 stage point
+        _emit_error(type(exc).__name__, str(exc))
         return EXIT_RUNTIME_WARNING
     speeds = [float(F(x, v)) for x, v in zip(path.points, path.velocities)]
     if args.csv:

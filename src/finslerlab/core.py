@@ -45,7 +45,6 @@ __all__ = [
     "nonlinear_connection",
     "nonlinear_connection_definitional",
     "geodesic",
-    "geodesic_batch",
     "euler_identity_residual",
     "probe_pairs",
     "probe_points",
@@ -61,8 +60,12 @@ class StructureValidityError(ValueError):
     """The probed function violates a Finsler-structure condition."""
 
 
-class DomainExitError(RuntimeError):
-    """Geodesic left the chart domain; carries the truncated path."""
+class DomainExitError(ValueError):
+    """Geodesic left the chart domain; carries the truncated path.
+
+    A ValueError (the state left the chart's domain) and NonFiniteStateError
+    an ArithmeticError, so that jets.lanewise hands a batch that raises
+    either back to the per-trajectory float loop."""
 
     def __init__(self, time: float, path: "GeodesicPath"):
         super().__init__(f"geodesic left the chart domain at t = {time}")
@@ -70,7 +73,7 @@ class DomainExitError(RuntimeError):
         self.path = path
 
 
-class NonFiniteStateError(RuntimeError):
+class NonFiniteStateError(ArithmeticError):
     """Geodesic state became non-finite (blow-up or invalid evaluation)."""
 
     def __init__(self, time: float):
@@ -108,8 +111,8 @@ class FinslerStructure:
 
     fast_spray, when set, is an exact closed-form spray used for ODE
     integration instead of the jet-derived one (the two are required to
-    agree and are cross-checked in the test suite).  geodesic_batch calls
-    it with 1-D array leaves, one element per trajectory.
+    agree and are cross-checked in the test suite).  geodesic over array
+    leaves calls it with 1-D arrays, one lane per trajectory.
     """
 
     chart: CoordinateChart
@@ -122,12 +125,13 @@ class FinslerStructure:
 
 @dataclass
 class GeodesicPath:
+    """The states of an RK4 run, one per step, the start included: float
+    leaves for one trajectory, 1-D arrays (one lane per trajectory) for
+    several in lock-step."""
+
     times: list[float]
     points: list[tuple[float, ...]]
     velocities: list[tuple[float, ...]]
-
-    def state(self, index: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        return self.points[index], self.velocities[index]
 
 
 def _check_nonzero(v) -> None:
@@ -329,6 +333,11 @@ class PairTensors:
 # -- geodesics ----------------------------------------------------------------
 
 
+def _every_lane(holds) -> bool:
+    """A bool, or over array leaves a bool array true in every lane."""
+    return bool(holds.all()) if isinstance(holds, np.ndarray) else holds
+
+
 def geodesic(
     F: FinslerStructure,
     x0: Sequence[float],
@@ -336,22 +345,27 @@ def geodesic(
     time: float,
     steps: int = 1000,
 ) -> GeodesicPath:
-    """Classical fixed-step RK4 for eta'' + G(eta') = 0 on float leaves.
+    """Classical fixed-step RK4 for eta'' + G(eta') = 0, generic over leaves.
 
-    Raises DomainExitError (carrying the truncated path) when the path
-    leaves the chart domain, NonFiniteStateError on blow-up.
+    x0, v0 and time are floats for one trajectory, or 1-D arrays with one
+    lane per trajectory (time of either sign in each lane) for several in
+    lock-step, each lane equal to the float run bit for bit; F.fast_spray
+    must then accept array leaves, as the Randers closed form does.
+    After every step it raises NonFiniteStateError if the state is
+    non-finite, then DomainExitError (carrying the path truncated before
+    that step) if it left the chart; over arrays, if any lane did.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     _check_nonzero(v0)
     spray_fn = F.fast_spray or (lambda xx, vv: spray(F, xx, vv))
-    x = [float(c) for c in x0]
-    u = [float(c) for c in v0]
+    x, u = _leaves(x0), _leaves(v0)
+    bounds = F.chart.bounds
     path = GeodesicPath(times=[0.0], points=[tuple(x)], velocities=[tuple(u)])
     for t, x, u in _rk4(spray_fn, x, u, time / steps, steps):
-        if not all(math.isfinite(c) for c in itertools.chain(x, u)):
+        if not all(_every_lane(abs(c) < math.inf) for c in itertools.chain(x, u)):  # NaN fails
             raise NonFiniteStateError(t)
-        if not F.chart.contains(x):
+        if not all(_every_lane((lo < c) & (c < hi)) for c, (lo, hi) in zip(x, bounds)):
             raise DomainExitError(t, path)
         path.times.append(t)
         path.points.append(tuple(x))
@@ -359,57 +373,11 @@ def geodesic(
     return path
 
 
-def geodesic_batch(
-    F: FinslerStructure,
-    x0s: Sequence[Sequence[float]],
-    v0s: Sequence[Sequence[float]],
-    times: Sequence[float],
-    steps: int = 1000,
-) -> Optional[GeodesicPath]:
-    """geodesic for many trajectories in lock-step, or None on any failure.
-
-    One RK4 run whose state leaves are 1-D arrays with one element per
-    trajectory; trajectory k starts at (x0s[k], v0s[k]) and runs to
-    times[k] (either sign).  F.fast_spray must accept array leaves, as
-    the Randers closed form does.  The returned path has array leaves
-    (times from the first step on).  The batch only detects failure: a
-    zero start vector, a spray that raises, or a state that turns
-    non-finite or leaves the chart in any trajectory gives None, and the
-    caller runs geodesic per trajectory to learn which one fails and how.
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if F.fast_spray is None:
-        raise TypeError("geodesic_batch needs F.fast_spray, a spray over array leaves")
-    try:
-        for v0 in v0s:
-            _check_nonzero(v0)
-    except StructureValidityError:
-        return None
-    n = F.chart.dimension
-    x = [np.array([float(x0[i]) for x0 in x0s]) for i in range(n)]
-    u = [np.array([float(v0[i]) for v0 in v0s]) for i in range(n)]
-    h = np.array([t / steps for t in times])
-    bounds = F.chart.bounds
-    path = GeodesicPath(times=[0.0], points=[tuple(x)], velocities=[tuple(u)])
-    with np.errstate(all="ignore"):  # a non-finite lane fails the batch below
-        try:
-            for t, x, u in _rk4(F.fast_spray, x, u, h, steps):
-                inside = all(((lo < c) & (c < hi)).all() for c, (lo, hi) in zip(x, bounds))
-                if not (inside and all(np.isfinite(c).all() for c in itertools.chain(x, u))):
-                    return None
-                path.times.append(t)
-                path.points.append(tuple(x))
-                path.velocities.append(tuple(u))
-        except (ArithmeticError, ValueError):
-            return None
-    return path
-
-
 def _rk4(spray_fn: Callable, x: list, u: list, h, steps: int):
     """Classical RK4 steps for eta'' + G(eta') = 0, generic over leaves:
     yields (t, x, u) after each step.  Float leaves carry one trajectory;
-    1-D array leaves, with h an array too, carry a batch."""
+    1-D array leaves (h a float or an array of per-lane steps) carry one
+    trajectory per lane."""
 
     def rhs(xx, uu):
         G = spray_fn(xx, uu)

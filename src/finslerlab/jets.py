@@ -239,8 +239,11 @@ def lanewise(fn: Callable, points: Sequence) -> list:
     result is point k's value; the values come back as Python floats in
     nested lists.  A batch that raises ArithmeticError or ValueError (a
     singular pivot, a domain guard, an overflow that ``math`` raises or
-    NumPy would turn into inf) hands the points to the per-point loop on
-    float leaves, which raises what it raises.
+    NumPy would turn into inf, a geodesic that leaves its chart or blows
+    up: core re-bases DomainExitError on ValueError and
+    NonFiniteStateError on ArithmeticError for this clause) hands the
+    points to the per-point loop on float leaves, which raises what it
+    raises.
     """
     points = list(points)
     if points:

@@ -8,7 +8,8 @@ with the nonlinear connection from the generic tensor calculus and a
 jet-evaluable measure density sigma.  The transport-based definition
 (the t-derivative of log(sqrt(det g) / sigma) along the unit-speed
 geodesic) is implemented independently and serves as the oracle; a
-batch of oracle probes integrates all its geodesics as one RK4 run.
+batch of oracle probes integrates all its geodesics as one RK4 run over
+array leaves.
 
 The Busemann-Hausdorff density is available in closed form (Randers) and
 as a Monte-Carlo unit-ball volume estimate; the Monte-Carlo estimate is
@@ -24,13 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import expr, jets, randers
-from .core import (
-    FinslerStructure,
-    fundamental_tensor,
-    geodesic,
-    geodesic_batch,
-    nonlinear_connection,
-)
+from .core import FinslerStructure, _every_lane, fundamental_tensor, geodesic, nonlinear_connection
 from .jets import _leaves, partial, seed_group, standard_part
 from .linalg import det
 from .randers import RandersSpace
@@ -184,15 +179,10 @@ def s_curvature_transport(
     """
     if steps % 2:
         steps += 1
-    fval, unit = _unit_start(F, x, v)
-    forward = geodesic(F, x, unit, h, steps)
-    backward = geodesic(F, x, unit, -h, steps)
-    phis = [
-        _log_ratio(F, measure, *path.state(index))
-        for index in _end_indices(steps, richardson)
-        for path in (forward, backward)
-    ]
-    return _central_difference(fval, phis, h, richardson)
+    n = F.chart.dimension
+    forward, backward = [_trajectory(F, (*x, *v, t), steps, richardson) for t in (h, -h)]
+    phis = [_log_ratio(F, measure, s[:n], s[n:]) for s in _end_states(forward, backward)]
+    return _central_difference(forward[0], phis, h, richardson)
 
 
 def s_curvature_transport_batch(
@@ -206,57 +196,52 @@ def s_curvature_transport_batch(
 ) -> list[float]:
     """The transport oracle at every (xs[k], vs[k]), in input order.
 
-    With two or more probes, the forward and backward geodesics of all
-    of them advance in lock-step as one geodesic_batch run over array
-    leaves, so each RK4 stage evaluates the spray once for the batch
-    (F.fast_spray must accept array leaves, as the Randers closed form
-    does).  The end states the central differences read, 2 or 4 per
-    probe, are then evaluated in one pass over array leaves
-    (jets.lanewise, one lane per state): one fundamental_tensor, det and
-    density evaluation for all of them.  The values equal those of one
-    s_curvature_transport call per probe bit for bit: each array lane
-    computes what the float path computes.  One probe, or a batch whose
-    geodesics fail anywhere, is computed by exactly that loop of calls,
-    so a failure raises what the first failing call raises; end states
-    whose pass fails are evaluated one by one on floats in the order the
-    loop reads them.
+    Two jets.lanewise passes.  The first runs the trajectories, lane 2k
+    probe k to +h and lane 2k + 1 to -h: the forward and backward
+    geodesics of all probes advance in lock-step as one RK4 run over
+    array leaves, so each RK4 stage evaluates F.fast_spray once for the
+    batch.  The second evaluates the log-ratio at the end states the
+    central differences read, 2 or 4 per probe, in one pass: one
+    fundamental_tensor, det and density evaluation for all of them.
+    Each lane computes what s_curvature_transport computes on floats, so
+    the values equal its values bit for bit.  A pass that fails is rerun
+    lane by lane on floats, in order, and raises what the first failing
+    lane raises: for one probe, exactly what s_curvature_transport
+    raises; across probes, a trajectory error of a later probe wins over
+    a log-ratio error of an earlier one, because every trajectory runs
+    before any log-ratio.
     """
     if steps % 2:
         steps += 1
-    run = None
-    if len(xs) >= 2:
-        try:
-            starts = [_unit_start(F, x, v) for x, v in zip(xs, vs)]
-        except (ArithmeticError, ValueError):
-            pass
-        else:  # trajectory 2k is probe k forward, 2k + 1 backward
-            run = geodesic_batch(
-                F,
-                [x for x in xs for _ in (0, 1)],
-                [unit for _, unit in starts for _ in (0, 1)],
-                [h, -h] * len(starts),
-                steps,
-            )
-    if run is None:
-        return [
-            s_curvature_transport(F, measure, x, v, h, steps, richardson)
-            for x, v in zip(xs, vs)
-        ]
-
     n = F.chart.dimension
-    indices = _end_indices(steps, richardson)
-    rows = {}  # step index -> one (*x, *u) row per trajectory
-    for index in indices:
-        leaves = (*run.points[index], *run.velocities[index])
-        rows[index] = list(zip(*[c.tolist() for c in leaves]))
-    # Probe k reads trajectories 2k (forward) and 2k + 1 (backward).
-    states = [rows[i][2 * k + back] for k in range(len(starts)) for i in indices for back in (0, 1)]
+    runs = jets.lanewise(
+        lambda p: _trajectory(F, p, steps, richardson),
+        [(*x, *v, t) for x, v in zip(xs, vs) for t in (h, -h)],
+    )
+    forward = runs[::2]
+    states = [s for f, b in zip(forward, runs[1::2]) for s in _end_states(f, b)]
     phis = jets.lanewise(lambda p: _log_ratio(F, measure, p[:n], p[n:]), states)
-    per_probe = 2 * len(indices)
+    per_probe = 2 * len(_end_indices(steps, richardson))
     return [
         _central_difference(fval, phis[k * per_probe : (k + 1) * per_probe], h, richardson)
-        for k, (fval, _) in enumerate(starts)
+        for k, (fval, _) in enumerate(forward)
     ]
+
+
+def _trajectory(F: FinslerStructure, p, steps: int, richardson: bool) -> list:
+    """[F(v), the (*x, *u) states at _end_indices] of the unit-speed
+    geodesic from p = (*x, *v, t) to time t, on float or array leaves."""
+    n = F.chart.dimension
+    x, v, t = p[:n], p[n : 2 * n], p[2 * n]
+    fval, unit = _unit_start(F, x, v)
+    path = geodesic(F, x, unit, t, steps)
+    return [fval, [[*path.points[i], *path.velocities[i]] for i in _end_indices(steps, richardson)]]
+
+
+def _end_states(forward, backward) -> list:
+    """One probe's end states from its two _trajectory results, in the
+    order _central_difference reads them."""
+    return [s for pair in zip(forward[1], backward[1]) for s in pair]
 
 
 def _end_indices(steps, richardson) -> tuple:
@@ -275,12 +260,14 @@ def _central_difference(fval, phis, h, richardson) -> float:
     return fval * (4.0 * d_half - d_full) / 3.0
 
 
-def _unit_start(F: FinslerStructure, x, v) -> tuple[float, list[float]]:
-    """(F(x, v), v / F(x, v)) for the transport oracle."""
-    fval = float(standard_part(F(list(x), list(v))))
-    if not (0.0 < fval < math.inf):  # NaN fails too
+def _unit_start(F: FinslerStructure, x, v) -> tuple:
+    """(F(x, v), v / F(x, v)) for the transport oracle, on float leaves or
+    in every lane of array leaves."""
+    x, v = _leaves(x), _leaves(v)
+    fval = standard_part(F(x, v))
+    if not _every_lane((0.0 < fval) & (fval < math.inf)):  # NaN fails too
         raise ValueError(f"transport oracle needs a finite F(v) > 0, got {fval}")
-    return fval, [float(c) / fval for c in v]
+    return fval, [c / fval for c in v]
 
 
 # -- Busemann-Hausdorff density by Monte Carlo -----------------------------------

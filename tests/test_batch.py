@@ -12,7 +12,6 @@ import io
 import json
 import math
 import sys
-import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -23,9 +22,10 @@ from finslerlab import catalog, checks, cli, expr, jets, manifest, randers, scur
 from finslerlab.core import (
     DomainExitError,
     FinslerStructure,
+    NonFiniteStateError,
     PairTensors,
+    StructureValidityError,
     geodesic,
-    geodesic_batch,
     nonlinear_connection,
     probe_grid,
     probe_pairs,
@@ -407,44 +407,74 @@ class TestTransportBatch:
 
 
 class TestGeodesicBatch:
-    def test_paths_match_geodesic(self, structures):
+    """geodesic over 1-D array leaves, one lane per trajectory."""
+
+    def test_lanes_equal_the_float_paths(self, structures):
         F = structures["sphere-hopf"]
         pairs = probe_pairs(F.chart, 6)
         times = [0.3, -0.2, 0.5, 0.1, -0.4, 0.25]
-        run = geodesic_batch(F, [x for x, _ in pairs], [v for _, v in pairs], times, steps=40)
+        x0, v0 = _pair_lanes(pairs)
+        run = geodesic(F, x0, v0, leaves(times), steps=40)
         assert len(run.times) == 41
         for k, ((x, v), t) in enumerate(zip(pairs, times)):
             single = geodesic(F, x, v, t, steps=40)
-            assert [float(s[k]) for s in run.times[1:]] == single.times[1:]
+            assert [_lane(s, k) for s in run.times] == single.times
             for p, q in zip(run.points + run.velocities, single.points + single.velocities):
-                assert tuple(float(c[k]) for c in p) == q
+                assert tuple(_lane(c, k) for c in p) == q
 
-    def test_any_failing_trajectory_gives_none(self, structures):
+    @pytest.mark.parametrize(
+        "v0,time,error",
+        [
+            # Trajectory 2 leaves the chart at t ~ 0.2, the others stay inside.
+            ([(1.0, 0.0), (0.0, 0.5), (0.0, 1.0)], [0.1, 0.1, 0.5], DomainExitError),
+            ([(1.0, 0.0), (0.0, 0.0), (0.0, 1.0)], [0.1] * 3, StructureValidityError),
+        ],
+    )
+    def test_a_failing_lane_raises_the_float_error(self, structures, v0, time, error):
         F = structures["flat-const"]
-        xs = [(0.0, 0.0), (0.1, 0.1), (0.0, 0.8)]
-        # A zero start vector in the middle of the batch.
-        assert geodesic_batch(F, xs, [(1.0, 0.0), (0.0, 0.0), (0.0, 1.0)], [0.1] * 3, 10) is None
-        # Trajectory 2 leaves the chart at t ~ 0.2, the others stay inside.
-        vs = [(1.0, 0.0), (0.0, 0.5), (0.0, 1.0)]
-        assert geodesic_batch(F, xs, vs, [0.1, 0.1, 0.1], steps=10) is not None
-        assert geodesic_batch(F, xs, vs, [0.1, 0.1, 0.5], steps=50) is None
+        x0 = [(0.0, 0.0), (0.1, 0.1), (0.0, 0.8)]
+        with pytest.raises(error):
+            for x, v, t in zip(x0, v0, time):
+                geodesic(F, x, v, t, steps=50)
+        with pytest.raises(error):
+            geodesic(F, *_pair_lanes(zip(x0, v0)), leaves(time), steps=50)
 
-    def test_failing_batch_emits_no_runtime_warning(self, structures):
-        # A spray that turns every lane NaN, the way a blow-up does.
-        F = FinslerStructure(
-            structures["flat-const"].chart,
-            structures["flat-const"].func,
-            fast_spray=lambda x, v: [np.log(c - 10.0) for c in v],
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert geodesic_batch(F, [(0.0, 0.0)] * 2, [(1.0, 0.0)] * 2, [0.1] * 2, 10) is None
-            space = manifest.space_from_spec(TINY_SPEC)
-            with pytest.raises(DomainExitError):
-                s_curvature_transport_batch(
-                    randers.finsler(space), busemann_hausdorff_measure(space),
-                    [(0.0, 0.0), (0.0095, 0.0)], [(1.0, 0.0)] * 2,
-                )
+    def test_non_finite_state_is_checked_before_the_chart(self, structures):
+        flat = structures["flat-const"]
+        # A spray that blows up at once: the state is inf, which is outside the chart too.
+        F = FinslerStructure(flat.chart, flat.func, lambda x, v: [math.inf] * len(v))
+        lanes = _pair_lanes([((0.0, 0.0), (1.0, 0.0))] * 2)
+        for x0, v0 in [((0.0, 0.0), (1.0, 0.0)), lanes]:
+            with pytest.raises(NonFiniteStateError):
+                geodesic(F, x0, v0, 0.1, steps=10)
+        # jets.lanewise hands the batch (times in lanes) to the float loop,
+        # whose error has a float time.
+        with pytest.raises(NonFiniteStateError) as batched:
+            jets.lanewise(
+                lambda p: geodesic(F, p[:2], p[2:4], p[4], 10).points[-1],
+                [(0.0, 0.0, 1.0, 0.0, 0.1)] * 2,
+            )
+        assert batched.value.time == 0.01
+
+    def test_lanewise_hands_a_failing_batch_to_the_float_loop(self, structures):
+        F = structures["flat-const"]
+        # Lane 1 leaves the chart; the float loop raises its error.
+        points = [(0.0, 0.0, 1.0, 0.0, 0.1), (0.0, 0.8, 0.0, 1.0, 0.5), (0.1, 0.1, 0.0, 0.5, -0.1)]
+        calls = []
+
+        def end_state(p):
+            calls.append(np.size(p[0]))
+            return geodesic(F, p[:2], p[2:4], p[4], steps=50).points[-1]
+
+        with pytest.raises(DomainExitError) as batched:
+            jets.lanewise(end_state, points)
+        assert calls == [3, 1, 1]
+        with pytest.raises(DomainExitError) as in_loop:
+            per_point_loop(end_state, points)
+        assert batched.value.time == in_loop.value.time
+        assert batched.value.path.points == in_loop.value.path.points
+        inside = points[::2]
+        assert jets.lanewise(end_state, inside) == per_point_loop(end_state, inside)
 
 
 def per_point_loop(fn, points):
@@ -520,12 +550,17 @@ class TestLanePivots:
             assert run_cli(argv) == batched
         assert batched[0] == (cli.EXIT_NO_MEASURE if command == "analyze" else cli.EXIT_OK)
 
-    def test_geodesic_batch_runs(self):
+    def test_geodesic_lanes_run(self):
         space = manifest.space_from_spec(PIVOT_SPEC)
         F = randers.finsler(space)
         pairs = probe_pairs(space.chart, 30)
-        run = geodesic_batch(F, [x for x, _ in pairs], [v for _, v in pairs], [0.05] * 30, 10)
-        assert run is not None
+
+        def end_state(p):
+            path = geodesic(F, p[:2], p[2:], 0.05, 10)
+            return [*path.points[-1], *path.velocities[-1]]
+
+        grid = [(*x, *v) for x, v in pairs]
+        assert batch_only(end_state, grid) == per_point_loop(end_state, grid)
 
 
 def _failing_specs():

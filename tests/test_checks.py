@@ -46,11 +46,12 @@ def _lanes(x) -> int:
 def test_battery_evaluates_each_probe_value_once(spaces, monkeypatch, name):
     # flat-nonkilling refuses (the Lebesgue and volume floor is read),
     # polar-riemannian admits (the Killing-skew check runs)
-    calls = {"analyze_beta": 0, "s_bh": 0, "half_f_squared": 0}
-    lanes = {"s_bh": 0, "half_f_squared": 0}
+    calls = {"analyze_beta": 0, "s_bh": 0, "half_f_squared": 0, "geodesic": 0}
+    lanes = {"s_bh": 0, "half_f_squared": 0, "geodesic": 0}
     analyze_beta = randers.analyze_beta
     s_curvature_from = scurvature.s_curvature_from
     half_f_squared = core._half_f_squared
+    geodesic = core.geodesic
 
     def counting_analyze_beta(*args, **kwargs):
         calls["analyze_beta"] += 1
@@ -69,7 +70,13 @@ def test_battery_evaluates_each_probe_value_once(spaces, monkeypatch, name):
         lanes["half_f_squared"] += _lanes(x)
         return half_f_squared(F, x, *args)
 
+    def counting_geodesic(F, x0, *args):
+        calls["geodesic"] += 1
+        lanes["geodesic"] += _lanes(x0)
+        return geodesic(F, x0, *args)
+
     monkeypatch.setattr(randers, "analyze_beta", counting_analyze_beta)
+    monkeypatch.setattr(scurvature, "geodesic", counting_geodesic)
     monkeypatch.setattr(scurvature, "s_curvature_from", counting_s_curvature_from)
     monkeypatch.setattr(core, "_half_f_squared", counting_half_f_squared)
     space = spaces[name]
@@ -80,10 +87,13 @@ def test_battery_evaluates_each_probe_value_once(spaces, monkeypatch, name):
     # S_BH once per pair, plus S_BH at 0.5 v and 2 v on the homogeneity subset.
     # F^2/2 once per pair for g, A, N and G, once more for g at 2 v; N at 0.5 v
     # and 2 v on the subset; g at the four Richardson states of each oracle probe.
+    # One geodesic per oracle probe and direction.
     assert lanes == {
         "s_bh": len(pairs) + 2 * len(subset),
         "half_f_squared": 2 * len(pairs) + 2 * len(subset) + 4 * transport,
+        "geodesic": 2 * transport,
     }
     # Each of those is one pass over array leaves: S_BH on the grid and on
-    # the subset; F^2/2 for PairTensors, g at 2 v, the subset and the oracle.
-    assert calls == {"analyze_beta": 1, "s_bh": 2, "half_f_squared": 4}
+    # the subset; F^2/2 for PairTensors, g at 2 v, the subset and the oracle;
+    # the oracle's forward and backward geodesics as one lock-step RK4 run.
+    assert calls == {"analyze_beta": 1, "s_bh": 2, "half_f_squared": 4, "geodesic": 1}

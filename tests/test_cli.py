@@ -40,6 +40,13 @@ def overflow_past_the_edge(data):
     data["domain"] = [[-1.0, 0.0], [-1.0, 1.0]]
 
 
+def metric_past_the_edge(data):
+    """alpha^2 = x1 v1^2 + v2^2 turns negative past x1 = 0, just outside
+    the chart x1 > 0.1, where math.sqrt raises ValueError."""
+    data["metric"] = [["x1", "0"], ["0", "1"]]
+    data["domain"] = [[0.1, 1.0], [-1.0, 1.0]]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -287,6 +294,23 @@ class TestSCurvature:
         assert report["results"]["s_transport"] is None
         assert report["results"]["s_formula"] is not None
 
+    def test_oracle_math_domain_error_is_a_warning(self, capsys, spec_path):
+        # An RK4 stage point of the backward geodesic reaches x1 < 0.
+        code, report = run_json(
+            capsys,
+            "s-curvature",
+            spec_path("euclidean2", metric_past_the_edge),
+            "--point", "0.15,0",
+            "--vector=-1,0",
+            "--oracle",
+            "--h", "1",
+            "--steps", "2",
+        )
+        assert code == EXIT_WARNING
+        assert report["warning"] == {"type": "ValueError", "message": "math domain error"}
+        assert report["results"]["s_transport"] is None
+        assert report["results"]["s_formula"] is not None
+
     def test_custom_measure_from_spec(self, capsys, spec_path):
         def mutate(data):
             data["measure"] = {"kind": "custom", "density": "exp(x1)"}
@@ -366,6 +390,19 @@ class TestGeodesic:
         )
         assert code == EXIT_WARNING
         assert report == {"error": {"type": "OverflowError", "message": "math range error"}}
+
+    def test_stage_math_domain_error_exit_four(self, capsys, spec_path):
+        code, report = run_json(
+            capsys,
+            "geodesic",
+            spec_path("euclidean2", metric_past_the_edge),
+            "--from", "0.15,0",
+            "--dir=-1,0",
+            "--time", "1",
+            "--steps", "2",
+        )
+        assert code == EXIT_WARNING
+        assert report == {"error": {"type": "ValueError", "message": "math domain error"}}
 
     def test_start_outside_domain(self, capsys, spec_path):
         # polar-riemannian's chart is x1 > 0; the run used to start anyway

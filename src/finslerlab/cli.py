@@ -15,8 +15,9 @@ is undefined or overflows, an OverflowError from math, at a point the
 command evaluates), 2 usage error, 3 no admissible measure, 4 runtime
 domain warning (a path left the chart or blew up, math overflowed or
 left its domain at an RK4 stage point of geodesic or s-curvature
---oracle, or a result came out non-finite).  FINSLERLAB_SEED sets the
-default seed; an explicit --seed wins.  Seeds are integers in [0, 2**64).
+--oracle, math left its domain at one of validate's transport oracle,
+or a result came out non-finite).  FINSLERLAB_SEED sets the default
+seed; an explicit --seed wins.  Seeds are integers in [0, 2**64).
 """
 
 from __future__ import annotations
@@ -404,6 +405,9 @@ def cmd_validate(args) -> int:
         )
     except (DomainExitError, NonFiniteStateError) as exc:  # a transport geodesic
         _emit_error(type(exc).__name__, str(exc), time=exc.time)
+        return EXIT_RUNTIME_WARNING
+    except checks.TransportDomainError as exc:
+        _emit_error(type(exc.__cause__).__name__, str(exc))
         return EXIT_RUNTIME_WARNING
     all_pass = all(r.passed or r.skipped for r in results)
     report = _base_report("validate", digest, data, seed)

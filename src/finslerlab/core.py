@@ -43,7 +43,6 @@ __all__ = [
     "formal_christoffel",
     "spray",
     "nonlinear_connection",
-    "nonlinear_connection_definitional",
     "geodesic",
     "euler_identity_residual",
     "probe_pairs",
@@ -264,11 +263,6 @@ def _connection_at(F: FinslerStructure, x, v) -> list:
     return _connection_from(_spray_from(_gamma_from(inv(g), dg), vs))
 
 
-def nonlinear_connection_definitional(F: FinslerStructure, x, v) -> list[list[float]]:
-    """N from its defining contraction (test cross-check, v != 0 only)."""
-    return PairTensors(F, x, v).definitional_N()
-
-
 class PairTensors:
     """What one evaluation of F^2/2 at (x, v) holds, per pair or per lane.
 
@@ -280,7 +274,7 @@ class PairTensors:
     entry is a float; on 1-D array leaves (a grid of pairs, one lane per
     pair, as jets.lanewise passes them) every entry is an array whose
     lane k equals the float entry of pair k bit for bit.  The (x, v)
-    counterpart of randers._PointData.
+    counterpart of randers.PointData.
     """
 
     __slots__ = ("f", "g", "g_inv", "A", "gamma", "G", "N", "v")

@@ -1,12 +1,13 @@
 """Randers structures F = alpha + beta and the vanishing-S criterion.
 
 A RandersSpace holds a Riemannian metric a_ij and a one-form b_i as
-parsed coordinate expressions.  This module computes the covariant
-derivative b_{i|j}, the Killing / constant-length / parallel defects,
-the closed-form spray with its X/Y split, the Busemann-Hausdorff
-density, and the final verdict: the space admits a measure with
-vanishing S-curvature exactly when beta is a Killing form of constant
-length, and the certificate measure is the Busemann-Hausdorff one.
+parsed coordinate expressions.  PointData holds the covariant
+derivative b_{i|j} at a point, the closed-form spray and its X/Y split;
+analyze_beta folds it into the Killing / constant-length / parallel
+defects.  The module also gives the Busemann-Hausdorff density and the
+final verdict: the space admits a measure with vanishing S-curvature
+exactly when beta is a Killing form of constant length, and the
+certificate measure is the Busemann-Hausdorff one.
 """
 
 from __future__ import annotations
@@ -35,14 +36,8 @@ __all__ = [
     "finsler",
     "beta_length",
     "beta_length_squared",
-    "levi_civita",
-    "covariant_derivative",
-    "length_gradient",
+    "PointData",
     "spray_closed_form",
-    "trace_dX_dv",
-    "trace_dY_dv",
-    "trace_dY_closed_form",
-    "is_berwald",
     "analyze_beta",
     "theorem_verdict",
     "decide",
@@ -253,13 +248,9 @@ def finsler(space: RandersSpace) -> FinslerStructure:
         return alpha(space, x, v) + beta(space, x, v)
 
     def fast_spray(x, v):
-        if isinstance(v[0], np.ndarray):
-            # A batch of points: one closed-form evaluation over array
-            # leaves, kept off the per-point entry point.
-            return _closed_form(_PointData(space, x), v)[0]
-        if all(standard_part(c) == 0.0 for c in v):
+        if not isinstance(v[0], np.ndarray) and all(standard_part(c) == 0.0 for c in v):
             return [0.0] * space.dimension
-        return spray_closed_form(space, x, v)[0]
+        return PointData(space, x).spray(v)[0]
 
     return FinslerStructure(chart=space.chart, func=func, fast_spray=fast_spray)
 
@@ -286,7 +277,7 @@ def beta_length(space: RandersSpace, x, a=None) -> Union[float, np.ndarray]:
     return jets.sqrt(standard_part(_length_squared(inv(a), b)))
 
 
-# -- covariant derivative of beta -----------------------------------------------
+# -- the closed forms at a point -------------------------------------------------
 
 
 def _first_order_data(space: RandersSpace, x):
@@ -311,12 +302,6 @@ def _first_order_data(space: RandersSpace, x):
     return a, da, b, db
 
 
-def levi_civita(space: RandersSpace, x) -> list:
-    """Christoffel symbols of a_ij at a float point."""
-    a, da, _, _ = _first_order_data(space, x)
-    return _levi_civita_from(inv(a), da)
-
-
 def _levi_civita_from(a_inv, da) -> list:
     """Christoffel symbols from the inverse metric and da[k][i][j] = da_ij/dx_k."""
     n = len(a_inv)
@@ -333,27 +318,18 @@ def _levi_civita_from(a_inv, da) -> list:
     return gamma
 
 
-def covariant_derivative(space: RandersSpace, x) -> list:
-    """b_{i|j} = db_i/dx_j - sum_k b_k gamma~^k_ij at a float point."""
-    return _PointData(space, x).bcov
+class PointData:
+    """What one first-order jet pass at x holds: a, its inverse, b, the
+    raised b^i = a^{ij} b_j, the Levi-Civita symbols gamma of a and the
+    covariant derivative bcov[i][j] = b_{i|j} = db_i/dx_j - sum_k b_k
+    gamma^k_ij.  The methods give the closed-form spray, its X/Y traces
+    and the length gradient at x.
 
-
-def length_gradient(space: RandersSpace, x) -> list:
-    """d(||beta||^2)/dx_i via the covariant identity 2 sum_j b_{j|i} b^j."""
-    return _length_gradient(_PointData(space, x))
-
-
-def _length_gradient(data: _PointData) -> list:
-    n = len(data.b)
-    return [2.0 * sum(data.bcov[j][i] * data.b_up[j] for j in range(n)) for i in range(n)]
-
-
-# -- closed-form spray ------------------------------------------------------------
-
-
-class _PointData:
-    """Per-point ingredients of the closed-form spray (for a batch of
-    points when the leaves of x are arrays)."""
+    On float leaves every entry is a float; on 1-D array leaves (a grid
+    of points, one lane per point, as jets.lanewise passes them) every
+    entry is an array whose lane k equals the float entry of point k bit
+    for bit.  The x-only counterpart of core.PairTensors.
+    """
 
     __slots__ = ("a", "a_inv", "b", "b_up", "bcov", "gamma")
 
@@ -370,114 +346,106 @@ class _PointData:
             for i in range(n)
         ]
 
+    def length_gradient(self) -> list:
+        """d(||beta||^2)/dx_i via the covariant identity 2 sum_j b_{j|i} b^j."""
+        n = len(self.b)
+        return [2.0 * sum(self.bcov[j][i] * self.b_up[j] for j in range(n)) for i in range(n)]
 
-def _alpha_of(data: _PointData, v) -> Scalar:
-    n = len(data.b)
-    return jets.sqrt(
-        sum_([data.a[i][j] * (v[i] * v[j]) for i in range(n) for j in range(n)])
-    )
+    def spray(self, v):
+        """(G, X, Y, riem) of the Randers closed form at v; v must be
+        nonzero (not checked)."""
+        x_cmp, y_cmp, riem = self._xy_split(v)
+        g = [r + xc + yc for r, xc, yc in zip(riem, x_cmp, y_cmp)]
+        return g, x_cmp, y_cmp, riem
 
+    def traces(self, v) -> tuple[Scalar, Scalar]:
+        """(sum_i dX^i/dv^i, sum_i dY^i/dv^i) from one X/Y split at seeded
+        v; the X trace vanishes identically and is kept as a live check."""
+        n = len(self.b)
+        vs = seed_group(_leaves(v), range(n))
+        x_cmp, y_cmp, _ = self._xy_split(vs)
+        return tuple(
+            standard_part(sum_(partial(c[i], i) for i in range(n))) for c in (x_cmp, y_cmp)
+        )
 
-def _xy_split(data: _PointData, v):
-    """(X, Y, riem) of the spray decomposition at generic v."""
-    n = len(data.b)
-    al = _alpha_of(data, v)
-    f = al + sum_([bi * vi for bi, vi in zip(data.b, v)])
-    riem = [
-        sum_([data.gamma[i][j][k] * (v[j] * v[k]) for j in range(n) for k in range(n)])
-        for i in range(n)
-    ]
-    q = data.bcov
-    x_cmp = []
-    for i in range(n):
-        s = sum_(
+    def trace_dY_closed_form(self, v) -> Scalar:
+        """The reduced form of sum_i dY^i/dv^i:
+
+        (n+1)/2 * sum (b_{i|j}+b_{j|i}) v^i v^j / F
+          + (n+1) * sum (b_{i|j}-b_{j|i}) b^j alpha v^i / F.
+        """
+        n = len(self.b)
+        q = self.bcov
+        al = standard_part(self._alpha_of(v))
+        f = al + sum(bi * vi for bi, vi in zip(self.b, v))
+        sym = sum(
+            (q[i][j] + q[j][i]) * v[i] * v[j] for i in range(n) for j in range(n)
+        )
+        skew = sum(
+            (q[i][j] - q[j][i]) * self.b_up[j] * v[i] for i in range(n) for j in range(n)
+        )
+        return 0.5 * (n + 1) * sym / f + (n + 1) * skew * al / f
+
+    def _alpha_of(self, v) -> Scalar:
+        n = len(self.b)
+        return jets.sqrt(
+            sum_([self.a[i][j] * (v[i] * v[j]) for i in range(n) for j in range(n)])
+        )
+
+    def _xy_split(self, v):
+        """(X, Y, riem) of the spray decomposition at generic v."""
+        n = len(self.b)
+        al = self._alpha_of(v)
+        f = al + sum_([bi * vi for bi, vi in zip(self.b, v)])
+        riem = [
+            sum_([self.gamma[i][j][k] * (v[j] * v[k]) for j in range(n) for k in range(n)])
+            for i in range(n)
+        ]
+        q = self.bcov
+        x_cmp = []
+        for i in range(n):
+            s = sum_(
+                [
+                    q[j][k] * (self.a_inv[i][j] * v[k] - self.a_inv[i][k] * v[j])
+                    for j in range(n)
+                    for k in range(n)
+                ]
+            )
+            x_cmp.append(s * al)
+        s1 = sum_([q[j][k] * (v[j] * v[k]) for j in range(n) for k in range(n)])
+        s2 = sum_(
             [
-                q[j][k] * (data.a_inv[i][j] * v[k] - data.a_inv[i][k] * v[j])
+                q[j][k] * (self.b_up[k] * v[j] - self.b_up[j] * v[k])
                 for j in range(n)
                 for k in range(n)
             ]
         )
-        x_cmp.append(s * al)
-    s1 = sum_([q[j][k] * (v[j] * v[k]) for j in range(n) for k in range(n)])
-    s2 = sum_(
-        [
-            q[j][k] * (data.b_up[k] * v[j] - data.b_up[j] * v[k])
-            for j in range(n)
-            for k in range(n)
-        ]
-    )
-    common = s1 + s2 * al
-    y_cmp = [(v[i] / f) * common for i in range(n)]
-    return x_cmp, y_cmp, riem
+        common = s1 + s2 * al
+        y_cmp = [(v[i] / f) * common for i in range(n)]
+        return x_cmp, y_cmp, riem
 
 
 def spray_closed_form(space: RandersSpace, x, v):
-    """(G, X, Y, riem) from the Randers closed form; v must be nonzero."""
+    """(G, X, Y, riem) of the Randers closed form at one float point; v
+    must be nonzero.  The single-point entry the benchmark's tracer spans;
+    programs build PointData(space, x) and call its spray."""
     if all(standard_part(c) == 0.0 for c in v):
         raise InvalidSpaceError("closed-form spray needs v != 0")
-    return _closed_form(_PointData(space, x), v)
-
-
-def _closed_form(data: _PointData, v):
-    """spray_closed_form without the zero check; leaves may be arrays."""
-    x_cmp, y_cmp, riem = _xy_split(data, v)
-    g = [r + xc + yc for r, xc, yc in zip(riem, x_cmp, y_cmp)]
-    return g, x_cmp, y_cmp, riem
-
-
-def trace_dX_dv(space: RandersSpace, x, v) -> float:
-    """sum_i dX^i/dv^i via jets (identically zero, kept as a live check)."""
-    return _v_traces(_PointData(space, x), v)[0]
-
-
-def trace_dY_dv(space: RandersSpace, x, v) -> float:
-    """sum_i dY^i/dv^i via jets."""
-    return _v_traces(_PointData(space, x), v)[1]
-
-
-def _v_traces(data: _PointData, v) -> tuple[Scalar, Scalar]:
-    """(sum_i dX^i/dv^i, sum_i dY^i/dv^i) from one X/Y split at seeded v."""
-    n = len(data.b)
-    vs = seed_group(_leaves(v), range(n))
-    x_cmp, y_cmp, _ = _xy_split(data, vs)
-    return tuple(standard_part(sum_(partial(c[i], i) for i in range(n))) for c in (x_cmp, y_cmp))
-
-
-def trace_dY_closed_form(space: RandersSpace, x, v) -> float:
-    """The reduced form of sum_i dY^i/dv^i:
-
-    (n+1)/2 * sum (b_{i|j}+b_{j|i}) v^i v^j / F
-      + (n+1) * sum (b_{i|j}-b_{j|i}) b^j alpha v^i / F.
-    """
-    return _trace_dY_closed_form(_PointData(space, x), v)
-
-
-def _trace_dY_closed_form(data: _PointData, v) -> Scalar:
-    n = len(data.b)
-    q = data.bcov
-    al = standard_part(_alpha_of(data, v))
-    f = al + sum(bi * vi for bi, vi in zip(data.b, v))
-    sym = sum(
-        (q[i][j] + q[j][i]) * v[i] * v[j] for i in range(n) for j in range(n)
-    )
-    skew = sum(
-        (q[i][j] - q[j][i]) * data.b_up[j] * v[i] for i in range(n) for j in range(n)
-    )
-    return 0.5 * (n + 1) * sym / f + (n + 1) * skew * al / f
+    return PointData(space, x).spray(v)
 
 
 # -- beta analysis and the verdict ------------------------------------------------
 
 
 def analyze_beta(space: RandersSpace, probes: Sequence) -> BetaAnalysis:
-    """The per-probe rows, from one _PointData over array leaves
+    """The per-probe rows, from one PointData over array leaves
     (jets.lanewise)."""
     probes = list(probes)
-    rows = jets.lanewise(lambda x: _beta_row(_PointData(space, x)), probes)
+    rows = jets.lanewise(lambda x: _beta_row(PointData(space, x)), probes)
     return BetaAnalysis(probes, *map(list, zip(*rows) if rows else [()] * 6))
 
 
-def _beta_row(data: _PointData) -> list:
+def _beta_row(data: PointData) -> list:
     """One probe's (or one batch's) row of BetaAnalysis fields; ||beta||^2
     sums as beta_length_squared does, so the lengths equal beta_length."""
     n = len(data.b)
@@ -487,16 +455,9 @@ def _beta_row(data: _PointData) -> list:
         jets.maximum([abs(bc[i][j] + bc[j][i]) for i in range(n) for j in range(n)]),
         jets.maximum([abs(bc[i][j]) for i in range(n) for j in range(n)]),
         jets.sqrt(_length_squared(data.a_inv, data.b)),
-        _length_gradient(data),
+        data.length_gradient(),
         data.b_up,
     ]
-
-
-def is_berwald(space: RandersSpace, probes: Sequence, tol: float) -> bool:
-    """True iff beta is parallel (b_{i|j} = 0 up to tol) on the probes."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    return analyze_beta(space, probes).parallel_defect_sup <= tol
 
 
 def theorem_verdict(
@@ -504,15 +465,14 @@ def theorem_verdict(
     probes: Optional[Sequence] = None,
     tol_killing: float = 1e-9,
     tol_length: float = 1e-8,
-    probe_count: int = 100,
-    seed: int = 0,
 ) -> TheoremVerdict:
     """Decide whether the space admits a measure with vanishing S-curvature
     (analyze_beta on the probes, then decide).  On success the
     Busemann-Hausdorff density samples are attached as the certificate
-    (any other vanishing-S measure is a constant multiple of it)."""
+    (any other vanishing-S measure is a constant multiple of it).  The
+    probes default to probe_points(space.chart)."""
     if probes is None:
-        probes = probe_points(space.chart, probe_count, seed)
+        probes = probe_points(space.chart)
     verdict = decide(analyze_beta(space, probes), tol_killing, tol_length)
     if verdict.admits:
         verdict.bh_density_probe_values = jets.lanewise(

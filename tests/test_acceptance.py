@@ -8,17 +8,14 @@ single PASS/FAIL line, and enforces the stated runtime budget.  Run with
 import math
 import time
 
-from finslerlab import catalog, randers
+from finslerlab import catalog
 from finslerlab.core import fundamental_tensor, geodesic, probe_pairs, spray
 from finslerlab.jets import partial, seed_group, standard_part
 from finslerlab.randers import (
+    PointData,
     beta_length_squared,
     bh_density_closed_form,
-    spray_closed_form,
     theorem_verdict,
-    trace_dX_dv,
-    trace_dY_closed_form,
-    trace_dY_dv,
 )
 from finslerlab.scurvature import (
     Measure,
@@ -161,13 +158,13 @@ def test_criterion_05_proof_identity_suite(spaces, structures):
         n = sp.dimension
         pairs = probe_pairs(sp.chart, 100)
         for x, v in pairs:
-            worst_x = max(worst_x, abs(trace_dX_dv(sp, x, v)))
-            worst_y = max(
-                worst_y, abs(trace_dY_dv(sp, x, v) - trace_dY_closed_form(sp, x, v))
-            )
+            data = PointData(sp, x)
+            dx, dy = data.traces(v)
+            worst_x = max(worst_x, abs(dx))
+            worst_y = max(worst_y, abs(dy - data.trace_dY_closed_form(v)))
             worst_euler = max(worst_euler, euler_identity_residual(F, x, v))
         for x, _ in pairs:
-            covariant = randers.length_gradient(sp, x)
+            covariant = PointData(sp, x).length_gradient()
             xs = seed_group([float(c) for c in x], range(n))
             lsq = beta_length_squared(sp, xs)
             direct = [standard_part(partial(lsq, i)) for i in range(n)]
@@ -198,7 +195,7 @@ def test_criterion_06_spray_equivalence(spaces, structures):
         sp = spaces[name]
         F = structures[name]
         for x, v in probe_pairs(sp.chart, 100):
-            closed = spray_closed_form(sp, x, v)[0]
+            closed = PointData(sp, x).spray(v)[0]
             generic = [standard_part(c) for c in spray(F, x, v)]
             denom = 1.0 + max(abs(c) for c in generic)
             worst = max(

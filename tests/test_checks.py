@@ -3,7 +3,7 @@ import pytest
 
 from finslerlab import checks, core, randers, scurvature
 from finslerlab.core import probe_grid
-from finslerlab.jets import standard_part
+from finslerlab.jets import Jet, standard_part
 
 
 @pytest.mark.parametrize("name", ["flat-nonkilling", "rotational-killing"])
@@ -46,9 +46,10 @@ def _lanes(x) -> int:
 def test_battery_evaluates_each_probe_value_once(spaces, monkeypatch, name):
     # flat-nonkilling refuses (the Lebesgue and volume floor is read),
     # polar-riemannian admits (the Killing-skew check runs)
-    calls = {"analyze_beta": 0, "s_bh": 0, "half_f_squared": 0, "geodesic": 0}
-    lanes = {"s_bh": 0, "half_f_squared": 0, "geodesic": 0}
+    calls = {"analyze_beta": 0, "s_bh": 0, "half_f_squared": 0, "geodesic": 0, "plain_f": 0}
+    lanes = {"s_bh": 0, "half_f_squared": 0, "geodesic": 0, "plain_f": 0}
     analyze_beta = randers.analyze_beta
+    alpha = randers.alpha
     s_curvature_from = scurvature.s_curvature_from
     half_f_squared = core._half_f_squared
     geodesic = core.geodesic
@@ -70,12 +71,20 @@ def test_battery_evaluates_each_probe_value_once(spaces, monkeypatch, name):
         lanes["half_f_squared"] += _lanes(x)
         return half_f_squared(F, x, *args)
 
+    def counting_alpha(space, x, v):
+        # F = alpha + beta evaluates alpha once; jet leaves are the tensors' F^2/2
+        if not isinstance(v[0], Jet):
+            calls["plain_f"] += 1
+            lanes["plain_f"] += _lanes(x)
+        return alpha(space, x, v)
+
     def counting_geodesic(F, x0, *args):
         calls["geodesic"] += 1
         lanes["geodesic"] += _lanes(x0)
         return geodesic(F, x0, *args)
 
     monkeypatch.setattr(randers, "analyze_beta", counting_analyze_beta)
+    monkeypatch.setattr(randers, "alpha", counting_alpha)
     monkeypatch.setattr(scurvature, "geodesic", counting_geodesic)
     monkeypatch.setattr(scurvature, "s_curvature_from", counting_s_curvature_from)
     monkeypatch.setattr(core, "_half_f_squared", counting_half_f_squared)
@@ -87,13 +96,19 @@ def test_battery_evaluates_each_probe_value_once(spaces, monkeypatch, name):
     # S_BH once per pair, plus S_BH at 0.5 v and 2 v on the homogeneity subset.
     # F^2/2 once per pair for g, A, N and G, once more for g at 2 v; N at 0.5 v
     # and 2 v on the subset; g at the four Richardson states of each oracle probe.
-    # One geodesic per oracle probe and direction.
+    # One geodesic per oracle probe and direction.  F itself at v (read from
+    # PairTensors) and at 0.5 v, 2 v and 3 v per pair, and at the start of
+    # each oracle geodesic.
     assert lanes == {
         "s_bh": len(pairs) + 2 * len(subset),
         "half_f_squared": 2 * len(pairs) + 2 * len(subset) + 4 * transport,
         "geodesic": 2 * transport,
+        "plain_f": 4 * len(pairs) + 2 * transport,
     }
     # Each of those is one pass over array leaves: S_BH on the grid and on
     # the subset; F^2/2 for PairTensors, g at 2 v, the subset and the oracle;
-    # the oracle's forward and backward geodesics as one lock-step RK4 run.
-    assert calls == {"analyze_beta": 1, "s_bh": 2, "half_f_squared": 4, "geodesic": 1}
+    # the oracle's forward and backward geodesics as one lock-step RK4 run;
+    # F once per factor c in the pair pass and once for the oracle's starts.
+    assert calls == {
+        "analyze_beta": 1, "s_bh": 2, "half_f_squared": 4, "geodesic": 1, "plain_f": 5
+    }

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import finslerlab
-from finslerlab import catalog, core, randers
+from finslerlab import catalog, checks, core, randers
 from finslerlab.cli import main
 from finslerlab.core import probe_points
 
@@ -461,6 +461,30 @@ class TestValidate:
         assert report["error"]["type"] == "DomainExitError"
         assert report["error"]["time"] == pytest.approx(-0.00041, abs=1e-12)
         assert "left the chart" in report["error"]["message"]
+
+    @pytest.mark.parametrize("seed", ["1", "2"])
+    def test_transport_math_domain_error_exit_four(self, capsys, spec_path, seed):
+        # An RK4 stage point of a transport geodesic reaches x1 < 0, where
+        # alpha^2 turns negative, before any geodesic leaves the chart.
+        def mutate(data):
+            metric_past_the_edge(data)
+            data["domain"] = [[1e-5, 1e-3], [-1.0, 1.0]]
+
+        code, report = run_json(
+            capsys, "validate", spec_path("euclidean2", mutate), "--mc-samples", "10000",
+            "--seed", seed,
+        )
+        assert code == EXIT_WARNING
+        assert report == {"error": {"type": "ValueError", "message": "math domain error"}}
+
+    def test_value_error_outside_the_oracle_is_not_a_warning(self, capsys, spec_path, monkeypatch):
+        # Only math at a transport stage point is a runtime domain warning.
+        def fail(*args):
+            raise ValueError("not from the oracle")
+
+        monkeypatch.setattr(checks, "fundamental_tensor", fail)
+        with pytest.raises(ValueError, match="not from the oracle"):
+            main(["validate", spec_path("flat-const"), "--probes", "5", "--mc-samples", "10000"])
 
     @pytest.mark.parametrize(
         "flag,value",

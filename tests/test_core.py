@@ -18,7 +18,6 @@ from finslerlab.core import (
     fundamental_tensor,
     geodesic,
     nonlinear_connection,
-    nonlinear_connection_definitional,
     probe_grid,
     probe_pairs,
     probe_points,
@@ -249,7 +248,7 @@ class TestFormalChristoffel:
         F = structures["polar-riemannian"]
         for x, v in probe_pairs(sp.chart, 10):
             gamma = formal_christoffel(F, x, v)
-            lc = randers.levi_civita(sp, x)
+            lc = randers.PointData(sp, x).gamma
             worst = max(
                 abs(standard_part(gamma[i][j][k]) - lc[i][j][k])
                 for i in range(2)
@@ -290,7 +289,7 @@ class TestNonlinearConnection:
             n = sp.dimension
             for x, v in probe_pairs(sp.chart, 15):
                 nj = nonlinear_connection(F, x, v)
-                nd = nonlinear_connection_definitional(F, x, v)
+                nd = PairTensors(F, x, v).definitional_N()
                 worst = max(
                     abs(nj[i][j] - nd[i][j]) for i in range(n) for j in range(n)
                 )

@@ -7,6 +7,7 @@ from finslerlab.core import probe_pairs, probe_points, spray
 from finslerlab.jets import partial, seed_group, standard_part
 from finslerlab.randers import (
     InvalidSpaceError,
+    PointData,
     a_at,
     analyze_beta,
     b_at,
@@ -14,14 +15,8 @@ from finslerlab.randers import (
     beta_length_squared,
     bh_density_closed_form,
     build_space,
-    covariant_derivative,
-    is_berwald,
-    length_gradient,
     spray_closed_form,
     theorem_verdict,
-    trace_dX_dv,
-    trace_dY_closed_form,
-    trace_dY_dv,
     validate_space,
 )
 
@@ -78,7 +73,7 @@ class TestStructure:
         metric = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
         space = build_space(names, [(-1.0, 1.0)] * 4, metric, ["0.3", "0", "0", "0"])
         validate_space(space, probe_points(space.chart, 20))
-        verdict = theorem_verdict(space, probe_count=20)
+        verdict = theorem_verdict(space, probe_points(space.chart, 20))
         assert verdict.admits
         expected = (1.0 - 0.09) ** 2.5  # (n+1)/2 = 2.5
         assert verdict.bh_density_probe_values[0] == pytest.approx(expected, abs=1e-13)
@@ -109,16 +104,16 @@ class TestBetaLength:
 
 class TestCovariantDerivative:
     def test_parallel_constant_form(self, spaces):
-        bc = covariant_derivative(spaces["flat-const"], (0.2, -0.5))
+        bc = PointData(spaces["flat-const"], (0.2, -0.5)).bcov
         assert bc == [[0.0, 0.0], [0.0, 0.0]]
 
     def test_flat_space_partial(self, spaces):
-        bc = covariant_derivative(spaces["flat-nonkilling"], (0.7, 0.1))
+        bc = PointData(spaces["flat-nonkilling"], (0.7, 0.1)).bcov
         assert bc[0][0] == 0.4
         assert bc[0][1] == bc[1][0] == bc[1][1] == 0.0
 
     def test_rotational_antisymmetric(self, spaces):
-        bc = covariant_derivative(spaces["rotational-killing"], (0.5, -1.0))
+        bc = PointData(spaces["rotational-killing"], (0.5, -1.0)).bcov
         assert bc[0][1] == 0.3
         assert bc[1][0] == -0.3
         assert bc[0][0] == bc[1][1] == 0.0
@@ -126,12 +121,12 @@ class TestCovariantDerivative:
 
 class TestLengthGradient:
     def test_constant_form(self, spaces):
-        assert length_gradient(spaces["flat-const"], (0.3, 0.3)) == [0.0, 0.0]
+        assert PointData(spaces["flat-const"], (0.3, 0.3)).length_gradient() == [0.0, 0.0]
 
     def test_rotational_value(self, spaces):
         # oracle: jet derivative of ||beta||^2 = 0.09 (x1^2 + x2^2)
         sp = spaces["rotational-killing"]
-        grad = length_gradient(sp, (1.0, 0.0))
+        grad = PointData(sp, (1.0, 0.0)).length_gradient()
         assert grad[0] == pytest.approx(0.18, abs=1e-14)
         assert grad[1] == pytest.approx(0.0, abs=1e-14)
 
@@ -140,7 +135,7 @@ class TestLengthGradient:
             sp = spaces[name]
             n = sp.dimension
             for x in probe_points(sp.chart, 25):
-                covariant = length_gradient(sp, x)
+                covariant = PointData(sp, x).length_gradient()
                 xs = seed_group([float(c) for c in x], range(n))
                 lsq = beta_length_squared(sp, xs)
                 direct = [standard_part(partial(lsq, i)) for i in range(n)]
@@ -149,11 +144,11 @@ class TestLengthGradient:
 
 class TestClosedFormSpray:
     def test_constant_form_flat_metric(self, spaces):
-        G, X, Y, riem = spray_closed_form(spaces["flat-const"], (0.1, 0.2), (0.7, -0.4))
+        G, X, Y, riem = PointData(spaces["flat-const"], (0.1, 0.2)).spray((0.7, -0.4))
         assert G == [0.0, 0.0] and X == [0.0, 0.0] and Y == [0.0, 0.0] and riem == [0.0, 0.0]
 
     def test_nonkilling_split(self, spaces):
-        G, X, Y, riem = spray_closed_form(spaces["flat-nonkilling"], (0.5, 0.0), (1.0, 0.0))
+        G, X, Y, riem = PointData(spaces["flat-nonkilling"], (0.5, 0.0)).spray((1.0, 0.0))
         assert X == [0.0, 0.0]
         assert Y[0] == pytest.approx(1.0 / 3.0, abs=1e-15)
         assert G[0] == pytest.approx(1.0 / 3.0, abs=1e-15)
@@ -164,10 +159,15 @@ class TestClosedFormSpray:
             sp = spaces[name]
             F = structures[name]
             for x, v in probe_pairs(sp.chart, 20):
-                closed = spray_closed_form(sp, x, v)[0]
+                closed = PointData(sp, x).spray(v)[0]
                 generic = [standard_part(c) for c in spray(F, x, v)]
                 denom = 1.0 + max(abs(c) for c in generic)
                 assert max(abs(a - b) for a, b in zip(closed, generic)) / denom <= 1e-8
+
+    def test_single_point_entry_is_point_data_spray(self, spaces):
+        sp = spaces["sphere-hopf"]
+        for x, v in probe_pairs(sp.chart, 5):
+            assert spray_closed_form(sp, x, v) == PointData(sp, x).spray(v)
 
     def test_zero_vector_rejected(self, spaces):
         with pytest.raises(InvalidSpaceError):
@@ -179,14 +179,15 @@ class TestSprayTraces:
         for name in catalog.NAMES:
             sp = spaces[name]
             for x, v in probe_pairs(sp.chart, 20):
-                assert abs(trace_dX_dv(sp, x, v)) <= 1e-9
+                assert abs(PointData(sp, x).traces(v)[0]) <= 1e-9
 
     def test_y_trace_matches_closed_form(self, spaces):
         for name in ("flat-nonkilling", "sphere-hopf"):
             sp = spaces[name]
             for x, v in probe_pairs(sp.chart, 25):
-                direct = trace_dY_dv(sp, x, v)
-                closed = trace_dY_closed_form(sp, x, v)
+                data = PointData(sp, x)
+                direct = data.traces(v)[1]
+                closed = data.trace_dY_closed_form(v)
                 assert abs(direct - closed) <= 1e-9
 
     def test_killing_space_symmetric_term_drops(self, spaces):
@@ -195,7 +196,8 @@ class TestSprayTraces:
         sp = spaces["rotational-killing"]
         n = 2
         for x, v in probe_pairs(sp.chart, 20):
-            bc = covariant_derivative(sp, x)
+            data = PointData(sp, x)
+            bc = data.bcov
             a_inv = [[1.0, 0.0], [0.0, 1.0]]
             b = [standard_part(c) for c in randers.b_at(sp, x)]
             b_up = [sum(a_inv[i][j] * b[j] for j in range(n)) for i in range(n)]
@@ -204,31 +206,28 @@ class TestSprayTraces:
             skew_term = (n + 1) * sum(
                 (bc[i][j] - bc[j][i]) * b_up[j] * v[i] for i in range(n) for j in range(n)
             ) * al / f
-            assert trace_dY_dv(sp, x, v) == pytest.approx(skew_term, abs=1e-9)
+            assert data.traces(v)[1] == pytest.approx(skew_term, abs=1e-9)
 
 
 class TestBerwald:
+    # Berwald: beta is parallel, b_{i|j} = 0 up to the tolerance
     def test_constant_form_is_berwald(self, spaces):
         points = probe_points(spaces["flat-const"].chart, 30)
-        assert is_berwald(spaces["flat-const"], points, tol=1e-9)
+        assert analyze_beta(spaces["flat-const"], points).parallel_defect_sup <= 1e-9
 
     def test_rotational_is_not(self, spaces):
         points = probe_points(spaces["rotational-killing"].chart, 30)
-        assert not is_berwald(spaces["rotational-killing"], points, tol=1e-9)
+        assert analyze_beta(spaces["rotational-killing"], points).parallel_defect_sup > 1e-9
 
     def test_riemannian_is_berwald(self, spaces):
         points = probe_points(spaces["euclidean2"].chart, 30)
-        assert is_berwald(spaces["euclidean2"], points, tol=1e-9)
+        assert analyze_beta(spaces["euclidean2"], points).parallel_defect_sup <= 1e-9
 
     def test_sphere_killing_not_parallel(self, spaces):
         points = probe_points(spaces["sphere-hopf"].chart, 30)
         analysis = analyze_beta(spaces["sphere-hopf"], points)
         assert analysis.killing_defect_sup <= 1e-12
         assert analysis.parallel_defect_sup > 0.1
-
-    def test_bad_tolerance(self, spaces):
-        with pytest.raises(ValueError):
-            is_berwald(spaces["flat-const"], [(0.0, 0.0)], tol=0.0)
 
 
 class TestVerdict:
@@ -291,9 +290,9 @@ class TestBetaAnalysisRows:
             points = probe_points(sp.chart, 12)
             analysis = analyze_beta(sp, points)
             assert analysis.probes == points
-            assert analysis.covariant == [covariant_derivative(sp, x) for x in points]
+            assert analysis.covariant == [PointData(sp, x).bcov for x in points]
             assert analysis.lengths == [beta_length(sp, x) for x in points]
-            assert analysis.length_gradients == [length_gradient(sp, x) for x in points]
+            assert analysis.length_gradients == [PointData(sp, x).length_gradient() for x in points]
             for x, b_up in zip(points, analysis.raised):  # a_ij b^j = b_i
                 a = [[float(e) for e in row] for row in a_at(sp, x)]
                 for ai, bi in zip(a, b_at(sp, x)):

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Union
 
@@ -47,6 +48,7 @@ __all__ = [
     "parse",
     "evaluate",
     "compile_field",
+    "SharedSubtrees",
     "free_variables",
     "to_source",
     "ExprError",
@@ -416,19 +418,119 @@ def _eval(node: Node, env: Mapping[str, Scalar]) -> Scalar:
     return left / right
 
 
-def compile_field(field: ScalarField, coordinates) -> "Callable":
+class SharedSubtrees:
+    """The subtrees that occur more than once across a group of fields.
+
+    Fields compiled with compile_field(field, names, shared) read each of
+    these subtrees through a memo slot.  shared.pass_args(x) is the
+    argument tuple of one evaluation pass and carries a fresh memo, so
+    every field called with it shares one evaluation of each subtree: the
+    first field that reaches the subtree evaluates it, as its own
+    per-field evaluation would, and later fields read the value.  Values
+    and domain errors are therefore those of per-field evaluation, and
+    the memo lives as long as the pass's argument tuple.  Called with a
+    plain tuple, the fields evaluate every subtree.
+
+    Subtrees are the same when their ASTs are equal (parsed literals are
+    never -0.0, so equal subtrees compute equal bits).  Occurrences are
+    counted in the DAG of distinct subtrees: a repeated subtree's children
+    are counted once, so a child that occurs only inside it gets no slot.
+    Numbers and variables get none either.  `slots` maps the id of every
+    occurrence of a repeated subtree in these fields' ASTs to its slot.
+    """
+
+    __slots__ = ("slots", "_size", "_fields")
+
+    def __init__(self, fields):
+        self._fields = tuple(fields)  # keeps the ids in `slots` valid
+        numbers: dict = {}  # structural key -> number of a distinct subtree
+        occurrences: list = []  # number -> the nodes that are that subtree
+        roots = [_number(field.ast, numbers, occurrences) for field in self._fields]
+        # One reference per root and per child of each distinct subtree.
+        refs = Counter(
+            ref for ref in [*roots, *(c for key in numbers for c in key[1:])] if isinstance(ref, int)
+        )
+        repeated = [number for number, count in refs.items() if count > 1]
+        self._size = len(repeated)
+        self.slots = {
+            id(node): slot for slot, number in enumerate(repeated) for node in occurrences[number]
+        }
+
+    def pass_args(self, values) -> tuple:
+        """The argument tuple of one evaluation pass over `values`."""
+        return _PassArgs(values, self._size) if self._size else tuple(values)
+
+
+class _PassArgs(tuple):
+    """Argument tuple that carries the memo of one evaluation pass."""
+
+    def __new__(cls, values, size: int):
+        args = super().__new__(cls, values)
+        args.memo = [_UNSET] * size
+        return args
+
+
+_UNSET = object()
+
+
+def _number(node: Node, numbers: dict, occurrences: list):
+    """The number of node's subtree (equal subtrees get equal numbers),
+    or a leaf node itself; keys hold the children's numbers, so each
+    node is hashed once."""
+    if isinstance(node, (Num, Var)):
+        return node
+    if isinstance(node, Neg):
+        key = ("neg", _number(node.operand, numbers, occurrences))
+    elif isinstance(node, BinOp):
+        key = (
+            node.op,
+            _number(node.left, numbers, occurrences),
+            _number(node.right, numbers, occurrences),
+        )
+    else:
+        key = (node.func, *(_number(arg, numbers, occurrences) for arg in node.args))
+    number = numbers.get(key)
+    if number is None:
+        number = numbers[key] = len(occurrences)
+        occurrences.append([])
+    occurrences[number].append(node)
+    return number
+
+
+def compile_field(
+    field: ScalarField, coordinates, shared: Optional[SharedSubtrees] = None
+) -> "Callable":
     """Compile to a closure over a positional argument tuple.
 
     compile_field(f, names)(args) computes exactly what evaluate(f,
     dict(zip(names, args))) computes (same branches, same operation
     order, so values match bit for bit); it only removes the AST-walk
-    overhead from hot evaluation loops.
+    overhead from hot evaluation loops.  With `shared`, the subtrees it
+    lists are evaluated once per shared.pass_args pass (SharedSubtrees).
     """
     names = tuple(coordinates)
-    return _compile(field.ast, names)
+    return _compile(field.ast, names, shared.slots if shared is not None else {})
 
 
-def _compile(node: Node, names: tuple):
+def _compile(node: Node, names: tuple, slots: dict):
+    slot = slots.get(id(node))
+    if slot is None:
+        return _compile_node(node, names, slots)
+    inner = _compile_node(node, names, slots)
+
+    def memoized(args):
+        memo = getattr(args, "memo", None)
+        if memo is None:
+            return inner(args)
+        value = memo[slot]
+        if value is _UNSET:
+            value = memo[slot] = inner(args)
+        return value
+
+    return memoized
+
+
+def _compile_node(node: Node, names: tuple, slots: dict):
     if isinstance(node, Num):
         value = node.value
         return lambda args: value
@@ -436,10 +538,10 @@ def _compile(node: Node, names: tuple):
         index = names.index(node.name)
         return lambda args: args[index]
     if isinstance(node, Neg):
-        inner = _compile(node.operand, names)
+        inner = _compile(node.operand, names, slots)
         return lambda args: -inner(args)
     if isinstance(node, Call):
-        arg_fn = _compile(node.args[0], names)
+        arg_fn = _compile(node.args[0], names, slots)
         fn = FUNCTIONS[node.func]
         if node.func in ("log", "sqrt"):
             name = node.func
@@ -453,7 +555,7 @@ def _compile(node: Node, names: tuple):
 
             return guarded
         return lambda args: fn(arg_fn(args))
-    left_fn = _compile(node.left, names)
+    left_fn = _compile(node.left, names, slots)
     op = node.op
     if op == "^":
         k = _static_int_exponent(node.right)
@@ -468,7 +570,7 @@ def _compile(node: Node, names: tuple):
 
                 return int_power_guarded
             return lambda args: jets.intpow(left_fn(args), k)
-        right_fn = _compile(node.right, names)
+        right_fn = _compile(node.right, names, slots)
 
         def general_power(args, _node=node):
             base = left_fn(args)
@@ -480,7 +582,7 @@ def _compile(node: Node, names: tuple):
             return jets.powf(base, right_fn(args))
 
         return general_power
-    right_fn = _compile(node.right, names)
+    right_fn = _compile(node.right, names, slots)
     if op == "+":
         return lambda args: left_fn(args) + right_fn(args)
     if op == "-":

@@ -61,6 +61,9 @@ class RandersSpace:
 
 
 # Compiled expression tables, keyed by space identity (spaces are immutable).
+# "a" is n x n ([i][j] and [j][i] are the same closure), "b" has n entries;
+# both evaluate the subtrees that "shared" lists once per pass
+# (expr.SharedSubtrees.pass_args).
 _COMPILED: "weakref.WeakKeyDictionary[RandersSpace, dict]" = weakref.WeakKeyDictionary()
 
 
@@ -69,12 +72,15 @@ def _fns(space: RandersSpace) -> dict:
     if table is None:
         names = space.chart.names
         n = space.dimension
+        upper = [(i, j) for i in range(n) for j in range(i, n)]
+        shared = expr.SharedSubtrees([*(space.a[i][j] for i, j in upper), *space.b])
+        a = [[None] * n for _ in range(n)]
+        for i, j in upper:
+            a[i][j] = a[j][i] = expr.compile_field(space.a[i][j], names, shared)
         table = {
-            "a": [
-                [expr.compile_field(space.a[i][j], names) for j in range(n)]
-                for i in range(n)
-            ],
-            "b": [expr.compile_field(f, names) for f in space.b],
+            "a": a,
+            "b": [expr.compile_field(f, names, shared) for f in space.b],
+            "shared": shared,
         }
         _COMPILED[space] = table
     return table
@@ -210,9 +216,26 @@ def validate_space(space: RandersSpace, points: Sequence) -> None:
 
 def a_at(space: RandersSpace, x) -> list:
     """Metric entries at x (floats or jets follow the input scalars)."""
-    n = space.dimension
-    fns = _fns(space)["a"]
-    args = tuple(x)
+    table = _fns(space)
+    return _metric(table, table["shared"].pass_args(x))
+
+
+def b_at(space: RandersSpace, x) -> list:
+    table = _fns(space)
+    return _one_form(table, table["shared"].pass_args(x))
+
+
+def _a_and_b(space: RandersSpace, x) -> tuple[list, list]:
+    """(a_at, b_at) at x from one evaluation pass, a first: a subtree that
+    several entries share is evaluated once."""
+    table = _fns(space)
+    args = table["shared"].pass_args(x)
+    return _metric(table, args), _one_form(table, args)
+
+
+def _metric(table: dict, args) -> list:
+    fns = table["a"]
+    n = len(fns)
     out = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -220,20 +243,19 @@ def a_at(space: RandersSpace, x) -> list:
     return out
 
 
-def b_at(space: RandersSpace, x) -> list:
-    args = tuple(x)
-    return [fn(args) for fn in _fns(space)["b"]]
+def _one_form(table: dict, args) -> list:
+    return [fn(args) for fn in table["b"]]
 
 
-def alpha(space: RandersSpace, x, v) -> Scalar:
-    a = a_at(space, x)
-    n = space.dimension
-    quad = sum_(a[i][j] * (v[i] * v[j]) for i in range(n) for j in range(n))
-    return jets.sqrt(quad)
+def alpha(a, v) -> Scalar:
+    """alpha(v) = sqrt(a_ij v^i v^j) for the metric entries a = a_at(space, x)."""
+    n = len(a)
+    return jets.sqrt(sum_([a[i][j] * (v[i] * v[j]) for i in range(n) for j in range(n)]))
 
 
-def beta(space: RandersSpace, x, v) -> Scalar:
-    return sum_(bi * vi for bi, vi in zip(b_at(space, x), v))
+def beta(b, v) -> Scalar:
+    """beta(v) = b_i v^i for the one-form entries b = b_at(space, x)."""
+    return sum_([bi * vi for bi, vi in zip(b, v)])
 
 
 def finsler(space: RandersSpace) -> FinslerStructure:
@@ -245,7 +267,8 @@ def finsler(space: RandersSpace) -> FinslerStructure:
     """
 
     def func(x, v):
-        return alpha(space, x, v) + beta(space, x, v)
+        a, b = _a_and_b(space, x)
+        return alpha(a, v) + beta(b, v)
 
     def fast_spray(x, v):
         if not isinstance(v[0], np.ndarray) and all(standard_part(c) == 0.0 for c in v):
@@ -257,8 +280,7 @@ def finsler(space: RandersSpace) -> FinslerStructure:
 
 def beta_length_squared(space: RandersSpace, x) -> Scalar:
     """||beta||^2(x) = a^ij b_i b_j; jet-evaluable (smooth even at zeros)."""
-    a = a_at(space, x)
-    b = b_at(space, x)
+    a, b = _a_and_b(space, x)
     return _length_squared(inv(a), b)
 
 
@@ -290,11 +312,12 @@ def _first_order_data(space: RandersSpace, x):
     xs = seed_group(_leaves(x), range(n))
     # Entries are one-level jets over leaves, or leaf constants.
     zeros = (0.0,) * n
+    a_jets, b_jets = _a_and_b(space, xs)
     aj = [
         [(e.value, e.partials) if isinstance(e, Jet) else (e, zeros) for e in row]
-        for row in a_at(space, xs)
+        for row in a_jets
     ]
-    bj = [(e.value, e.partials) if isinstance(e, Jet) else (e, zeros) for e in b_at(space, xs)]
+    bj = [(e.value, e.partials) if isinstance(e, Jet) else (e, zeros) for e in b_jets]
     a = [[value for value, _ in row] for row in aj]
     da = [[[slots[k] for _, slots in row] for row in aj] for k in range(n)]
     b = [value for value, _ in bj]
@@ -305,15 +328,21 @@ def _first_order_data(space: RandersSpace, x):
 def _levi_civita_from(a_inv, da) -> list:
     """Christoffel symbols from the inverse metric and da[k][i][j] = da_ij/dx_k."""
     n = len(a_inv)
+    # The bracket of Gamma_{lij} for each lower pair j >= i (gamma is
+    # symmetric in it), shared by every k.
+    brackets = [
+        (i, j, [da[j][l][i] + da[i][j][l] - da[l][i][j] for l in range(n)])
+        for i in range(n)
+        for j in range(i, n)
+    ]
     gamma = []
     for k in range(n):
         mat = [[0.0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):  # symmetric in the lower pair
-                s = 0.0
-                for l in range(n):
-                    s += a_inv[k][l] * (da[j][l][i] + da[i][j][l] - da[l][i][j])
-                mat[i][j] = mat[j][i] = 0.5 * s
+        for i, j, bracket in brackets:
+            s = 0.0
+            for l in range(n):
+                s += a_inv[k][l] * bracket[l]
+            mat[i][j] = mat[j][i] = 0.5 * s
         gamma.append(mat)
     return gamma
 
@@ -376,7 +405,7 @@ class PointData:
         """
         n = len(self.b)
         q = self.bcov
-        al = standard_part(self._alpha_of(v))
+        al = standard_part(alpha(self.a, v))
         f = al + sum(bi * vi for bi, vi in zip(self.b, v))
         sym = sum(
             (q[i][j] + q[j][i]) * v[i] * v[j] for i in range(n) for j in range(n)
@@ -386,17 +415,11 @@ class PointData:
         )
         return 0.5 * (n + 1) * sym / f + (n + 1) * skew * al / f
 
-    def _alpha_of(self, v) -> Scalar:
-        n = len(self.b)
-        return jets.sqrt(
-            sum_([self.a[i][j] * (v[i] * v[j]) for i in range(n) for j in range(n)])
-        )
-
     def _xy_split(self, v):
         """(X, Y, riem) of the spray decomposition at generic v."""
         n = len(self.b)
-        al = self._alpha_of(v)
-        f = al + sum_([bi * vi for bi, vi in zip(self.b, v)])
+        al = alpha(self.a, v)
+        f = al + beta(self.b, v)
         riem = [
             sum_([self.gamma[i][j][k] * (v[j] * v[k]) for j in range(n) for k in range(n)])
             for i in range(n)
@@ -506,8 +529,7 @@ def decide(analysis: BetaAnalysis, tol_killing: float, tol_length: float) -> The
 def bh_density_closed_form(space: RandersSpace, x) -> Scalar:
     """sigma_BH(x) = (1 - ||beta||^2)^((n+1)/2) * sqrt(det a); jet-evaluable."""
     n = space.dimension
-    a = a_at(space, x)
-    b = b_at(space, x)
+    a, b = _a_and_b(space, x)
     len_sq = _length_squared(inv(a), b)
     worst = standard_part(len_sq)
     if isinstance(worst, np.ndarray):

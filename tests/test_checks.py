@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -49,7 +51,7 @@ def test_battery_evaluates_each_probe_value_once(spaces, monkeypatch, name):
     calls = {"analyze_beta": 0, "s_bh": 0, "half_f_squared": 0, "geodesic": 0, "plain_f": 0}
     lanes = {"s_bh": 0, "half_f_squared": 0, "geodesic": 0, "plain_f": 0}
     analyze_beta = randers.analyze_beta
-    alpha = randers.alpha
+    finsler = randers.finsler
     s_curvature_from = scurvature.s_curvature_from
     half_f_squared = core._half_f_squared
     geodesic = core.geodesic
@@ -71,12 +73,17 @@ def test_battery_evaluates_each_probe_value_once(spaces, monkeypatch, name):
         lanes["half_f_squared"] += _lanes(x)
         return half_f_squared(F, x, *args)
 
-    def counting_alpha(space, x, v):
-        # F = alpha + beta evaluates alpha once; jet leaves are the tensors' F^2/2
-        if not isinstance(v[0], Jet):
-            calls["plain_f"] += 1
-            lanes["plain_f"] += _lanes(x)
-        return alpha(space, x, v)
+    def counting_finsler(space):
+        F = finsler(space)
+
+        def func(x, v):
+            # jet leaves are the tensors' F^2/2
+            if not isinstance(v[0], Jet):
+                calls["plain_f"] += 1
+                lanes["plain_f"] += _lanes(x)
+            return F.func(x, v)
+
+        return dataclasses.replace(F, func=func)
 
     def counting_geodesic(F, x0, *args):
         calls["geodesic"] += 1
@@ -84,7 +91,7 @@ def test_battery_evaluates_each_probe_value_once(spaces, monkeypatch, name):
         return geodesic(F, x0, *args)
 
     monkeypatch.setattr(randers, "analyze_beta", counting_analyze_beta)
-    monkeypatch.setattr(randers, "alpha", counting_alpha)
+    monkeypatch.setattr(randers, "finsler", counting_finsler)
     monkeypatch.setattr(scurvature, "geodesic", counting_geodesic)
     monkeypatch.setattr(scurvature, "s_curvature_from", counting_s_curvature_from)
     monkeypatch.setattr(core, "_half_f_squared", counting_half_f_squared)

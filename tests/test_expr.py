@@ -1,10 +1,14 @@
 import math
+import random
+import sys
+from pathlib import Path
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from finslerlab import expr, jets
+from finslerlab import expr, jets, manifest, randers
 from finslerlab.expr import (
     ArityError,
     BinOp,
@@ -23,6 +27,10 @@ from finslerlab.expr import (
     parse,
     to_source,
 )
+from finslerlab.jets import seed_group
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import specgen  # noqa: E402
 
 XY = ["x1", "x2"]
 
@@ -259,3 +267,163 @@ def test_compiled_matches_interpreted_bitwise(ast, a, b):
     if interp[0] == "ok":
         pv, jv = interp[1], fast[1]
         assert (pv == jv) or (math.isnan(pv) and math.isnan(jv))
+
+
+# -- shared subtrees across a space's fields ------------------------------------
+
+
+def _table_cases():
+    """The catalog specs and every specgen family at each of its
+    dimensions (n = 2-4) and expression sizes."""
+    generated = [
+        specgen.generate(random.Random(f"shared:{family}:{n}:{size}"), family, n, size, family)
+        for family in specgen.FAMILIES
+        for n in specgen.DIMENSIONS[family]
+        for size in specgen.SIZES
+    ]
+    return [
+        pytest.param(spec, id=f"{spec['name']}-n{len(spec['coordinates'])}-{k}")
+        for k, spec in enumerate([*specgen.catalog_specs(), *generated])
+    ]
+
+
+def _bits(scalar):
+    """Every leaf of a scalar, in slot order, as reprs (so -0.0 != 0.0)."""
+    if isinstance(scalar, jets.Jet):
+        return _bits(scalar.value) + [b for p in scalar.partials for b in _bits(p)]
+    if isinstance(scalar, np.ndarray):
+        return [repr(v) for v in scalar.tolist()]
+    return [repr(scalar)]
+
+
+def _per_field(space, x):
+    """a (upper triangle) and b at x, each entry by its own evaluate, in
+    the order of one table pass."""
+    env = dict(zip(space.chart.names, x))
+    n = space.dimension
+    upper = [space.a[i][j] for i in range(n) for j in range(i, n)]
+    return [evaluate(f, env) for f in [*upper, *space.b]]
+
+
+def _table_pass(space, x):
+    a, b = randers._a_and_b(space, x)
+    n = space.dimension
+    return [a[i][j] for i in range(n) for j in range(i, n)] + b
+
+
+def _outcome(fn):
+    try:
+        return ("ok", [_bits(e) for e in fn()])
+    except ExprDomainError as exc:
+        return ("err", type(exc), str(exc), exc.node)
+
+
+class TestSharedSubtrees:
+    @pytest.mark.parametrize("spec", _table_cases())
+    def test_table_pass_equals_per_field_evaluation(self, spec):
+        space = manifest.space_from_spec(spec)
+        n = space.dimension
+        rng = np.random.default_rng(n)
+        columns = [rng.uniform(lo, hi, size=6) for lo, hi in space.chart.bounds]
+        floats = [list(p) for p in zip(*[c.tolist() for c in columns])]
+        inputs = [*floats[:2], columns]
+        for levels in (1, 2, 3):
+            point = floats[0]
+            lanes = columns
+            for _ in range(levels):
+                point = seed_group(point, range(n))
+                lanes = seed_group(lanes, range(n))
+            inputs += [point, lanes]
+        for x in inputs:
+            expected = _outcome(lambda: _per_field(space, x))
+            assert expected[0] == "ok"
+            assert _outcome(lambda: _table_pass(space, x)) == expected
+            a, b = randers.a_at(space, x), randers.b_at(space, x)
+            separate = [a[i][j] for i in range(n) for j in range(i, n)] + b
+            assert [_bits(e) for e in separate] == expected[1]
+
+    def test_shared_subtree_is_evaluated_once_per_pass(self, monkeypatch):
+        names = ["x1", "x2"]
+        fields = [parse(s, names) for s in ("exp(x1)*x2", "2 + exp(x1)", "exp(x1)", "exp(x2)")]
+        expected = [evaluate(f, {"x1": 0.5, "x2": 0.25}) for f in fields]
+        calls = []
+        exp = expr.FUNCTIONS["exp"]
+        monkeypatch.setitem(expr.FUNCTIONS, "exp", lambda x: calls.append(x) or exp(x))
+        shared = expr.SharedSubtrees(fields)
+        exp_x1 = [fields[0].ast.left, fields[1].ast.right, fields[2].ast]
+        assert shared.slots == {id(node): 0 for node in exp_x1}
+        fns = [compile_field(f, names, shared) for f in fields]
+        args = shared.pass_args((0.5, 0.25))
+        values = [fn(args) for fn in fns]
+        assert len(calls) == 2  # exp(x1) once for three fields, exp(x2) once
+        assert values == expected
+        # A new pass has a new memo; a plain tuple has none.
+        args = shared.pass_args((0.5, 0.25))
+        assert [fn(args) for fn in fns] == values
+        assert len(calls) == 2 + 2
+        assert [fn((0.5, 0.25)) for fn in fns] == values
+        assert len(calls) == 2 + 2 + 4
+
+    def test_space_shares_its_repeated_subtrees(self, monkeypatch):
+        # The conformal factor exp(phi) of a riemannian spec sits on every
+        # diagonal entry: one exp per pass, on floats and on array leaves.
+        spec = specgen.generate(random.Random("shared-exp"), "riemannian", 3, 1, "conformal")
+        calls = []
+        exp = expr.FUNCTIONS["exp"]
+        monkeypatch.setitem(expr.FUNCTIONS, "exp", lambda x: calls.append(x) or exp(x))
+        space = manifest.space_from_spec(spec)
+        lanes = [np.array([0.1, -0.4]), np.array([0.2, 0.5]), np.array([0.3, 0.0])]
+        for x in ([0.1, 0.2, 0.3], lanes):
+            calls.clear()
+            randers._a_and_b(space, x)
+            assert len(calls) == 1
+            calls.clear()
+            randers.PointData(space, x)
+            assert len(calls) == 1
+
+    def test_only_repeated_subtrees_get_a_slot(self):
+        names = ["x1", "x2"]
+        conf = "(1 + x1^2 + x2^2)^2"
+        fields = [parse(s, names) for s in (f"4/{conf}", f"4/{conf}", f"x1*x2/{conf}", "x1^2")]
+        first, second, third, last = (f.ast for f in fields)
+        slots = expr.SharedSubtrees(fields).slots
+        # The diagonal entry, the conformal factor and x1^2 (in it and in the
+        # last field) repeat; the sum inside the factor occurs only in it.
+        assert slots[id(first)] == slots[id(second)]
+        assert slots[id(first.right)] == slots[id(second.right)] == slots[id(third.right)]
+        assert id(first.right.left) not in slots
+        x1_squared = [id(f.ast.right.left.left.right) for f in fields[:3]] + [id(last)]
+        assert len({slots[k] for k in x1_squared}) == 1
+        assert set(slots.values()) == {0, 1, 2}
+        assert len(expr.SharedSubtrees(fields).pass_args((1.0, 2.0)).memo) == 3
+        assert type(expr.SharedSubtrees(fields[2:3]).pass_args((1.0, 2.0))) is tuple
+
+    @pytest.mark.parametrize(
+        "metric,one_form,bad,message",
+        [
+            (
+                [["1/(x1-x1)", "0"], ["0", "1/(x1-x1)"]],
+                ["0", "0"],
+                0.5,
+                "division by zero in '1.0/(x1-x1)'",
+            ),
+            (
+                [["2 + log(x1)", "0"], ["0", "1"]],
+                ["0.1*log(x1)", "0"],
+                -0.5,
+                "log of non-positive value -0.5 in 'log(x1)'",
+            ),
+        ],
+    )
+    def test_domain_error_in_a_shared_subtree(self, metric, one_form, bad, message):
+        space = randers.build_space(["x1", "x2"], [(-1.0, 1.0), (-1.0, 1.0)], metric, one_form)
+        assert randers._fns(space)["shared"].slots
+        lanes = [np.array([0.25, bad, -0.75]), np.array([0.1, 0.2, 0.3])]
+        for x in ([bad, 0.2], lanes, *(seed_group(p, range(2)) for p in ([bad, 0.2], lanes))):
+            expected = _outcome(lambda: _per_field(space, x))
+            assert expected[:3] == ("err", ExprDomainError, message)
+            assert _outcome(lambda: _table_pass(space, x)) == expected
+        # So does PointData's first-order jet pass over the lanes.
+        with pytest.raises(ExprDomainError) as err:
+            randers.PointData(space, lanes)
+        assert str(err.value) == message

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from finslerlab import catalog, randers
@@ -27,8 +28,8 @@ BOX = [(-1.0, 1.0), (-1.0, 1.0)]
 class TestStructure:
     def test_alpha_beta_split(self, spaces):
         sp = spaces["flat-const"]
-        assert randers.alpha(sp, (0.0, 0.0), (1.0, 0.0)) == 1.0
-        assert randers.beta(sp, (0.0, 0.0), (1.0, 0.0)) == 0.5
+        assert randers.alpha(a_at(sp, (0.0, 0.0)), (1.0, 0.0)) == 1.0
+        assert randers.beta(b_at(sp, (0.0, 0.0)), (1.0, 0.0)) == 0.5
         F = randers.finsler(sp)
         assert F((0.0, 0.0), (1.0, 0.0)) == 1.5
 
@@ -36,7 +37,7 @@ class TestStructure:
         sp = spaces["euclidean2"]
         F = randers.finsler(sp)
         v = (0.6, -0.8)
-        assert F((0.0, 0.0), v) == randers.alpha(sp, (0.0, 0.0), v)
+        assert F((0.0, 0.0), v) == randers.alpha(a_at(sp, (0.0, 0.0)), v)
 
     def test_asymmetry_of_randers_norm(self, spaces):
         F = randers.finsler(spaces["flat-const"])
@@ -345,3 +346,63 @@ class TestBhDensity:
         # dlog sigma / dx1 at x1 = 0.5 equals 1.5 * (-0.32*0.5) / 0.96 = -0.25
         dlog = standard_part(partial(sigma, 0)) / standard_part(sigma)
         assert dlog == pytest.approx(-0.25, abs=1e-13)
+
+
+def _levi_civita_unhoisted(a_inv, da) -> list:
+    """The Christoffel loop before its bracket was hoisted out of k: the
+    reference the hoisted _levi_civita_from must equal bit for bit."""
+    n = len(a_inv)
+    gamma = []
+    for k in range(n):
+        mat = [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                s = 0.0
+                for l in range(n):
+                    s += a_inv[k][l] * (da[j][l][i] + da[i][j][l] - da[l][i][j])
+                mat[i][j] = mat[j][i] = 0.5 * s
+        gamma.append(mat)
+    return gamma
+
+
+def _reprs(nested):
+    """Leaf reprs of nested lists of floats and arrays (so -0.0 != 0.0)."""
+    if isinstance(nested, list):
+        return [r for item in nested for r in _reprs(item)]
+    if isinstance(nested, np.ndarray):
+        return [repr(v) for v in nested.tolist()]
+    return [repr(nested)]
+
+
+class TestLeviCivita:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_hoisted_bracket_equals_the_unhoisted_loop(self, n):
+        rng = np.random.default_rng(n)
+
+        def entry(lanes):
+            # _first_order_data leaves constant entries as float zeros;
+            # 0.0 and -0.0 occur inside lanes and as floats too.
+            if rng.random() < 0.3:
+                return float(rng.choice([0.0, -0.0]))
+            values = rng.normal(size=lanes or 1)
+            values[rng.random(values.size) < 0.25] = -0.0
+            values[rng.random(values.size) < 0.25] = 0.0
+            return values if lanes else float(values[0])
+
+        for lanes in (None, 7):
+            for _ in range(5):
+                a_inv = [[entry(lanes) for _ in range(n)] for _ in range(n)]
+                da = [[[entry(lanes) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+                assert _reprs(randers._levi_civita_from(a_inv, da)) == _reprs(
+                    _levi_civita_unhoisted(a_inv, da)
+                )
+
+    def test_point_data_gamma_on_catalog_spaces(self, spaces):
+        for name, sp in spaces.items():
+            n = sp.dimension
+            points = probe_points(sp.chart, 6)
+            lanes = [np.array(c) for c in zip(*points)]
+            for x in (points[0], lanes):
+                data = PointData(sp, x)
+                _, da, _, _ = randers._first_order_data(sp, x)
+                assert _reprs(data.gamma) == _reprs(_levi_civita_unhoisted(data.a_inv, da)), name

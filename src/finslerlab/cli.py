@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
+import functools
 import math
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from . import __version__, catalog, checks, manifest, randers, scurvature
 from .core import MIN_VECTOR_NORM, DomainExitError, NonFiniteStateError, geodesic
@@ -76,7 +77,9 @@ class _JsonArgumentParser(argparse.ArgumentParser):
         _usage_exit(f"{self.prog}: {message}")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parse_args keeps no state between calls."""
     parser = _JsonArgumentParser(
         prog="finslerlab",
         description="Finsler-geometric analyses of Randers spaces given as JSON specs",
@@ -162,10 +165,49 @@ def _resolve_seed(flag_value) -> int:
 
 def _emit(report: dict) -> None:
     try:
-        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+        text = _json_text(report, "\n")
     except ValueError:
         raise NonFiniteResultError("the result holds a NaN or infinite value") from None
     print(text)
+
+
+def _json_text(value, newline: str) -> str:
+    """json.dumps(value, sort_keys=True, indent=2, allow_nan=False) for a
+    tree of str-keyed dicts, lists, tuples, str, int, float, bool and None
+    (float and int subclasses as their base type), byte for byte; `newline`
+    is the line break plus the indent of value's own line.  json.dumps
+    runs its slower pure-Python encoder whenever indent is set.  Raises
+    ValueError on a NaN or infinite float and TypeError on anything else."""
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        raise ValueError(f"out of range float value {value!r}")
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [
+            encode_basestring_ascii(key) + ": " + _json_text(item, inner)
+            for key, item in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"{type(value).__name__} is not a JSON value")
 
 
 def _emit_error(kind: str, message: str, **extra) -> None:

@@ -434,19 +434,18 @@ def _scrambled_halton(d: int, count: int, seed: int) -> np.ndarray:
 
     Column k uses the k-th prime b and ceil(54 / log2 b) - 1 digit
     permutations of range(b), shuffled in base order by one
-    default_rng(seed).  Point i is the sum over every permutation j of
-    perm_j[digit_j(i)] * w_j, with w_0 = 1/b and w_(j+1) = w_j / b, digits
-    past i's length (0) included.  The sum runs in j order (cumsum), so
-    the points match SciPy's qmc.Halton(d, scramble=True, seed=seed) bit
-    for bit.
+    default_rng(seed): one permuted(axis=1) call per column draws what
+    SciPy's shuffle of each row in turn draws.  Point i is the sum over
+    every permutation j of perm_j[digit_j(i)] * w_j, with w_0 = 1/b and
+    w_(j+1) = w_j / b, digits past i's length (0) included.  The sum runs
+    in j order (cumsum), so the points match SciPy's qmc.Halton(d,
+    scramble=True, seed=seed) bit for bit.
     """
     rng = np.random.default_rng(seed)
     out = np.empty((count, d))
     for column, base in enumerate(_primes(d)):
         depth = math.ceil(54 / math.log2(base)) - 1
-        perms = np.repeat(np.arange(base)[None], depth, axis=0)
-        for perm in perms:
-            rng.shuffle(perm)
+        perms = rng.permuted(np.repeat(np.arange(base)[None], depth, axis=0), axis=1)
         weights = [1.0 / base]
         for _ in range(depth - 1):
             weights.append(weights[-1] / base)

@@ -65,7 +65,9 @@ def det(matrix) -> object:
 
 def inv(matrix) -> list:
     """Inverse via Gauss-Jordan; raises SingularMatrixError on rank loss
-    (in a batch, when any lane has a zero pivot)."""
+    (in a batch, when any lane has a zero pivot).  The elimination updates
+    only the columns of `a` right of the pivot: no later step reads the
+    others."""
     n = len(matrix)
     leaves = {type(entry) for row in matrix for entry in row}
     # Float matrices skip the standard-part walk; the pivots are the same.
@@ -84,19 +86,23 @@ def inv(matrix) -> list:
             if pivot_row != col:
                 a[col], a[pivot_row] = a[pivot_row], a[col]
                 b[col], b[pivot_row] = b[pivot_row], b[col]
-        pivot = a[col][col]
+        top, b_top = a[col], b[col]
+        pivot = top[col]
         for c in range(n):
-            a[col][c] = a[col][c] / pivot
-            b[col][c] = b[col][c] / pivot
+            if c > col:
+                top[c] = top[c] / pivot
+            b_top[c] = b_top[c] / pivot
         for r in range(n):
             if r == col:
                 continue
-            factor = a[r][col]
+            row, b_row = a[r], b[r]
+            factor = row[col]
             if isinstance(factor, float) and factor == 0.0:
                 continue
             for c in range(n):
-                a[r][c] = a[r][c] - factor * a[col][c]
-                b[r][c] = b[r][c] - factor * b[col][c]
+                if c > col:
+                    row[c] = row[c] - factor * top[c]
+                b_row[c] = b_row[c] - factor * b_top[c]
     return b
 
 

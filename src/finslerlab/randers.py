@@ -225,7 +225,7 @@ def b_at(space: RandersSpace, x) -> list:
     return _one_form(table, table["shared"].pass_args(x))
 
 
-def _a_and_b(space: RandersSpace, x) -> tuple[list, list]:
+def a_and_b(space: RandersSpace, x) -> tuple[list, list]:
     """(a_at, b_at) at x from one evaluation pass, a first: a subtree that
     several entries share is evaluated once."""
     table = _fns(space)
@@ -267,7 +267,7 @@ def finsler(space: RandersSpace) -> FinslerStructure:
     """
 
     def func(x, v):
-        a, b = _a_and_b(space, x)
+        a, b = a_and_b(space, x)
         return alpha(a, v) + beta(b, v)
 
     def fast_spray(x, v):
@@ -280,7 +280,7 @@ def finsler(space: RandersSpace) -> FinslerStructure:
 
 def beta_length_squared(space: RandersSpace, x) -> Scalar:
     """||beta||^2(x) = a^ij b_i b_j; jet-evaluable (smooth even at zeros)."""
-    a, b = _a_and_b(space, x)
+    a, b = a_and_b(space, x)
     return _length_squared(inv(a), b)
 
 
@@ -289,13 +289,15 @@ def _length_squared(a_inv, b) -> Scalar:
     return sum_(a_inv[i][j] * (b[i] * b[j]) for i in range(n) for j in range(n))
 
 
-def beta_length(space: RandersSpace, x, a=None) -> Union[float, np.ndarray]:
+def beta_length(space: RandersSpace, x, a=None, b=None) -> Union[float, np.ndarray]:
     """||beta||(x) at a float point, or in every lane of array leaves (not
-    differentiable where beta vanishes).  `a`, the metric at x, spares
-    its evaluation when the caller already holds it."""
+    differentiable where beta vanishes).  `a` and `b`, the metric and the
+    one-form at x, spare their evaluation when the caller already holds
+    them."""
     if a is None:
         a = a_at(space, x)
-    b = b_at(space, x)
+    if b is None:
+        b = b_at(space, x)
     return jets.sqrt(standard_part(_length_squared(inv(a), b)))
 
 
@@ -312,7 +314,7 @@ def _first_order_data(space: RandersSpace, x):
     xs = seed_group(_leaves(x), range(n))
     # Entries are one-level jets over leaves, or leaf constants.
     zeros = (0.0,) * n
-    a_jets, b_jets = _a_and_b(space, xs)
+    a_jets, b_jets = a_and_b(space, xs)
     aj = [
         [(e.value, e.partials) if isinstance(e, Jet) else (e, zeros) for e in row]
         for row in a_jets
@@ -529,7 +531,7 @@ def decide(analysis: BetaAnalysis, tol_killing: float, tol_length: float) -> The
 def bh_density_closed_form(space: RandersSpace, x) -> Scalar:
     """sigma_BH(x) = (1 - ||beta||^2)^((n+1)/2) * sqrt(det a); jet-evaluable."""
     n = space.dimension
-    a, b = _a_and_b(space, x)
+    a, b = a_and_b(space, x)
     len_sq = _length_squared(inv(a), b)
     worst = standard_part(len_sq)
     if isinstance(worst, np.ndarray):

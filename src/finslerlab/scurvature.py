@@ -285,18 +285,19 @@ def bh_density_monte_carlo(
     box is that ellipsoid's bounding box in the a(x)-eigenbasis.  The RNG
     is counter-based (numpy Philox keyed with the 64-bit seed), which
     makes estimates bit-reproducible for a fixed seed.  Samples are drawn
-    MC_CHUNK_ROWS rows at a time from the one stream, so memory stays
-    bounded whatever the sample count.
+    MC_CHUNK_ROWS rows at a time from the one stream into one reused
+    buffer, so memory stays bounded whatever the sample count.
     """
     if sample_count < 10_000:
         raise ValueError("sample_count must be at least 10^4")
     n = space.dimension
-    a = np.array([[standard_part(e) for e in row] for row in randers.a_at(space, x)])
-    b = np.array([standard_part(c) for c in randers.b_at(space, x)])
+    a_x, b_x = randers.a_and_b(space, x)
+    a = np.array([[standard_part(e) for e in row] for row in a_x])
+    b = np.array([standard_part(c) for c in b_x])
     lam, q = np.linalg.eigh(a)
     if lam[0] <= 0.0:
         raise randers.InvalidSpaceError(f"metric not positive definite at x = {tuple(x)}")
-    blen = randers.beta_length(space, x)
+    blen = randers.beta_length(space, x, a_x, b_x)
     if blen >= 1.0:
         raise randers.InvalidSpaceError(
             f"degenerate bounding box: ||beta|| = {blen:.6g} >= 1 at x = {tuple(x)}"
@@ -307,11 +308,21 @@ def bh_density_monte_carlo(
 
     rng = np.random.Generator(np.random.Philox(key=rng_seed))
     b_eigen = q.T @ b
+    # rng.uniform(low, high) draws low + (high - low) * U; the same
+    # arithmetic on rng.random's U, in place, keeps every sample's bits.
+    low = -half_width
+    span = half_width - low
+    draw = np.empty((min(MC_CHUNK_ROWS, sample_count), n))
+    squares = np.empty_like(draw)
     hits = 0
     for start in range(0, sample_count, MC_CHUNK_ROWS):
         rows = min(MC_CHUNK_ROWS, sample_count - start)
-        y = rng.uniform(-half_width, half_width, size=(rows, n))
-        hits += int(np.count_nonzero(np.sqrt((y * y) @ lam) + y @ b_eigen < 1.0))
+        y = rng.random(out=draw[:rows])
+        for column, lo, width in zip(y.T, low, span):
+            column *= width
+            column += lo
+        y2 = np.multiply(y, y, out=squares[:rows])
+        hits += int(np.count_nonzero(np.sqrt(y2 @ lam) + y @ b_eigen < 1.0))
     p = hits / sample_count
     if p == 0.0:
         raise randers.InvalidSpaceError("unit ball missed entirely; degenerate data")

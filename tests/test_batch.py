@@ -32,7 +32,7 @@ from finslerlab.core import (
 )
 from finslerlab.expr import ExprDomainError
 from finslerlab.jets import Jet, seed_group
-from finslerlab.linalg import SingularMatrixError, _stacked, det, inv
+from finslerlab.linalg import SingularMatrixError, _has_lanes, _pivot_lanes, _stacked, det, inv
 from finslerlab.scurvature import (
     busemann_hausdorff_measure,
     lebesgue_measure,
@@ -313,6 +313,91 @@ class TestInvBatch:
         expected = [det(m) for m in lanes]
         assert expected[1] == 0.0 and expected[2] == 0.0
         assert_matches_lanes(det(matrix), expected)
+
+
+def _inv_every_column(matrix) -> list:
+    """Gauss-Jordan as linalg.inv ran it before it skipped dead columns:
+    every column of `a` is divided and eliminated at every pivot."""
+    n = len(matrix)
+    leaves_ = {type(entry) for row in matrix for entry in row}
+    magnitude = abs if leaves_ == {float} else (lambda e: abs(jets.standard_part(e)))
+    a = [list(row) for row in matrix]
+    b = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    lanes = leaves_ != {float} and _has_lanes(a)
+    for col in range(n):
+        if lanes:
+            assert _pivot_lanes(col, a, b)[0].all()
+        else:
+            pivot_row = max(range(col, n), key=lambda r: magnitude(a[r][col]))
+            assert magnitude(a[pivot_row][col]) != 0.0
+            if pivot_row != col:
+                a[col], a[pivot_row] = a[pivot_row], a[col]
+                b[col], b[pivot_row] = b[pivot_row], b[col]
+        pivot = a[col][col]
+        for c in range(n):
+            a[col][c] = a[col][c] / pivot
+            b[col][c] = b[col][c] / pivot
+        for r in range(n):
+            if r == col:
+                continue
+            factor = a[r][col]
+            if isinstance(factor, float) and factor == 0.0:
+                continue
+            for c in range(n):
+                a[r][c] = a[r][c] - factor * a[col][c]
+                b[r][c] = b[r][c] - factor * b[col][c]
+    return b
+
+
+def _bits(entry):
+    """Every leaf of a scalar whose leaves are floats or arrays, as reprs."""
+    if isinstance(entry, Jet):
+        return _bits(entry.value), tuple(_bits(p) for p in entry.partials)
+    if isinstance(entry, np.ndarray):
+        return tuple(map(repr, entry.tolist()))
+    return repr(float(entry))
+
+
+class TestInvDeadColumns:
+    """inv updates only the columns of `a` right of the pivot; the inverse
+    equals the every-column elimination bit for bit."""
+
+    @staticmethod
+    def assert_same_inverse(matrix):
+        expected = _inv_every_column(matrix)
+        assert [[_bits(e) for e in row] for row in inv(matrix)] == [
+            [_bits(e) for e in row] for row in expected
+        ]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_floats(self, n):
+        for matrix in _random_batches(n, 30, seed=20 + n):
+            for k in range(30):
+                self.assert_same_inverse([[_lane(e, k) for e in row] for row in matrix])
+
+    def test_floats_with_zero_factors_and_row_swaps(self):
+        self.assert_same_inverse([[0.0, 2.0, 1.0], [3.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        self.assert_same_inverse([[1.0, 0.0, 0.0], [0.0, 0.0, 2.0], [0.0, 5.0, 1.0]])
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_lanes_with_masked_pivot_swaps(self, n):
+        for matrix in _random_batches(n, 50, seed=30 + n):
+            column = np.abs(np.array([row[0] for row in matrix]))
+            assert len(set(column.argmax(axis=0))) > 1  # pivot rows differ by lane
+            self.assert_same_inverse(matrix)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("size", [None, 20])
+    def test_jets(self, n, size):
+        """Jets over floats (size None) and over array lanes."""
+        for matrix in _random_batches(n, size or 1, seed=40 + n):
+            if size is None:
+                matrix = [[_lane(e, 0) for e in row] for row in matrix]
+            t = seed_group([np.zeros(size) if size else 0.0, 0.0], range(2))
+            self.assert_same_inverse([
+                [e + (0.1 * (i + 1)) * t[0] - (0.05 * j) * t[1] * e for j, e in enumerate(row)]
+                for i, row in enumerate(matrix)
+            ])
 
 
 def _space_cases():

@@ -1,15 +1,20 @@
 import copy
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import finslerlab
-from finslerlab import catalog, checks, core, randers
+from finslerlab import catalog, checks, cli, core, randers
 from finslerlab.cli import main
 from finslerlab.core import probe_points
 
@@ -612,3 +617,125 @@ class TestProcess:
         command, *flags = argv
         run(capsys, command, spec_path(name), *flags)
         assert len(builds) == 1
+
+
+class TestRepeatedCalls:
+    """cli.main called again and again in one process (as the benchmark
+    and the test suite call it) builds its parser once and answers every
+    call as a fresh process would."""
+
+    WALL_TIME = re.compile(r'"wall_time_s": [^,\n]*')
+
+    def outputs(self, capsys, calls):
+        results = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's --help and --version, a usage exit
+                code = exc.code
+            captured = capsys.readouterr()
+            results.append((code, self.WALL_TIME.sub("", captured.out), captured.err))
+        return results
+
+    def test_parser_is_built_once(self, capsys, spec_path):
+        cli._build_parser.cache_clear()
+        path = spec_path("flat-const")
+        self.outputs(capsys, [["analyze", path], ["analyze", path, "--probes", "x"], ["catalog"]])
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_usage_error_then_valid_call(self, capsys, spec_path):
+        path = spec_path("flat-const")
+        bad, good = ["analyze", path, "--probes", "ten"], ["analyze", path, "--probes", "7"]
+        first_bad, first_good, second_bad, second_good = self.outputs(
+            capsys, [bad, good, bad, good]
+        )
+        assert first_bad == second_bad
+        assert first_bad[0] == EXIT_USAGE and json.loads(first_bad[1])["error"]["type"] == "UsageError"
+        assert first_good == second_good and first_good[0] == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "SPEC"],
+            ["validate", "SPEC", "--probes", "5", "--transport-probes", "1", "--mc-samples", "10000"],
+            ["bogus-command"],
+            ["analyze"],
+            ["--help"],
+            ["analyze", "--help"],
+            ["--version"],
+        ],
+    )
+    def test_identical_calls_give_identical_output(self, capsys, spec_path, argv):
+        path = spec_path("sphere-hopf")
+        argv = [path if arg == "SPEC" else arg for arg in argv]
+        first, second = self.outputs(capsys, [argv, argv])
+        assert first == second
+
+
+def _finite_floats():
+    return st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308, 0.1]),
+    )
+
+
+SCALARS = st.one_of(
+    _finite_floats(),
+    st.integers(),
+    st.sampled_from([10**30, -(2**64), 2**63 - 1]),
+    st.booleans(),
+    st.none(),
+    st.text(),
+    st.sampled_from(["", "\x00\x1f\x7f", "caf\u00e9 \u2713 \U0001f600", '"\\/\b\f\n\r\t']),
+    st.sampled_from([[], (), {}]),
+)
+TREES = st.recursive(
+    SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, min_size=1, max_size=4),
+        st.lists(children, min_size=1, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, min_size=1, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@st.composite
+def trees_holding_a_non_finite_float(draw):
+    """A NaN or infinity at a drawn depth, among drawn siblings."""
+    value = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    for _ in range(draw(st.integers(0, 4))):
+        siblings = draw(st.lists(TREES, max_size=2))
+        kind = draw(st.sampled_from(["list", "tuple", "dict"]))
+        if kind == "dict":
+            keys = draw(st.lists(st.text(max_size=3), min_size=len(siblings) + 1,
+                                 max_size=len(siblings) + 1, unique=True))
+            value = dict(zip(keys, [*siblings, value]))
+        else:
+            siblings.insert(draw(st.integers(0, len(siblings))), value)
+            value = siblings if kind == "list" else tuple(siblings)
+    return value
+
+
+class TestReportEncoder:
+    """_emit writes exactly what json.dumps(report, sort_keys=True,
+    indent=2, allow_nan=False) writes, and NonFiniteResultError where
+    json.dumps raises ValueError."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(TREES)
+    def test_text_equals_json_dumps(self, value):
+        assert cli._json_text(value, "\n") == json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
+
+    @settings(max_examples=100, deadline=None)
+    @given(trees_holding_a_non_finite_float())
+    def test_non_finite_float_at_any_depth_is_an_error(self, value):
+        with pytest.raises(ValueError):
+            json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
+        with pytest.raises(cli.NonFiniteResultError):
+            cli._emit(value)
+
+    def test_float_subclasses_write_as_floats(self):
+        value = {"x": [np.float64(0.1), np.float64(-0.0)], "n": np.float64(3.0)}
+        assert cli._json_text(value, "\n") == json.dumps(value, sort_keys=True, indent=2, allow_nan=False)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from finslerlab import jets, randers
@@ -519,3 +520,19 @@ class TestPinnedGrids:
             assert len(pairs) == count
             assert all(type(c) is float for x, v in pairs for c in x + v)
             assert _grid_digest(pairs) == GRID_DIGESTS[(n, count, seed)], seed
+
+
+@pytest.mark.parametrize("seed", PIN_SEEDS)
+def test_one_permuted_call_draws_the_row_shuffles(seed):
+    """_scrambled_halton's one permuted(axis=1) call per column against
+    SciPy's shuffle of each row, kept here as the reference: the same
+    permutations, and the same generator state afterwards."""
+    batched, rows = np.random.default_rng(seed), np.random.default_rng(seed)
+    for base in (2, 3, 5, 7, 11, 13, 17, 19):
+        depth = math.ceil(54 / math.log2(base)) - 1
+        expected = np.repeat(np.arange(base)[None], depth, axis=0)
+        for perm in expected:
+            rows.shuffle(perm)
+        got = batched.permuted(np.repeat(np.arange(base)[None], depth, axis=0), axis=1)
+        assert np.array_equal(got, expected)
+    assert batched.bit_generator.state == rows.bit_generator.state

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from finslerlab import expr, jets, manifest, randers
+from finslerlab import expr, jets, manifest, randers, scurvature
 from finslerlab.expr import (
     ArityError,
     BinOp,
@@ -306,7 +306,7 @@ def _per_field(space, x):
 
 
 def _table_pass(space, x):
-    a, b = randers._a_and_b(space, x)
+    a, b = randers.a_and_b(space, x)
     n = space.dimension
     return [a[i][j] for i in range(n) for j in range(i, n)] + b
 
@@ -375,11 +375,14 @@ class TestSharedSubtrees:
         lanes = [np.array([0.1, -0.4]), np.array([0.2, 0.5]), np.array([0.3, 0.0])]
         for x in ([0.1, 0.2, 0.3], lanes):
             calls.clear()
-            randers._a_and_b(space, x)
+            randers.a_and_b(space, x)
             assert len(calls) == 1
             calls.clear()
             randers.PointData(space, x)
             assert len(calls) == 1
+        calls.clear()
+        scurvature.bh_density_monte_carlo(space, [0.1, 0.2, 0.3], 10_000, 0)
+        assert len(calls) == 1  # a and b from one pass, ||beta|| from them
 
     def test_only_repeated_subtrees_get_a_slot(self):
         names = ["x1", "x2"]

@@ -1,9 +1,11 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from finslerlab import catalog, jets, randers, scurvature
+from finslerlab.jets import standard_part
 from finslerlab.core import probe_pairs
 from finslerlab.scurvature import (
     Measure,
@@ -82,6 +84,32 @@ class TestMonteCarlo:
         assert bh_density_monte_carlo(
             spaces["sphere-hopf"], (0.0, 0.0, 0.0), 200_000, 7
         ) == (6.647796600308765, 0.028309593216158106)
+
+    @pytest.mark.parametrize(
+        "name, x", [("flat-const", (0.3, -0.2)), ("sphere-hopf", (0.1, 0.2, -0.3)),
+                    ("polar-riemannian", (1.5, 3.0))]
+    )
+    @pytest.mark.parametrize("count, seed", [(10_000, 0), (65_537, 2**64 - 1), (140_000, 5)])
+    def test_draw_equals_the_uniform_reference(self, spaces, name, x, count, seed):
+        """The in-place draw gives the estimates of rng.uniform per chunk."""
+        space = spaces[name]
+        a = np.array([[standard_part(e) for e in row] for row in randers.a_at(space, x)])
+        b = np.array([standard_part(c) for c in randers.b_at(space, x)])
+        lam, q = np.linalg.eigh(a)
+        half_width = 1.0 / (1.0 - randers.beta_length(space, x)) / np.sqrt(lam)
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        hits = 0
+        for start in range(0, count, scurvature.MC_CHUNK_ROWS):
+            rows = min(scurvature.MC_CHUNK_ROWS, count - start)
+            y = rng.uniform(-half_width, half_width, size=(rows, len(x)))
+            hits += int(np.count_nonzero(np.sqrt((y * y) @ lam) + y @ (q.T @ b) < 1.0))
+        p = hits / count
+        box_volume = float(np.prod(2.0 * half_width))
+        ball_volume = box_volume * p
+        omega = unit_ball_volume(len(x))
+        se_volume = box_volume * math.sqrt(p * (1.0 - p) / count)
+        expected = (omega / ball_volume, omega * se_volume / (ball_volume * ball_volume))
+        assert bh_density_monte_carlo(space, x, count, seed) == expected
 
     def test_memory_is_bounded(self, spaces):
         # one draw of all samples peaked at 53 MB here

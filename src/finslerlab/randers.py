@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -316,37 +317,159 @@ def _first_order_data(space: RandersSpace, x):
     zeros = (0.0,) * n
     a_jets, b_jets = a_and_b(space, xs)
     aj = [
-        [(e.value, e.partials) if isinstance(e, Jet) else (e, zeros) for e in row]
-        for row in a_jets
+        (e.value, e.partials) if isinstance(e, Jet) else (e, zeros) for row in a_jets for e in row
     ]
     bj = [(e.value, e.partials) if isinstance(e, Jet) else (e, zeros) for e in b_jets]
-    a = [[value for value, _ in row] for row in aj]
-    da = [[[slots[k] for _, slots in row] for row in aj] for k in range(n)]
-    b = [value for value, _ in bj]
-    db = [[slots[k] for _, slots in bj] for k in range(n)]
-    return a, da, b, db
+    return _kernel(_first_order_source, n)(aj, bj)
 
 
 def _levi_civita_from(a_inv, da) -> list:
-    """Christoffel symbols from the inverse metric and da[k][i][j] = da_ij/dx_k."""
-    n = len(a_inv)
-    # The bracket of Gamma_{lij} for each lower pair j >= i (gamma is
-    # symmetric in it), shared by every k.
-    brackets = [
-        (i, j, [da[j][l][i] + da[i][j][l] - da[l][i][j] for l in range(n)])
-        for i in range(n)
+    """Christoffel symbols from the inverse metric and da[k][i][j] = da_ij/dx_k:
+    gamma[k][i][j] = 0.5 * sum_l a^kl (da_li/dx_j + da_jl/dx_i - da_ij/dx_l),
+    one value per lower pair j >= i, shared by [i][j] and [j][i]."""
+    return _kernel(_christoffel_source, len(a_inv))(a_inv, da)
+
+
+# -- unrolled kernels --------------------------------------------------------------
+#
+# The first-order repacking, the Christoffel symbols, the raised and covariant
+# b and the X/Y split of the spray are fixed sequences of products and sums
+# once n is fixed.  As loops over n <= 4 they spend most of their time on
+# loop and index bookkeeping, so each is written once per n as straight-line
+# source over plain local names (built from n alone) and compiled.  A
+# generated sum lists the loop's terms in the loop's order and Python adds
+# them left to right, so every value equals the loop's bit for bit; the code
+# runs unchanged on float, array and jet leaves.  A name ending in the pair
+# i_j with i <= j (see _pair) stands for a symmetric entry [i][j] = [j][i].
+
+
+@cache
+def _kernel(source, n: int):
+    """The function that source(n) -> (name, parameters, body lines) writes."""
+    name, params, lines = source(n)
+    text = f"def {name}({', '.join(params)}):\n" + "".join(f"    {line}\n" for line in lines)
+    namespace = {"sqrt": jets.sqrt}
+    exec(compile(text, f"<randers {name}, n = {n}>", "exec"), namespace)
+    return namespace[name]
+
+
+def _grid(n: int, depth: int, leaf) -> str:
+    """Source of the depth-deep nested n x ... x n list of leaf(*index);
+    also an unpacking target when the leaves are names."""
+
+    def level(index):
+        if len(index) == depth:
+            return leaf(*index)
+        return "[" + ", ".join(level((*index, i)) for i in range(n)) + "]"
+
+    return level(())
+
+
+def _pair(i: int, j: int) -> str:
+    """The suffix of a symmetric entry: [i][j] and [j][i] read one name."""
+    return f"{min(i, j)}_{max(i, j)}"
+
+
+def _sum(terms) -> str:
+    return " + ".join(terms)
+
+
+def _first_order_source(n: int):
+    """a, da, b, db from the (value, partials) pairs of a (row-major) and b."""
+    r = range(n)
+    a_pairs = [f"[a_{i}_{j}, {_grid(n, 1, lambda k: f's_{i}_{j}_{k}')}]" for i in r for j in r]
+    b_pairs = [f"[b_{i}, {_grid(n, 1, lambda k: f't_{i}_{k}')}]" for i in r]
+    a = _grid(n, 2, lambda i, j: f"a_{i}_{j}")
+    da = _grid(n, 3, lambda k, i, j: f"s_{i}_{j}_{k}")
+    b = _grid(n, 1, lambda i: f"b_{i}")
+    db = _grid(n, 2, lambda k, i: f"t_{i}_{k}")
+    lines = [
+        f"[{', '.join(a_pairs)}] = a_pairs",
+        f"[{', '.join(b_pairs)}] = b_pairs",
+        f"return {a}, {da}, {b}, {db}",
+    ]
+    return "first_order", ("a_pairs", "b_pairs"), lines
+
+
+def _christoffel_source(n: int):
+    """gamma^k_ij = 0.5 * (0.0 + sum_l a^kl br_ijl) per lower pair, with the
+    bracket br_ijl = da_li/dx_j + da_jl/dx_i - da_ij/dx_l shared by every k."""
+    r = range(n)
+    pairs = [(i, j) for i in r for j in range(i, n)]
+    lines = [
+        _grid(n, 2, lambda i, j: f"ai_{i}_{j}") + " = a_inv",
+        _grid(n, 3, lambda k, i, j: f"d_{k}_{i}_{j}") + " = da",
+    ]
+    lines += [
+        f"br_{i}_{j}_{l} = d_{j}_{l}_{i} + d_{i}_{j}_{l} - d_{l}_{i}_{j}"
+        for i, j in pairs
+        for l in r
+    ]
+    lines += [
+        f"g_{k}_{i}_{j} = 0.5 * (0.0 + {_sum(f'ai_{k}_{l} * br_{i}_{j}_{l}' for l in r)})"
+        for k in r
+        for i, j in pairs
+    ]
+    lines.append("return " + _grid(n, 3, lambda k, i, j: f"g_{k}_{_pair(i, j)}"))
+    return "levi_civita", ("a_inv", "da"), lines
+
+
+def _covariant_source(n: int):
+    """b^i = 0.0 + sum_j a^ij b_j and b_{i|j} = db_i/dx_j - (0.0 + sum_k b_k
+    gamma^k_ij), the contraction once per lower pair."""
+    r = range(n)
+    lines = [
+        _grid(n, 2, lambda i, j: f"ai_{i}_{j}") + " = a_inv",
+        _grid(n, 1, lambda i: f"b_{i}") + " = b",
+        _grid(n, 2, lambda k, i: f"db_{k}_{i}") + " = db",
+        _grid(n, 3, lambda k, i, j: f"g_{k}_{i}_{j}") + " = gamma",
+    ]
+    lines += [f"bu_{i} = 0.0 + {_sum(f'ai_{i}_{j} * b_{j}' for j in r)}" for i in r]
+    lines += [
+        f"c_{i}_{j} = 0.0 + {_sum(f'b_{k} * g_{k}_{i}_{j}' for k in r)}"
+        for i in r
         for j in range(i, n)
     ]
-    gamma = []
-    for k in range(n):
-        mat = [[0.0] * n for _ in range(n)]
-        for i, j, bracket in brackets:
-            s = 0.0
-            for l in range(n):
-                s += a_inv[k][l] * bracket[l]
-            mat[i][j] = mat[j][i] = 0.5 * s
-        gamma.append(mat)
-    return gamma
+    b_up = _grid(n, 1, lambda i: f"bu_{i}")
+    bcov = _grid(n, 2, lambda i, j: f"db_{j}_{i} - c_{_pair(i, j)}")
+    lines.append(f"return {b_up}, {bcov}")
+    return "covariant", ("a_inv", "b", "db", "gamma"), lines
+
+
+def _xy_source(n: int):
+    """(X, Y, riem) of the spray decomposition at v (PointData._xy_split),
+    each product v^j v^k, a^ij v^k and b^k v^j formed once."""
+    r = range(n)
+    grid = [(j, k) for j in r for k in r]
+    lines = [
+        _grid(n, 2, lambda i, j: f"a_{i}_{j}") + " = a",
+        _grid(n, 2, lambda i, j: f"ai_{i}_{j}") + " = a_inv",
+        _grid(n, 1, lambda i: f"b_{i}") + " = b",
+        _grid(n, 1, lambda i: f"bu_{i}") + " = b_up",
+        _grid(n, 2, lambda i, j: f"q_{i}_{j}") + " = bcov",
+        _grid(n, 3, lambda i, j, k: f"g_{i}_{j}_{k}") + " = gamma",
+        _grid(n, 1, lambda i: f"v_{i}") + " = v",
+    ]
+    lines += [f"vv_{j}_{k} = v_{j} * v_{k}" for j in r for k in range(j, n)]
+    lines.append(f"al = sqrt({_sum(f'a_{i}_{j} * vv_{_pair(i, j)}' for i, j in grid)})")
+    lines.append(f"f = al + ({_sum(f'b_{i} * v_{i}' for i in r)})")
+    lines += [
+        f"riem_{i} = {_sum(f'g_{i}_{j}_{k} * vv_{_pair(j, k)}' for j, k in grid)}" for i in r
+    ]
+    lines += [f"p_{i}_{j}_{k} = ai_{i}_{j} * v_{k}" for i in r for j, k in grid]
+    lines += [
+        f"x_{i} = ({_sum(f'q_{j}_{k} * (p_{i}_{j}_{k} - p_{i}_{k}_{j})' for j, k in grid)}) * al"
+        for i in r
+    ]
+    lines.append(f"s1 = {_sum(f'q_{j}_{k} * vv_{_pair(j, k)}' for j, k in grid)}")
+    lines += [f"w_{k}_{j} = bu_{k} * v_{j}" for k, j in grid]
+    lines.append(f"s2 = {_sum(f'q_{j}_{k} * (w_{k}_{j} - w_{j}_{k})' for j, k in grid)}")
+    lines.append("common = s1 + s2 * al")
+    x_cmp = _grid(n, 1, lambda i: f"x_{i}")
+    y_cmp = _grid(n, 1, lambda i: f"(v_{i} / f) * common")
+    riem = _grid(n, 1, lambda i: f"riem_{i}")
+    lines.append(f"return {x_cmp}, {y_cmp}, {riem}")
+    return "xy_split", ("a", "a_inv", "b", "b_up", "bcov", "gamma", "v"), lines
 
 
 class PointData:
@@ -370,12 +493,8 @@ class PointData:
         self.a = a
         self.a_inv = a_inv = inv(a)
         self.b = b
-        self.b_up = [sum([a_inv[i][j] * b[j] for j in range(n)]) for i in range(n)]
         self.gamma = gamma = _levi_civita_from(a_inv, da)
-        self.bcov = [
-            [db[j][i] - sum([b[k] * gamma[k][i][j] for k in range(n)]) for j in range(n)]
-            for i in range(n)
-        ]
+        self.b_up, self.bcov = _kernel(_covariant_source, n)(a_inv, b, db, gamma)
 
     def length_gradient(self) -> list:
         """d(||beta||^2)/dx_i via the covariant identity 2 sum_j b_{j|i} b^j."""
@@ -418,36 +537,15 @@ class PointData:
         return 0.5 * (n + 1) * sym / f + (n + 1) * skew * al / f
 
     def _xy_split(self, v):
-        """(X, Y, riem) of the spray decomposition at generic v."""
-        n = len(self.b)
-        al = alpha(self.a, v)
-        f = al + beta(self.b, v)
-        riem = [
-            sum_([self.gamma[i][j][k] * (v[j] * v[k]) for j in range(n) for k in range(n)])
-            for i in range(n)
-        ]
-        q = self.bcov
-        x_cmp = []
-        for i in range(n):
-            s = sum_(
-                [
-                    q[j][k] * (self.a_inv[i][j] * v[k] - self.a_inv[i][k] * v[j])
-                    for j in range(n)
-                    for k in range(n)
-                ]
-            )
-            x_cmp.append(s * al)
-        s1 = sum_([q[j][k] * (v[j] * v[k]) for j in range(n) for k in range(n)])
-        s2 = sum_(
-            [
-                q[j][k] * (self.b_up[k] * v[j] - self.b_up[j] * v[k])
-                for j in range(n)
-                for k in range(n)
-            ]
-        )
-        common = s1 + s2 * al
-        y_cmp = [(v[i] / f) * common for i in range(n)]
-        return x_cmp, y_cmp, riem
+        """(X, Y, riem) of the spray decomposition at generic v:
+
+        X^i = alpha * sum_jk b_{j|k} (a^ij v^k - a^ik v^j),
+        Y^i = v^i / F * (sum_jk b_{j|k} v^j v^k
+                         + alpha * sum_jk b_{j|k} (b^k v^j - b^j v^k)),
+        riem^i = sum_jk gamma^i_jk v^j v^k.
+        """
+        xy_split = _kernel(_xy_source, len(self.b))
+        return xy_split(self.a, self.a_inv, self.b, self.b_up, self.bcov, self.gamma, v)
 
 
 def spray_closed_form(space: RandersSpace, x, v):

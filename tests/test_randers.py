@@ -1,11 +1,15 @@
 import math
+import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from finslerlab import catalog, randers
+from finslerlab import catalog, manifest, randers
 from finslerlab.core import probe_pairs, probe_points, spray
-from finslerlab.jets import partial, seed_group, standard_part
+from finslerlab.jets import Jet, _leaves, partial, seed_group, standard_part
+from finslerlab.linalg import sum_
 from finslerlab.randers import (
     InvalidSpaceError,
     PointData,
@@ -20,6 +24,9 @@ from finslerlab.randers import (
     theorem_verdict,
     validate_space,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import specgen  # noqa: E402
 
 FLAT = [["1", "0"], ["0", "1"]]
 BOX = [(-1.0, 1.0), (-1.0, 1.0)]
@@ -366,9 +373,11 @@ def _levi_civita_unhoisted(a_inv, da) -> list:
 
 
 def _reprs(nested):
-    """Leaf reprs of nested lists of floats and arrays (so -0.0 != 0.0)."""
-    if isinstance(nested, list):
+    """Leaf reprs of nested lists of floats, arrays and jets (so -0.0 != 0.0)."""
+    if isinstance(nested, (list, tuple)):
         return [r for item in nested for r in _reprs(item)]
+    if isinstance(nested, Jet):
+        return ["jet", *_reprs(nested.value), *_reprs(nested.partials)]
     if isinstance(nested, np.ndarray):
         return [repr(v) for v in nested.tolist()]
     return [repr(nested)]
@@ -406,3 +415,143 @@ class TestLeviCivita:
                 data = PointData(sp, x)
                 _, da, _, _ = randers._first_order_data(sp, x)
                 assert _reprs(data.gamma) == _reprs(_levi_civita_unhoisted(data.a_inv, da)), name
+
+
+# The loops that the unrolled kernels of randers replace, kept as the
+# references the kernels must equal bit for bit.
+
+
+def _first_order_loops(space, x):
+    n = space.dimension
+    xs = seed_group(_leaves(x), range(n))
+    zeros = (0.0,) * n
+    a_jets, b_jets = randers.a_and_b(space, xs)
+    aj = [
+        [(e.value, e.partials) if isinstance(e, Jet) else (e, zeros) for e in row]
+        for row in a_jets
+    ]
+    bj = [(e.value, e.partials) if isinstance(e, Jet) else (e, zeros) for e in b_jets]
+    a = [[value for value, _ in row] for row in aj]
+    da = [[[slots[k] for _, slots in row] for row in aj] for k in range(n)]
+    b = [value for value, _ in bj]
+    db = [[slots[k] for _, slots in bj] for k in range(n)]
+    return a, da, b, db
+
+
+def _zero_start_sum(terms):
+    s = 0.0
+    for t in terms:
+        s += t
+    return s
+
+
+def _covariant_loops(a_inv, b, db, gamma):
+    n = len(b)
+    b_up = [_zero_start_sum(a_inv[i][j] * b[j] for j in range(n)) for i in range(n)]
+    bcov = [
+        [db[j][i] - _zero_start_sum(b[k] * gamma[k][i][j] for k in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+    return b_up, bcov
+
+
+def _xy_split_loops(a, a_inv, b, b_up, q, gamma, v):
+    n = len(b)
+    al = randers.alpha(a, v)
+    f = al + randers.beta(b, v)
+    riem = [
+        sum_([gamma[i][j][k] * (v[j] * v[k]) for j in range(n) for k in range(n)])
+        for i in range(n)
+    ]
+    x_cmp = []
+    for i in range(n):
+        s = sum_(
+            [
+                q[j][k] * (a_inv[i][j] * v[k] - a_inv[i][k] * v[j])
+                for j in range(n)
+                for k in range(n)
+            ]
+        )
+        x_cmp.append(s * al)
+    s1 = sum_([q[j][k] * (v[j] * v[k]) for j in range(n) for k in range(n)])
+    s2 = sum_(
+        [q[j][k] * (b_up[k] * v[j] - b_up[j] * v[k]) for j in range(n) for k in range(n)]
+    )
+    common = s1 + s2 * al
+    y_cmp = [(v[i] / f) * common for i in range(n)]
+    return x_cmp, y_cmp, riem
+
+
+def _kernel_spaces():
+    """The catalog spaces and one specgen space per family and dimension."""
+    spaces = [catalog.space(name) for name in catalog.NAMES]
+    for family in specgen.FAMILIES:
+        for n in specgen.DIMENSIONS[family]:
+            spec = specgen.generate(random.Random(f"kernels:{family}:{n}"), family, n, 1, family)
+            spaces.append(manifest.space_from_spec(spec))
+    return spaces
+
+
+class TestUnrolledKernels:
+    """The straight-line kernels generated per dimension equal the loops
+    they replace bit for bit, on float, array and jet leaves."""
+
+    def test_point_data_on_spaces(self):
+        for sp in _kernel_spaces():
+            pairs = probe_pairs(sp.chart, 6)
+            points = [x for x, _ in pairs]
+            lanes = [np.array(c) for c in zip(*points)]
+            lane_vs = [np.array(c) for c in zip(*[v for _, v in pairs])]
+            for x, v in [*pairs[:3], (lanes, lane_vs)]:
+                expected = _first_order_loops(sp, x)
+                assert _reprs(randers._first_order_data(sp, x)) == _reprs(expected)
+                a, da, b, db = expected
+                data = PointData(sp, x)
+                gamma = _levi_civita_unhoisted(data.a_inv, da)
+                b_up, bcov = _covariant_loops(data.a_inv, b, db, gamma)
+                assert _reprs([data.gamma, data.b_up, data.bcov]) == _reprs([gamma, b_up, bcov])
+                args = (a, data.a_inv, b, b_up, bcov, gamma)
+                assert _reprs(data.spray(v)[1:]) == _reprs(_xy_split_loops(*args, v))
+                if not isinstance(x, list):  # the traces seed v with jets
+                    vs = seed_group(list(v), range(sp.dimension))
+                    assert _reprs(data._xy_split(vs)) == _reprs(_xy_split_loops(*args, vs))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_random_entries_with_signed_zeros(self, n):
+        rng = np.random.default_rng(50 + n)
+
+        def entry(lanes, scale=1.0):
+            if rng.random() < 0.3:
+                return float(rng.choice([0.0, -0.0]))
+            values = scale * rng.normal(size=lanes or 1)
+            values[rng.random(values.size) < 0.25] = -0.0
+            values[rng.random(values.size) < 0.25] = 0.0
+            return values if lanes else float(values[0])
+
+        def symmetric(lanes, diagonal):
+            # Twins are one object, as in a PointData; a diagonally dominant
+            # a keeps alpha real and F = alpha + beta away from 0.
+            m = [[None] * n for _ in range(n)]
+            for i in range(n):
+                m[i][i] = diagonal + abs(entry(lanes))
+                for j in range(i + 1, n):
+                    m[i][j] = m[j][i] = entry(lanes, 0.5 / n)
+            return m
+
+        for lanes in (None, 5):
+            for _ in range(4):
+                a = symmetric(lanes, float(n))
+                a_inv = [[entry(lanes) for _ in range(n)] for _ in range(n)]
+                da = [[[entry(lanes) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+                b = [entry(lanes, 0.1 / n) for _ in range(n)]
+                db = [[entry(lanes) for _ in range(n)] for _ in range(n)]
+                v = [1.0 + abs(entry(lanes)), *(entry(lanes) for _ in range(n - 1))]
+                gamma = randers._levi_civita_from(a_inv, da)
+                assert _reprs(gamma) == _reprs(_levi_civita_unhoisted(a_inv, da))
+                covariant = randers._kernel(randers._covariant_source, n)
+                b_up, bcov = covariant(a_inv, b, db, gamma)
+                assert _reprs([b_up, bcov]) == _reprs(_covariant_loops(a_inv, b, db, gamma))
+                xy_split = randers._kernel(randers._xy_source, n)
+                for w in (v, seed_group(v, range(n)) if lanes is None else v):
+                    args = (a, a_inv, b, b_up, bcov, gamma, w)
+                    assert _reprs(xy_split(*args)) == _reprs(_xy_split_loops(*args))

@@ -1,14 +1,19 @@
 #!/usr/bin/env python3
-"""Print a digest of every `analyze` and `validate` report over a fixed spec set.
+"""Print a digest of the reports of every command that computes, over a fixed spec set.
 
-One line per (command, spec, seed): the exit code and the sha256 of the
-raw stdout, byte for byte, with the value of `wall_time_s` masked, so
-that a change in the report's formatting shows too.  The specs are the
-six catalog spaces (seed "-") and, for each --seeds value, the specs
-that perfbench/specgen generates for the three benchmark workloads.
-Both commands run in-process at their default flags.  Two checkouts
-that print the same lines produce the same reports; diff the output of
-a change against its parent's:
+One line per (run, spec, seed): the exit code and the sha256 of the raw
+stdout, byte for byte, with the value of `wall_time_s` masked, so that a
+change in the report's formatting shows too.  The specs are the six
+catalog spaces (seed "-") and, for each --seeds value, the specs that
+perfbench/specgen generates for the three benchmark workloads.  Per
+spec, in-process: `analyze` and `validate` at their default flags;
+`s-curvature` at the chart midpoint with a fixed vector under each
+measure kind, then once with `--oracle`; and a short `geodesic` from
+the same point.  The s-curvature and geodesic runs read a copy of the
+spec that declares a custom measure of the s-curvature-sweep density
+shape, so `--measure custom` has its density and `--oracle` runs under
+it (the spec's own measure).  Two checkouts that print the same lines produce the
+same reports; diff the output of a change against its parent's:
 
     python3 scripts/report_digests.py > digests.txt
     python3 scripts/report_digests.py --seeds 7 11
@@ -29,10 +34,12 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import specgen  # noqa: E402
 import workloads  # noqa: E402
-from finslerlab import cli  # noqa: E402
+from finslerlab import cli, scurvature  # noqa: E402
 
 COMMANDS = ("analyze", "validate")
 WALL_TIME = re.compile(r'("wall_time_s": )[^,\n]*')
+# The s-curvature-sweep density shape, with fixed coefficients.
+DENSITY = "exp(0.3*{first} - 0.2*{second}^2) * (2 + sin(0.4*{last}))"
 
 
 def workload_specs(seed: int) -> list[dict]:
@@ -44,12 +51,36 @@ def workload_specs(seed: int) -> list[dict]:
     ]
 
 
-def digest(command: str, path: Path) -> tuple[int, str]:
+def digest(argv: list[str]) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main([command, str(path)])
+        code = cli.main(argv)
     text = WALL_TIME.sub(r"\1-", out.getvalue())
     return code, hashlib.sha256(text.encode()).hexdigest()
+
+
+def with_custom_measure(spec: dict) -> dict:
+    """The spec with a custom measure of the DENSITY shape added."""
+    names = spec["coordinates"]
+    density = DENSITY.format(first=names[0], second=names[1], last=names[-1])
+    return {**spec, "measure": {"kind": "custom", "density": density}}
+
+
+def runs(spec: dict, path: Path, measured: Path) -> list[tuple[str, list[str]]]:
+    """(label, argv) of every run digested for one spec."""
+    n = len(spec["coordinates"])
+    point = ",".join(repr(0.5 * (lo + hi)) for lo, hi in spec["domain"])
+    vector = ",".join(repr((-0.5) ** i) for i in range(n))
+    where = [f"--point={point}", f"--vector={vector}"]
+    out = [(command, [command, str(path)]) for command in COMMANDS]
+    out += [
+        (f"s-curvature:{kind}", ["s-curvature", str(measured), *where, "--measure", kind])
+        for kind in scurvature.MEASURE_KINDS
+    ]
+    out.append(("s-curvature:oracle", ["s-curvature", str(measured), *where, "--oracle"]))
+    geodesic = [f"--from={point}", f"--dir={vector}", "--time", "0.5", "--steps", "50"]
+    out.append(("geodesic", ["geodesic", str(measured), *geodesic]))
+    return out
 
 
 def main() -> int:
@@ -60,10 +91,14 @@ def main() -> int:
     sets += [(str(seed), workload_specs(seed)) for seed in args.seeds]
     with tempfile.TemporaryDirectory() as tmp:
         for seed, specs in sets:
-            for spec, path in zip(specs, specgen.write_specs(specs, Path(tmp) / seed)):
-                for command in COMMANDS:
-                    code, sha = digest(command, path)
-                    print(f"{command} {spec['name']} {seed} exit={code} sha256={sha}", flush=True)
+            paths = specgen.write_specs(specs, Path(tmp) / seed)
+            measured = specgen.write_specs(
+                [with_custom_measure(spec) for spec in specs], Path(tmp) / seed / "measured"
+            )
+            for spec, path, measured_path in zip(specs, paths, measured):
+                for label, argv in runs(spec, path, measured_path):
+                    code, sha = digest(argv)
+                    print(f"{label} {spec['name']} {seed} exit={code} sha256={sha}", flush=True)
     return 0
 
 

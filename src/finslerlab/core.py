@@ -22,11 +22,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .jets import Scalar, _leaves, partial, seed_group, standard_part, value_of
+from .jets import Scalar, _leaves, partial, seed_group, sqrt, standard_part, value_of
 from .linalg import _stacked, inv, sum_
 
 __all__ = [
@@ -205,31 +206,7 @@ def formal_christoffel(F: FinslerStructure, x, v) -> list:
     """gamma^i_jk(v), symmetric in (j, k); raises on singular g."""
     _check_nonzero(v)
     g, dg = _metric_and_dx(F, x, v)
-    return _gamma_from(inv(g), dg)
-
-
-def _gamma_from(g_inv, dg) -> list:
-    n = len(g_inv)
-    gamma = []
-    for i in range(n):
-        rows = [[0.0] * n for _ in range(n)]
-        for j in range(n):
-            for k in range(j, n):  # symmetric in the lower pair
-                terms = sum_(
-                    g_inv[i][l] * (dg[k][l][j] + dg[j][k][l] - dg[l][j][k])
-                    for l in range(n)
-                )
-                rows[j][k] = rows[k][j] = 0.5 * terms
-        gamma.append(rows)
-    return gamma
-
-
-def _spray_from(gamma, v) -> list:
-    n = len(v)
-    return [
-        sum_(gamma[i][j][k] * (v[j] * v[k]) for j in range(n) for k in range(n))
-        for i in range(n)
-    ]
+    return _kernel(_christoffel_source, len(g))(inv(g), dg)
 
 
 def _connection_from(G) -> list[list[float]]:
@@ -242,7 +219,7 @@ def spray(F: FinslerStructure, x, v) -> list:
     """Spray coefficients G^i(v) = sum gamma^i_jk v^j v^k; G(0) = 0."""
     if _is_exact_zero(v):
         return [0.0] * F.chart.dimension
-    return _spray_from(formal_christoffel(F, x, v), v)
+    return _kernel(_spray_source, F.chart.dimension)(formal_christoffel(F, x, v), v)
 
 
 def nonlinear_connection(F: FinslerStructure, x, v) -> list[list[float]]:
@@ -257,10 +234,8 @@ def _connection_at(F: FinslerStructure, x, v) -> list:
     """nonlinear_connection at a v != 0, over float or array leaves."""
     n = F.chart.dimension
     s = seed_group(_leaves(x) + _leaves(v), range(n, 2 * n))
-    xs, vs = s[:n], s[n:]
-    _check_nonzero(vs)
-    g, dg = _metric_and_dx(F, xs, vs)
-    return _connection_from(_spray_from(_gamma_from(inv(g), dg), vs))
+    vs = s[n:]
+    return _connection_from(_kernel(_spray_source, n)(formal_christoffel(F, s[:n], vs), vs))
 
 
 class PairTensors:
@@ -286,8 +261,8 @@ class PairTensors:
         g, dg = _metric_and_dx(F, s[:n], s[n:])
         self.g = _checked_standard_part(g, x, v)
         g_inv = inv(g)
-        gamma = _gamma_from(g_inv, dg)
-        G = _spray_from(gamma, s[n:])
+        gamma = _kernel(_christoffel_source, n)(g_inv, dg)
+        G = _kernel(_spray_source, n)(gamma, s[n:])
         self.N = _connection_from(G)
         self.f = F(x, v)
         half_f = 0.5 * self.f
@@ -322,6 +297,93 @@ class PairTensors:
                 ]
             )
         return out
+
+
+# -- unrolled kernels --------------------------------------------------------------
+#
+# Fixed sequences of products and sums once n is fixed (the Christoffel
+# symbols, of g here and of a in randers, and their spray contraction), each
+# written once per n as straight-line source over plain local names and
+# compiled, to spare the loop and index bookkeeping.  A generated sum lists
+# a loop's terms in the loop's order, and Python adds left to right, so the
+# code equals the loop bit for bit on float, array and jet leaves.  A name
+# ending in the pair i_j with i <= j (_pair) is a symmetric entry [i][j].
+
+
+@cache
+def _kernel(source, n: int):
+    """The function that source(n) -> (name, parameters, body lines) writes."""
+    name, params, lines = source(n)
+    text = f"def {name}({', '.join(params)}):\n" + "".join(f"    {line}\n" for line in lines)
+    namespace = {"sqrt": sqrt}
+    exec(compile(text, f"<kernel {name}, n = {n}>", "exec"), namespace)
+    return namespace[name]
+
+
+def _grid(n: int, depth: int, leaf) -> str:
+    """Source of the depth-deep nested n x ... x n list of leaf(*index);
+    also an unpacking target when the leaves are names."""
+
+    def level(index):
+        if len(index) == depth:
+            return leaf(*index)
+        return "[" + ", ".join(level((*index, i)) for i in range(n)) + "]"
+
+    return level(())
+
+
+def _pair(i: int, j: int) -> str:
+    """The suffix of a symmetric entry: [i][j] and [j][i] read one name."""
+    return f"{min(i, j)}_{max(i, j)}"
+
+
+def _sum(terms) -> str:
+    return " + ".join(terms)
+
+
+def _christoffel_source(n: int):
+    """gamma^k_ij = 0.5 * (0.0 + sum_l m^kl br_ijl) of a metric m, from its
+    inverse and dm[k][i][j] = dm_ij/dx_k, per lower pair, with the bracket
+    br_ijl = dm_li/dx_j + dm_jl/dx_i - dm_ij/dx_l shared by every k."""
+    r = range(n)
+    pairs = [(i, j) for i in r for j in range(i, n)]
+    lines = [
+        _grid(n, 2, lambda i, j: f"ai_{i}_{j}") + " = m_inv",
+        _grid(n, 3, lambda k, i, j: f"d_{k}_{i}_{j}") + " = dm",
+    ]
+    lines += [
+        f"br_{i}_{j}_{l} = d_{j}_{l}_{i} + d_{i}_{j}_{l} - d_{l}_{i}_{j}"
+        for i, j in pairs
+        for l in r
+    ]
+    lines += [
+        f"g_{k}_{i}_{j} = 0.5 * (0.0 + {_sum(f'ai_{k}_{l} * br_{i}_{j}_{l}' for l in r)})"
+        for k in r
+        for i, j in pairs
+    ]
+    lines.append("return " + _grid(n, 3, lambda k, i, j: f"g_{k}_{_pair(i, j)}"))
+    return "christoffel", ("m_inv", "dm"), lines
+
+
+def _spray_lines(n: int) -> list:
+    """Lines that unpack gamma and v and set G_i = sum_jk gamma^i_jk v^j v^k,
+    each product vv_j_k = v^j v^k formed once per lower pair."""
+    r = range(n)
+    grid = [(j, k) for j in r for k in r]
+    lines = [
+        _grid(n, 3, lambda i, j, k: f"g_{i}_{j}_{k}") + " = gamma",
+        _grid(n, 1, lambda i: f"v_{i}") + " = v",
+    ]
+    lines += [f"vv_{j}_{k} = v_{j} * v_{k}" for j in r for k in range(j, n)]
+    lines += [
+        f"G_{i} = {_sum(f'g_{i}_{j}_{k} * vv_{_pair(j, k)}' for j, k in grid)}" for i in r
+    ]
+    return lines
+
+
+def _spray_source(n: int):
+    """G^i = sum_jk gamma^i_jk v^j v^k (no factor 1/2)."""
+    return "spray", ("gamma", "v"), [*_spray_lines(n), "return " + _grid(n, 1, lambda i: f"G_{i}")]
 
 
 # -- geodesics ----------------------------------------------------------------

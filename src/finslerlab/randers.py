@@ -15,13 +15,13 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from functools import cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from . import expr, jets
 from .core import CoordinateChart, FinslerStructure, probe_points
+from .core import _christoffel_source, _grid, _kernel, _pair, _spray_lines, _sum
 from .jets import Jet, Scalar, _leaves, partial, seed_group, standard_part
 from .linalg import _stacked, det, inv, sum_
 
@@ -323,55 +323,7 @@ def _first_order_data(space: RandersSpace, x):
     return _kernel(_first_order_source, n)(aj, bj)
 
 
-def _levi_civita_from(a_inv, da) -> list:
-    """Christoffel symbols from the inverse metric and da[k][i][j] = da_ij/dx_k:
-    gamma[k][i][j] = 0.5 * sum_l a^kl (da_li/dx_j + da_jl/dx_i - da_ij/dx_l),
-    one value per lower pair j >= i, shared by [i][j] and [j][i]."""
-    return _kernel(_christoffel_source, len(a_inv))(a_inv, da)
-
-
-# -- unrolled kernels --------------------------------------------------------------
-#
-# The first-order repacking, the Christoffel symbols, the raised and covariant
-# b and the X/Y split of the spray are fixed sequences of products and sums
-# once n is fixed.  As loops over n <= 4 they spend most of their time on
-# loop and index bookkeeping, so each is written once per n as straight-line
-# source over plain local names (built from n alone) and compiled.  A
-# generated sum lists the loop's terms in the loop's order and Python adds
-# them left to right, so every value equals the loop's bit for bit; the code
-# runs unchanged on float, array and jet leaves.  A name ending in the pair
-# i_j with i <= j (see _pair) stands for a symmetric entry [i][j] = [j][i].
-
-
-@cache
-def _kernel(source, n: int):
-    """The function that source(n) -> (name, parameters, body lines) writes."""
-    name, params, lines = source(n)
-    text = f"def {name}({', '.join(params)}):\n" + "".join(f"    {line}\n" for line in lines)
-    namespace = {"sqrt": jets.sqrt}
-    exec(compile(text, f"<randers {name}, n = {n}>", "exec"), namespace)
-    return namespace[name]
-
-
-def _grid(n: int, depth: int, leaf) -> str:
-    """Source of the depth-deep nested n x ... x n list of leaf(*index);
-    also an unpacking target when the leaves are names."""
-
-    def level(index):
-        if len(index) == depth:
-            return leaf(*index)
-        return "[" + ", ".join(level((*index, i)) for i in range(n)) + "]"
-
-    return level(())
-
-
-def _pair(i: int, j: int) -> str:
-    """The suffix of a symmetric entry: [i][j] and [j][i] read one name."""
-    return f"{min(i, j)}_{max(i, j)}"
-
-
-def _sum(terms) -> str:
-    return " + ".join(terms)
+# -- unrolled kernels (compiled by core._kernel, like its Christoffel and spray) --
 
 
 def _first_order_source(n: int):
@@ -438,7 +390,8 @@ def _covariant_source(n: int):
 
 def _xy_source(n: int):
     """(X, Y, riem) of the spray decomposition at v (PointData._xy_split),
-    each product v^j v^k, a^ij v^k and b^k v^j formed once."""
+    each product v^j v^k, a^ij v^k and b^k v^j formed once; riem is the
+    spray of a, through core's contraction lines."""
     r = range(n)
     grid = [(j, k) for j in r for k in r]
     lines = [
@@ -447,15 +400,10 @@ def _xy_source(n: int):
         _grid(n, 1, lambda i: f"b_{i}") + " = b",
         _grid(n, 1, lambda i: f"bu_{i}") + " = b_up",
         _grid(n, 2, lambda i, j: f"q_{i}_{j}") + " = bcov",
-        _grid(n, 3, lambda i, j, k: f"g_{i}_{j}_{k}") + " = gamma",
-        _grid(n, 1, lambda i: f"v_{i}") + " = v",
+        *_spray_lines(n),
     ]
-    lines += [f"vv_{j}_{k} = v_{j} * v_{k}" for j in r for k in range(j, n)]
     lines.append(f"al = sqrt({_sum(f'a_{i}_{j} * vv_{_pair(i, j)}' for i, j in grid)})")
     lines.append(f"f = al + ({_sum(f'b_{i} * v_{i}' for i in r)})")
-    lines += [
-        f"riem_{i} = {_sum(f'g_{i}_{j}_{k} * vv_{_pair(j, k)}' for j, k in grid)}" for i in r
-    ]
     lines += [f"p_{i}_{j}_{k} = ai_{i}_{j} * v_{k}" for i in r for j, k in grid]
     lines += [
         f"x_{i} = ({_sum(f'q_{j}_{k} * (p_{i}_{j}_{k} - p_{i}_{k}_{j})' for j, k in grid)}) * al"
@@ -467,7 +415,7 @@ def _xy_source(n: int):
     lines.append("common = s1 + s2 * al")
     x_cmp = _grid(n, 1, lambda i: f"x_{i}")
     y_cmp = _grid(n, 1, lambda i: f"(v_{i} / f) * common")
-    riem = _grid(n, 1, lambda i: f"riem_{i}")
+    riem = _grid(n, 1, lambda i: f"G_{i}")
     lines.append(f"return {x_cmp}, {y_cmp}, {riem}")
     return "xy_split", ("a", "a_inv", "b", "b_up", "bcov", "gamma", "v"), lines
 
@@ -490,10 +438,9 @@ class PointData:
     def __init__(self, space: RandersSpace, x):
         n = space.dimension
         a, da, b, db = _first_order_data(space, x)
-        self.a = a
+        self.a, self.b = a, b
         self.a_inv = a_inv = inv(a)
-        self.b = b
-        self.gamma = gamma = _levi_civita_from(a_inv, da)
+        self.gamma = gamma = _kernel(_christoffel_source, n)(a_inv, da)
         self.b_up, self.bcov = _kernel(_covariant_source, n)(a_inv, b, db, gamma)
 
     def length_gradient(self) -> list:

@@ -39,7 +39,6 @@ __all__ = [
     "busemann_hausdorff_measure",
     "custom_measure",
     "measure_from_kind",
-    "riemannian_volume_density",
     "unit_ball_volume",
     "bh_density_monte_carlo",
     "s_curvature",
@@ -73,7 +72,7 @@ def lebesgue_measure() -> Measure:
 
 
 def riemannian_volume_measure(space: RandersSpace) -> Measure:
-    return Measure("riemannian-volume", lambda x: _sqrt_det_a(space, x))
+    return Measure("riemannian-volume", lambda x: jets.sqrt(det(randers.a_at(space, x))))
 
 
 def busemann_hausdorff_measure(space: RandersSpace) -> Measure:
@@ -83,8 +82,9 @@ def busemann_hausdorff_measure(space: RandersSpace) -> Measure:
 
 
 def custom_measure(field: expr.ScalarField, coordinate_names: Sequence[str]) -> Measure:
-    names = tuple(coordinate_names)
-    return Measure("custom", lambda x: expr.evaluate(field, dict(zip(names, x))))
+    """The density of a parsed expression, compiled once (as expr.evaluate)."""
+    density = expr.compile_field(field, coordinate_names)
+    return Measure("custom", lambda x: density(tuple(x)))
 
 
 def measure_from_kind(
@@ -101,18 +101,6 @@ def measure_from_kind(
             raise ValueError("custom measure needs a density expression")
         return custom_measure(density_field, space.chart.names)
     raise ValueError(f"unknown measure kind '{kind}'")
-
-
-def _sqrt_det_a(space: RandersSpace, x):
-    return jets.sqrt(det(randers.a_at(space, x)))
-
-
-def riemannian_volume_density(space: RandersSpace, x) -> float:
-    """sqrt(det a_ij(x)) > 0 (the volume density of the alpha-metric)."""
-    d = standard_part(det(randers.a_at(space, x)))
-    if d <= 0.0:
-        raise randers.InvalidSpaceError(f"det a = {d} <= 0 at x = {tuple(x)}")
-    return math.sqrt(d)
 
 
 def unit_ball_volume(n: int) -> float:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from finslerlab import jets, randers
+from finslerlab import core, jets, randers
 from finslerlab.core import (
     CoordinateChart,
     DomainExitError,
@@ -24,7 +24,8 @@ from finslerlab.core import (
     probe_points,
     spray,
 )
-from finslerlab.jets import fd_oracle, standard_part
+from finslerlab.jets import Jet, fd_oracle, standard_part
+from finslerlab.linalg import sum_
 
 
 def euclidean_structure():
@@ -276,6 +277,104 @@ class TestSpray:
             G2 = [standard_part(c) for c in spray(F, x, [2.0 * c for c in v])]
             for a, b in zip(G1, G2):
                 assert abs(b - 4.0 * a) <= 1e-9 * (1.0 + abs(a))
+
+
+# The loops that core's Christoffel and spray kernels replace, kept as the
+# references the kernels must equal.
+
+
+def _gamma_loop(g_inv, dg) -> list:
+    n = len(g_inv)
+    gamma = []
+    for i in range(n):
+        rows = [[0.0] * n for _ in range(n)]
+        for j in range(n):
+            for k in range(j, n):  # symmetric in the lower pair
+                terms = sum_(
+                    g_inv[i][l] * (dg[k][l][j] + dg[j][k][l] - dg[l][j][k])
+                    for l in range(n)
+                )
+                rows[j][k] = rows[k][j] = 0.5 * terms
+        gamma.append(rows)
+    return gamma
+
+
+def _spray_loop(gamma, v) -> list:
+    n = len(v)
+    return [
+        sum_(gamma[i][j][k] * (v[j] * v[k]) for j in range(n) for k in range(n))
+        for i in range(n)
+    ]
+
+
+def _lane_reprs(leaf) -> list:
+    if isinstance(leaf, np.ndarray):
+        return [repr(c) for c in leaf.tolist()]
+    return [repr(leaf)]
+
+
+def _split_reprs(nested) -> tuple[list, list]:
+    """(standard parts, partials) of nested lists of floats, arrays and
+    one-level jets, as leaf reprs (so -0.0 != 0.0); a jet's standard part
+    is marked, so a jet never matches a plain leaf."""
+    standard, partials = [], []
+
+    def walk(entry):
+        if isinstance(entry, list):
+            for item in entry:
+                walk(item)
+        elif isinstance(entry, Jet):
+            standard.extend(["jet", *_lane_reprs(entry.value)])
+            for p in entry.partials:
+                partials.extend(_lane_reprs(p))
+        else:
+            standard.extend(_lane_reprs(entry))
+
+    walk(nested)
+    return standard, partials
+
+
+class TestKernelParity:
+    """The generated Christoffel and spray kernels against the loops they
+    replace: every partial equal, every standard part equal except that the
+    kernel's 0.0 start may turn a loop -0.0 into +0.0, and G equal given
+    the same gamma."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("lanes, slots", [(None, 0), (5, 0), (None, 2), (5, 2)])
+    def test_random_entries_with_signed_zeros(self, n, lanes, slots):
+        rng = np.random.default_rng([n, lanes or 0, slots])
+
+        def leaf():
+            if rng.random() < 0.3:
+                return float(rng.choice([0.0, -0.0]))
+            values = rng.normal(size=lanes or 1)
+            values[rng.random(values.size) < 0.25] = -0.0
+            values[rng.random(values.size) < 0.25] = 0.0
+            return values if lanes else float(values[0])
+
+        def entry():
+            # Jet entries mix with leaf constants, as in a seeded evaluation.
+            if slots and rng.random() < 0.8:
+                return Jet(leaf(), tuple(leaf() for _ in range(slots)))
+            return leaf()
+
+        christoffel = core._kernel(core._christoffel_source, n)
+        contraction = core._kernel(core._spray_source, n)
+        for _ in range(8):
+            g_inv = [[entry() for _ in range(n)] for _ in range(n)]
+            dg = [[[entry() for _ in range(n)] for _ in range(n)] for _ in range(n)]
+            v = [entry() for _ in range(n)]
+            gamma = christoffel(g_inv, dg)
+            loop_gamma = _gamma_loop(g_inv, dg)
+            standard, partials = _split_reprs(gamma)
+            loop_standard, loop_partials = _split_reprs(loop_gamma)
+            assert partials == loop_partials
+            assert len(standard) == len(loop_standard)
+            for got, want in zip(standard, loop_standard):
+                assert got == want or (want, got) == ("-0.0", "0.0")
+            for same in (gamma, loop_gamma):
+                assert _split_reprs(contraction(same, v)) == _split_reprs(_spray_loop(same, v))
 
 
 class TestNonlinearConnection:

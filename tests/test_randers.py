@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from finslerlab import catalog, manifest, randers
+from finslerlab import catalog, core, manifest, randers
 from finslerlab.core import probe_pairs, probe_points, spray
 from finslerlab.jets import Jet, _leaves, partial, seed_group, standard_part
 from finslerlab.linalg import sum_
@@ -357,7 +357,7 @@ class TestBhDensity:
 
 def _levi_civita_unhoisted(a_inv, da) -> list:
     """The Christoffel loop before its bracket was hoisted out of k: the
-    reference the hoisted _levi_civita_from must equal bit for bit."""
+    reference core's Christoffel kernel must equal bit for bit."""
     n = len(a_inv)
     gamma = []
     for k in range(n):
@@ -402,7 +402,7 @@ class TestLeviCivita:
             for _ in range(5):
                 a_inv = [[entry(lanes) for _ in range(n)] for _ in range(n)]
                 da = [[[entry(lanes) for _ in range(n)] for _ in range(n)] for _ in range(n)]
-                assert _reprs(randers._levi_civita_from(a_inv, da)) == _reprs(
+                assert _reprs(core._kernel(core._christoffel_source, n)(a_inv, da)) == _reprs(
                     _levi_civita_unhoisted(a_inv, da)
                 )
 
@@ -546,12 +546,12 @@ class TestUnrolledKernels:
                 b = [entry(lanes, 0.1 / n) for _ in range(n)]
                 db = [[entry(lanes) for _ in range(n)] for _ in range(n)]
                 v = [1.0 + abs(entry(lanes)), *(entry(lanes) for _ in range(n - 1))]
-                gamma = randers._levi_civita_from(a_inv, da)
+                gamma = core._kernel(core._christoffel_source, n)(a_inv, da)
                 assert _reprs(gamma) == _reprs(_levi_civita_unhoisted(a_inv, da))
-                covariant = randers._kernel(randers._covariant_source, n)
+                covariant = core._kernel(randers._covariant_source, n)
                 b_up, bcov = covariant(a_inv, b, db, gamma)
                 assert _reprs([b_up, bcov]) == _reprs(_covariant_loops(a_inv, b, db, gamma))
-                xy_split = randers._kernel(randers._xy_source, n)
+                xy_split = core._kernel(randers._xy_source, n)
                 for w in (v, seed_group(v, range(n)) if lanes is None else v):
                     args = (a, a_inv, b, b_up, bcov, gamma, w)
                     assert _reprs(xy_split(*args)) == _reprs(_xy_split_loops(*args))

@@ -6,7 +6,7 @@ import pytest
 
 from finslerlab import catalog, jets, randers, scurvature
 from finslerlab.jets import standard_part
-from finslerlab.core import probe_pairs
+from finslerlab.core import PairTensors, probe_pairs
 from finslerlab.scurvature import (
     Measure,
     MeasureUniquenessError,
@@ -16,7 +16,6 @@ from finslerlab.scurvature import (
     lebesgue_measure,
     measure_from_kind,
     measure_uniqueness_check,
-    riemannian_volume_density,
     riemannian_volume_measure,
     nonlinear_connection,
     s_curvature,
@@ -30,15 +29,17 @@ from finslerlab import expr
 
 class TestVolumeDensity:
     def test_flat(self, spaces):
-        assert riemannian_volume_density(spaces["euclidean2"], (0.2, 0.3)) == 1.0
+        assert riemannian_volume_measure(spaces["euclidean2"]).density((0.2, 0.3)) == 1.0
 
     def test_polar(self, spaces):
-        assert riemannian_volume_density(spaces["polar-riemannian"], (1.5, 1.0)) == pytest.approx(1.5, abs=1e-14)
+        density = riemannian_volume_measure(spaces["polar-riemannian"]).density
+        assert density((1.5, 1.0)) == pytest.approx(1.5, abs=1e-14)
 
     def test_equals_bh_when_form_vanishes(self, spaces):
         sp = spaces["polar-riemannian"]
+        density = riemannian_volume_measure(sp).density
         for x in ((0.7, 0.5), (1.9, 6.0)):
-            assert riemannian_volume_density(sp, x) == pytest.approx(
+            assert density(x) == pytest.approx(
                 float(randers.bh_density_closed_form(sp, x)), abs=1e-14
             )
 
@@ -338,3 +339,36 @@ class TestMeasureConstruction:
         field = expr.parse("1 + x1^2", ["x1", "x2"])
         m = custom_measure(field, ("x1", "x2"))
         assert m.density((2.0, 0.0)) == 5.0
+
+
+class TestCompiledCustomMeasure:
+    """custom_measure compiles its density once; S under it equals S under
+    a density that walks the AST through expr.evaluate, bit for bit."""
+
+    # The s-curvature-sweep density shape, with fixed coefficients.
+    SHAPE = "exp({a}*{x0} + {b}*{x1}^2) * (2 + sin({c}*{xl}))"
+
+    def _measures(self, sp, coefficients):
+        names = sp.chart.names
+        a, b, c = coefficients
+        field = expr.parse(
+            self.SHAPE.format(a=a, b=b, c=c, x0=names[0], x1=names[1], xl=names[-1]), names
+        )
+        interpreted = Measure("custom", lambda x: expr.evaluate(field, dict(zip(names, x))))
+        return custom_measure(field, names), interpreted
+
+    @pytest.mark.parametrize("coefficients", [("0.31", "-0.42", "0.17"), ("-0.5", "0.25", "-0.375")])
+    def test_s_equals_the_interpreted_density(self, spaces, structures, coefficients):
+        for name, sp in spaces.items():
+            F = structures[name]
+            compiled, interpreted = self._measures(sp, coefficients)
+            pairs = probe_pairs(sp.chart, 6)
+            for x, v in pairs:
+                assert repr(s_curvature(F, compiled, x, v)) == repr(
+                    s_curvature(F, interpreted, x, v)
+                ), name
+            xs = [np.array(c) for c in zip(*[x for x, _ in pairs])]
+            vs = [np.array(c) for c in zip(*[v for _, v in pairs])]
+            N = PairTensors(F, xs, vs).N
+            lanes = [s_curvature_from(N, m, xs, vs).tolist() for m in (compiled, interpreted)]
+            assert list(map(repr, lanes[0])) == list(map(repr, lanes[1])), name

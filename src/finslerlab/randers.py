@@ -343,29 +343,6 @@ def _first_order_source(n: int):
     return "first_order", ("a_pairs", "b_pairs"), lines
 
 
-def _christoffel_source(n: int):
-    """gamma^k_ij = 0.5 * (0.0 + sum_l a^kl br_ijl) per lower pair, with the
-    bracket br_ijl = da_li/dx_j + da_jl/dx_i - da_ij/dx_l shared by every k."""
-    r = range(n)
-    pairs = [(i, j) for i in r for j in range(i, n)]
-    lines = [
-        _grid(n, 2, lambda i, j: f"ai_{i}_{j}") + " = a_inv",
-        _grid(n, 3, lambda k, i, j: f"d_{k}_{i}_{j}") + " = da",
-    ]
-    lines += [
-        f"br_{i}_{j}_{l} = d_{j}_{l}_{i} + d_{i}_{j}_{l} - d_{l}_{i}_{j}"
-        for i, j in pairs
-        for l in r
-    ]
-    lines += [
-        f"g_{k}_{i}_{j} = 0.5 * (0.0 + {_sum(f'ai_{k}_{l} * br_{i}_{j}_{l}' for l in r)})"
-        for k in r
-        for i, j in pairs
-    ]
-    lines.append("return " + _grid(n, 3, lambda k, i, j: f"g_{k}_{_pair(i, j)}"))
-    return "levi_civita", ("a_inv", "da"), lines
-
-
 def _covariant_source(n: int):
     """b^i = 0.0 + sum_j a^ij b_j and b_{i|j} = db_i/dx_j - (0.0 + sum_k b_k
     gamma^k_ij), the contraction once per lower pair."""

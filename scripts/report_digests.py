@@ -12,8 +12,15 @@ measure kind, then once with `--oracle`; and a short `geodesic` from
 the same point.  The s-curvature and geodesic runs read a copy of the
 spec that declares a custom measure of the s-curvature-sweep density
 shape, so `--measure custom` has its density and `--oracle` runs under
-it (the spec's own measure).  Two checkouts that print the same lines produce the
-same reports; diff the output of a change against its parent's:
+it (the spec's own measure).  After each spec set, two library-level
+lines per spec hash the repr of `scurvature.s_curvature` under the four
+measure kinds at a few seeded points x with one v, one F per spec:
+"library:sweep" in the s-curvature-sweep's order (four kinds at v, then
+one at 2v), point by point and space by space, and "library:interleaved"
+for the same calls with the spaces and points interleaved, so that a
+value carried over from another space or point would change a line.
+Two checkouts that print the same lines produce the same reports; diff
+the output of a change against its parent's:
 
     python3 scripts/report_digests.py > digests.txt
     python3 scripts/report_digests.py --seeds 7 11
@@ -34,9 +41,11 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import specgen  # noqa: E402
 import workloads  # noqa: E402
-from finslerlab import cli, scurvature  # noqa: E402
+from finslerlab import cli, core, expr, manifest, randers, scurvature  # noqa: E402
 
 COMMANDS = ("analyze", "validate")
+# Points per spec in the library-level lines (core.probe_pairs at seed 1).
+LIBRARY_POINTS = 3
 WALL_TIME = re.compile(r'("wall_time_s": )[^,\n]*')
 # The s-curvature-sweep density shape, with fixed coefficients.
 DENSITY = "exp(0.3*{first} - 0.2*{second}^2) * (2 + sin(0.4*{last}))"
@@ -59,11 +68,15 @@ def digest(argv: list[str]) -> tuple[int, str]:
     return code, hashlib.sha256(text.encode()).hexdigest()
 
 
+def density_of(spec: dict) -> str:
+    """The DENSITY shape over the spec's coordinates."""
+    names = spec["coordinates"]
+    return DENSITY.format(first=names[0], second=names[1], last=names[-1])
+
+
 def with_custom_measure(spec: dict) -> dict:
     """The spec with a custom measure of the DENSITY shape added."""
-    names = spec["coordinates"]
-    density = DENSITY.format(first=names[0], second=names[1], last=names[-1])
-    return {**spec, "measure": {"kind": "custom", "density": density}}
+    return {**spec, "measure": {"kind": "custom", "density": density_of(spec)}}
 
 
 def runs(spec: dict, path: Path, measured: Path) -> list[tuple[str, list[str]]]:
@@ -83,6 +96,58 @@ def runs(spec: dict, path: Path, measured: Path) -> list[tuple[str, list[str]]]:
     return out
 
 
+def outcome(call) -> str:
+    """The repr of what a call returns, or the type and message of what it raises."""
+    try:
+        return repr(call())
+    except Exception as exc:  # noqa: BLE001 - the digest records it
+        return f"{type(exc).__name__}: {exc}"
+
+
+def sweep_calls(spec: dict) -> list[list]:
+    """Per seeded point, the s_curvature calls of the sweep's order: the
+    four measure kinds at v, then one kind at 2v.  Every point has the
+    same v, so that only x tells them apart."""
+    space = manifest.space_from_spec(spec)
+    F = randers.finsler(space)
+    density = expr.parse(density_of(spec), spec["coordinates"])
+    measures = [scurvature.measure_from_kind(space, k, density) for k in scurvature.MEASURE_KINDS]
+    pairs = core.probe_pairs(space.chart, LIBRARY_POINTS, 1)
+    v = pairs[0][1]
+    out = []
+    for k, (x, _) in enumerate(pairs):
+        at = [(m, v) for m in measures] + [(measures[k % len(measures)], [2.0 * c for c in v])]
+        out.append([lambda m=m, x=x, v=w: scurvature.s_curvature(F, m, x, v) for m, w in at])
+    return out
+
+
+def sha256(values: list[str]) -> str:
+    return hashlib.sha256("\n".join(values).encode()).hexdigest()
+
+
+def library_lines(specs: list[dict], seed: str) -> list[str]:
+    """The library:sweep and library:interleaved line of every spec."""
+    per_spec = [sweep_calls(spec) for spec in specs]
+    in_order = [[outcome(call) for point in points for call in point] for points in per_spec]
+    # The i-th call at every point of every space, then the (i+1)-th: for
+    # even i point by point within a space, for odd i space by space at a
+    # point, so that consecutive calls differ in x alone or in F alone.
+    interleaved = [[] for _ in specs]
+    spaces, points = range(len(specs)), range(LIBRARY_POINTS)
+    for i in range(len(scurvature.MEASURE_KINDS) + 1):
+        if i % 2:
+            cells = [(s, k) for k in points for s in spaces]
+        else:
+            cells = [(s, k) for s in spaces for k in points]
+        for s, k in cells:
+            interleaved[s].append(outcome(per_spec[s][k][i]))
+    return [
+        f"{label} {spec['name']} {seed} sha256={sha256(values)}"
+        for label, results in (("library:sweep", in_order), ("library:interleaved", interleaved))
+        for spec, values in zip(specs, results)
+    ]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[7])
@@ -99,6 +164,8 @@ def main() -> int:
                 for label, argv in runs(spec, path, measured_path):
                     code, sha = digest(argv)
                     print(f"{label} {spec['name']} {seed} exit={code} sha256={sha}", flush=True)
+            for line in library_lines(specs, seed):
+                print(line, flush=True)
     return 0
 
 

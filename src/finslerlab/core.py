@@ -150,7 +150,9 @@ def _check_nonzero(v) -> None:
 
 
 def _is_exact_zero(v) -> bool:
-    return all(standard_part(c) == 0.0 for c in v)
+    """v == 0 exactly; over array leaves, in every lane (a batch with only
+    some zero lanes goes on to _check_nonzero, which raises)."""
+    return all(_every_lane(standard_part(c) == 0.0) for c in v)
 
 
 def _half_f_squared(F: FinslerStructure, x, v, levels: str) -> Scalar:

@@ -111,11 +111,29 @@ def unit_ball_volume(n: int) -> float:
 # -- S-curvature ----------------------------------------------------------------
 
 
+# The (F, key, N) of the last s_curvature call that computed N, rebound as
+# a whole, so a concurrent caller reads a whole entry or none.
+_held: Optional[tuple] = None
+
+
 def s_curvature(F: FinslerStructure, measure: Measure, x, v) -> float:
-    """Trace formula S(v) = sum_i { N^i_i - v^i dlog(sigma)/dx^i }; S(0) = 0."""
+    """Trace formula S(v) = sum_i { N^i_i - v^i dlog(sigma)/dx^i }; S(0) = 0.
+
+    N depends on F alone, so N is held for the last (F, x, v): calls for
+    several measures at one (x, v) compute it once.  F matches by
+    identity, each component of x and v by its type and the bits of its
+    float value (float.hex: -0.0 and 0.0 differ).  A miss computes N
+    with nonlinear_connection; an N that raises is not held.
+    """
+    global _held
     if all(float(c) == 0.0 for c in v):
         return 0.0
-    return s_curvature_from(nonlinear_connection(F, x, v), measure, x, v)
+    key = tuple(tuple((type(c), float(c).hex()) for c in leaves) for leaves in (x, v))
+    held = _held
+    if held is None or held[0] is not F or held[1] != key:
+        N = nonlinear_connection(F, x, v)
+        held = _held = (F, key, tuple(map(tuple, N)))
+    return s_curvature_from(held[2], measure, x, v)
 
 
 def s_curvature_from(N, measure: Measure, x, v) -> float:
@@ -342,11 +360,8 @@ def measure_uniqueness_check(
     max1 = 0.0
     max2 = 0.0
     for x, v in probes:
-        if all(float(c) == 0.0 for c in v):
-            continue  # S(0) = 0 under every measure
-        N = nonlinear_connection(F, x, v)
-        max1 = max(max1, abs(s_curvature_from(N, measure1, x, v)))
-        max2 = max(max2, abs(s_curvature_from(N, measure2, x, v)))
+        max1 = max(max1, abs(s_curvature(F, measure1, x, v)))
+        max2 = max(max2, abs(s_curvature(F, measure2, x, v)))
     both = max1 <= tol and max2 <= tol
     ratios = [
         standard_part(measure1.density(list(x)))

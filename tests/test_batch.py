@@ -29,6 +29,7 @@ from finslerlab.core import (
     nonlinear_connection,
     probe_grid,
     probe_pairs,
+    spray,
 )
 from finslerlab.expr import ExprDomainError
 from finslerlab.jets import Jet, seed_group
@@ -560,6 +561,36 @@ class TestGeodesicBatch:
         assert batched.value.path.points == in_loop.value.path.points
         inside = points[::2]
         assert jets.lanewise(end_state, inside) == per_point_loop(end_state, inside)
+
+
+    def test_generic_spray_runs_on_lanes(self, structures):
+        # F without fast_spray: geodesic runs core.spray, directly on lanes.
+        base = structures["flat-nonkilling"]
+        F = FinslerStructure(base.chart, base.func)
+        pairs = [((0.1, -0.2), (1.0, 0.5)), ((0.3, 0.05), (-0.4, 0.0))]
+        x0, v0 = _pair_lanes(pairs)
+        assert_matches_lanes(spray(F, x0, v0), [spray(F, x, v) for x, v in pairs])
+        assert_matches_lanes(
+            nonlinear_connection(F, x0, v0), [nonlinear_connection(F, x, v) for x, v in pairs]
+        )
+        run = geodesic(F, x0, v0, leaves([0.1, 0.1]), 5)
+        for k, (x, v) in enumerate(pairs):
+            single = geodesic(F, x, v, 0.1, 5)
+            for p, q in zip(run.points + run.velocities, single.points + single.velocities):
+                assert [repr(_lane(c, k)) for c in p] == [repr(c) for c in q]
+
+    def test_generic_spray_with_a_zero_lane_hands_over_to_the_float_loop(self, structures):
+        base = structures["flat-nonkilling"]
+        F = FinslerStructure(base.chart, base.func)
+        points = [(0.1, -0.2, 1.0, 0.5), (0.3, 0.05, 0.0, 0.0)]
+
+        def spray_at(p):
+            return spray(F, p[:2], p[2:])
+
+        with pytest.raises(StructureValidityError):
+            batch_only(spray_at, points)
+        assert jets.lanewise(spray_at, points) == per_point_loop(spray_at, points)
+        assert per_point_loop(spray_at, points)[1] == [0.0, 0.0]
 
 
 def per_point_loop(fn, points):

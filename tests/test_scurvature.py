@@ -1,10 +1,12 @@
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from finslerlab import catalog, jets, randers, scurvature
+from finslerlab import catalog, jets, manifest, randers, scurvature
 from finslerlab.jets import standard_part
 from finslerlab.core import PairTensors, probe_pairs
 from finslerlab.scurvature import (
@@ -25,6 +27,9 @@ from finslerlab.scurvature import (
     unit_ball_volume,
 )
 from finslerlab import expr
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import specgen  # noqa: E402
 
 
 class TestVolumeDensity:
@@ -170,7 +175,9 @@ class TestSCurvatureFormula:
             for x, v in probe_pairs(sp.chart, 4):
                 N = nonlinear_connection(F, x, v)
                 for measure in measures:
-                    assert s_curvature_from(N, measure, x, v) == s_curvature(F, measure, x, v)
+                    assert repr(s_curvature_from(N, measure, x, v)) == repr(
+                        s_curvature(F, measure, x, v)
+                    )
 
     def test_homogeneity(self, spaces, structures):
         F = structures["rotational-killing"]
@@ -180,6 +187,116 @@ class TestSCurvatureFormula:
             for c in (0.5, 2.0):
                 sc = s_curvature(F, measure, x, [c * vi for vi in v])
                 assert abs(sc - c * s) <= 1e-9 * (1.0 + abs(s))
+
+
+class TestHeldConnection:
+    """s_curvature holds N for the last (F, x, v).  Each test builds its
+    own F, so no entry held by an earlier test can match."""
+
+    # The s-curvature-sweep density shape, with fixed coefficients.
+    DENSITY = "exp(0.3*{first} - 0.2*{second}^2) * (2 + sin(0.4*{last}))"
+
+    @staticmethod
+    def _counted(monkeypatch) -> list:
+        calls = []
+        monkeypatch.setattr(
+            scurvature,
+            "nonlinear_connection",
+            lambda F, x, v: calls.append((F, tuple(x), tuple(v))) or nonlinear_connection(F, x, v),
+        )
+        return calls
+
+    def _measures(self, sp) -> list:
+        names = sp.chart.names
+        density = self.DENSITY.format(first=names[0], second=names[1], last=names[-1])
+        field = expr.parse(density, names)
+        return [measure_from_kind(sp, kind, field) for kind in scurvature.MEASURE_KINDS]
+
+    @staticmethod
+    def _exact(F, measure, x, v) -> str:
+        """repr of S with N computed afresh, outside s_curvature."""
+        return repr(s_curvature_from(nonlinear_connection(F, x, v), measure, x, v))
+
+    def test_measures_at_one_point_share_one_connection(self, spaces, monkeypatch):
+        sp = spaces["sphere-hopf"]
+        F = randers.finsler(sp)
+        measures = self._measures(sp)
+        calls = self._counted(monkeypatch)
+        x, v = [0.1, -0.2, 0.3], [0.5, 1.0, -0.25]
+        for measure in measures:
+            s_curvature(F, measure, x, v)
+        assert calls == [(F, tuple(x), tuple(v))]
+        s_curvature(F, measures[0], x, [2.0 * c for c in v])
+        assert len(calls) == 2
+
+    @staticmethod
+    def _sweep(spaces) -> list:
+        """(F, space, [(x, v), ...]) per catalog space and per specgen
+        family and dimension (n = 2-4), each with a fresh F."""
+        specs = specgen.generate_set(3, specgen.family_grid(), "held")
+        built = list(spaces.values()) + [manifest.space_from_spec(spec) for spec in specs]
+        return [(randers.finsler(sp), sp, probe_pairs(sp.chart, 2, 9)) for sp in built]
+
+    def _ops(self, sweep) -> list:
+        """Per space and point, the sweep's ops: four kinds at v, then one at 2v."""
+        out = []
+        for F, sp, pairs in sweep:
+            measures = self._measures(sp)
+            ops = []
+            for k, (x, v) in enumerate(pairs):
+                ops += [(F, measure, x, v) for measure in measures]
+                ops.append((F, measures[k % 4], x, [2.0 * c for c in v]))
+            out.append(ops)
+        return out
+
+    def test_equals_the_connection_computed_afresh(self, spaces):
+        per_space = self._ops(self._sweep(spaces))
+        in_order = [op for ops in per_space for op in ops]
+        # The j-th op of every space, then the (j+1)-th: consecutive calls differ in F.
+        interleaved = [op for column in zip(*per_space) for op in column]
+        expected = {id(op): self._exact(*op) for op in in_order}
+        for order in (in_order, interleaved):
+            assert [repr(s_curvature(*op)) for op in order] == [expected[id(op)] for op in order]
+
+    def test_signed_zero_and_an_equal_chart_recompute(self, spaces, monkeypatch):
+        sp = spaces["flat-nonkilling"]
+        F, twin = randers.finsler(sp), randers.finsler(sp)
+        measure = busemann_hausdorff_measure(sp)
+        calls = self._counted(monkeypatch)
+        points = [
+            ((0.0, 0.3), (1.0, 0.5)),
+            ((-0.0, 0.3), (1.0, 0.5)),
+            ((-0.0, 0.3), (1.0, 0.0)),
+            ((-0.0, 0.3), (1.0, -0.0)),
+        ]
+        for x, v in points:
+            assert repr(s_curvature(F, measure, x, v)) == self._exact(F, measure, x, v)
+        assert repr(s_curvature(twin, measure, *points[-1])) == self._exact(
+            twin, measure, *points[-1]
+        )
+        assert [(G is F, x, v) for G, x, v in calls] == [
+            *[(True, x, v) for x, v in points],
+            (False, *points[-1]),
+        ]
+
+    def test_a_raising_point_is_not_held(self, monkeypatch):
+        # alpha^2 < 0 where x1 < 0, so math.sqrt raises there.
+        sp = randers.build_space(
+            ["x1", "x2"], [[-1, 1], [-1, 1]], [["x1", "0"], ["0", "1"]], ["0.1", "0"]
+        )
+        F = randers.finsler(sp)
+        measure = lebesgue_measure()
+        good, bad = ((0.5, 0.1), (1.0, 0.5)), ((-0.5, 0.1), (1.0, 0.5))
+        calls = self._counted(monkeypatch)
+        s_curvature(F, measure, *good)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="math domain error"):
+                s_curvature(F, measure, *bad)
+        assert len(calls) == 3
+        assert repr(s_curvature(F, measure, *good)) == self._exact(F, measure, *good)
+        after = ((0.25, -0.3), (0.5, 1.0))
+        assert repr(s_curvature(F, measure, *after)) == self._exact(F, measure, *after)
+        assert len(calls) == 4
 
 
 class TestTransportOracle:

@@ -19,6 +19,10 @@ measure kinds at a few seeded points x with one v, one F per spec:
 one at 2v), point by point and space by space, and "library:interleaved"
 for the same calls with the spaces and points interleaved, so that a
 value carried over from another space or point would change a line.
+Last, one "contract:" line per malformed spec and command (`analyze`,
+`validate`) digests an error report: coordinate names that the
+expression grammar refuses, a non-finite metric or one-form, and
+expressions of each deep shape one level past expr.MAX_DEPTH.
 Two checkouts that print the same lines produce the same reports; diff
 the output of a change against its parent's:
 
@@ -30,6 +34,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import re
 import sys
 import tempfile
@@ -148,6 +153,31 @@ def library_lines(specs: list[dict], seed: str) -> list[str]:
     ]
 
 
+def malformed_specs() -> dict:
+    """The contract cases: name -> a flat spec on (-1, 1)^2 that every spec
+    command refuses with exit 1."""
+    flat = {
+        "schema": 1, "dimension": 2, "coordinates": ["x1", "x2"],
+        "metric": [["1", "0"], ["0", "1"]], "beta": ["0.1", "0"],
+        "domain": [[-1.0, 1.0], [-1.0, 1.0]],
+    }
+    depth = expr.MAX_DEPTH + 1
+    nested = {
+        "parentheses": "(" * (depth - 1) + "0" + ")" * (depth - 1),
+        "sum": "+".join(["0"] * depth),
+        "unary-minus": "-" * (depth - 1) + "0",
+        "power-chain": "^".join(["0"] + ["1"] * (depth - 1)),
+        "calls": "sin(" * (depth - 1) + "0" + ")" * (depth - 1),
+    }
+    return {
+        **{f"coordinate-{name!r}": {**flat, "coordinates": [name, "x2"]}
+           for name in ["sin", "pi", "1a", "x 1", ""]},
+        "infinite-beta": {**flat, "beta": ["1e308*1e308", "0"]},
+        "infinite-metric": {**flat, "metric": [["1e308*1e308", "0"], ["0", "1"]]},
+        **{f"nested-{shape}": {**flat, "beta": [source, "0"]} for shape, source in nested.items()},
+    }
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[7])
@@ -166,6 +196,12 @@ def main() -> int:
                     print(f"{label} {spec['name']} {seed} exit={code} sha256={sha}", flush=True)
             for line in library_lines(specs, seed):
                 print(line, flush=True)
+        for case, spec in malformed_specs().items():
+            path = Path(tmp) / "contract.json"
+            path.write_text(json.dumps(spec))
+            for command in COMMANDS:
+                code, sha = digest([command, str(path)])
+                print(f"contract:{case} {command} exit={code} sha256={sha}", flush=True)
     return 0
 
 

@@ -10,14 +10,18 @@
 Reports are strict JSON on stdout (no NaN or Infinity); re-running with
 identical inputs and seed reproduces the report byte for byte except the
 wall_time_s field.  Exit codes: 0 success (analyze: measure admitted),
-1 invalid spec or failed validation (among them a spec expression that
-is undefined or overflows, an OverflowError from math, at a point the
-command evaluates), 2 usage error, 3 no admissible measure, 4 runtime
-domain warning (a path left the chart or blew up, math overflowed or
-left its domain at an RK4 stage point of geodesic or s-curvature
---oracle, math left its domain at one of validate's transport oracle,
-or a result came out non-finite).  FINSLERLAB_SEED sets the default
-seed; an explicit --seed wins.  Seeds are integers in [0, 2**64).
+1 invalid spec or failed validation (among them a coordinate name that
+the expression grammar does not read as a name, such as sin, pi or 1a;
+an expression nested more than expr.MAX_DEPTH levels deep; a metric or
+one-form entry that is not finite at a probe point; and a spec
+expression that is undefined or overflows, an OverflowError from math,
+at a point the command evaluates), 2 usage error, 3 no admissible
+measure, 4 runtime domain warning (a path left the chart or blew up,
+math overflowed or left its domain at an RK4 stage point of geodesic or
+s-curvature --oracle, math left its domain at one of validate's
+transport oracle, or a result came out non-finite).  FINSLERLAB_SEED
+sets the default seed; an explicit --seed wins.  Seeds are integers in
+[0, 2**64).
 """
 
 from __future__ import annotations

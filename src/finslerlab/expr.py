@@ -15,7 +15,9 @@ also documented in the README):
 "^" binds tightest (so -x^2 is -(x^2)), then unary minus, then "*"/"/",
 then "+"/"-".  No implicit multiplication, ASCII only.  Functions:
 sin cos tan exp log sqrt sinh cosh tanh; constants: pi, e.  abs is
-rejected explicitly because it is not smooth.
+rejected explicitly because it is not smooth.  An expression is at most
+MAX_DEPTH levels deep, each number, name, operator, function call and
+pair of parentheses being one level; a deeper one is a syntax error.
 
 Evaluation is generic over the scalar tower: coordinates may be floats,
 1-D NumPy arrays (one value per member of a batch) or jets over either.
@@ -45,6 +47,8 @@ __all__ = [
     "Neg",
     "BinOp",
     "Call",
+    "MAX_DEPTH",
+    "check_coordinates",
     "parse",
     "evaluate",
     "compile_field",
@@ -149,6 +153,12 @@ FUNCTIONS = {
 
 CONSTANTS = {"pi": math.pi, "e": math.e}
 
+# The deepest expression parse accepts: it keeps the parser's recursion
+# (six frames a level at most, for nested calls) and every walk over the
+# AST (one or two frames a level) well inside Python's default recursion
+# limit of 1000.
+MAX_DEPTH = 100
+
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NUMBER_RE = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?")
 
@@ -197,10 +207,14 @@ def _tokenize(source: str) -> list[_Token]:
 
 
 class _Parser:
+    """Recursive descent that also returns the depth of each tree it
+    builds; parse refuses a tree deeper than MAX_DEPTH."""
+
     def __init__(self, tokens: list[_Token], coordinates: tuple[str, ...]):
         self.tokens = tokens
         self.pos = 0
         self.coordinates = coordinates
+        self.open = 0  # parentheses, calls, unary minuses and exponents entered
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -216,66 +230,82 @@ class _Parser:
             raise ExprSyntaxError(f"expected '{text}'", tok.offset)
         return self.advance()
 
-    def parse_expr(self) -> Node:
-        node = self.parse_term()
+    def enter(self, tok: _Token) -> None:
+        """Count one more open construct (the caller counts it out again):
+        each adds a level, so this bounds the recursion before a tree is built."""
+        self.open += 1
+        _check_depth(self.open, tok.offset)
+
+    def parse_expr(self) -> tuple[Node, int]:
+        node, depth = self.parse_term()
         while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            node = BinOp(op, node, self.parse_term())
-        return node
+            tok = self.advance()
+            right, right_depth = self.parse_term()
+            node, depth = BinOp(tok.text, node, right), 1 + max(depth, right_depth)
+        return node, depth
 
-    def parse_term(self) -> Node:
-        node = self.parse_factor()
+    def parse_term(self) -> tuple[Node, int]:
+        node, depth = self.parse_factor()
         while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            node = BinOp(op, node, self.parse_factor())
-        return node
+            tok = self.advance()
+            right, right_depth = self.parse_factor()
+            node, depth = BinOp(tok.text, node, right), 1 + max(depth, right_depth)
+        return node, depth
 
-    def parse_factor(self) -> Node:
+    def parse_factor(self) -> tuple[Node, int]:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            return Neg(self.parse_factor())
+            self.enter(tok)
+            operand, depth = self.parse_factor()
+            self.open -= 1
+            return Neg(operand), 1 + depth
         return self.parse_power()
 
-    def parse_power(self) -> Node:
-        node = self.parse_atom()
+    def parse_power(self) -> tuple[Node, int]:
+        node, depth = self.parse_atom()
         tok = self.peek()
         if tok.kind == "op" and tok.text == "^":
             self.advance()
-            node = BinOp("^", node, self.parse_factor())
-        return node
+            self.enter(tok)
+            right, right_depth = self.parse_factor()
+            self.open -= 1
+            node, depth = BinOp("^", node, right), 1 + max(depth, right_depth)
+        return node, depth
 
-    def parse_atom(self) -> Node:
+    def parse_atom(self) -> tuple[Node, int]:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
             value = float(tok.text)
             if not math.isfinite(value):
                 raise ExprSyntaxError("number literal overflows", tok.offset)
-            return Num(value)
+            return Num(value), 1
         if tok.kind == "name":
             self.advance()
             nxt = self.peek()
             if nxt.kind == "op" and nxt.text == "(":
                 return self.parse_call(tok)
             if tok.text in self.coordinates:
-                return Var(tok.text)
+                return Var(tok.text), 1
             if tok.text in CONSTANTS:
-                return Num(CONSTANTS[tok.text])
+                return Num(CONSTANTS[tok.text]), 1
             raise UnknownIdentifierError(
                 f"unknown identifier '{tok.text}'", tok.offset
             )
         if tok.kind == "op" and tok.text == "(":
             self.advance()
-            node = self.parse_expr()
+            self.enter(tok)
+            node, depth = self.parse_expr()
             self.expect_op(")")
-            return node
+            self.open -= 1
+            return node, 1 + depth
         raise ExprSyntaxError(
             f"unexpected {'end of input' if tok.kind == 'end' else tok.text!r}",
             tok.offset,
         )
 
-    def parse_call(self, name_tok: _Token) -> Node:
+    def parse_call(self, name_tok: _Token) -> tuple[Node, int]:
         if name_tok.text == "abs":
             raise NonSmoothFunctionError(
                 "'abs' is a non-smooth function and is not supported",
@@ -285,32 +315,47 @@ class _Parser:
             raise UnknownIdentifierError(
                 f"unknown function '{name_tok.text}'", name_tok.offset
             )
-        self.expect_op("(")
+        self.enter(self.expect_op("("))
         args = [self.parse_expr()]
         while self.peek().kind == "op" and self.peek().text == ",":
             self.advance()
             args.append(self.parse_expr())
         self.expect_op(")")
+        self.open -= 1
         if len(args) != 1:
             raise ArityError(
                 f"'{name_tok.text}' takes 1 argument, got {len(args)}",
                 name_tok.offset,
             )
-        return Call(name_tok.text, tuple(args))
+        (arg, depth), = args
+        return Call(name_tok.text, (arg,)), 1 + depth
+
+
+def _check_depth(depth: int, offset: int) -> None:
+    if depth > MAX_DEPTH:
+        raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", offset)
+
+
+def check_coordinates(coordinates) -> tuple[str, ...]:
+    """The coordinate names as a tuple; raises ExprError unless they are
+    nonempty, distinct, and each a NAME that is no function or constant."""
+    coords = tuple(coordinates)
+    if not coords:
+        raise ExprError("coordinate list must be nonempty")
+    if len(set(coords)) != len(coords):
+        raise ExprError("coordinate names must be distinct")
+    for name in coords:
+        if not _NAME_RE.fullmatch(name) or name in FUNCTIONS or name in CONSTANTS:
+            raise ExprError(f"invalid coordinate name {name!r}")
+    return coords
 
 
 def parse(source: str, coordinates) -> ScalarField:
     """Parse `source` over the declared coordinate names."""
-    coords = tuple(coordinates)
-    if not coords:
-        raise ValueError("coordinate list must be nonempty")
-    if len(set(coords)) != len(coords):
-        raise ValueError("coordinate names must be distinct")
-    for name in coords:
-        if not _NAME_RE.fullmatch(name) or name in FUNCTIONS or name in CONSTANTS:
-            raise ValueError(f"invalid coordinate name {name!r}")
+    coords = check_coordinates(coordinates)
     parser = _Parser(_tokenize(source), coords)
-    ast = parser.parse_expr()
+    ast, depth = parser.parse_expr()
+    _check_depth(depth, 0)
     tok = parser.peek()
     if tok.kind != "end":
         raise ExprSyntaxError(f"trailing input {tok.text!r}", tok.offset)

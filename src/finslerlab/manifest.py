@@ -15,9 +15,10 @@ The on-disk format (schema 1):
     }
 
 All expressions are strings in the expr-module grammar.  Validation
-reproduces the RandersSpace invariants: consistent shapes, parseable
-expressions, a symmetric positive-definite metric at probe points, and
-sup ||beta|| < 1.
+reproduces the RandersSpace invariants: consistent shapes, coordinate
+names the grammar reads as names, parseable expressions (at most
+expr.MAX_DEPTH levels deep), a finite, symmetric, positive-definite
+metric and a finite one-form at probe points, and sup ||beta|| < 1.
 """
 
 from __future__ import annotations
@@ -82,8 +83,10 @@ def validate_spec_data(data) -> None:
         or not all(isinstance(c, str) for c in coords)
     ):
         raise SpecValidationError(f"coordinates must be {n} names")
-    if len(set(coords)) != n:
-        raise SpecValidationError("coordinate names must be distinct")
+    try:
+        expr.check_coordinates(coords)
+    except expr.ExprError as exc:
+        raise SpecValidationError(str(exc)) from None
     metric = data["metric"]
     if (
         not isinstance(metric, list)

@@ -188,22 +188,28 @@ def _check_symmetry(chart, parsed, metric) -> None:
 
 def validate_space(space: RandersSpace, points: Sequence) -> None:
     """Probe-based admissibility at the given x-positions (e.g. probe_points):
-    a positive definite and sup ||beta|| < 1.
+    finite a and b, a positive definite and sup ||beta|| < 1.
 
-    One pass over array leaves (jets.lanewise) evaluates a(x) once for
-    the grid, runs one stacked Cholesky factorisation on it and computes
-    every ||beta|| from it with one beta_length call.
+    One pass over array leaves (jets.lanewise) evaluates a(x) and b(x)
+    once for the grid, runs one stacked Cholesky factorisation on a and
+    computes every ||beta|| from them with one beta_length call.  A
+    non-finite entry raises in the pass, so the per-point loop names the
+    first point that has one.
     """
 
     def length(x):
-        a = a_at(space, x)
+        a, b = a_and_b(space, x)
+        stacked = _stacked(a)
+        for label, entries in (("metric", stacked), ("one-form", np.broadcast_arrays(*b))):
+            if not np.isfinite(entries).all():
+                raise InvalidSpaceError(f"{label} not finite at x = {x}")
         try:
-            np.linalg.cholesky(_stacked(a))
+            np.linalg.cholesky(stacked)
         except np.linalg.LinAlgError:
             raise InvalidSpaceError(
                 f"metric not positive definite at x = {x}"
             ) from None
-        return beta_length(space, x, a)
+        return beta_length(space, x, a, b)
 
     worst_len = max([0.0, *jets.lanewise(length, points)])
     if worst_len >= 1.0:

@@ -32,7 +32,6 @@ from .randers import RandersSpace
 
 __all__ = [
     "Measure",
-    "MeasureUniquenessError",
     "MEASURE_KINDS",
     "lebesgue_measure",
     "riemannian_volume_measure",
@@ -45,14 +44,9 @@ __all__ = [
     "s_curvature_from",
     "s_curvature_transport",
     "s_curvature_transport_batch",
-    "measure_uniqueness_check",
 ]
 
 MEASURE_KINDS = ("lebesgue", "riemannian-volume", "busemann-hausdorff", "custom")
-
-
-class MeasureUniquenessError(RuntimeError):
-    """Two vanishing-S measures whose densities were not proportional."""
 
 
 @dataclass(frozen=True)
@@ -339,38 +333,3 @@ def bh_density_monte_carlo(
     std_error = omega * se_volume / (ball_volume * ball_volume)
     return estimate, std_error
 
-
-# -- measure uniqueness -----------------------------------------------------------
-
-
-def measure_uniqueness_check(
-    space: RandersSpace,
-    measure1: Measure,
-    measure2: Measure,
-    probes: Sequence,
-    tol: float,
-) -> tuple[bool, float]:
-    """(both_vanishing, density ratio spread max/min - 1) over (x, v) probes.
-
-    When both measures have |S| <= tol everywhere probed, their densities
-    must be proportional (spread <= 10*tol); a violation raises, since it
-    would contradict the uniqueness of the vanishing-S measure.
-    """
-    F = randers.finsler(space)
-    max1 = 0.0
-    max2 = 0.0
-    for x, v in probes:
-        max1 = max(max1, abs(s_curvature(F, measure1, x, v)))
-        max2 = max(max2, abs(s_curvature(F, measure2, x, v)))
-    both = max1 <= tol and max2 <= tol
-    ratios = [
-        standard_part(measure1.density(list(x)))
-        / standard_part(measure2.density(list(x)))
-        for x, _ in probes
-    ]
-    spread = max(ratios) / min(ratios) - 1.0
-    if both and spread > 10.0 * tol:
-        raise MeasureUniquenessError(
-            f"both measures have |S| <= {tol} but density ratio spread is {spread:.3e}"
-        )
-    return both, spread

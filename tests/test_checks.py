@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from finslerlab import checks, core, randers, scurvature
+from finslerlab import checks, core, jets, randers, scurvature
 from finslerlab.core import probe_grid
 from finslerlab.jets import Jet, standard_part
 
@@ -55,6 +55,13 @@ def test_battery_evaluates_each_probe_value_once(spaces, monkeypatch, name):
     s_curvature_from = scurvature.s_curvature_from
     half_f_squared = core._half_f_squared
     geodesic = core.geodesic
+    lanewise = jets.lanewise
+    passes = []  # the lane count of every jets.lanewise pass
+
+    def counting_lanewise(fn, points):
+        points = list(points)
+        passes.append(len(points))
+        return lanewise(fn, points)
 
     def counting_analyze_beta(*args, **kwargs):
         calls["analyze_beta"] += 1
@@ -95,6 +102,7 @@ def test_battery_evaluates_each_probe_value_once(spaces, monkeypatch, name):
     monkeypatch.setattr(scurvature, "geodesic", counting_geodesic)
     monkeypatch.setattr(scurvature, "s_curvature_from", counting_s_curvature_from)
     monkeypatch.setattr(core, "_half_f_squared", counting_half_f_squared)
+    monkeypatch.setattr(jets, "lanewise", counting_lanewise)
     space = spaces[name]
     pairs, points = probe_grid(space.chart, 25)
     checks.run_checks(space, pairs, points, transport_probes=5, mc_samples=10_000)
@@ -119,3 +127,9 @@ def test_battery_evaluates_each_probe_value_once(spaces, monkeypatch, name):
     assert calls == {
         "analyze_beta": 1, "s_bh": 2, "half_f_squared": 4, "geodesic": 1, "plain_f": 5
     }
+    # One pass over the pairs builds every per-pair quantity.  The others
+    # are over the points (the beta analysis, the length-gradient gap and,
+    # where the verdict admits, the Killing-skew contraction), the oracle's
+    # trajectories and end states, and S at 0.5 v and 2 v on the subset.
+    assert len(passes) == {"polar-riemannian": 7, "flat-nonkilling": 6}[name]
+    assert passes.count(len(pairs)) == 1

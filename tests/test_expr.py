@@ -101,6 +101,39 @@ class TestParse:
         with pytest.raises(ValueError):
             parse("1", ["sin"])
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "(" * 200 + "x1" + ")" * 200,
+            "+".join(["x1"] * 600),
+            "-" * 800 + "x1",
+            "^".join(["x1"] * 2000),
+            "sin(" * 200 + "x1" + ")" * 200,
+        ],
+    )
+    def test_deep_expressions_are_syntax_errors(self, source):
+        with pytest.raises(ExprSyntaxError, match="nested deeper than 100 levels"):
+            parse(source, XY)
+
+    @pytest.mark.parametrize(
+        "source,depth",
+        [
+            ("((x1))", 3),
+            ("x1+x2+x1", 3),
+            ("x1+(x2+x1)", 4),
+            ("-x1^2", 3),
+            ("x1^x2^2", 3),
+            ("sin(x1)*2", 3),
+            ("2*sin(-(x1))", 5),
+        ],
+    )
+    def test_depth_counts_each_node_and_pair_of_parentheses(self, monkeypatch, source, depth):
+        monkeypatch.setattr(expr, "MAX_DEPTH", depth)
+        parse(source, XY)
+        monkeypatch.setattr(expr, "MAX_DEPTH", depth - 1)
+        with pytest.raises(ExprSyntaxError, match=f"nested deeper than {depth - 1} levels"):
+            parse(source, XY)
+
 
 class TestPrecedence:
     def test_multiplication_binds_tighter(self):

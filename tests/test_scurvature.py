@@ -11,13 +11,11 @@ from finslerlab.jets import standard_part
 from finslerlab.core import PairTensors, probe_pairs
 from finslerlab.scurvature import (
     Measure,
-    MeasureUniquenessError,
     bh_density_monte_carlo,
     busemann_hausdorff_measure,
     custom_measure,
     lebesgue_measure,
     measure_from_kind,
-    measure_uniqueness_check,
     riemannian_volume_measure,
     nonlinear_connection,
     s_curvature,
@@ -367,59 +365,6 @@ class TestMeasureLaws:
 
 
 class TestMeasureUniqueness:
-    def test_proportional_measures_both_vanish(self, spaces):
-        sp = spaces["flat-const"]
-        bh = busemann_hausdorff_measure(sp)
-        scaled = Measure("custom", lambda x: 2.7 * bh.density(x))
-        pairs = probe_pairs(sp.chart, 20)
-        both, spread = measure_uniqueness_check(sp, bh, scaled, pairs, tol=1e-8)
-        assert both
-        assert spread <= 1e-14
-
-    def test_shifted_measure_fails_gate(self, spaces):
-        sp = spaces["flat-const"]
-        bh = busemann_hausdorff_measure(sp)
-        shifted = Measure("custom", lambda x: jets.exp(x[0]) * bh.density(x))
-        pairs = probe_pairs(sp.chart, 20)
-        both, spread = measure_uniqueness_check(sp, bh, shifted, pairs, tol=1e-8)
-        assert not both
-        assert spread > 0.1
-
-    def test_one_connection_per_probe(self, spaces, monkeypatch):
-        calls = []
-        monkeypatch.setattr(
-            scurvature,
-            "nonlinear_connection",
-            lambda F, x, v: calls.append(x) or nonlinear_connection(F, x, v),
-        )
-        sp = spaces["flat-const"]
-        bh = busemann_hausdorff_measure(sp)
-        pairs = probe_pairs(sp.chart, 20)
-        measure_uniqueness_check(sp, bh, lebesgue_measure(), pairs, tol=1e-8)
-        assert calls == [x for x, _ in pairs]
-
-    def test_volume_equals_bh_on_riemannian(self, spaces):
-        sp = spaces["euclidean2"]
-        pairs = probe_pairs(sp.chart, 20)
-        both, spread = measure_uniqueness_check(
-            sp, riemannian_volume_measure(sp), busemann_hausdorff_measure(sp), pairs, tol=1e-8
-        )
-        assert both
-        assert spread == 0.0
-
-    def test_inconsistent_density_trips_guard(self, spaces):
-        # a density that hides its x-dependence from the jets (so S appears
-        # to vanish) while varying across probes contradicts uniqueness and
-        # must raise
-        from finslerlab.jets import standard_part
-
-        sp = spaces["flat-const"]
-        bh = busemann_hausdorff_measure(sp)
-        liar = Measure("custom", lambda x: 1.0 + 0.001 * standard_part(x[0]))
-        pairs = probe_pairs(sp.chart, 10)
-        with pytest.raises(MeasureUniquenessError):
-            measure_uniqueness_check(sp, bh, liar, pairs, tol=1e-8)
-
     def test_theorem_only_if_corroboration(self, spaces, structures):
         # no measure in the built-in family is vanishing on the NO spaces
         for name in ("flat-nonkilling", "rotational-killing"):
@@ -433,6 +378,38 @@ class TestMeasureUniqueness:
             ):
                 worst = max(abs(s_curvature(F, measure, x, v)) for x, v in pairs)
                 assert worst >= 0.05
+
+
+class TestZermeloRotation:
+    """The Randers space of Zermelo navigation on flat h with the rotation
+    W = 0.3 (x2, -x1): S_BH vanishes although ||beta|| is not constant.
+    Whether analyze should admit it is open, so no verdict is asserted."""
+
+    L = "(1-0.09*(x1^2+x2^2))"
+
+    @pytest.fixture(scope="class")
+    def space(self):
+        L = self.L
+        return randers.build_space(
+            ["x1", "x2"],
+            [(-1.0, 1.0), (-1.0, 1.0)],
+            [
+                [f"1/{L} + 0.09*x2^2/{L}^2", f"-0.09*x1*x2/{L}^2"],
+                [f"-0.09*x1*x2/{L}^2", f"1/{L} + 0.09*x1^2/{L}^2"],
+            ],
+            [f"0.3*x2/{L}", f"-0.3*x1/{L}"],
+        )
+
+    def test_bh_s_vanishes_on_the_probes(self, space):
+        F = randers.finsler(space)
+        bh = busemann_hausdorff_measure(space)
+        pairs = probe_pairs(space.chart, 100, 0)
+        assert max(abs(s_curvature(F, bh, x, v)) for x, v in pairs) <= 1e-12
+
+    def test_transport_oracle_agrees(self, space):
+        F = randers.finsler(space)
+        bh = busemann_hausdorff_measure(space)
+        assert abs(s_curvature_transport(F, bh, (0.5, 0.3), (1.0, 0.4))) <= 1e-8
 
 
 class TestMeasureConstruction:

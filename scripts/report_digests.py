@@ -153,28 +153,37 @@ def library_lines(specs: list[dict], seed: str) -> list[str]:
     ]
 
 
-def malformed_specs() -> dict:
-    """The contract cases: name -> a flat spec on (-1, 1)^2 that every spec
-    command refuses with exit 1."""
-    flat = {
+def flat_spec(**fields) -> dict:
+    """A flat Randers spec on (-1, 1)^2 with `fields` replaced."""
+    spec = {
         "schema": 1, "dimension": 2, "coordinates": ["x1", "x2"],
         "metric": [["1", "0"], ["0", "1"]], "beta": ["0.1", "0"],
         "domain": [[-1.0, 1.0], [-1.0, 1.0]],
     }
-    depth = expr.MAX_DEPTH + 1
-    nested = {
-        "parentheses": "(" * (depth - 1) + "0" + ")" * (depth - 1),
-        "sum": "+".join(["0"] * depth),
-        "unary-minus": "-" * (depth - 1) + "0",
-        "power-chain": "^".join(["0"] + ["1"] * (depth - 1)),
-        "calls": "sin(" * (depth - 1) + "0" + ")" * (depth - 1),
-    }
+    return {**spec, **fields}
+
+
+# Expressions of each deeply nested shape, `depth` levels deep: each
+# number, operator, call and pair of parentheses is one level.
+NESTED = {
+    "parentheses": lambda depth: "(" * (depth - 1) + "0" + ")" * (depth - 1),
+    "sum": lambda depth: "+".join(["0"] * depth),
+    "unary-minus": lambda depth: "-" * (depth - 1) + "0",
+    "power-chain": lambda depth: "^".join(["0"] + ["1"] * (depth - 1)),
+    "calls": lambda depth: "sin(" * (depth - 1) + "0" + ")" * (depth - 1),
+}
+
+
+def malformed_specs() -> dict:
+    """The contract cases: name -> a spec that every spec command refuses
+    with exit 1.  tests/test_cli_contract.py runs the same cases."""
     return {
-        **{f"coordinate-{name!r}": {**flat, "coordinates": [name, "x2"]}
+        **{f"coordinate-{name!r}": flat_spec(coordinates=[name, "x2"])
            for name in ["sin", "pi", "1a", "x 1", ""]},
-        "infinite-beta": {**flat, "beta": ["1e308*1e308", "0"]},
-        "infinite-metric": {**flat, "metric": [["1e308*1e308", "0"], ["0", "1"]]},
-        **{f"nested-{shape}": {**flat, "beta": [source, "0"]} for shape, source in nested.items()},
+        "infinite-beta": flat_spec(beta=["1e308*1e308", "0"]),
+        "infinite-metric": flat_spec(metric=[["1e308*1e308", "0"], ["0", "1"]]),
+        **{f"nested-{shape}": flat_spec(beta=[nested(expr.MAX_DEPTH + 1), "0"])
+           for shape, nested in NESTED.items()},
     }
 
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets, randers, scurvature
-from .core import DomainExitError, PairTensors, euler_identity_residual, fundamental_tensor, spray
+from .core import DomainExitError, PairTensors, _connection_at, euler_identity_residual
+from .core import fundamental_tensor
 from .expr import ExprError
 from .jets import _leaves, partial, seed_group, standard_part
 from .jets import exp as jet_exp
@@ -74,16 +75,17 @@ def run_checks(
     analysis = randers.analyze_beta(space, points)
     verdict = randers.decide(analysis, tol_killing, tol_length)
 
-    # Every measure whose S the battery reads: Busemann-Hausdorff, the
+    # Every measure whose S the battery reads: Busemann-Hausdorff and its
     # scale and shift laws and, when no measure is admitted, the floor.
     bh = scurvature.busemann_hausdorff_measure(space)
-    measures = [
+    laws = [
         bh,
         scurvature.Measure("custom", lambda xx: 2.7 * bh.density(xx)),
         scurvature.Measure("custom", lambda xx: jet_exp(xx[0]) * bh.density(xx)),
     ]
+    floor_measures = []
     if not verdict.admits:
-        measures += [scurvature.lebesgue_measure(), scurvature.riemannian_volume_measure(space)]
+        floor_measures = [scurvature.lebesgue_measure(), scurvature.riemannian_volume_measure(space)]
 
     # Each loop over the probes is one jets.lanewise pass: a function of
     # one probe's values, evaluated once over array leaves with one lane
@@ -93,8 +95,7 @@ def run_checks(
         t = PairTensors(F, x, v)  # F, g, A, N, G for every check below
         fv = t.f
         homog = [abs(F(x, [c * vi for vi in v]) - c * fv) / fv for c in (0.5, 2.0, 3.0)]
-        g = t.g
-        quad = sum(g[i][j] * v[i] * v[j] for i in range(n) for j in range(n))
+        quad = sum(t.g[i][j] * v[i] * v[j] for i in range(n) for j in range(n))
         g2 = fundamental_tensor(F, x, [2.0 * vi for vi in v])
         Nd = t.definitional_N()
         data = randers.PointData(space, x)  # the closed forms for the spray and both traces
@@ -105,8 +106,8 @@ def run_checks(
             fv,
             homog,
             abs(quad - fv * fv) / (fv * fv),
-            jets.maximum([abs(g2[i][j] - g[i][j]) for i in range(n) for j in range(n)]),
-            np.linalg.eigvalsh(_stacked(g)).min(axis=-1),
+            jets.maximum([abs(g2[i][j] - t.g[i][j]) for i in range(n) for j in range(n)]),
+            np.linalg.eigvalsh(_stacked(t.g)).min(axis=-1),
             jets.maximum(
                 [abs(sum(t.A[i][j][k] * v[k] for k in range(n))) for i in range(n) for j in range(n)]
             ),
@@ -115,12 +116,13 @@ def run_checks(
             jets.maximum([abs(a - b) for a, b in zip(closed, t.G)]) / denom,
             abs(dx),
             abs(dy - data.trace_dY_closed_form(v)),
-            [scurvature.s_curvature_from(t.N, m, x, v) for m in measures],
+            [scurvature.s_curvature_from(t.N, m, x, v) for m in laws],
+            [scurvature.s_curvature_from(t.N, m, x, v) for m in floor_measures],
         ]
 
     rows = jets.lanewise(pair_row, [(*x, *v) for x, v in pairs])
-    columns = map(list, zip(*rows)) if rows else [[]] * 12
-    fvs, homogs, gvvs, g_homogs, eigs, cartans, rewrites, eulers, sprays, traces_x, traces_y, s_rows = columns
+    (fvs, homogs, gvvs, g_homogs, eigs, cartans, rewrites, eulers, sprays, traces_x, traces_y,
+     law_rows, floor_rows) = map(list, zip(*rows)) if rows else [[]] * 13
     min_f = min([math.inf, *fvs])
     homog = max([0.0, *(h for row in homogs for h in row)])
     gvv = max([0.0, *gvvs])
@@ -188,7 +190,7 @@ def run_checks(
     )
 
     # S-curvature: formula vs transport, homogeneity, measure laws.
-    s_bh = [row[0] for row in s_rows]
+    s_bh = [row[0] for row in law_rows]
     transport_pairs = pairs[: min(transport_probes, len(pairs))]
     formula = s_bh[: len(transport_pairs)]
     try:
@@ -205,22 +207,17 @@ def run_checks(
         _result("s-formula-vs-transport", transport_diff, 1e-5, "h = 1e-3, Richardson")
     )
 
-    # S at 0.5v and 2v builds its own N = (1/2) dG/dw: one lane per (pair, c).
-    # These are core.nonlinear_connection's steps; perfbench's tracer keys
-    # that function's calls by the values of x and v, so lanes bypass it.
+    # S at 0.5v and 2v builds its own N: one lane per (pair, c).
     subset = pairs[:20]
 
     def s_bh_own_n(p):  # p = (*x, *w) with w = c v
         x, w = p[:n], p[n:]
-        s = seed_group(_leaves(x) + _leaves(w), range(n, 2 * n))
-        G = spray(F, s[:n], s[n:])
-        N = [[0.5 * standard_part(partial(G[i], j)) for j in range(n)] for i in range(n)]
-        return scurvature.s_curvature_from(N, bh, x, w)
+        return scurvature.s_curvature_from(_connection_at(F, x, w), bh, x, w)
 
     cs = (0.5, 2.0)
     s_cv = jets.lanewise(s_bh_own_n, [(*x, *[c * vi for vi in v]) for x, v in subset for c in cs])
     s_homog = scale_diff = shift_diff = 0.0
-    for k, ((x, v), (s0, scaled_s, shifted_s, *_)) in enumerate(zip(subset, s_rows)):
+    for k, ((x, v), (s0, scaled_s, shifted_s)) in enumerate(zip(subset, law_rows)):
         for c, sc in zip(cs, s_cv[2 * k : 2 * k + 2]):
             s_homog = max(s_homog, abs(sc - c * s0) / (1.0 + abs(s0)))
         scale_diff = max(scale_diff, abs(scaled_s - s0))
@@ -244,7 +241,7 @@ def run_checks(
             _result("theorem-end-to-end", max_s_bh, tol_s, "admits: S vanishes for the BH measure")
         )
     else:
-        floor = min(max(abs(row[k]) for row in s_rows) for k in range(3, len(measures)))
+        floor = min(max(map(abs, column)) for column in zip(*floor_rows))
         floor = min(floor, max_s_bh)
         results.append(
             CheckResult(

@@ -29,7 +29,9 @@ from hypothesis import strategies as st
 from finslerlab import catalog, cli, expr, scurvature
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 import specgen  # noqa: E402
+from report_digests import NESTED, flat_spec, malformed_specs  # noqa: E402
 
 # "0 success ..., 1 invalid spec ..., 2 usage error, ..." in the cli docstring
 DOCUMENTED_EXIT_CODES = {
@@ -284,50 +286,20 @@ def test_help_and_version_exit_zero(argv):
     assert out
 
 
-def _flat_spec(**fields):
-    """A flat Randers spec on (-1, 1)^2 with `fields` replaced."""
-    spec = {
-        "schema": 1, "dimension": 2, "coordinates": ["x1", "x2"],
-        "metric": [["1", "0"], ["0", "1"]], "beta": ["0.1", "0"],
-        "domain": [[-1.0, 1.0], [-1.0, 1.0]],
-    }
-    return {**spec, **fields}
+# Specs that every spec command refuses with exit 1, as the digest proof
+# prints them.
+MALFORMED = malformed_specs()
 
 
-# Expressions of each deeply nested shape, `depth` levels deep: each
-# number, operator, call and pair of parentheses is one level.
-NESTED = {
-    "parentheses": lambda depth: "(" * (depth - 1) + "0" + ")" * (depth - 1),
-    "sum": lambda depth: "+".join(["0"] * depth),
-    "unary-minus": lambda depth: "-" * (depth - 1) + "0",
-    "power-chain": lambda depth: "^".join(["0"] + ["1"] * (depth - 1)),
-    "calls": lambda depth: "sin(" * (depth - 1) + "0" + ")" * (depth - 1),
-}
+def _expected_error(case):
+    """(error type, a fragment of the message) for a malformed-spec case."""
+    kind, _, detail = case.partition("-")
+    if kind == "coordinate":
+        return "SpecValidationError", f"name {detail}"
+    if kind == "nested":
+        return "SpecValidationError", f"nested deeper than {expr.MAX_DEPTH} levels"
+    return "InvalidSpaceError", {"beta": "one-form", "metric": "metric"}[detail] + " not finite at x = ("
 
-# Specs that every spec command refuses with exit 1:
-# (spec, error type, a fragment of the message).
-MALFORMED = {
-    **{
-        f"coordinate-{name!r}": (
-            _flat_spec(coordinates=[name, "x2"]), "SpecValidationError", f"name {name!r}"
-        )
-        for name in ["sin", "pi", "1a", "x 1", ""]
-    },
-    "infinite-beta": (
-        _flat_spec(beta=["1e308*1e308", "0"]), "InvalidSpaceError", "one-form not finite at x = ("
-    ),
-    "infinite-metric": (
-        _flat_spec(metric=[["1e308*1e308", "0"], ["0", "1"]]),
-        "InvalidSpaceError", "metric not finite at x = (",
-    ),
-    **{
-        f"nested-{shape}": (
-            _flat_spec(beta=[nested(expr.MAX_DEPTH + 1), "0"]),
-            "SpecValidationError", f"nested deeper than {expr.MAX_DEPTH} levels",
-        )
-        for shape, nested in NESTED.items()
-    },
-}
 
 SPEC_COMMANDS = {
     "analyze": [],
@@ -341,9 +313,9 @@ SPEC_COMMANDS = {
 @pytest.mark.parametrize("command", sorted(SPEC_COMMANDS))
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_specs_are_json_spec_errors(tmp_path, case, command):
-    spec, kind, fragment = MALFORMED[case]
+    kind, fragment = _expected_error(case)
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps(MALFORMED[case]))
     code, out, err = _run([command, str(path), *SPEC_COMMANDS[command]], None)
     assert code == cli.EXIT_INVALID_SPEC
     error = json.loads(out, parse_constant=_reject_constant)["error"]
@@ -351,11 +323,15 @@ def test_malformed_specs_are_json_spec_errors(tmp_path, case, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", sorted(SPEC_COMMANDS))
 @pytest.mark.parametrize("shape", sorted(NESTED))
-def test_expressions_at_the_depth_bound_run(tmp_path, shape):
+def test_expressions_at_the_depth_bound_run(tmp_path, shape, command):
+    # every AST walker stays inside the recursion limit under each command's stack
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(_flat_spec(beta=[NESTED[shape](expr.MAX_DEPTH), "0"])))
-    code, out, err = _run(["analyze", str(path)], None)
+    path.write_text(json.dumps(flat_spec(beta=[NESTED[shape](expr.MAX_DEPTH), "0"])))
+    code, out, err = _run([command, str(path), *SPEC_COMMANDS[command]], None)
     assert code == cli.EXIT_OK
-    assert json.loads(out, parse_constant=_reject_constant)["results"]["admits_vanishing_s_measure"]
+    report = json.loads(out, parse_constant=_reject_constant)
+    if command == "analyze":
+        assert report["results"]["admits_vanishing_s_measure"]
     assert "Traceback" not in err

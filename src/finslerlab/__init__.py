@@ -13,8 +13,6 @@ from .core import (
     CoordinateChart,
     FinslerStructure,
     GeodesicPath,
-    cartan_tensor,
-    formal_christoffel,
     fundamental_tensor,
     geodesic,
     nonlinear_connection,
@@ -23,8 +21,8 @@ from .core import (
     probe_points,
     spray,
 )
-from .expr import ScalarField, evaluate, free_variables, parse, to_source
-from .jets import Jet, fd_oracle, gradient, hessian, seed, third_order
+from .expr import ScalarField, evaluate, parse, to_source
+from .jets import Jet, fd_oracle, gradient, hessian, third_order
 from .randers import (
     BetaAnalysis,
     RandersSpace,
@@ -54,16 +52,12 @@ __all__ = [
     "Measure",
     "parse",
     "evaluate",
-    "free_variables",
     "to_source",
-    "seed",
     "gradient",
     "hessian",
     "third_order",
     "fd_oracle",
     "fundamental_tensor",
-    "cartan_tensor",
-    "formal_christoffel",
     "spray",
     "nonlinear_connection",
     "geodesic",

@@ -162,13 +162,12 @@ def run_checks(
         analysis.killing_defect_sup <= tol_killing
         and analysis.length_gradient_sup <= 1e-10
     ):
-        def skew_contraction(p):  # p = (*b_{i|j} row by row, *b^i) at one probe
-            bc, b_up = [p[i * n : (i + 1) * n] for i in range(n)], p[n * n :]
-            return [abs(sum((bc[i][j] - bc[j][i]) * b_up[j] for j in range(n))) for i in range(n)]
-
-        probes = zip(analysis.covariant, analysis.raised)
-        rows = jets.lanewise(skew_contraction, [(*sum(bc, []), *b_up) for bc, b_up in probes])
-        worst = max([0.0, *(value for row in rows for value in row)])
+        skews = (
+            abs(sum((bc[i][j] - bc[j][i]) * b_up[j] for j in range(n)))
+            for bc, b_up in zip(analysis.covariant, analysis.raised)
+            for i in range(n)
+        )
+        worst = max([0.0, *skews])
         results.append(
             _result("killing-skew-contraction", worst, 1e-9, "sum_j (b_i|j - b_j|i) b^j")
         )

@@ -9,7 +9,9 @@ evaluation of F^2/2, per pair or per lane: on float leaves for one
 probe pair, on 1-D array leaves for a grid of pairs with one lane per
 pair, each lane equal to the float evaluation of its pair bit for bit.
 The public functions that need less (fundamental_tensor, spray,
-nonlinear_connection) seed only the levels they read.
+nonlinear_connection) seed only the levels they read; spray, and through
+it nonlinear_connection, runs the chain from g to G that PairTensors
+runs (_christoffel_and_spray).
 
 Conventions match the source data for this tool: the geodesic equation
 is eta'' + G(eta') = 0 with G the plain gamma-contraction (no factor 2),
@@ -40,8 +42,6 @@ __all__ = [
     "MIN_VECTOR_NORM",
     "PairTensors",
     "fundamental_tensor",
-    "cartan_tensor",
-    "formal_christoffel",
     "spray",
     "nonlinear_connection",
     "geodesic",
@@ -199,16 +199,14 @@ def fundamental_tensor(F: FinslerStructure, x, v) -> list[list[float]]:
     return g
 
 
-def cartan_tensor(F: FinslerStructure, x, v) -> list:
-    """A_ijk = (F/2) dg_ij/dv_k = (F/4) third v-derivative of F^2."""
-    return PairTensors(F, x, v).A
-
-
-def formal_christoffel(F: FinslerStructure, x, v) -> list:
-    """gamma^i_jk(v), symmetric in (j, k); raises on singular g."""
-    _check_nonzero(v)
-    g, dg = _metric_and_dx(F, x, v)
-    return _kernel(_christoffel_source, len(g))(inv(g), dg)
+def _christoffel_and_spray(g, dg, v) -> tuple[list, list, list]:
+    """(g^-1, gamma, G) from (g, dg) = _metric_and_dx: the formal Christoffel
+    symbols gamma^i_jk(v), symmetric in (j, k), and the spray
+    G^i = sum gamma^i_jk v^j v^k; raises on singular g."""
+    n = len(g)
+    g_inv = inv(g)
+    gamma = _kernel(_christoffel_source, n)(g_inv, dg)
+    return g_inv, gamma, _kernel(_spray_source, n)(gamma, v)
 
 
 def _connection_from(G) -> list[list[float]]:
@@ -221,7 +219,8 @@ def spray(F: FinslerStructure, x, v) -> list:
     """Spray coefficients G^i(v) = sum gamma^i_jk v^j v^k; G(0) = 0."""
     if _is_exact_zero(v):
         return [0.0] * F.chart.dimension
-    return _kernel(_spray_source, F.chart.dimension)(formal_christoffel(F, x, v), v)
+    _check_nonzero(v)
+    return _christoffel_and_spray(*_metric_and_dx(F, x, v), v)[2]
 
 
 def nonlinear_connection(F: FinslerStructure, x, v) -> list[list[float]]:
@@ -261,9 +260,7 @@ class PairTensors:
         s = seed_group(_leaves(x) + _leaves(v), range(n, 2 * n))
         g, dg = _metric_and_dx(F, s[:n], s[n:])
         self.g = _checked_standard_part(g, x, v)
-        g_inv = inv(g)
-        gamma = _kernel(_christoffel_source, n)(g_inv, dg)
-        G = _kernel(_spray_source, n)(gamma, s[n:])
+        g_inv, gamma, G = _christoffel_and_spray(g, dg, s[n:])
         self.N = _connection_from(G)
         self.f = F(x, v)
         half_f = 0.5 * self.f

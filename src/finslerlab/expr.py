@@ -53,7 +53,6 @@ __all__ = [
     "evaluate",
     "compile_field",
     "SharedSubtrees",
-    "free_variables",
     "to_source",
     "ExprError",
     "ExprSyntaxError",
@@ -642,13 +641,6 @@ def _compile_node(node: Node, names: tuple, slots: dict):
         return left_fn(args) / denominator
 
     return division
-
-
-def free_variables(field: ScalarField) -> set[str]:
-    """Names of the coordinates that actually occur in the AST."""
-    out: set[str] = set()
-    _collect_vars(field.ast, out)
-    return out
 
 
 def _collect_vars(node: Node, out: set[str]) -> None:

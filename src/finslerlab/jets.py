@@ -35,12 +35,10 @@ Scalar = Union[float, np.ndarray, "Jet"]
 __all__ = [
     "Jet",
     "Scalar",
-    "seed",
     "seed_group",
     "partial",
     "value_of",
     "standard_part",
-    "is_constant",
     "gradient",
     "hessian",
     "third_order",
@@ -148,29 +146,6 @@ class Jet:
 # -- seeding and extraction ---------------------------------------------------
 
 
-def seed(point: Sequence[float], directions=None) -> list:
-    """Jets over `point` with the identity seed matrix on `directions`.
-
-    Slot k corresponds to coordinate k; unseeded coordinates get all-zero
-    partials.  ``directions=None`` seeds every coordinate.
-    """
-    n = len(point)
-    if directions is None:
-        chosen = set(range(n))
-    else:
-        chosen = set(directions)
-        for i in chosen:
-            if not 0 <= i < n:
-                raise IndexError(f"seed direction {i} out of range for dimension {n}")
-    return [
-        Jet(
-            float(point[i]),
-            tuple([1.0 if (j == i and i in chosen) else 0.0 for j in range(n)]),
-        )
-        for i in range(n)
-    ]
-
-
 def seed_group(values: Sequence[Scalar], indices: Sequence[int]) -> list:
     """Add a new outermost derivative level with one slot per entry of `indices`.
 
@@ -210,21 +185,6 @@ def standard_part(scalar: Scalar) -> Union[float, np.ndarray]:
     while isinstance(scalar, Jet):
         scalar = scalar.value
     return scalar
-
-
-def is_constant(scalar: Scalar) -> bool:
-    """True iff the scalar carries no derivative content at any level."""
-    if not isinstance(scalar, Jet):
-        return True
-    return is_constant(scalar.value) and all(_is_zero(p) for p in scalar.partials)
-
-
-def _is_zero(scalar: Scalar) -> bool:
-    if isinstance(scalar, Jet):
-        return _is_zero(scalar.value) and all(_is_zero(p) for p in scalar.partials)
-    if isinstance(scalar, np.ndarray):
-        return not scalar.any()
-    return scalar == 0.0
 
 
 # -- lanes: one array leaf per coordinate, one lane per point ----------------

@@ -8,7 +8,10 @@ the same matrix.  A matrix whose leaves include 1-D arrays is a batch,
 one matrix per lane.  The elimination is the float path's own; each
 lane picks its pivot row from its own standard parts, and a lane whose
 pivot row differs from the others' swaps its rows by a masked select,
-so every lane equals the float result of its matrix bit for bit.
+so every lane equals the float result of its matrix bit for bit.  A
+zero pivot in any lane raises SingularMatrixError, in det as in inv:
+jets.lanewise then hands the batch to the per-matrix float loop, where
+det returns 0.0 for that matrix and inv raises.
 """
 
 from __future__ import annotations
@@ -26,27 +29,20 @@ class SingularMatrixError(ZeroDivisionError):
 
 
 def det(matrix) -> object:
-    """Determinant via LU with partial pivoting; scalar type follows entries."""
+    """Determinant via LU with partial pivoting; scalar type follows entries.
+    A zero pivot gives 0.0 * result; in a batch it raises
+    SingularMatrixError instead, as inv does."""
     n = len(matrix)
     a = [list(row) for row in matrix]
     lanes = _has_lanes(a)
     sign = 1.0
     result = 1.0
-    done = None  # lanes whose determinant is already zero, with their value
     for col in range(n):
         if lanes:
             magnitude, swapped = _pivot_lanes(col, a)
+            if not magnitude.all():
+                raise SingularMatrixError(f"singular matrix (pivot column {col})")
             sign = select(swapped, -sign, sign)
-            zero = magnitude == 0.0
-            if zero.any():
-                # These lanes end as the float path returns: 0.0 * result.
-                # A unit pivot keeps their elimination finite until then.
-                if done is None:
-                    done, early = zero, 0.0 * result
-                else:
-                    early = select(zero & ~done, 0.0 * result, early)
-                    done = done | zero
-            pivot = a[col][col] if done is None else select(done, 1.0, a[col][col])
         else:
             pivot_row = max(range(col, n), key=lambda r: abs(standard_part(a[r][col])))
             if abs(standard_part(a[pivot_row][col])) == 0.0:
@@ -54,13 +50,13 @@ def det(matrix) -> object:
             if pivot_row != col:
                 a[col], a[pivot_row] = a[pivot_row], a[col]
                 sign = -sign
-            pivot = a[col][col]
+        pivot = a[col][col]
         result = result * pivot
         for r in range(col + 1, n):
             factor = a[r][col] / pivot
             for c in range(col + 1, n):
                 a[r][c] = a[r][c] - factor * a[col][c]
-    return sign * result if done is None else select(done, early, sign * result)
+    return sign * result
 
 
 def inv(matrix) -> list:

@@ -128,8 +128,8 @@ def test_battery_evaluates_each_probe_value_once(spaces, monkeypatch, name):
         "analyze_beta": 1, "s_bh": 2, "half_f_squared": 4, "geodesic": 1, "plain_f": 5
     }
     # One pass over the pairs builds every per-pair quantity.  The others
-    # are over the points (the beta analysis, the length-gradient gap and,
-    # where the verdict admits, the Killing-skew contraction), the oracle's
-    # trajectories and end states, and S at 0.5 v and 2 v on the subset.
-    assert len(passes) == {"polar-riemannian": 7, "flat-nonkilling": 6}[name]
+    # are over the points (the beta analysis and the length-gradient gap),
+    # the oracle's trajectories and end states, and S at 0.5 v and 2 v on
+    # the subset.
+    assert len(passes) == 6
     assert passes.count(len(pairs)) == 1

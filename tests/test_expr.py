@@ -23,7 +23,6 @@ from finslerlab.expr import (
     Var,
     compile_field,
     evaluate,
-    free_variables,
     parse,
     to_source,
 )
@@ -161,7 +160,7 @@ class TestPrecedence:
 class TestEvaluate:
     def test_polynomial_jet_derivative(self):
         field = parse("x1^2", ["x1"])
-        (x,) = jets.seed((0.5,), {0})
+        (x,) = seed_group([0.5], [0])
         # width-1 seed: partial slot 0 belongs to the only coordinate
         out = evaluate(field, {"x1": jets.Jet(0.5, (1.0,))})
         assert out.value == 0.25
@@ -209,17 +208,6 @@ class TestEvaluate:
         field = parse("1 + log(x1 - 2)", ["x1"])
         with pytest.raises(ExprDomainError, match=r"log\(x1-2(\.0)?\)"):
             evaluate(field, {"x1": 1.0})
-
-
-class TestFreeVariables:
-    def test_two_variables(self):
-        assert free_variables(parse("x1*x2 + 1", XY)) == {"x1", "x2"}
-
-    def test_constant(self):
-        assert free_variables(parse("3.0", XY)) == set()
-
-    def test_single(self):
-        assert free_variables(parse("sin(x2)", XY)) == {"x2"}
 
 
 # -- property tests ---------------------------------------------------------

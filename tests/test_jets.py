@@ -11,7 +11,6 @@ from finslerlab.jets import (
     gradient,
     hessian,
     intpow,
-    seed,
     seed_group,
     third_order,
 )
@@ -25,20 +24,6 @@ def randers_flat_half_f2(v):
 
 
 class TestSeed:
-    def test_identity_seed_matrix(self):
-        out = seed((0.5, 0.0), {0, 1})
-        assert out[0].value == 0.5 and out[0].partials == (1.0, 0.0)
-        assert out[1].value == 0.0 and out[1].partials == (0.0, 1.0)
-
-    def test_partial_direction_set(self):
-        out = seed((1.0, 2.0), {0})
-        assert out[0].partials == (1.0, 0.0)
-        assert out[1].partials == (0.0, 0.0)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            seed((1.0, 2.0), {2})
-
     def test_product_rule_gradient(self):
         value, grad = gradient(lambda x: x[0] * x[1], (2.0, 3.0))
         assert value == 6.0

@@ -21,8 +21,10 @@ for the same calls with the spaces and points interleaved, so that a
 value carried over from another space or point would change a line.
 Last, one "contract:" line per malformed spec and command (`analyze`,
 `validate`) digests an error report: coordinate names that the
-expression grammar refuses, a non-finite metric or one-form, and
-expressions of each deep shape one level past expr.MAX_DEPTH.
+expression grammar refuses, a non-finite metric or one-form,
+expressions of each deep shape one level past expr.MAX_DEPTH, a NaN or
+-Infinity constant in the file, and domain bounds whose width
+overflows.
 Two checkouts that print the same lines produce the same reports; diff
 the output of a change against its parent's:
 
@@ -35,6 +37,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import re
 import sys
 import tempfile
@@ -184,6 +187,10 @@ def malformed_specs() -> dict:
         "infinite-metric": flat_spec(metric=[["1e308*1e308", "0"], ["0", "1"]]),
         **{f"nested-{shape}": flat_spec(beta=[nested(expr.MAX_DEPTH + 1), "0"])
            for shape, nested in NESTED.items()},
+        # json.dumps writes these floats as the non-JSON NaN and -Infinity
+        "constant-NaN-name": flat_spec(name=math.nan),
+        "constant-minus-Infinity-bound": flat_spec(domain=[[-math.inf, 1.0], [-1.0, 1.0]]),
+        "domain-overflowing-width": flat_spec(domain=[[-1e308, 1e308], [-1.0, 1.0]]),
     }
 
 

@@ -14,17 +14,20 @@ The on-disk format (schema 1):
       "measure": {"kind": "custom", "density": "exp(x1)"}   // optional
     }
 
-All expressions are strings in the expr-module grammar.  Validation
-reproduces the RandersSpace invariants: consistent shapes, coordinate
-names the grammar reads as names, parseable expressions (at most
-expr.MAX_DEPTH levels deep), a finite, symmetric, positive-definite
-metric and a finite one-form at probe points, and sup ||beta|| < 1.
+All expressions are strings in the expr-module grammar.  probed_space
+validates a spec once and builds its space from the parsed expressions.
+Validation reproduces the RandersSpace invariants: consistent shapes,
+coordinate names the grammar reads as names, finite domain intervals,
+parseable expressions (at most expr.MAX_DEPTH levels deep), a finite,
+symmetric, positive-definite metric and a finite one-form at probe
+points, and sup ||beta|| < 1.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 from . import expr, randers, scurvature
@@ -53,17 +56,22 @@ def spec_digest(raw: bytes) -> str:
 
 
 def load_spec(path) -> tuple[dict, str]:
-    """Read and validate a spec file; returns (data, sha256 digest)."""
+    """Read and decode a spec file, refusing the non-JSON NaN, Infinity and
+    -Infinity; returns (data, sha256 digest).  probed_space validates."""
     raw = Path(path).read_bytes()
     try:
-        data = json.loads(raw)
+        data = json.loads(raw, parse_constant=_refuse_constant)
     except json.JSONDecodeError as exc:
         raise SpecValidationError(f"not valid JSON: {exc}") from None
-    validate_spec_data(data)
     return data, spec_digest(raw)
 
 
-def validate_spec_data(data) -> None:
+def _refuse_constant(token: str):
+    raise SpecValidationError(f"not valid JSON: the constant {token} is not a number")
+
+
+def validate_spec_data(data):
+    """Check a decoded spec; returns its parsed (metric rows, one-form)."""
     if not isinstance(data, dict):
         raise SpecValidationError("spec must be a JSON object")
     if data.get("schema") != SCHEMA_VERSION:
@@ -110,11 +118,15 @@ def validate_spec_data(data) -> None:
     ):
         raise SpecValidationError(f"domain must be {n} [lo, hi] intervals")
     for lo, hi in domain:
-        if not (isinstance(lo, (int, float)) and isinstance(hi, (int, float)) and lo < hi):
+        if not (
+            isinstance(lo, (int, float)) and isinstance(hi, (int, float))
+            and lo < hi and math.isfinite(float(hi) - float(lo))
+        ):
             raise SpecValidationError(f"bad domain interval [{lo!r}, {hi!r}]")
+    fields = []
     for source in [e for row in metric for e in row] + list(one_form):
         try:
-            expr.parse(source, coords)
+            fields.append(expr.parse(source, coords))
         except expr.ExprError as exc:
             raise SpecValidationError(f"bad expression '{source}': {exc}") from None
     measure = data.get("measure")
@@ -134,6 +146,7 @@ def validate_spec_data(data) -> None:
                 expr.parse(density, coords)
             except expr.ExprError as exc:
                 raise SpecValidationError(f"bad density '{density}': {exc}") from None
+    return [fields[i * n : (i + 1) * n] for i in range(n)], fields[n * n :]
 
 
 def space_from_spec(data: dict, probe_count: int = 100, seed: int = 0):
@@ -143,11 +156,11 @@ def space_from_spec(data: dict, probe_count: int = 100, seed: int = 0):
 
 def probed_space(data: dict, probe_count: int, seed: int):
     """space_from_spec that also hands back the probe grid it validated on:
-    (space, pairs, points), with (pairs, points) = core.probe_grid.  A
-    command that probes builds its one grid here."""
-    space = randers.build_space(
-        data["coordinates"], data["domain"], data["metric"], data["beta"]
-    )
+    (space, pairs, points), with (pairs, points) = core.probe_grid.  The
+    spec is validated here, and only here.  A command that probes builds
+    its one grid here."""
+    metric, one_form = validate_spec_data(data)
+    space = randers.build_space(data["coordinates"], data["domain"], metric, one_form)
     pairs, points = probe_grid(space.chart, probe_count, seed)
     randers.validate_space(space, points)
     return space, pairs, points

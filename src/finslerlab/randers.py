@@ -139,10 +139,11 @@ REASON_SATISFIED = "satisfied"
 def build_space(
     names: Sequence[str],
     bounds: Sequence[tuple[float, float]],
-    metric: Sequence[Sequence[str]],
-    one_form: Sequence[str],
+    metric: Sequence[Sequence[str | expr.ScalarField]],
+    one_form: Sequence[str | expr.ScalarField],
 ) -> RandersSpace:
-    """Parse expression strings into a RandersSpace.
+    """Parse expression strings into a RandersSpace; an entry that is
+    already an expr.ScalarField is taken as it is.
 
     The metric must be symmetric: mirrored entries are accepted when the
     ASTs match or the values agree at 20 probe points; the stored matrix
@@ -156,9 +157,9 @@ def build_space(
         raise InvalidSpaceError(f"metric must be {n}x{n}")
     if len(one_form) != n:
         raise InvalidSpaceError(f"one-form must have {n} components")
-    parsed = [[expr.parse(metric[i][j], names) for j in range(n)] for i in range(n)]
-    b = tuple(expr.parse(s, names) for s in one_form)
-    _check_symmetry(chart, parsed, metric)
+    parsed = [[_field(metric[i][j], names) for j in range(n)] for i in range(n)]
+    b = tuple(_field(s, names) for s in one_form)
+    _check_symmetry(chart, parsed)
     a = tuple(
         tuple(parsed[i][j] if i <= j else parsed[j][i] for j in range(n))
         for i in range(n)
@@ -166,7 +167,11 @@ def build_space(
     return RandersSpace(chart=chart, a=a, b=b)
 
 
-def _check_symmetry(chart, parsed, metric) -> None:
+def _field(entry, names) -> expr.ScalarField:
+    return entry if isinstance(entry, expr.ScalarField) else expr.parse(entry, names)
+
+
+def _check_symmetry(chart, parsed) -> None:
     n = chart.dimension
     pts = None
     for i in range(n):
@@ -181,8 +186,8 @@ def _check_symmetry(chart, parsed, metric) -> None:
                 lower = expr.evaluate(parsed[j][i], env)
                 if abs(upper - lower) > 1e-10 * (1.0 + abs(upper)):
                     raise InvalidSpaceError(
-                        f"asymmetric metric: a[{i}][{j}] = '{metric[i][j]}' vs "
-                        f"a[{j}][{i}] = '{metric[j][i]}' differ at x = {x}"
+                        f"asymmetric metric: a[{i}][{j}] = '{parsed[i][j].source}' vs "
+                        f"a[{j}][{i}] = '{parsed[j][i].source}' differ at x = {x}"
                     )
 
 

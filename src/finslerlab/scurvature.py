@@ -136,7 +136,9 @@ def s_curvature_from(N, measure: Measure, x, v) -> float:
     N depends on F alone, so callers that read several measures at one
     (x, v) compute it once and pass it to each.  Generic over leaves: on
     1-D array leaves (one lane per pair) every lane is the float value of
-    its pair, and the density must be positive in every lane.
+    its pair, and the density must be positive in every lane (else
+    randers.InvalidSpaceError, a ValueError, so that a batch hands its
+    lanes back to the float loop).
     """
     n = len(N)
     trace = sum(N[i][i] for i in range(n))
@@ -145,7 +147,9 @@ def s_curvature_from(N, measure: Measure, x, v) -> float:
     sigma_val = standard_part(sigma)
     lowest = sigma_val.min() if isinstance(sigma_val, np.ndarray) else sigma_val
     if not lowest > 0.0:
-        raise ValueError(f"measure density {sigma_val} is not positive at x = {tuple(x)}")
+        raise randers.InvalidSpaceError(
+            f"measure density {sigma_val} is not positive at x = {tuple(x)}"
+        )
     dlog = [standard_part(partial(sigma, i)) / sigma_val for i in range(n)]
     v = _leaves(v)
     return trace - sum(v[i] * dlog[i] for i in range(n))

@@ -844,5 +844,5 @@ class TestBatteryLanes:
             batch_only(s_value, grid)
         batched = outcome(lambda: jets.lanewise(s_value, grid))
         assert batched == outcome(lambda: per_point_loop(s_value, grid))
-        assert batched[0] == "ValueError"
+        assert batched[0] == "InvalidSpaceError"
         assert batched[1].endswith(f"is not positive at x = {lowest!r}")

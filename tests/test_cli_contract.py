@@ -298,6 +298,10 @@ def _expected_error(case):
         return "SpecValidationError", f"name {detail}"
     if kind == "nested":
         return "SpecValidationError", f"nested deeper than {expr.MAX_DEPTH} levels"
+    if kind == "constant":
+        return "SpecValidationError", "not valid JSON: the constant"
+    if kind == "domain":
+        return "SpecValidationError", "bad domain interval"
     return "InvalidSpaceError", {"beta": "one-form", "metric": "metric"}[detail] + " not finite at x = ("
 
 
@@ -320,7 +324,20 @@ def test_malformed_specs_are_json_spec_errors(tmp_path, case, command):
     assert code == cli.EXIT_INVALID_SPEC
     error = json.loads(out, parse_constant=_reject_constant)["error"]
     assert error["type"] == kind and fragment in error["message"]
-    assert "Traceback" not in err
+    assert err == ""
+
+
+@pytest.mark.parametrize("oracle", [[], ["--oracle"]])
+def test_a_density_not_positive_at_the_point_is_a_json_spec_error(tmp_path, oracle):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(flat_spec(measure={"kind": "custom", "density": "log(x1)"})))
+    argv = ["s-curvature", str(path), "--point=0.5,0.1", "--vector=1,0", *oracle]
+    code, out, err = _run(argv, None)
+    assert code == cli.EXIT_INVALID_SPEC
+    error = json.loads(out, parse_constant=_reject_constant)["error"]
+    assert error["type"] == "InvalidSpaceError"
+    assert error["message"].startswith(f"measure density {math.log(0.5)!r} is not positive")
+    assert err == ""
 
 
 @pytest.mark.parametrize("command", sorted(SPEC_COMMANDS))

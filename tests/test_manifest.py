@@ -1,8 +1,10 @@
 import json
+import math
+from unittest import mock
 
 import pytest
 
-from finslerlab import catalog
+from finslerlab import catalog, cli, expr
 from finslerlab.manifest import (
     SpecValidationError,
     load_spec,
@@ -49,6 +51,20 @@ class TestLoad:
         with pytest.raises(SpecValidationError, match="JSON"):
             load_spec(path)
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constants_refused(self, tmp_path, token):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(catalog.spec("flat-const")).replace('"flat-const"', token))
+        with pytest.raises(SpecValidationError, match=f"the constant {token} is not a number"):
+            load_spec(path)
+
+    def test_load_reads_and_probed_space_validates(self, tmp_path, flat_const_data):
+        flat_const_data["schema"] = 2
+        data, _ = load_spec(write_spec(tmp_path, flat_const_data))
+        assert data == flat_const_data
+        with pytest.raises(SpecValidationError, match="schema"):
+            space_from_spec(data)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_spec(tmp_path / "nope.json")
@@ -90,6 +106,20 @@ class TestValidation:
         with pytest.raises(SpecValidationError, match="domain"):
             validate_spec_data(flat_const_data)
 
+    @pytest.mark.parametrize(
+        "interval", [[-math.inf, 1.0], [-1.0, math.inf], [-1e308, 1e308], [math.nan, 1.0]]
+    )
+    def test_domain_bounds_and_width_finite(self, flat_const_data, interval):
+        flat_const_data["domain"] = [interval, [-1.0, 1.0]]
+        with pytest.raises(SpecValidationError, match="bad domain interval"):
+            validate_spec_data(flat_const_data)
+
+    def test_returns_the_parsed_expressions(self, flat_const_data):
+        flat_const_data["beta"] = ["0.1*x2", "0"]
+        metric, one_form = validate_spec_data(flat_const_data)
+        assert [[f.source for f in row] for row in metric] == flat_const_data["metric"]
+        assert one_form == [expr.parse(s, ["x1", "x2"]) for s in flat_const_data["beta"]]
+
     def test_bad_expression(self, flat_const_data):
         flat_const_data["beta"] = ["0.5 +", "0"]
         with pytest.raises(SpecValidationError, match="bad expression"):
@@ -109,6 +139,11 @@ class TestValidation:
         flat_const_data["measure"] = {"kind": "custom"}
         with pytest.raises(SpecValidationError, match="density"):
             validate_spec_data(flat_const_data)
+
+    def test_space_from_a_dict_is_validated(self, flat_const_data):
+        flat_const_data["measure"] = {"kind": "holmes-thompson"}
+        with pytest.raises(SpecValidationError, match="measure kind"):
+            space_from_spec(flat_const_data)
 
     def test_asymmetric_metric(self, flat_const_data):
         flat_const_data["metric"] = [["1", "0.5"], ["0.4", "1"]]
@@ -149,3 +184,14 @@ class TestMeasureSelection:
         space = space_from_spec(flat_const_data, probe_count=20)
         with pytest.raises(SpecValidationError, match="density"):
             measure_from_spec(space, flat_const_data, "custom")
+
+
+@pytest.mark.parametrize("name", catalog.NAMES)
+def test_analyze_parses_each_expression_once(tmp_path, capsys, name):
+    data = catalog.spec(name)
+    n = data["dimension"]
+    path = write_spec(tmp_path, data)
+    with mock.patch.object(expr, "parse", wraps=expr.parse) as parse:
+        assert cli.main(["analyze", str(path)]) in (cli.EXIT_OK, cli.EXIT_NO_MEASURE)
+    capsys.readouterr()
+    assert parse.call_count == n * n + n

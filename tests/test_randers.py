@@ -8,6 +8,7 @@ import pytest
 
 from finslerlab import catalog, core, manifest, randers
 from finslerlab.core import probe_pairs, probe_points, spray
+from finslerlab.expr import parse
 from finslerlab.jets import Jet, _leaves, partial, seed_group, standard_part
 from finslerlab.linalg import sum_
 from finslerlab.randers import (
@@ -64,6 +65,21 @@ class TestStructure:
     def test_asymmetric_metric_rejected(self):
         with pytest.raises(InvalidSpaceError, match="asymmetric"):
             build_space(["x1", "x2"], BOX, [["1", "0.5"], ["0.4", "1"]], ["0", "0"])
+
+    def test_parsed_entries_build_the_space_strings_build(self):
+        metric, one_form = [["1", "0.5"], ["0.4", "1"]], ["0.1*x1", "0"]
+        fields = [[parse(e, ["x1", "x2"]) for e in row] for row in metric]
+        with pytest.raises(InvalidSpaceError) as from_strings:
+            build_space(["x1", "x2"], BOX, metric, one_form)
+        with pytest.raises(InvalidSpaceError) as from_fields:
+            build_space(["x1", "x2"], BOX, fields, one_form)
+        assert str(from_fields.value) == str(from_strings.value)
+        assert "a[0][1] = '0.5' vs a[1][0] = '0.4'" in str(from_fields.value)
+        b = [parse(e, ["x1", "x2"]) for e in one_form]
+        space = build_space(["x1", "x2"], BOX, FLAT, b)
+        assert all(entry is field for entry, field in zip(space.b, b))  # taken as they are
+        parsed_here = build_space(["x1", "x2"], BOX, FLAT, one_form)
+        assert (space.a, space.b) == (parsed_here.a, parsed_here.b)
 
     def test_symmetric_by_value_accepted(self):
         space = build_space(

@@ -23,8 +23,8 @@ Last, one "contract:" line per malformed spec and command (`analyze`,
 `validate`) digests an error report: coordinate names that the
 expression grammar refuses, a non-finite metric or one-form,
 expressions of each deep shape one level past expr.MAX_DEPTH, a NaN or
--Infinity constant in the file, and domain bounds whose width
-overflows.
+-Infinity constant in the file, domain bounds whose width overflows
+or that no float holds, and a name that is not a string.
 Two checkouts that print the same lines produce the same reports; diff
 the output of a change against its parent's:
 
@@ -191,6 +191,9 @@ def malformed_specs() -> dict:
         "constant-NaN-name": flat_spec(name=math.nan),
         "constant-minus-Infinity-bound": flat_spec(domain=[[-math.inf, 1.0], [-1.0, 1.0]]),
         "domain-overflowing-width": flat_spec(domain=[[-1e308, 1e308], [-1.0, 1.0]]),
+        "domain-integer-bound-past-the-float-range": flat_spec(domain=[[-10**400, 1], [-1, 1]]),
+        "name-number": flat_spec(name=1.5),
+        "name-list": flat_spec(name=["x", {"y": 1}]),
     }
 
 

@@ -15,7 +15,8 @@ the expression grammar does not read as a name, such as sin, pi or 1a;
 an expression nested more than expr.MAX_DEPTH levels deep; a metric or
 one-form entry that is not finite at a probe point; a NaN, Infinity or
 -Infinity constant in the spec file; a domain bound or a domain width
-that is not finite; a measure density that is not positive at the
+that is not finite, or an integer bound that no float holds; a name that
+is not a string; a measure density that is not positive at the
 s-curvature point; and a spec expression that is undefined or
 overflows, an OverflowError from math, at a point the command
 evaluates), 2 usage error, 3 no admissible
@@ -277,7 +278,7 @@ def cmd_analyze(args) -> int:
         return _usage_error(message)
     seed = _resolve_seed(args.seed)
     data, digest = manifest.load_spec(args.spec)
-    space, _, points = manifest.probed_space(data, args.probes, seed)
+    space, _, points, _ = manifest.probed_space(data, args.probes, seed)
     verdict = randers.theorem_verdict(
         space, points, tol_killing=args.tol_killing, tol_length=args.tol_length
     )
@@ -320,14 +321,14 @@ def cmd_s_curvature(args) -> int:
         return _usage_error(f"--steps must be >= 1, got {args.steps}")
     seed = _resolve_seed(args.seed)
     data, digest = manifest.load_spec(args.spec)
-    space = manifest.space_from_spec(data, seed=seed)
+    space, _, _, density = manifest.probed_space(data, 100, seed)
     point = _parse_vector(args.point, space.dimension, "--point")
     vector = _parse_vector(args.vector, space.dimension, "--vector")
     if not space.chart.contains(point):
         return _usage_error(f"point {point} is outside the chart domain")
     if 0.0 < math.hypot(*vector) < MIN_VECTOR_NORM:
         return _usage_error(f"--vector must be 0 or have norm >= {MIN_VECTOR_NORM}, got {vector}")
-    measure = manifest.measure_from_spec(space, data, args.measure)
+    measure = manifest.measure_from_spec(space, data, args.measure, density)
     F = randers.finsler(space)
     s_formula = scurvature.s_curvature(F, measure, point, vector)
     if not math.isfinite(s_formula):  # F(v) overflowed; the oracle would start at v / F(v) = 0
@@ -440,7 +441,7 @@ def cmd_validate(args) -> int:
         return _usage_error(message)
     seed = _resolve_seed(args.seed)
     data, digest = manifest.load_spec(args.spec)
-    space, pairs, points = manifest.probed_space(data, args.probes, seed)
+    space, pairs, points, _ = manifest.probed_space(data, args.probes, seed)
     try:
         results = checks.run_checks(
             space,

@@ -109,16 +109,30 @@ class Jet:
 
     def __mul__(self, other):
         if isinstance(other, Jet):
+            sv = self.value
+            if other is self:
+                # A square: the rule below would form sv * p + sv * p, one
+                # product evaluated twice; t + t with t = sv * p is that
+                # sum bit for bit, and sv * sv recurses into this rule.
+                return Jet(sv * sv, tuple([t + t for t in [sv * p for p in self.partials]]))
             if len(self.partials) != len(other.partials):
                 raise ValueError("jet slot count mismatch in *")
-            sv, ov = self.value, other.value
+            ov = other.value
             return Jet(
                 sv * ov,
                 tuple([sv * q + ov * p for p, q in zip(self.partials, other.partials)]),
             )
+        if type(other) is float and other == 1.0:
+            # x * 1.0 equals x bit for bit (-0.0, inf and NaN included) and
+            # raises no flag, and no Jet is changed in place, so the jet
+            # itself serves.  The type is tested first: == on an array
+            # leaf is an array, whose truth value raises.
+            return self
         return Jet(self.value * other, tuple([p * other for p in self.partials]))
 
     def __rmul__(self, other):
+        if type(other) is float and other == 1.0:  # as in __mul__
+            return self
         return Jet(other * self.value, tuple([other * p for p in self.partials]))
 
     def __truediv__(self, other):

@@ -4,7 +4,7 @@ The on-disk format (schema 1):
 
     {
       "schema": 1,
-      "name": "flat-const",              // optional
+      "name": "flat-const",              // optional; a string
       "description": "...",              // optional
       "dimension": 2,
       "coordinates": ["x1", "x2"],
@@ -71,13 +71,17 @@ def _refuse_constant(token: str):
 
 
 def validate_spec_data(data):
-    """Check a decoded spec; returns its parsed (metric rows, one-form)."""
+    """Check a decoded spec; returns its parsed (metric rows, one-form,
+    density), density None unless the spec declares a custom measure."""
     if not isinstance(data, dict):
         raise SpecValidationError("spec must be a JSON object")
     if data.get("schema") != SCHEMA_VERSION:
         raise SpecValidationError(
             f"unsupported schema {data.get('schema')!r}; this tool reads schema {SCHEMA_VERSION}"
         )
+    name = data.get("name", "")
+    if not isinstance(name, str):  # every report echoes it
+        raise SpecValidationError(f"name must be a string, got {type(name).__name__}")
     for key in ("dimension", "coordinates", "metric", "beta", "domain"):
         if key not in data:
             raise SpecValidationError(f"missing required field '{key}'")
@@ -118,10 +122,14 @@ def validate_spec_data(data):
     ):
         raise SpecValidationError(f"domain must be {n} [lo, hi] intervals")
     for lo, hi in domain:
-        if not (
-            isinstance(lo, (int, float)) and isinstance(hi, (int, float))
-            and lo < hi and math.isfinite(float(hi) - float(lo))
-        ):
+        try:
+            finite = (
+                isinstance(lo, (int, float)) and isinstance(hi, (int, float))
+                and lo < hi and math.isfinite(float(hi) - float(lo))
+            )
+        except OverflowError:  # an integer bound past the float range
+            finite = False
+        if not finite:
             raise SpecValidationError(f"bad domain interval [{lo!r}, {hi!r}]")
     fields = []
     for source in [e for row in metric for e in row] + list(one_form):
@@ -129,6 +137,7 @@ def validate_spec_data(data):
             fields.append(expr.parse(source, coords))
         except expr.ExprError as exc:
             raise SpecValidationError(f"bad expression '{source}': {exc}") from None
+    density = None
     measure = data.get("measure")
     if measure is not None:
         if not isinstance(measure, dict) or "kind" not in measure:
@@ -139,14 +148,14 @@ def validate_spec_data(data):
                 f"measure kind '{kind}' not in {scurvature.MEASURE_KINDS}"
             )
         if kind == "custom":
-            density = measure.get("density")
-            if not isinstance(density, str):
+            source = measure.get("density")
+            if not isinstance(source, str):
                 raise SpecValidationError("custom measure needs a 'density' expression")
             try:
-                expr.parse(density, coords)
+                density = expr.parse(source, coords)
             except expr.ExprError as exc:
-                raise SpecValidationError(f"bad density '{density}': {exc}") from None
-    return [fields[i * n : (i + 1) * n] for i in range(n)], fields[n * n :]
+                raise SpecValidationError(f"bad density '{source}': {exc}") from None
+    return [fields[i * n : (i + 1) * n] for i in range(n)], fields[n * n :], density
 
 
 def space_from_spec(data: dict, probe_count: int = 100, seed: int = 0):
@@ -155,31 +164,33 @@ def space_from_spec(data: dict, probe_count: int = 100, seed: int = 0):
 
 
 def probed_space(data: dict, probe_count: int, seed: int):
-    """space_from_spec that also hands back the probe grid it validated on:
-    (space, pairs, points), with (pairs, points) = core.probe_grid.  The
-    spec is validated here, and only here.  A command that probes builds
-    its one grid here."""
-    metric, one_form = validate_spec_data(data)
+    """space_from_spec that also hands back the probe grid it validated on
+    and the parsed custom density: (space, pairs, points, density), with
+    (pairs, points) = core.probe_grid and density as validate_spec_data
+    returns it, for measure_from_spec.  The spec is validated here, and
+    only here.  A command that probes builds its one grid here."""
+    metric, one_form, density = validate_spec_data(data)
     space = randers.build_space(data["coordinates"], data["domain"], metric, one_form)
     pairs, points = probe_grid(space.chart, probe_count, seed)
     randers.validate_space(space, points)
-    return space, pairs, points
+    return space, pairs, points, density
 
 
-def measure_from_spec(space, data: dict, kind: str | None = None):
+def measure_from_spec(space, data: dict, kind: str | None = None, density=None):
     """Measure selected by `kind`, falling back to the spec's measure field.
 
     Default when neither is given: the Busemann-Hausdorff measure (the
-    certificate measure of the vanishing-S criterion).
+    certificate measure of the vanishing-S criterion).  `density` is the
+    spec's custom density as probed_space parsed it; without it, a custom
+    measure parses the spec's density here.
     """
     declared = data.get("measure") or {}
     chosen = kind or declared.get("kind") or "busemann-hausdorff"
-    density_field = None
-    if chosen == "custom":
+    if chosen == "custom" and density is None:
         source = declared.get("density")
         if not isinstance(source, str):
             raise SpecValidationError(
                 "custom measure requested but the spec has no measure.density"
             )
-        density_field = expr.parse(source, data["coordinates"])
-    return scurvature.measure_from_kind(space, chosen, density_field)
+        density = expr.parse(source, data["coordinates"])
+    return scurvature.measure_from_kind(space, chosen, density)

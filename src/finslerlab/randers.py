@@ -262,7 +262,16 @@ def _one_form(table: dict, args) -> list:
 def alpha(a, v) -> Scalar:
     """alpha(v) = sqrt(a_ij v^i v^j) for the metric entries a = a_at(space, x)."""
     n = len(a)
-    return jets.sqrt(sum_([a[i][j] * (v[i] * v[j]) for i in range(n) for j in range(n)]))
+    terms = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            terms[i][j] = t = a[i][j] * (v[i] * v[j])
+            # A shared mirrored entry (as a_at gives) makes the (j, i) term
+            # this one bit for bit: products of floats, arrays and jets
+            # commute exactly (a jet product's slots are the same two
+            # products, summed in swapped order).
+            terms[j][i] = t if a[j][i] is a[i][j] else a[j][i] * (v[j] * v[i])
+    return jets.sqrt(sum_([t for row in terms for t in row]))
 
 
 def beta(b, v) -> Scalar:

@@ -44,7 +44,9 @@ from finslerlab.scurvature import (
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 import specgen  # noqa: E402
+from report_digests import workload_specs  # noqa: E402
 
 # A scaled sphere-hopf space (n = 3) as the benchmark's spec generator draws it.
 HOPF_SPEC = {
@@ -629,13 +631,13 @@ def outcome(call):
 
 class TestLanePivots:
     def test_pivot_rows_vary_across_the_grid(self):
-        space, _, points = manifest.probed_space(PIVOT_SPEC, 100, 0)
+        space, _, points, _ = manifest.probed_space(PIVOT_SPEC, 100, 0)
         a = randers.a_at(space, [leaves(c) for c in zip(*points)])
         row_one = np.abs(a[1][0]) > np.abs(a[0][0])
         assert row_one.any() and not row_one.all()
 
     def test_inv_and_det_of_the_metric_equal_the_float_path(self):
-        space, _, points = manifest.probed_space(PIVOT_SPEC, 100, 0)
+        space, _, points, _ = manifest.probed_space(PIVOT_SPEC, 100, 0)
         columns = [leaves(c) for c in zip(*points)]
         for batched, singles in (
             (columns, [list(p) for p in points]),
@@ -761,6 +763,36 @@ class TestFailureParity:
         code, report = run_cli(argv)
         assert code == cli.EXIT_INVALID_SPEC
         assert report["error"]["type"] == kind
+
+
+# The catalog specs and the seed-7 specs of the three benchmark workloads.
+CLI_SPECS = {spec["name"]: spec for spec in [*specgen.catalog_specs(), *workload_specs(7)]}
+
+
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+@pytest.mark.parametrize("name", sorted(CLI_SPECS))
+def test_no_batch_falls_back_to_the_float_loop(tmp_path, name, command):
+    # A fallback changes no report, so only a lanewise that refuses it
+    # shows one: an array leaf that a scalar-only shortcut trips over.
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(CLI_SPECS[name]))
+    argv = [command, str(path), "--probes=12"]
+    if command == "validate":
+        argv += ["--transport-probes=2", "--mc-samples=10000"]
+    batches, failures = [], []
+
+    def no_fallback(fn, points):
+        batches.append(len(points))
+        try:
+            return batch_only(fn, points)
+        except Exception as exc:
+            failures.append(f"{type(exc).__name__}: {exc}")
+            raise
+
+    with mock.patch.object(jets, "lanewise", no_fallback):
+        code, report = run_cli(argv)
+    assert failures == [] and "error" not in report
+    assert batches and code in (cli.EXIT_OK, cli.EXIT_INVALID_SPEC, cli.EXIT_NO_MEASURE)
 
 
 def _battery_cases():

@@ -302,6 +302,8 @@ def _expected_error(case):
         return "SpecValidationError", "not valid JSON: the constant"
     if kind == "domain":
         return "SpecValidationError", "bad domain interval"
+    if kind == "name":
+        return "SpecValidationError", "name must be a string"
     return "InvalidSpaceError", {"beta": "one-form", "metric": "metric"}[detail] + " not finite at x = ("
 
 

@@ -1,6 +1,8 @@
+import copy
 import math
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -160,6 +162,72 @@ class TestNesting:
     def test_mismatched_slots_rejected(self):
         with pytest.raises(ValueError):
             Jet(1.0, (1.0,)) + Jet(1.0, (1.0, 0.0))
+
+
+def _bits(x):
+    """Every leaf of a nested jet as float.hex or an array's bytes, so that
+    -0.0 and 0.0 differ."""
+    if isinstance(x, Jet):
+        return ["jet", *_bits(x.value), *[b for p in x.partials for b in _bits(p)]]
+    if isinstance(x, np.ndarray):
+        return [x.tobytes()]
+    return [float(x).hex()]
+
+
+def _nested(leaves, depth):
+    """sin(y0) * y1 + y0 / 3 with both y seeded on `depth` levels: a jet
+    whose slots at every level are generic values, not only 0 and 1."""
+    s = list(leaves)
+    for _ in range(depth):
+        s = seed_group(s, range(len(s)))
+    return jets.sin(s[0]) * s[1] + s[0] / 3.0
+
+
+def _signed_zeros(depth):
+    """A jet `depth` levels deep whose every entry is 0.0 or -0.0."""
+    if depth == 0:
+        return -0.0
+    return Jet(_signed_zeros(depth - 1), (0.0, -0.0, _signed_zeros(depth - 1)))
+
+
+LEAVES = {
+    "floats": (0.7, -1.3),
+    "signed-zero floats": (-0.0, 0.0),
+    "arrays": (np.array([0.7, -0.0, 0.0, 2.5e-8]), np.array([-1.3, 0.0, -0.0, 3.0e7])),
+}
+
+
+class TestRepeatedProducts:
+    """A square and a product by one take shortcuts that keep every bit."""
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    @pytest.mark.parametrize("leaves", sorted(LEAVES))
+    def test_square_equals_the_product_of_two_copies(self, leaves, depth):
+        x = _nested(LEAVES[leaves], depth)
+        twin = copy.deepcopy(x)
+        assert twin is not x
+        assert _bits(x * x) == _bits(x * twin) == _bits(twin * x)
+        assert _bits(intpow(x, 2)) == _bits(x * twin)
+        assert _bits(intpow(x, 3)) == _bits(x * (x * twin))
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_square_of_signed_zeros(self, depth):
+        x = _signed_zeros(depth)
+        assert _bits(x * x) == _bits(x * copy.deepcopy(x))
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    @pytest.mark.parametrize("leaves", sorted(LEAVES))
+    def test_product_by_one_is_the_jet_itself(self, leaves, depth):
+        x = _nested(LEAVES[leaves], depth)
+        assert x * 1.0 is x and 1.0 * x is x
+        assert _bits(x * 1) == _bits(x) == _bits(1 * x)  # an int takes the general rule
+
+    def test_array_factors_take_the_general_rule(self):
+        x = _nested(LEAVES["floats"], 2)
+        ones = np.ones(3)
+        for product in (x * ones, ones * x):
+            assert isinstance(product, Jet) and product is not x
+            assert np.array_equal(jets.standard_part(product), np.full(3, jets.standard_part(x)))
 
 
 # -- property: jet derivatives vs finite differences ------------------------

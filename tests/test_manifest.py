@@ -116,9 +116,28 @@ class TestValidation:
 
     def test_returns_the_parsed_expressions(self, flat_const_data):
         flat_const_data["beta"] = ["0.1*x2", "0"]
-        metric, one_form = validate_spec_data(flat_const_data)
+        metric, one_form, density = validate_spec_data(flat_const_data)
         assert [[f.source for f in row] for row in metric] == flat_const_data["metric"]
         assert one_form == [expr.parse(s, ["x1", "x2"]) for s in flat_const_data["beta"]]
+        assert density is None
+        flat_const_data["measure"] = {"kind": "custom", "density": "2 + x1"}
+        assert validate_spec_data(flat_const_data)[2] == expr.parse("2 + x1", ["x1", "x2"])
+
+    @pytest.mark.parametrize("name", [1.5, 10**400, None, ["x", {"y": 1}], {"x": "y"}])
+    def test_name_must_be_a_string(self, flat_const_data, name):
+        flat_const_data["name"] = name
+        with pytest.raises(SpecValidationError, match="name must be a string"):
+            validate_spec_data(flat_const_data)
+
+    def test_name_may_be_absent(self, flat_const_data):
+        del flat_const_data["name"]
+        validate_spec_data(flat_const_data)
+
+    @pytest.mark.parametrize("interval", [[-(10**400), 1], [-1, 10**400], [1.0, 10**400]])
+    def test_domain_bound_past_the_float_range(self, flat_const_data, interval):
+        flat_const_data["domain"] = [interval, [-1.0, 1.0]]
+        with pytest.raises(SpecValidationError, match=r"bad domain interval \["):
+            validate_spec_data(flat_const_data)
 
     def test_bad_expression(self, flat_const_data):
         flat_const_data["beta"] = ["0.5 +", "0"]
@@ -184,6 +203,17 @@ class TestMeasureSelection:
         space = space_from_spec(flat_const_data, probe_count=20)
         with pytest.raises(SpecValidationError, match="density"):
             measure_from_spec(space, flat_const_data, "custom")
+
+
+def test_s_curvature_parses_a_custom_density_once(tmp_path, capsys, flat_const_data):
+    flat_const_data["measure"] = {"kind": "custom", "density": "2+x1"}
+    n = flat_const_data["dimension"]
+    path = write_spec(tmp_path, flat_const_data)
+    argv = ["s-curvature", str(path), "--point=0.1,0.2", "--vector=1,0"]
+    with mock.patch.object(expr, "parse", wraps=expr.parse) as parse:
+        assert cli.main(argv) == cli.EXIT_OK
+    capsys.readouterr()
+    assert parse.call_count == n * n + n + 1
 
 
 @pytest.mark.parametrize("name", catalog.NAMES)

@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from finslerlab import catalog, core, manifest, randers
+from finslerlab import catalog, core, jets, manifest, randers
 from finslerlab.core import probe_pairs, probe_points, spray
 from finslerlab.expr import parse
 from finslerlab.jets import Jet, _leaves, partial, seed_group, standard_part
@@ -506,6 +507,56 @@ def _kernel_spaces():
             spec = specgen.generate(random.Random(f"kernels:{family}:{n}"), family, n, 1, family)
             spaces.append(manifest.space_from_spec(spec))
     return spaces
+
+
+def _alpha_loop(a, v):
+    """alpha as the full loop over all n^2 terms, each term formed."""
+    n = len(a)
+    return jets.sqrt(sum_([a[i][j] * (v[i] * v[j]) for i in range(n) for j in range(n)]))
+
+
+def _alpha_arguments(space, pairs):
+    """(x, v) per pair on float leaves, the pairs as array leaves, and each
+    pair on the (v, v, v, x) jet levels of core.nonlinear_connection."""
+    n = space.dimension
+    out = [*pairs[:2], [[np.array(c) for c in zip(*column)] for column in zip(*pairs)]]
+    for x, v in pairs[:2]:
+        s = [*x, *v]
+        for level in "vvvx":
+            s = seed_group(s, range(n, 2 * n) if level == "v" else range(n))
+        out.append((s[:n], s[n:]))
+    return out
+
+
+class TestAlphaMirroredTerms:
+    """alpha forms a mirrored term once when the two entries are one
+    object; that and every other matrix give the full loop bit for bit."""
+
+    def test_shared_mirror_equals_the_full_loop(self):
+        for sp in _kernel_spaces():
+            n = sp.dimension
+            for x, v in _alpha_arguments(sp, probe_pairs(sp.chart, 4)):
+                a = a_at(sp, x)
+                assert all(a[i][j] is a[j][i] for i in range(n) for j in range(n))
+                assert _reprs(randers.alpha(a, v)) == _reprs(_alpha_loop(a, v))
+
+    @pytest.mark.parametrize("name", ["sphere-hopf", "flat-nonkilling"])
+    def test_distinct_mirrored_entries_equal_the_full_loop(self, spaces, name):
+        sp = spaces[name]
+        for x, v in _alpha_arguments(sp, probe_pairs(sp.chart, 4)):
+            shared = a_at(sp, x)
+            twins = [[copy.deepcopy(e) for e in row] for row in shared]
+            # mirrored entries that differ, as a library caller may pass
+            skewed = [[e if i <= j else 1.25 * e for j, e in enumerate(row)]
+                      for i, row in enumerate(shared)]
+            for a in (twins, skewed):
+                assert _reprs(randers.alpha(a, v)) == _reprs(_alpha_loop(a, v))
+            assert _reprs(randers.alpha(twins, v)) == _reprs(randers.alpha(shared, v))
+
+    def test_signed_zero_entries(self):
+        a = [[1.0, -0.0], [-0.0, np.array([2.0, 0.5, 3.0, 1.0])]]
+        v = [np.array([-0.0, 0.0, 1.5, -0.0]), np.array([0.0, -0.0, 0.0, -0.0])]
+        assert _reprs(randers.alpha(a, v)) == _reprs(_alpha_loop(a, v))
 
 
 class TestUnrolledKernels:

@@ -192,6 +192,9 @@ def malformed_specs() -> dict:
         "constant-minus-Infinity-bound": flat_spec(domain=[[-math.inf, 1.0], [-1.0, 1.0]]),
         "domain-overflowing-width": flat_spec(domain=[[-1e308, 1e308], [-1.0, 1.0]]),
         "domain-integer-bound-past-the-float-range": flat_spec(domain=[[-10**400, 1], [-1, 1]]),
+        # JSON true and false are Python bools, which compare as 1 and 0
+        "domain-booleans": flat_spec(domain=[[False, True], [-1.0, 1.0]]),
+        "schema-true": flat_spec(schema=True),
         "name-number": flat_spec(name=1.5),
         "name-list": flat_spec(name=["x", {"y": 1}]),
     }

@@ -38,7 +38,8 @@ from typing import Callable, Mapping, Optional, Union
 import numpy as np
 
 from . import jets
-from .jets import Jet, Scalar
+from .jets import Scalar
+from .staged import Sym
 
 __all__ = [
     "ScalarField",
@@ -364,28 +365,44 @@ def parse(source: str, coordinates) -> ScalarField:
 # -- evaluation ---------------------------------------------------------------
 
 
-def _nonpositive(scalar: Scalar) -> Optional[float]:
-    """The standard part of `scalar` if it is <= 0 (for an array, its first
-    such element), else None; NaN passes, as it does for floats."""
-    if isinstance(scalar, float):
-        return scalar if scalar <= 0.0 else None
-    while isinstance(scalar, Jet):
-        scalar = scalar.value
-    if isinstance(scalar, np.ndarray):
-        bad = scalar[scalar <= 0.0]
+def _nonpositive(leaf) -> Optional[float]:
+    """`leaf` if it is <= 0 (for an array, its first such element), else
+    None; NaN passes, as it does for floats."""
+    if isinstance(leaf, np.ndarray):
+        bad = leaf[leaf <= 0.0]
         return float(bad[0]) if bad.size else None
-    return scalar if scalar <= 0.0 else None
+    return leaf if leaf <= 0.0 else None
 
 
-def _has_zero(scalar: Scalar) -> bool:
-    """True when the standard part of `scalar` is 0 (in any array element)."""
+def _require_positive(scalar: Scalar, what: str, node) -> None:
+    """Raises ExprDomainError(f"{what} {bad}") when the standard part of
+    `scalar` is <= 0 (bad, in an array its first such element).  On a
+    staged leaf the check becomes a line of the generated code."""
     if isinstance(scalar, float):
-        return scalar == 0.0
-    while isinstance(scalar, Jet):
-        scalar = scalar.value
-    if isinstance(scalar, np.ndarray):
-        return not scalar.all()
-    return scalar == 0.0
+        if scalar <= 0.0:
+            raise ExprDomainError(f"{what} {scalar}", node)
+        return
+    leaf = jets.standard_part(scalar)
+    if isinstance(leaf, Sym):
+        return leaf.check(_require_positive, what, node)
+    bad = _nonpositive(leaf)
+    if bad is not None:
+        raise ExprDomainError(f"{what} {bad}", node)
+
+
+def _require_nonzero(scalar: Scalar, message: str, node) -> None:
+    """Raises ExprDomainError(message) when the standard part of `scalar`
+    is 0 (in any array element).  On a staged leaf the check becomes a
+    line of the generated code."""
+    if isinstance(scalar, float):
+        if scalar == 0.0:
+            raise ExprDomainError(message, node)
+        return
+    leaf = jets.standard_part(scalar)
+    if isinstance(leaf, Sym):
+        return leaf.check(_require_nonzero, message, node)
+    if not leaf.all() if isinstance(leaf, np.ndarray) else leaf == 0.0:
+        raise ExprDomainError(message, node)
 
 
 def _static_int_exponent(node: Node):
@@ -432,22 +449,18 @@ def _eval(node: Node, env: Mapping[str, Scalar]) -> Scalar:
     if isinstance(node, Call):
         arg = _eval(node.args[0], env)
         if node.func in ("log", "sqrt"):
-            bad = _nonpositive(arg)
-            if bad is not None:
-                raise ExprDomainError(f"{node.func} of non-positive value {bad}", node)
+            _require_positive(arg, f"{node.func} of non-positive value", node)
         return FUNCTIONS[node.func](arg)
     op = node.op
     if op == "^":
         base = _eval(node.left, env)
         k = _static_int_exponent(node.right)
         if k is not None:
-            if k < 0 and _has_zero(base):
-                raise ExprDomainError("zero base with negative exponent", node)
+            if k < 0:
+                _require_nonzero(base, _ZERO_BASE, node)
             return jets.intpow(base, k)
         exponent = _eval(node.right, env)
-        bad = _nonpositive(base)
-        if bad is not None:
-            raise ExprDomainError(f"non-integer power of non-positive base {bad}", node)
+        _require_positive(base, _POWER_BASE, node)
         return jets.powf(base, exponent)
     left = _eval(node.left, env)
     right = _eval(node.right, env)
@@ -457,9 +470,13 @@ def _eval(node: Node, env: Mapping[str, Scalar]) -> Scalar:
         return left - right
     if op == "*":
         return left * right
-    if _has_zero(right):
-        raise ExprDomainError("division by zero", node)
+    _require_nonzero(right, _DIVISION, node)
     return left / right
+
+
+_ZERO_BASE = "zero base with negative exponent"
+_POWER_BASE = "non-integer power of non-positive base"
+_DIVISION = "division by zero"
 
 
 class SharedSubtrees:
@@ -588,13 +605,11 @@ def _compile_node(node: Node, names: tuple, slots: dict):
         arg_fn = _compile(node.args[0], names, slots)
         fn = FUNCTIONS[node.func]
         if node.func in ("log", "sqrt"):
-            name = node.func
+            what = f"{node.func} of non-positive value"
 
             def guarded(args, _node=node):
                 arg = arg_fn(args)
-                bad = _nonpositive(arg)
-                if bad is not None:
-                    raise ExprDomainError(f"{name} of non-positive value {bad}", _node)
+                _require_positive(arg, what, _node)
                 return fn(arg)
 
             return guarded
@@ -608,8 +623,7 @@ def _compile_node(node: Node, names: tuple, slots: dict):
 
                 def int_power_guarded(args, _node=node, _k=k):
                     base = left_fn(args)
-                    if _has_zero(base):
-                        raise ExprDomainError("zero base with negative exponent", _node)
+                    _require_nonzero(base, _ZERO_BASE, _node)
                     return jets.intpow(base, _k)
 
                 return int_power_guarded
@@ -618,11 +632,7 @@ def _compile_node(node: Node, names: tuple, slots: dict):
 
         def general_power(args, _node=node):
             base = left_fn(args)
-            bad = _nonpositive(base)
-            if bad is not None:
-                raise ExprDomainError(
-                    f"non-integer power of non-positive base {bad}", _node
-                )
+            _require_positive(base, _POWER_BASE, _node)
             return jets.powf(base, right_fn(args))
 
         return general_power
@@ -636,8 +646,7 @@ def _compile_node(node: Node, names: tuple, slots: dict):
 
     def division(args, _node=node):
         denominator = right_fn(args)
-        if _has_zero(denominator):
-            raise ExprDomainError("division by zero", _node)
+        _require_nonzero(denominator, _DIVISION, _node)
         return left_fn(args) / denominator
 
     return division

@@ -16,7 +16,9 @@ correctly rounded in NumPy as in Python, and the other primitives map
 Jets sit above arrays: ``Jet.__array_ufunc__ = None`` makes
 ``ndarray * Jet`` defer to the Jet operators.  ``lanewise`` runs a
 per-point function once over the lanes of a grid and hands a batch that
-fails back to the per-point loop.
+fails back to the per-point loop.  A third kind of leaf, ``staged.Sym``,
+computes nothing: each operation on it, primitives included, writes a
+line of a generated function (see ``finslerlab.staged``).
 
 Discipline for nesting: every *Jet-valued* scalar entering a computation
 at a new derivative level must be wrapped as a constant at that level
@@ -29,6 +31,8 @@ import math
 from typing import Callable, Sequence, Union
 
 import numpy as np
+
+from .staged import Sym
 
 Scalar = Union[float, np.ndarray, "Jet"]
 
@@ -344,7 +348,8 @@ def fd_oracle(
 # the recursion floor, so zero-seeded Jets reproduce plain evaluation bit
 # for bit in the value slot.  Floats are tested first because they are the
 # common leaf; arrays go lane by lane through math (sqrt through np.sqrt,
-# which rounds the same), anything else (ints) to math.
+# which rounds the same), a staged leaf writes a call of the primitive,
+# anything else (ints) goes to math.
 
 
 def _per_lane(fn: Callable, x: np.ndarray) -> np.ndarray:
@@ -353,13 +358,24 @@ def _per_lane(fn: Callable, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.tolist()), float, len(x))
 
 
+def _leaf(fn: Callable, x) -> Scalar:
+    """math's fn at a leaf that is no float: in every lane of an array, as
+    a call of the primitive named after fn in the code a staged leaf
+    records, or on x itself (an int)."""
+    if isinstance(x, np.ndarray):
+        return _per_lane(fn, x)
+    if isinstance(x, Sym):
+        return x.call(globals()[fn.__name__])
+    return fn(x)
+
+
 def sin(x: Scalar) -> Scalar:
     if isinstance(x, float):
         return math.sin(x)
     if isinstance(x, Jet):
         d = cos(x.value)
         return Jet(sin(x.value), tuple([d * p for p in x.partials]))
-    return _per_lane(math.sin, x) if isinstance(x, np.ndarray) else math.sin(x)
+    return _leaf(math.sin, x)
 
 
 def cos(x: Scalar) -> Scalar:
@@ -368,7 +384,7 @@ def cos(x: Scalar) -> Scalar:
     if isinstance(x, Jet):
         d = -sin(x.value)
         return Jet(cos(x.value), tuple([d * p for p in x.partials]))
-    return _per_lane(math.cos, x) if isinstance(x, np.ndarray) else math.cos(x)
+    return _leaf(math.cos, x)
 
 
 def tan(x: Scalar) -> Scalar:
@@ -378,7 +394,7 @@ def tan(x: Scalar) -> Scalar:
         t = tan(x.value)
         d = 1.0 + t * t
         return Jet(t, tuple([d * p for p in x.partials]))
-    return _per_lane(math.tan, x) if isinstance(x, np.ndarray) else math.tan(x)
+    return _leaf(math.tan, x)
 
 
 def exp(x: Scalar) -> Scalar:
@@ -387,7 +403,7 @@ def exp(x: Scalar) -> Scalar:
     if isinstance(x, Jet):
         e = exp(x.value)
         return Jet(e, tuple([e * p for p in x.partials]))
-    return _per_lane(math.exp, x) if isinstance(x, np.ndarray) else math.exp(x)
+    return _leaf(math.exp, x)
 
 
 def log(x: Scalar) -> Scalar:
@@ -396,7 +412,7 @@ def log(x: Scalar) -> Scalar:
     if isinstance(x, Jet):
         v = x.value
         return Jet(log(v), tuple([p / v for p in x.partials]))
-    return _per_lane(math.log, x) if isinstance(x, np.ndarray) else math.log(x)
+    return _leaf(math.log, x)
 
 
 def sqrt(x: Scalar) -> Scalar:
@@ -406,7 +422,7 @@ def sqrt(x: Scalar) -> Scalar:
         s = sqrt(x.value)
         d = 0.5 / s
         return Jet(s, tuple([d * p for p in x.partials]))
-    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+    return np.sqrt(x) if isinstance(x, np.ndarray) else _leaf(math.sqrt, x)
 
 
 def sinh(x: Scalar) -> Scalar:
@@ -415,7 +431,7 @@ def sinh(x: Scalar) -> Scalar:
     if isinstance(x, Jet):
         d = cosh(x.value)
         return Jet(sinh(x.value), tuple([d * p for p in x.partials]))
-    return _per_lane(math.sinh, x) if isinstance(x, np.ndarray) else math.sinh(x)
+    return _leaf(math.sinh, x)
 
 
 def cosh(x: Scalar) -> Scalar:
@@ -424,7 +440,7 @@ def cosh(x: Scalar) -> Scalar:
     if isinstance(x, Jet):
         d = sinh(x.value)
         return Jet(cosh(x.value), tuple([d * p for p in x.partials]))
-    return _per_lane(math.cosh, x) if isinstance(x, np.ndarray) else math.cosh(x)
+    return _leaf(math.cosh, x)
 
 
 def tanh(x: Scalar) -> Scalar:
@@ -434,7 +450,7 @@ def tanh(x: Scalar) -> Scalar:
         t = tanh(x.value)
         d = 1.0 - t * t
         return Jet(t, tuple([d * p for p in x.partials]))
-    return _per_lane(math.tanh, x) if isinstance(x, np.ndarray) else math.tanh(x)
+    return _leaf(math.tanh, x)
 
 
 def intpow(x: Scalar, k: int) -> Scalar:

@@ -75,9 +75,10 @@ def validate_spec_data(data):
     density), density None unless the spec declares a custom measure."""
     if not isinstance(data, dict):
         raise SpecValidationError("spec must be a JSON object")
-    if data.get("schema") != SCHEMA_VERSION:
+    schema = data.get("schema")
+    if isinstance(schema, bool) or schema != SCHEMA_VERSION:  # JSON true equals 1 in Python
         raise SpecValidationError(
-            f"unsupported schema {data.get('schema')!r}; this tool reads schema {SCHEMA_VERSION}"
+            f"unsupported schema {schema!r}; this tool reads schema {SCHEMA_VERSION}"
         )
     name = data.get("name", "")
     if not isinstance(name, str):  # every report echoes it
@@ -124,7 +125,7 @@ def validate_spec_data(data):
     for lo, hi in domain:
         try:
             finite = (
-                isinstance(lo, (int, float)) and isinstance(hi, (int, float))
+                all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in (lo, hi))
                 and lo < hi and math.isfinite(float(hi) - float(lo))
             )
         except OverflowError:  # an integer bound past the float range

@@ -4,7 +4,8 @@ A RandersSpace holds a Riemannian metric a_ij and a one-form b_i as
 parsed coordinate expressions.  PointData holds the covariant
 derivative b_{i|j} at a point, the closed-form spray and its X/Y split;
 analyze_beta folds it into the Killing / constant-length / parallel
-defects.  The module also gives the Busemann-Hausdorff density and the
+defects.  The geodesics of finsler(space) run PointData's spray as one
+function generated per space (_spray_function).  The module also gives the Busemann-Hausdorff density and the
 final verdict: the space admits a measure with vanishing S-curvature
 exactly when beta is a Killing form of constant length, and the
 certificate measure is the Busemann-Hausdorff one.
@@ -13,6 +14,7 @@ certificate measure is the Busemann-Hausdorff one.
 from __future__ import annotations
 
 import math
+import sys
 import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -24,6 +26,7 @@ from .core import CoordinateChart, FinslerStructure, probe_points
 from .core import _christoffel_source, _grid, _kernel, _pair, _spray_lines, _sum
 from .jets import Jet, Scalar, _leaves, partial, seed_group, standard_part
 from .linalg import _stacked, det, inv, sum_
+from .staged import Stage
 
 __all__ = [
     "RandersSpace",
@@ -282,9 +285,15 @@ def beta(b, v) -> Scalar:
 def finsler(space: RandersSpace) -> FinslerStructure:
     """Wrap F = alpha + beta for the generic tensor calculus.
 
-    The exact closed-form spray rides along for ODE work; the generic
-    jet-derived spray remains the reference and the two are compared in
-    the validation suite.
+    The exact closed-form spray rides along as fast_spray, which geodesic
+    runs at every RK4 stage (and through it the transport oracle,
+    s_curvature_transport and its batch form).  Its first call writes the
+    space's spray as one straight-line function (_spray_function) that
+    later calls run: PointData(space, x).spray(v)[0] bit for bit, on float
+    and array leaves; PointData stays the reference it is tested against.
+    Nothing is compiled before that call.  The generic jet-derived spray
+    remains the reference for the closed form, and the two are compared
+    in the validation suite.
     """
 
     def func(x, v):
@@ -294,7 +303,10 @@ def finsler(space: RandersSpace) -> FinslerStructure:
     def fast_spray(x, v):
         if not isinstance(v[0], np.ndarray) and all(standard_part(c) == 0.0 for c in v):
             return [0.0] * space.dimension
-        return PointData(space, x).spray(v)[0]
+        spray_fn = _spray_function(space)
+        if spray_fn is None:
+            return PointData(space, x).spray(v)[0]
+        return spray_fn(_leaves(x), v)
 
     return FinslerStructure(chart=space.chart, func=func, fast_spray=fast_spray)
 
@@ -326,13 +338,13 @@ def beta_length(space: RandersSpace, x, a=None, b=None) -> Union[float, np.ndarr
 
 
 def _first_order_data(space: RandersSpace, x):
-    """a, da, b, db at x from one jet pass (float leaves, or array leaves
-    for a batch of points).
+    """a, da, b, db at x from one jet pass (float leaves, array leaves for
+    a batch of points, or the staged leaves of _staged_spray).
 
     da[k][i][j] = da_ij/dx_k and db[k][i] = db_i/dx_k.
     """
     n = space.dimension
-    xs = seed_group(_leaves(x), range(n))
+    xs = seed_group(x, range(n))
     # Entries are one-level jets over leaves, or leaf constants.
     zeros = (0.0,) * n
     a_jets, b_jets = a_and_b(space, xs)
@@ -341,6 +353,41 @@ def _first_order_data(space: RandersSpace, x):
     ]
     bj = [(e.value, e.partials) if isinstance(e, Jet) else (e, zeros) for e in b_jets]
     return _kernel(_first_order_source, n)(aj, bj)
+
+
+def _spray_function(space: RandersSpace):
+    """The space's closed-form spray (x, v) -> G as one generated function,
+    written at the first call and kept in its _COMPILED table; None when
+    writing it raises (a constant subexpression outside its domain), and
+    finsler's fast_spray then builds a PointData per call, which raises
+    what it raises."""
+    table = _fns(space)
+    if "spray" not in table:
+        table["spray"] = _staged_spray(space)
+    return table["spray"]
+
+
+def _staged_spray(space: RandersSpace):
+    """PointData(space, x).spray(v)[0] run once on staged leaves (staged.Sym):
+    the function that performs its leaf operations, a and b and their first
+    partials straight from the expression DAG, inv through this module's
+    binding (which a tracer may rebind), then the Christoffel, covariant
+    and X/Y kernels, with the space's constant entries folded in."""
+    n = space.dimension
+    stage = Stage()
+    x, v = stage.unpack("x", (n,)), stage.unpack("v", (n,))
+    module = stage.constant(sys.modules[__name__], "randers")
+    try:
+        first_order = _first_order_data(space, x)
+        stage.drop_zero_terms = True  # the Christoffel and covariant sums start 0.0 + ...
+        data = PointData.__new__(PointData)
+        data._derive(
+            *first_order, lambda a: stage.unpack(f"{module}.inv({stage.source(a)})", (n, n))
+        )
+        g = data.spray(v)[0]
+    except (ArithmeticError, ValueError):
+        return None
+    return stage.function("spray", ("x", "v"), g)
 
 
 # -- unrolled kernels (compiled by core._kernel, like its Christoffel and spray) --
@@ -433,10 +480,13 @@ class PointData:
     __slots__ = ("a", "a_inv", "b", "b_up", "bcov", "gamma")
 
     def __init__(self, space: RandersSpace, x):
-        n = space.dimension
-        a, da, b, db = _first_order_data(space, x)
+        self._derive(*_first_order_data(space, _leaves(x)), inv)
+
+    def _derive(self, a, da, b, db, inverse) -> None:
+        """The entries from the first-order data, with a_inv = inverse(a)."""
+        n = len(b)
         self.a, self.b = a, b
-        self.a_inv = a_inv = inv(a)
+        self.a_inv = a_inv = inverse(a)
         self.gamma = gamma = _kernel(_christoffel_source, n)(a_inv, da)
         self.b_up, self.bcov = _kernel(_covariant_source, n)(a_inv, b, db, gamma)
 

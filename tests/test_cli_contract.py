@@ -304,6 +304,8 @@ def _expected_error(case):
         return "SpecValidationError", "bad domain interval"
     if kind == "name":
         return "SpecValidationError", "name must be a string"
+    if kind == "schema":
+        return "SpecValidationError", "unsupported schema"
     return "InvalidSpaceError", {"beta": "one-form", "metric": "metric"}[detail] + " not finite at x = ("
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from finslerlab import catalog, core, jets, manifest, randers
+from finslerlab import catalog, core, jets, linalg, manifest, randers
 from finslerlab.core import probe_pairs, probe_points, spray
 from finslerlab.expr import parse
 from finslerlab.jets import Jet, _leaves, partial, seed_group, standard_part
@@ -499,14 +499,44 @@ def _xy_split_loops(a, a_inv, b, b_up, q, gamma, v):
     return x_cmp, y_cmp, riem
 
 
+# Every expression function and guard (trig, hyperbolic, exp, log, sqrt,
+# non-integer powers, positive and negative integer powers, division),
+# constant subtrees among them; a is positive definite and ||beta|| < 1
+# on (-1, 1)^2.
+_MIXED = "0.1*tan(x1)/(2 + x2^2) - x1*x2/8"
+EVERY_FUNCTION = (
+    [
+        ["2 + sin(x1)*cos(x2) + tanh(x1*x2)^2 + 0*x1", _MIXED],
+        [
+            _MIXED,
+            "exp(0.2*x2) + cosh(x1)^-2 + log(2 + x1) + sqrt(2 + x2) + (1.5 + x1)^0.5"
+            " + (1 + x2^2)^x1 + 2^3/log(8)",
+        ],
+    ],
+    ["0.1*sinh(x1) + 0.05*x2^3 - x2/(3 + x1)^2", "0.1*(2 + x1)^-1 - 0.05*x1^4 + sqrt(2)*0*x2"],
+)
+
+
 def _kernel_spaces():
-    """The catalog spaces and one specgen space per family and dimension."""
+    """The catalog spaces, one specgen space per family and dimension and
+    the EVERY_FUNCTION space."""
     spaces = [catalog.space(name) for name in catalog.NAMES]
     for family in specgen.FAMILIES:
         for n in specgen.DIMENSIONS[family]:
             spec = specgen.generate(random.Random(f"kernels:{family}:{n}"), family, n, 1, family)
             spaces.append(manifest.space_from_spec(spec))
+    spaces.append(build_space(["x1", "x2"], BOX, *EVERY_FUNCTION))
     return spaces
+
+
+def _signed_zero_pairs(chart):
+    """Two (x, v) with -0.0 and 0.0 in x, where the chart holds 0 (its
+    midpoint elsewhere), and in v."""
+    n = chart.dimension
+    x = [[(-1.0) ** (k + first) * 0.0 if lo < 0.0 < hi else 0.5 * (lo + hi)
+          for k, (lo, hi) in enumerate(chart.bounds)] for first in (0, 1)]
+    v = [(1.0, *[-0.0] * (n - 1)), (-0.0, -1.0, *[0.0] * (n - 2))]
+    return [(tuple(x[0]), v[0]), (tuple(x[1]), v[1])]
 
 
 def _alpha_loop(a, v):
@@ -565,15 +595,18 @@ class TestUnrolledKernels:
 
     def test_point_data_on_spaces(self):
         for sp in _kernel_spaces():
-            pairs = probe_pairs(sp.chart, 6)
+            pairs = probe_pairs(sp.chart, 6) + _signed_zero_pairs(sp.chart)
             points = [x for x, _ in pairs]
             lanes = [np.array(c) for c in zip(*points)]
             lane_vs = [np.array(c) for c in zip(*[v for _, v in pairs])]
-            for x, v in [*pairs[:3], (lanes, lane_vs)]:
+            fast_spray = randers.finsler(sp).fast_spray
+            for x, v in [*pairs[:3], *pairs[6:], (lanes, lane_vs)]:
                 expected = _first_order_loops(sp, x)
                 assert _reprs(randers._first_order_data(sp, x)) == _reprs(expected)
                 a, da, b, db = expected
                 data = PointData(sp, x)
+                # The generated spray is PointData's, bit for bit.
+                assert _reprs(fast_spray(x, v)) == _reprs(data.spray(v)[0])
                 gamma = _levi_civita_unhoisted(data.a_inv, da)
                 b_up, bcov = _covariant_loops(data.a_inv, b, db, gamma)
                 assert _reprs([data.gamma, data.b_up, data.bcov]) == _reprs([gamma, b_up, bcov])
@@ -582,6 +615,77 @@ class TestUnrolledKernels:
                 if not isinstance(x, list):  # the traces seed v with jets
                     vs = seed_group(list(v), range(sp.dimension))
                     assert _reprs(data._xy_split(vs)) == _reprs(_xy_split_loops(*args, vs))
+
+    def test_spray_is_generated_at_the_first_fast_spray_call_of_each_space(self):
+        twins = [build_space(["x1", "x2"], BOX, FLAT, ["0.3*x2", "x1*x1/4"]) for _ in range(2)]
+        structures = [randers.finsler(sp) for sp in twins]
+        analyze_beta(twins[0], probe_points(twins[0].chart, 4))
+        assert all("spray" not in randers._fns(sp) for sp in twins)
+        structures[0].fast_spray((0.1, 0.2), (1.0, 0.5))
+        spray_fn = randers._fns(twins[0])["spray"]
+        assert spray_fn is not None and "spray" not in randers._fns(twins[1])
+        structures[0].fast_spray((0.3, 0.2), (1.0, 0.5))
+        assert randers._fns(twins[0])["spray"] is spray_fn
+
+    def test_spray_calls_inv_through_the_module_binding(self, monkeypatch):
+        sp = catalog.space("sphere-hopf")
+        fast_spray = randers.finsler(sp).fast_spray
+        fast_spray((0.1, 0.2, 0.3), (1.0, 0.5, 0.0))
+        calls = []
+
+        def counted(matrix):
+            calls.append(matrix)
+            return linalg.inv(matrix)
+
+        monkeypatch.setattr(randers, "inv", counted)
+        x, v = (0.2, -0.1, 0.3), (0.5, 1.0, -0.25)
+        assert _reprs(fast_spray(x, v)) == _reprs(PointData(sp, x).spray(v)[0])
+        assert len(calls) == 2  # once in the generated spray, once in PointData
+
+    @pytest.mark.parametrize(
+        "entry,x",
+        [
+            ("1 + log(x1)", (-0.0, 0.5)),
+            ("1 + sqrt(x1)", (-0.25, 0.5)),
+            ("1 + x2/x1", (-0.0, 0.5)),
+            ("1 + x2/x1 + log(x1)", (-0.25, 0.5)),  # two guards of x1, the second fires
+            ("1 + x1^-2", (0.0, 0.5)),
+            ("1 + x1^1.5", (-0.25, 0.5)),
+            ("1 + (1 + x2)^x1 + 0.1*x1^(x2 - 1)", (-0.25, 0.5)),
+            ("1 + exp(800*x1)", (0.9, 0.5)),
+            ("x1 - 0.9", (0.5, 0.5)),  # alpha^2 < 0: math.sqrt raises
+            ("2 + x1 + 0*log(0)", (0.5, 0.5)),  # fails at every x: nothing is generated
+        ],
+    )
+    def test_spray_raises_what_point_data_raises(self, entry, x):
+        sp = build_space(["x1", "x2"], BOX, [[entry, "0"], ["0", "1"]], ["0.1", "0"])
+        fast_spray, v = randers.finsler(sp).fast_spray, (1.0, 0.5)
+        with pytest.raises((ArithmeticError, ValueError)) as expected:
+            PointData(sp, x).spray(v)
+        with pytest.raises(expected.type) as got:
+            fast_spray(x, v)
+        assert (randers._spray_function(sp) is None) == ("log(0)" in entry)
+        # A lane batch holding the point fails and hands back to the float loop.
+        with pytest.raises(expected.type) as batched:
+            jets.lanewise(lambda p: fast_spray(p, v), [(0.5, 0.1), x, (0.25, -0.3)])
+        for raised in (got.value, batched.value):
+            assert (type(raised), str(raised)) == (expected.type, str(expected.value))
+
+    @pytest.mark.parametrize("name", ["sphere-hopf", "flat-nonkilling"])
+    def test_non_finite_stage_ends_the_geodesic_as_point_data_does(self, spaces, name):
+        sp = spaces[name]
+        F = randers.finsler(sp)
+        reference = core.FinslerStructure(
+            sp.chart, F.func, lambda x, v: PointData(sp, x).spray(v)[0]
+        )
+        x0 = tuple(0.1 * (k + 1) for k in range(sp.dimension))
+        v0 = (1e200, *[0.0] * (sp.dimension - 1))
+        errors = []
+        for structure in (F, reference):
+            with pytest.raises(core.NonFiniteStateError) as err:
+                core.geodesic(structure, x0, v0, 1e-190, steps=4)
+            errors.append((err.value.time, str(err.value)))
+        assert errors[0] == errors[1]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_random_entries_with_signed_zeros(self, n):

@@ -1,0 +1,94 @@
+"""staged.Sym leaves write functions that equal, bit for bit, the
+computation they record, on float and array leaves."""
+
+import math
+import random
+
+import numpy as np
+import pytest
+
+from finslerlab import jets
+from finslerlab.staged import Stage
+
+CONSTANTS = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 3.0]
+
+# Binary steps of a random program; sin and tanh keep the values bounded,
+# the division keeps its divisor >= 1.
+STEPS = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "div": lambda a, b: a / (1.0 + b * b),
+    "sin": lambda a, b: jets.sin(a) * b,
+    "tanh": lambda a, b: jets.tanh(a + b),
+    # the shape of the Christoffel and covariant sums
+    "zero-start": lambda a, b: 0.0 + a * b + b * a + a * 0.0,
+}
+
+
+def _program(rng, inputs, length):
+    """(step, left, right) triples; an operand is an earlier value or a constant."""
+    program = []
+    for k in range(length):
+        operands = [("value", i) for i in range(inputs + k)] + [("constant", c) for c in CONSTANTS]
+        program.append((rng.choice(sorted(STEPS)), rng.choice(operands), rng.choice(operands)))
+    return program
+
+
+def _run(program, inputs):
+    values = list(inputs)
+
+    def operand(ref):
+        kind, item = ref
+        return values[item] if kind == "value" else item
+
+    for step, left, right in program:
+        values.append(STEPS[step](operand(left), operand(right)))
+    return values[len(inputs):]
+
+
+def _hexes(values):
+    out = []
+    for v in values:
+        out += [c.hex() for c in v.tolist()] if isinstance(v, np.ndarray) else [float(v).hex()]
+    return out
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_generated_function_equals_the_recorded_computation(seed):
+    rng = random.Random(seed)
+    n = 3
+    program = _program(rng, n, 40)
+    stage = Stage()
+    stage.drop_zero_terms = seed % 2 == 0
+    staged = stage.unpack("x", (n,))
+    fn = stage.function("program", ("x",), _run(program, staged))
+    points = [[rng.choice([-0.0, 0.0, rng.uniform(-2.0, 2.0)]) for _ in range(n)] for _ in range(6)]
+    for point in points:
+        expected = _run(program, point)
+        assert all(math.isfinite(v) for v in expected)
+        assert _hexes(fn(point)) == _hexes(expected)
+    lanes = [np.array(c) for c in zip(*points)]
+    with np.errstate(all="raise", under="ignore"):
+        got, expected = fn(lanes), _run(program, lanes)
+    # A dropped zero term can leave a float where the lanes hold that float
+    # in every lane.
+    size = len(points)
+    assert _hexes(np.broadcast_to(v, (size,)) for v in got) == _hexes(
+        np.broadcast_to(v, (size,)) for v in expected
+    )
+
+
+def test_rewrites_write_no_line():
+    stage = Stage()
+    t, u = stage.unpack("x", (2,))
+    assert t * 1.0 is t and 1.0 * t is t and t / 1.0 is t
+    assert t - 0.0 is t and t + -0.0 is t and -0.0 + t is t
+    assert t * u is t * u  # one product, written once
+    stage.drop_zero_terms = True
+    s = 0.0 + t * u
+    assert 0.0 + t * 0.0 == 0.0 and s + 0.0 * u is s and s + u * -0.0 is s and s + 0.0 is s
+    product = t * 0.0
+    assert (t + product).ref  # read outside a zero-started sum: written
+    assert stage.lines == ["[t0, t1] = x", "t2 = t0 * t1", "t3 = (0.0) + t2", "t4 = t0 * (0.0)",
+                           "t5 = t0 + t4"]

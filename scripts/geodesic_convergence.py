@@ -1,10 +1,18 @@
 #!/usr/bin/env python3
-"""RK4 order study for the geodesic integrator.
+"""RK4 order study for the geodesic integrator, and the transport
+oracle's step ladder.
 
 Integrates one geodesic at a ladder of step counts and prints endpoint
 errors against a fine reference run; consecutive ratios near 16 confirm
 fourth-order convergence.  Also reports the F-speed drift, a first
 integral of the flow.
+
+Then runs the S-curvature transport oracle (h = 1e-3, Richardson) on
+every catalog space at 50 probes and at a ladder of RK4 step counts, and
+prints the worst |S_formula - S_transport| per space and count.  The gap
+stays at the central difference's rounding floor down to a few steps.
+Exits 1 if the worst gap at scurvature.TRANSPORT_STEPS, the count
+`validate` and `s-curvature --oracle` run, exceeds 1e-9.
 """
 
 import argparse
@@ -14,8 +22,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from finslerlab import catalog, randers
-from finslerlab.core import geodesic
+from finslerlab import catalog, randers, scurvature
+from finslerlab.core import geodesic, probe_pairs
+
+TRANSPORT_LADDER = (100, 20, 10, 4, 2)
+TRANSPORT_PROBES = 50
+TRANSPORT_GATE = 1e-9
 
 
 def main() -> int:
@@ -46,6 +58,42 @@ def main() -> int:
         ratio = f"{previous / err:8.1f}" if previous else f"{'-':>8s}"
         print(f"{steps:7d} {err:16.3e} {ratio} {drift:12.2e}")
         previous = err
+    print()
+    return transport_ladder()
+
+
+def transport_ladder() -> int:
+    """Worst formula-vs-transport gap per catalog space and step count;
+    1 if the worst at TRANSPORT_STEPS exceeds TRANSPORT_GATE."""
+    ladder = sorted({*TRANSPORT_LADDER, scurvature.TRANSPORT_STEPS}, reverse=True)
+    print(
+        f"transport oracle, h = 1e-3, Richardson, {TRANSPORT_PROBES} probes per space: "
+        "worst |S_formula - S_transport|"
+    )
+    print(f"{'space':20s} {'n':>2s} " + " ".join(f"{k:>8d}" for k in ladder))
+    worst = dict.fromkeys(ladder, 0.0)
+    for name in catalog.NAMES:
+        sp = catalog.space(name)
+        F = randers.finsler(sp)
+        bh = scurvature.busemann_hausdorff_measure(sp)
+        pairs = probe_pairs(sp.chart, TRANSPORT_PROBES)
+        xs, vs = [x for x, _ in pairs], [v for _, v in pairs]
+        formula = [scurvature.s_curvature(F, bh, x, v) for x, v in pairs]
+        row = []
+        for steps in ladder:
+            transport = scurvature.s_curvature_transport_batch(F, bh, xs, vs, steps=steps)
+            gap = max(abs(a - b) for a, b in zip(formula, transport))
+            worst[steps] = max(worst[steps], gap)
+            row.append(gap)
+        print(f"{name:20s} {sp.dimension:2d} " + " ".join(f"{g:8.1e}" for g in row))
+    print(f"{'worst':20s} {'':2s} " + " ".join(f"{worst[k]:8.1e}" for k in ladder))
+    gap = worst[scurvature.TRANSPORT_STEPS]
+    if not gap <= TRANSPORT_GATE:
+        print(
+            f"FAIL: worst gap {gap:.3e} at TRANSPORT_STEPS = {scurvature.TRANSPORT_STEPS} "
+            f"exceeds {TRANSPORT_GATE:g}"
+        )
+        return 1
     return 0
 
 

@@ -194,8 +194,7 @@ def run_checks(
     formula = s_bh[: len(transport_pairs)]
     try:
         transport = scurvature.s_curvature_transport_batch(
-            F, bh, [x for x, _ in transport_pairs], [v for _, v in transport_pairs],
-            h=1e-3, steps=100,
+            F, bh, [x for x, _ in transport_pairs], [v for _, v in transport_pairs], h=1e-3
         )
     except (DomainExitError, ExprError):
         raise  # the chart's edge or an undefined spec expression

@@ -115,7 +115,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--oracle", action="store_true", help="also run the transport oracle")
     p.add_argument("--h", type=float, default=1e-3, help="oracle half-step")
-    p.add_argument("--steps", type=int, default=100, help="oracle integrator steps")
+    p.add_argument(
+        "--steps",
+        type=int,
+        default=scurvature.TRANSPORT_STEPS,
+        help="oracle RK4 steps per geodesic (default %(default)s; rounded up to even "
+        "under Richardson); the oracle's accuracy is bounded by the rounding floor "
+        "of its central difference at --h, not by the step count",
+    )
     p.add_argument("--no-richardson", action="store_true")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(handler=cmd_s_curvature)
@@ -359,7 +366,7 @@ def cmd_s_curvature(args) -> int:
         "s_transport": s_transport,
         "oracle": {
             "h": args.h,
-            "steps": args.steps,
+            "steps": scurvature._integrated_steps(args.steps, not args.no_richardson),
             "richardson": not args.no_richardson,
         }
         if args.oracle

@@ -93,8 +93,22 @@ def inv(matrix) -> list:
                 continue
             row, b_row = a[r], b[r]
             factor = row[col]
-            if isinstance(factor, float) and factor == 0.0:
-                continue
+            if isinstance(factor, float):
+                if factor == 0.0:
+                    continue
+            elif isinstance(factor, np.ndarray):
+                # Each lane skips a zero factor, as the float path does:
+                # x - 0 * y is not x when x is -0.0 or y is not finite.
+                nonzero = np.count_nonzero(factor)
+                if nonzero == 0:
+                    continue
+                if nonzero < factor.size:
+                    zero = factor == 0.0
+                    row[col + 1 :] = [
+                        select(zero, e, e - factor * t) for e, t in zip(row[col + 1 :], top[col + 1 :])
+                    ]
+                    b_row[:] = [select(zero, e, e - factor * t) for e, t in zip(b_row, b_top)]
+                    continue
             for c in range(n):
                 if c > col:
                     row[c] = row[c] - factor * top[c]
@@ -122,18 +136,22 @@ def _pivot_lanes(col: int, a: list, *others: list):
     In every lane the first row at or below `col` whose standard part is
     largest in magnitude (the row max picks on floats) swaps with row
     `col`, in `a` and in `others`.  Returns the pivot magnitude and the
-    mask of lanes that swapped.
+    mask of lanes that swapped.  A candidate that is the float 0.0 is
+    skipped: 0.0 > best is false for every best >= 0 and for NaN.
     """
     best = abs(standard_part(a[col][col]))
     row = col
     for r in range(col + 1, len(a)):
-        candidate = abs(standard_part(a[r][col]))
+        entry = a[r][col]
+        if isinstance(entry, float) and entry == 0.0:
+            continue
+        candidate = abs(standard_part(entry))
         better = candidate > best
         best = np.where(better, candidate, best)
         row = np.where(better, r, row)
     for r in range(col + 1, len(a)):
         mask = row == r
-        if mask.any():
+        if np.any(mask):
             for rows in (a, *others):
                 for c, (x, y) in enumerate(zip(rows[col], rows[r])):
                     rows[col][c], rows[r][c] = select(mask, y, x), select(mask, x, y)

@@ -104,6 +104,13 @@ def unit_ball_volume(n: int) -> float:
 
 # -- S-curvature ----------------------------------------------------------------
 
+# RK4 steps per transport-oracle geodesic (validate, s-curvature --oracle).
+# At h = 1e-3 the oracle's error is the rounding floor of its central
+# difference at every count from 2 to 100 (scripts/geodesic_convergence.py);
+# RK4's share, C h^4 / steps^4, is about 1e-16 C at 10 steps.  Even, so
+# that the Richardson midpoint is a step index.
+TRANSPORT_STEPS = 10
+
 
 # The (F, key, N) of the last s_curvature call that computed N, rebound as
 # a whole, so a concurrent caller reads a whole entry or none.
@@ -170,7 +177,7 @@ def s_curvature_transport(
     x,
     v,
     h: float = 1e-3,
-    steps: int = 100,
+    steps: int = TRANSPORT_STEPS,
     richardson: bool = True,
 ) -> float:
     """Transport-definition oracle for the S-curvature at one (x, v).
@@ -179,10 +186,10 @@ def s_curvature_transport(
     leaves, central-differences log(sqrt(det g)/sigma) and rescales by
     F(v) (S is positively 1-homogeneous).  With richardson=True the h and
     h/2 differences are combined for fourth-order accuracy.  Raises what
-    geodesic raises when a path leaves the chart or blows up.
+    geodesic raises when a path leaves the chart or blows up.  Runs
+    _integrated_steps(steps, richardson) RK4 steps per path.
     """
-    if steps % 2:
-        steps += 1
+    steps = _integrated_steps(steps, richardson)
     n = F.chart.dimension
     forward, backward = [_trajectory(F, (*x, *v, t), steps, richardson) for t in (h, -h)]
     phis = [_log_ratio(F, measure, s[:n], s[n:]) for s in _end_states(forward, backward)]
@@ -195,7 +202,7 @@ def s_curvature_transport_batch(
     xs: Sequence,
     vs: Sequence,
     h: float = 1e-3,
-    steps: int = 100,
+    steps: int = TRANSPORT_STEPS,
     richardson: bool = True,
 ) -> list[float]:
     """The transport oracle at every (xs[k], vs[k]), in input order.
@@ -215,8 +222,7 @@ def s_curvature_transport_batch(
     a log-ratio error of an earlier one, because every trajectory runs
     before any log-ratio.
     """
-    if steps % 2:
-        steps += 1
+    steps = _integrated_steps(steps, richardson)
     n = F.chart.dimension
     runs = jets.lanewise(
         lambda p: _trajectory(F, p, steps, richardson),
@@ -230,6 +236,12 @@ def s_curvature_transport_batch(
         _central_difference(fval, phis[k * per_probe : (k + 1) * per_probe], h, richardson)
         for k, (fval, _) in enumerate(forward)
     ]
+
+
+def _integrated_steps(steps: int, richardson: bool) -> int:
+    """The RK4 step count the oracle runs for `steps`: rounded up to even
+    under Richardson, whose h/2 difference reads the path at steps // 2."""
+    return steps + steps % 2 if richardson else steps
 
 
 def _trajectory(F: FinslerStructure, p, steps: int, richardson: bool) -> list:

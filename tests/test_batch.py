@@ -320,6 +320,55 @@ class TestInvBatch:
         assert [d.hex() for d in got] == [d.hex() for d in expected]
 
 
+class TestFloatZeroPivotCandidates:
+    """Float 0.0 and -0.0 entries in a lane batch, as in a diagonal metric:
+    inv and det equal the per-matrix float loop by float.hex."""
+
+    @staticmethod
+    def hexes(result, k):
+        return [float(_lane(e, k)).hex() for e in _entries(result)]
+
+    def test_equal_the_float_loop(self):
+        a = leaves([2.0, -1.5, 0.5, math.nan])
+        b = leaves([0.25, 3.0, -4.0, 1.0])
+        c = leaves([-1.0, 0.75, 2.0, 5.0])
+        for matrix in (
+            [[a, 0.0, 0.0], [0.0, b, -0.0], [0.0, 0.0, c]],
+            [[0.0, b, 0.0], [-0.0, 0.0, a], [c, 0.0, 1.5]],
+            [[0.0, 1.0, a], [b, 0.0, 0.0], [0.0, c, -0.0]],
+        ):
+            singles = [[[_lane(e, k) for e in row] for row in matrix] for k in range(4)]
+            for op in (inv, det):
+                batched = op(matrix)
+                assert [self.hexes(batched, k) for k in range(4)] == [
+                    self.hexes(op(m), 0) for m in singles
+                ]
+
+    def test_singular_lane(self):
+        # Lane 1 is singular: the batch raises, the float loop gives
+        # det = 0.0 there and inv raises there only.
+        matrix = [
+            [leaves([2.0, 1.0, -3.0]), 0.0, 0.0],
+            [0.0, leaves([0.5, 0.0, 4.0]), -0.0],
+            [0.0, 0.0, leaves([1.0, 2.0, 0.25])],
+        ]
+        singles = [[[_lane(e, k) for e in row] for row in matrix] for k in range(3)]
+        for op in (inv, det):
+            with pytest.raises(SingularMatrixError):
+                op(matrix)
+        got = jets.lanewise(lambda p: det([p[0:3], p[3:6], p[6:9]]), [sum(m, []) for m in singles])
+        assert [d.hex() for d in got] == [det(m).hex() for m in singles]
+        assert got[1] == 0.0
+        with pytest.raises(SingularMatrixError):
+            inv(singles[1])
+        regular = [[e[[0, 2]] if isinstance(e, np.ndarray) else e for e in row] for row in matrix]
+        for op in (inv, det):
+            batched = op(regular)
+            assert [self.hexes(batched, k) for k in range(2)] == [
+                self.hexes(op(singles[k]), 0) for k in (0, 2)
+            ]
+
+
 def _inv_every_column(matrix) -> list:
     """Gauss-Jordan as linalg.inv ran it before it skipped dead columns:
     every column of `a` is divided and eliminated at every pivot."""
@@ -426,14 +475,18 @@ class TestTransportBatch:
         assert [repr(b) for b in batch] == [repr(s) for s in single]
 
     def test_one_probe_reproduces_recorded_values(self, spaces, structures):
-        # Values of the per-probe float oracle recorded before the batch existed.
+        # Values of the per-probe float oracle recorded before the batch
+        # existed, at 100 steps unless a case says otherwise.
         bh = busemann_hausdorff_measure
         cases = [
-            ("flat-nonkilling", bh, (0.5, 0.0), (1.0, 0.0), {}, 0.7500000000000062),
-            ("sphere-hopf", bh, (0.1, -0.2, 0.3), (0.6, 0.0, 0.8), {}, -7.547056239418653e-13),
+            ("flat-nonkilling", bh, (0.5, 0.0), (1.0, 0.0), {"steps": 100}, 0.7500000000000062),
+            (
+                "sphere-hopf", bh, (0.1, -0.2, 0.3), (0.6, 0.0, 0.8), {"steps": 100},
+                -7.547056239418653e-13,
+            ),
             (
                 "polar-riemannian", riemannian_volume_measure, (1.2, 3.0), (0.5, 0.3),
-                {"richardson": False}, -8.550339214846362e-15,
+                {"steps": 100, "richardson": False}, -8.550339214846362e-15,
             ),
             (
                 "rotational-killing", bh, (0.3, -0.4), (-0.2, 0.9),
@@ -484,14 +537,15 @@ class TestTransportBatch:
         )
         F = randers.finsler(space)
         measure = lebesgue_measure()
-        # Probe 0 fails late, probe 2 early: the loop raises probe 0's error.
+        # Probe 0 fails late, probe 2 early: the loop raises probe 0's error
+        # (the value below is its stage point at 100 steps).
         xs = [(0.0008, 0.0), (0.5, 0.1), (0.0002, 0.0), (0.5, 0.0)]
         vs = [(-1.0, 0.0), (0.3, 1.0), (-1.0, 0.0), (1.0, 0.0)]
         with pytest.raises(ExprDomainError) as in_loop:
             for x, v in zip(xs, vs):
-                s_curvature_transport(F, measure, x, v)
+                s_curvature_transport(F, measure, x, v, steps=100)
         with pytest.raises(ExprDomainError) as batched:
-            s_curvature_transport_batch(F, measure, xs, vs)
+            s_curvature_transport_batch(F, measure, xs, vs, steps=100)
         assert str(batched.value) == str(in_loop.value)
         assert "-2.77590182800" in str(batched.value)
 

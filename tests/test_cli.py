@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finslerlab
-from finslerlab import catalog, checks, cli, core, randers
+from finslerlab import catalog, checks, cli, core, randers, scurvature
 from finslerlab.cli import main
 from finslerlab.core import probe_points
 
@@ -173,6 +173,27 @@ class TestSCurvature:
         assert results["s_formula"] == pytest.approx(0.75, abs=1e-12)
         assert results["s_transport"] == pytest.approx(0.75, abs=1e-5)
         assert results["measure"] == "busemann-hausdorff"
+
+    @pytest.mark.parametrize(
+        "flags,integrated,same_as",
+        [([], 4, ["--steps", "4"]), (["--no-richardson"], 3, ["--steps", "3", "--no-richardson"])],
+    )
+    def test_odd_steps_report_the_count_integrated(
+        self, capsys, spec_path, flags, integrated, same_as
+    ):
+        # Richardson reads each path at its midpoint, so it rounds 3 up to 4;
+        # without it the oracle runs the 3 steps it was given.
+        argv = ["s-curvature", spec_path("flat-nonkilling"), "--point", "0.5,0", "--vector", "1,0",
+                "--oracle"]
+        code, report = run_json(capsys, *argv, "--steps", "3", *flags)
+        assert code == EXIT_OK
+        assert report["results"]["oracle"]["steps"] == integrated
+        value = report["results"]["s_transport"]
+        assert value == pytest.approx(0.75, abs=1e-5)
+        _, even = run_json(capsys, *argv, "--steps", "4", *flags)
+        assert (value == even["results"]["s_transport"]) == (integrated == 4)
+        _, default = run_json(capsys, *argv)
+        assert default["results"]["oracle"]["steps"] == scurvature.TRANSPORT_STEPS
 
     def test_riemannian_volume_zero(self, capsys, spec_path):
         code, report = run_json(
@@ -464,16 +485,18 @@ class TestValidate:
         code, report = run_json(capsys, "validate", spec_path("flat-const", mutate))
         assert code == EXIT_WARNING
         assert report["error"]["type"] == "DomainExitError"
-        assert report["error"]["time"] == pytest.approx(-0.00041, abs=1e-12)
+        # the first step end past the edge: steps of h / TRANSPORT_STEPS = 1e-4
+        assert report["error"]["time"] == pytest.approx(-0.0005, abs=1e-12)
         assert "left the chart" in report["error"]["message"]
 
     @pytest.mark.parametrize("seed", ["1", "2"])
     def test_transport_math_domain_error_exit_four(self, capsys, spec_path, seed):
         # An RK4 stage point of a transport geodesic reaches x1 < 0, where
-        # alpha^2 turns negative, before any geodesic leaves the chart.
+        # alpha^2 turns negative, before any geodesic leaves the chart: the
+        # chart's edge sits one RK4 step (h / TRANSPORT_STEPS = 1e-4) past 0.
         def mutate(data):
             metric_past_the_edge(data)
-            data["domain"] = [[1e-5, 1e-3], [-1.0, 1.0]]
+            data["domain"] = [[1e-4, 1e-2], [-1.0, 1.0]]
 
         code, report = run_json(
             capsys, "validate", spec_path("euclidean2", mutate), "--mc-samples", "10000",

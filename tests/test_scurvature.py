@@ -1,3 +1,4 @@
+import inspect
 import math
 import sys
 import tracemalloc
@@ -329,6 +330,44 @@ class TestTransportOracle:
                 sf = s_curvature(F, measure, x, v)
                 st = s_curvature_transport(F, measure, x, v, h=1e-3, steps=100)
                 assert abs(sf - st) <= 1e-5
+
+    def test_transport_steps_is_the_even_default(self):
+        # Richardson reads each path at TRANSPORT_STEPS // 2.
+        assert scurvature.TRANSPORT_STEPS % 2 == 0
+        for oracle in (s_curvature_transport, s_curvature_transport_batch):
+            steps = inspect.signature(oracle).parameters["steps"].default
+            assert steps == scurvature.TRANSPORT_STEPS
+
+    @pytest.mark.parametrize(
+        "name,spec",
+        [(name, None) for name in catalog.NAMES]
+        + [(s["name"], s) for s in specgen.generate_set(5, specgen.family_grid(), "steps")],
+    )
+    def test_default_steps_agree_with_100_and_the_formula(self, name, spec):
+        space = manifest.space_from_spec(spec) if spec else catalog.space(name)
+        F = randers.finsler(space)
+        measure = busemann_hausdorff_measure(space)
+        pairs = probe_pairs(space.chart, 8)
+        xs, vs = [x for x, _ in pairs], [v for _, v in pairs]
+        default = s_curvature_transport_batch(F, measure, xs, vs)
+        fine = s_curvature_transport_batch(F, measure, xs, vs, steps=100)
+        formula = [s_curvature(F, measure, x, v) for x, v in pairs]
+        for d, f, s in zip(default, fine, formula):
+            assert abs(d - f) <= 1e-10 and abs(d - s) <= 1e-10
+
+    def test_odd_steps_round_up_only_under_richardson(self, spaces, structures):
+        F = structures["flat-nonkilling"]
+        measure = busemann_hausdorff_measure(spaces["flat-nonkilling"])
+        x, v = (0.5, 0.0), (1.0, 0.0)
+
+        def run(steps, richardson):
+            return s_curvature_transport(F, measure, x, v, steps=steps, richardson=richardson)
+
+        assert run(3, True) == run(4, True)
+        assert run(3, False) != run(4, False)
+        assert s_curvature_transport_batch(F, measure, [x], [v], steps=3, richardson=False) == [
+            run(3, False)
+        ]
 
     # F(v) overflows to inf at |v| = 1e300, and is NaN for a NaN component;
     # neither may reach the geodesic as a zero or NaN unit start vector.

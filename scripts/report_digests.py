@@ -12,11 +12,13 @@ measure kind, then once with `--oracle`; and a short `geodesic` from
 the same point.  The s-curvature and geodesic runs read a copy of the
 spec that declares a custom measure of the s-curvature-sweep density
 shape, so `--measure custom` has its density and `--oracle` runs under
-it (the spec's own measure).  After each spec set, two library-level
-lines per spec hash the repr of `scurvature.s_curvature` under the four
-measure kinds at a few seeded points x with one v, one F per spec:
-"library:sweep" in the s-curvature-sweep's order (four kinds at v, then
-one at 2v), point by point and space by space, and "library:interleaved"
+it (the spec's own measure).  Two `bh` runs at the chart midpoint
+follow: one at default flags, one at 140001 samples (a partial last
+chunk) under the largest seed, 2**64 - 1.  After each spec set, two
+library-level lines per spec hash the repr of `scurvature.s_curvature`
+under the four measure kinds at a few seeded points x with one v, one F
+per spec: "library:sweep" in the s-curvature-sweep's order (four kinds
+at v, then one at 2v), point by point and space by space, and "library:interleaved"
 for the same calls with the spaces and points interleaved, so that a
 value carried over from another space or point would change a line.
 Last, one "contract:" line per malformed spec and command (`analyze`,
@@ -101,6 +103,10 @@ def runs(spec: dict, path: Path, measured: Path) -> list[tuple[str, list[str]]]:
     out.append(("s-curvature:oracle", ["s-curvature", str(measured), *where, "--oracle"]))
     geodesic = [f"--from={point}", f"--dir={vector}", "--time", "0.5", "--steps", "50"]
     out.append(("geodesic", ["geodesic", str(measured), *geodesic]))
+    bh = ["bh", str(path), f"--point={point}"]
+    out.append(("bh", bh))
+    largest_seed = ["--seed", str(2**64 - 1)]
+    out.append(("bh:partial-chunk-largest-seed", [*bh, "--samples", "140001", *largest_seed]))
     return out
 
 

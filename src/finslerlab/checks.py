@@ -200,10 +200,18 @@ def run_checks(
         raise  # the chart's edge or an undefined spec expression
     except ValueError as exc:
         raise TransportDomainError(str(exc)) from exc
-    transport_diff = max((abs(sf - st) for sf, st in zip(formula, transport)), default=0.0)
-    results.append(
-        _result("s-formula-vs-transport", transport_diff, 1e-5, "h = 1e-3, Richardson")
-    )
+    if transport_pairs:
+        transport_diff = max(abs(sf - st) for sf, st in zip(formula, transport))
+        results.append(
+            _result("s-formula-vs-transport", transport_diff, 1e-5, "h = 1e-3, Richardson")
+        )
+    else:
+        results.append(
+            CheckResult(
+                "s-formula-vs-transport", 0.0, 1e-5, True, skipped=True,
+                note="no transport probes compared",
+            )
+        )
 
     # S at 0.5v and 2v builds its own N: one lane per (pair, c).
     subset = pairs[:20]

@@ -19,6 +19,7 @@ never differentiated.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -288,8 +289,12 @@ def _unit_start(F: FinslerStructure, x, v) -> tuple:
 
 # -- Busemann-Hausdorff density by Monte Carlo -----------------------------------
 
-# Rows per Monte-Carlo draw; the hit counts of the chunks are summed.
-MC_CHUNK_ROWS = 65_536
+# Rows per Monte-Carlo chunk; the hit counts of the chunks are summed.  The
+# second half of the stream starts at a chunk boundary, a multiple of
+# MC_CHUNK_ROWS * n doubles in.  That must be divisible by 4, Philox4x64's
+# outputs per counter step, for the half to start on a whole step: keep
+# MC_CHUNK_ROWS divisible by 4 so that this holds for every n.
+MC_CHUNK_ROWS = 32_768
 
 
 def bh_density_monte_carlo(
@@ -300,9 +305,13 @@ def bh_density_monte_carlo(
     The F-unit ball satisfies alpha(v) < 1/(1 - ||beta||), so the sampling
     box is that ellipsoid's bounding box in the a(x)-eigenbasis.  The RNG
     is counter-based (numpy Philox keyed with the 64-bit seed), which
-    makes estimates bit-reproducible for a fixed seed.  Samples are drawn
-    MC_CHUNK_ROWS rows at a time from the one stream into one reused
-    buffer, so memory stays bounded whatever the sample count.
+    makes estimates bit-reproducible for a fixed seed.  The stream's rows
+    are split at a chunk boundary into two contiguous halves: the caller
+    counts the hits of the first while a helper thread counts those of the
+    second, from a Philox advanced to the row where it starts, so every
+    sample has the bits of the one sequential stream.  Each half draws
+    MC_CHUNK_ROWS rows at a time into one reused buffer, so memory stays
+    bounded whatever the sample count.
     """
     if sample_count < 10_000:
         raise ValueError("sample_count must be at least 10^4")
@@ -322,23 +331,26 @@ def bh_density_monte_carlo(
     half_width = radius / np.sqrt(lam)
     box_volume = float(np.prod(2.0 * half_width))
 
-    rng = np.random.Generator(np.random.Philox(key=rng_seed))
     b_eigen = q.T @ b
-    # rng.uniform(low, high) draws low + (high - low) * U; the same
-    # arithmetic on rng.random's U, in place, keeps every sample's bits.
-    low = -half_width
-    span = half_width - low
-    draw = np.empty((min(MC_CHUNK_ROWS, sample_count), n))
-    squares = np.empty_like(draw)
-    hits = 0
-    for start in range(0, sample_count, MC_CHUNK_ROWS):
-        rows = min(MC_CHUNK_ROWS, sample_count - start)
-        y = rng.random(out=draw[:rows])
-        for column, lo, width in zip(y.T, low, span):
-            column *= width
-            column += lo
-        y2 = np.multiply(y, y, out=squares[:rows])
-        hits += int(np.count_nonzero(np.sqrt(y2 @ lam) + y @ b_eigen < 1.0))
+    chunks = -(-sample_count // MC_CHUNK_ROWS)
+    split = min((chunks + 1) // 2 * MC_CHUNK_ROWS, sample_count)
+    second: list = []  # the helper's hit count, or what it raised
+
+    def count_second_half() -> None:
+        try:
+            second.append(_count_hits(rng_seed, split, sample_count, half_width, lam, b_eigen))
+        except BaseException as exc:  # re-raised in the caller
+            second.append(exc)
+
+    helper = threading.Thread(target=count_second_half)
+    helper.start()
+    try:
+        hits = _count_hits(rng_seed, 0, split, half_width, lam, b_eigen)
+    finally:
+        helper.join()
+    if isinstance(second[0], BaseException):
+        raise second[0]
+    hits += second[0]
     p = hits / sample_count
     if p == 0.0:
         raise randers.InvalidSpaceError("unit ball missed entirely; degenerate data")
@@ -348,4 +360,31 @@ def bh_density_monte_carlo(
     estimate = omega / ball_volume
     std_error = omega * se_volume / (ball_volume * ball_volume)
     return estimate, std_error
+
+
+def _count_hits(seed: int, first_row: int, stop_row: int, half_width, lam, b_eigen) -> int:
+    """Hits in rows [first_row, stop_row) of the Philox stream keyed with
+    seed, first_row a multiple of MC_CHUNK_ROWS."""
+    n = len(lam)
+    bit_generator = np.random.Philox(key=seed)
+    # Philox4x64 gives 4 uint64s per counter step and Generator.random uses
+    # one per double, so row first_row starts first_row * n // 4 steps in.
+    bit_generator.advance(first_row * n // 4)
+    rng = np.random.Generator(bit_generator)
+    # rng.uniform(low, high) draws low + (high - low) * U; the same
+    # arithmetic on rng.random's U, in place, keeps every sample's bits.
+    low = -half_width
+    span = half_width - low
+    draw = np.empty((min(MC_CHUNK_ROWS, stop_row - first_row), n))
+    squares = np.empty_like(draw)
+    hits = 0
+    for start in range(first_row, stop_row, MC_CHUNK_ROWS):
+        rows = min(MC_CHUNK_ROWS, stop_row - start)
+        y = rng.random(out=draw[:rows])
+        for column, lo, width in zip(y.T, low, span):
+            column *= width
+            column += lo
+        y2 = np.multiply(y, y, out=squares[:rows])
+        hits += int(np.count_nonzero(np.sqrt(y2 @ lam) + y @ b_eigen < 1.0))
+    return hits
 

@@ -478,6 +478,22 @@ class TestValidate:
         assert "s-formula-vs-transport" in names
         assert "theorem-end-to-end" in names
 
+    def test_zero_transport_probes_skip_the_comparison(self, capsys, spec_path):
+        code = main(
+            [
+                "validate", spec_path("flat-const"), "--probes", "10",
+                "--transport-probes", "0", "--mc-samples", "20000",
+            ]
+        )
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert code == EXIT_OK
+        assert report["results"]["all_pass"] is True
+        (check,) = [c for c in report["results"]["checks"] if c["name"] == "s-formula-vs-transport"]
+        assert check["skipped"] is True
+        assert check["note"] == "no transport probes compared"
+        assert "SKIP s-formula-vs-transport" in captured.err
+
     def test_transport_leaving_the_chart_exit_four(self, capsys, spec_path):
         def mutate(data):
             data["domain"] = [[-0.01, 0.01], [-0.01, 0.01]]
@@ -619,6 +635,16 @@ class TestProcess:
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
         )
         assert result.stdout.strip() == f"{EXIT_OK} []", result.stderr
+
+    def test_no_concurrent_futures_at_import(self):
+        # the Monte-Carlo helper thread is a plain threading.Thread
+        script = "import sys, finslerlab.cli; print('concurrent.futures' in sys.modules)"
+        src = str(Path(finslerlab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.stdout.strip() == "False", result.stderr
 
     @pytest.mark.parametrize("name", ["flat-const", "sphere-hopf"])
     @pytest.mark.parametrize(

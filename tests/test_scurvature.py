@@ -1,6 +1,8 @@
 import inspect
 import math
+import random
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -90,14 +92,67 @@ class TestMonteCarlo:
             spaces["sphere-hopf"], (0.0, 0.0, 0.0), 200_000, 7
         ) == (6.647796600308765, 0.028309593216158106)
 
+    def test_threads_calling_at_once_get_the_recorded_values(self, spaces):
+        recorded = {
+            "flat-const": ((0.0, 0.0), 20240, (0.6486069563113785, 0.0022011239920046595)),
+            "sphere-hopf": ((0.0, 0.0, 0.0), 7, (6.647796600308765, 0.028309593216158106)),
+        }
+        names = ["flat-const", "sphere-hopf"] * 2
+        barrier = threading.Barrier(len(names))
+        results = [None] * len(names)
+
+        def call(k):
+            x, seed, _ = recorded[names[k]]
+            barrier.wait()
+            results[k] = bh_density_monte_carlo(spaces[names[k]], x, 200_000, seed)
+
+        before = threading.active_count()
+        callers = [threading.Thread(target=call, args=(k,)) for k in range(len(names))]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join()
+        assert results == [recorded[name][2] for name in names]
+        assert threading.active_count() == before  # no helper outlives its call
+
+    def test_the_helper_half_raises_in_the_caller(self, spaces, monkeypatch):
+        count_hits = scurvature._count_hits
+
+        def failing_second_half(seed, first_row, *args):
+            if first_row > 0:
+                raise MemoryError("second half")
+            return count_hits(seed, first_row, *args)
+
+        monkeypatch.setattr(scurvature, "_count_hits", failing_second_half)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="second half"):
+            bh_density_monte_carlo(spaces["flat-const"], (0.0, 0.0), 200_000, 1)
+        assert threading.active_count() == before
+
     @pytest.mark.parametrize(
         "name, x", [("flat-const", (0.3, -0.2)), ("sphere-hopf", (0.1, 0.2, -0.3)),
-                    ("polar-riemannian", (1.5, 3.0))]
+                    ("polar-riemannian", (1.5, 3.0)), ("specgen-n4", None)]
     )
-    @pytest.mark.parametrize("count, seed", [(10_000, 0), (65_537, 2**64 - 1), (140_000, 5)])
+    @pytest.mark.parametrize(
+        "count, seed",
+        [
+            (10_000, 0),
+            (scurvature.MC_CHUNK_ROWS, 3),  # one chunk
+            (2 * scurvature.MC_CHUNK_ROWS, 1),  # two chunks, one per half
+            (3 * scurvature.MC_CHUNK_ROWS, 2**64 - 1),  # an odd number of chunks
+            (65_537, 2**64 - 1),
+            (140_000, 5),  # a partial last chunk
+        ],
+    )
     def test_draw_equals_the_uniform_reference(self, spaces, name, x, count, seed):
-        """The in-place draw gives the estimates of rng.uniform per chunk."""
-        space = spaces[name]
+        """The two halves' in-place draws give the estimates of rng.uniform
+        per chunk from the one sequential stream."""
+        if name in spaces:
+            space = spaces[name]
+        else:
+            spec = specgen.generate(random.Random(22), "length-varies", 4, 1, name)
+            space = manifest.space_from_spec(spec)
+            x = tuple(0.5 * (lo + hi) for lo, hi in space.chart.bounds)
         a = np.array([[standard_part(e) for e in row] for row in randers.a_at(space, x)])
         b = np.array([standard_part(c) for c in randers.b_at(space, x)])
         lam, q = np.linalg.eigh(a)
@@ -117,7 +172,8 @@ class TestMonteCarlo:
         assert bh_density_monte_carlo(space, x, count, seed) == expected
 
     def test_memory_is_bounded(self, spaces):
-        # one draw of all samples peaked at 53 MB here
+        # one draw of all samples peaked at 53 MB; its two halves of 32768-row
+        # chunks peak at 3.8 MB once the space is warm (one stream: 4.2 MB)
         tracemalloc.start()
         try:
             bh_density_monte_carlo(spaces["sphere-hopf"], (0.0, 0.0, 0.0), 1_000_000, 7)

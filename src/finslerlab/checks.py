@@ -7,6 +7,12 @@ the X/Y spray split, formula-vs-transport S-curvature, measure scale and
 shift laws, Monte-Carlo vs closed-form Busemann-Hausdorff density, and
 the end-to-end verdict coherence.  The `validate` CLI command prints one
 line per entry; the test suite asserts them at the same tolerances.
+
+Every (x, v) quantity comes from one jets.lanewise pass: one lane per
+probe pair, then (x, 0.5v) and (x, 2v) for the first 20 pairs, whose own
+N gives the S that s-homogeneity compares.  Each lane evaluates F^2/2
+once for PairTensors and sigma_BH once for S under it and its scaled and
+shifted laws.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets, randers, scurvature
-from .core import DomainExitError, PairTensors, _connection_at, euler_identity_residual
+from .core import DomainExitError, PairTensors, euler_identity_residual
 from .core import fundamental_tensor
 from .expr import ExprError
 from .jets import _leaves, partial, seed_group, standard_part
@@ -76,13 +82,9 @@ def run_checks(
     verdict = randers.decide(analysis, tol_killing, tol_length)
 
     # Every measure whose S the battery reads: Busemann-Hausdorff and its
-    # scale and shift laws and, when no measure is admitted, the floor.
+    # scale and shift laws (read per lane from one sigma_BH jet) and, when
+    # no measure is admitted, the floor.
     bh = scurvature.busemann_hausdorff_measure(space)
-    laws = [
-        bh,
-        scurvature.Measure("custom", lambda xx: 2.7 * bh.density(xx)),
-        scurvature.Measure("custom", lambda xx: jet_exp(xx[0]) * bh.density(xx)),
-    ]
     floor_measures = []
     if not verdict.admits:
         floor_measures = [scurvature.lebesgue_measure(), scurvature.riemannian_volume_measure(space)]
@@ -90,7 +92,7 @@ def run_checks(
     # Each loop over the probes is one jets.lanewise pass: a function of
     # one probe's values, evaluated once over array leaves with one lane
     # per probe.  The folds below take each sup in the per-pair order.
-    def pair_row(p):  # p = (*x, *v) of one pair
+    def pair_row(p):  # p = (*x, *v) of one lane
         x, v = p[:n], p[n:]
         t = PairTensors(F, x, v)  # F, g, A, N, G for every check below
         fv = t.f
@@ -102,7 +104,7 @@ def run_checks(
         closed = data.spray(v)[0]
         denom = 1.0 + jets.maximum([abs(c) for c in t.G])
         dx, dy = data.traces(v)
-        return [
+        row = [
             fv,
             homog,
             abs(quad - fv * fv) / (fv * fv),
@@ -116,13 +118,27 @@ def run_checks(
             jets.maximum([abs(a - b) for a, b in zip(closed, t.G)]) / denom,
             abs(dx),
             abs(dy - data.trace_dY_closed_form(v)),
-            [scurvature.s_curvature_from(t.N, m, x, v) for m in laws],
-            [scurvature.s_curvature_from(t.N, m, x, v) for m in floor_measures],
+        ]
+        xs = seed_group(_leaves(x), range(n))  # x seeded once for every density
+        sigma = bh.density(xs)
+        laws = (sigma, 2.7 * sigma, jet_exp(xs[0]) * sigma)
+        return row + [
+            [scurvature._trace_formula(t.N, d, x, v) for d in laws],
+            [scurvature._trace_formula(t.N, m.density(xs), x, v) for m in floor_measures],
         ]
 
-    rows = jets.lanewise(pair_row, [(*x, *v) for x, v in pairs])
+    # The pass runs one lane per pair, then one per (pair, c) of the
+    # homogeneity subset with v scaled by c: S at cv from that lane's own N.
+    # The subset lanes' other rows are computed and not read.
+    subset = pairs[:20]
+    cs = (0.5, 2.0)
+    rows = jets.lanewise(
+        pair_row,
+        [(*x, *v) for x, v in pairs] + [(*x, *[c * vi for vi in v]) for x, v in subset for c in cs],
+    )
+    s_cv = [row[-2][0] for row in rows[len(pairs) :]]  # S_BH of each subset lane
     (fvs, homogs, gvvs, g_homogs, eigs, cartans, rewrites, eulers, sprays, traces_x, traces_y,
-     law_rows, floor_rows) = map(list, zip(*rows)) if rows else [[]] * 13
+     law_rows, floor_rows) = map(list, zip(*rows[: len(pairs)])) if pairs else [[]] * 13
     min_f = min([math.inf, *fvs])
     homog = max([0.0, *(h for row in homogs for h in row)])
     gvv = max([0.0, *gvvs])
@@ -213,15 +229,6 @@ def run_checks(
             )
         )
 
-    # S at 0.5v and 2v builds its own N: one lane per (pair, c).
-    subset = pairs[:20]
-
-    def s_bh_own_n(p):  # p = (*x, *w) with w = c v
-        x, w = p[:n], p[n:]
-        return scurvature.s_curvature_from(_connection_at(F, x, w), bh, x, w)
-
-    cs = (0.5, 2.0)
-    s_cv = jets.lanewise(s_bh_own_n, [(*x, *[c * vi for vi in v]) for x, v in subset for c in cs])
     s_homog = scale_diff = shift_diff = 0.0
     for k, ((x, v), (s0, scaled_s, shifted_s)) in enumerate(zip(subset, law_rows)):
         for c, sc in zip(cs, s_cv[2 * k : 2 * k + 2]):
@@ -242,7 +249,14 @@ def run_checks(
     )
 
     max_s_bh = max([0.0, *map(abs, s_bh)])
-    if verdict.admits:
+    if not pairs:
+        results.append(
+            CheckResult(
+                "theorem-end-to-end", 0.0, tol_s if verdict.admits else 0.05, True, skipped=True,
+                note="no probe pairs compared",
+            )
+        )
+    elif verdict.admits:
         results.append(
             _result("theorem-end-to-end", max_s_bh, tol_s, "admits: S vanishes for the BH measure")
         )

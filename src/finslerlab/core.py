@@ -225,15 +225,9 @@ def spray(F: FinslerStructure, x, v) -> list:
 
 def nonlinear_connection(F: FinslerStructure, x, v) -> list[list[float]]:
     """N^i_j = (1/2) dG^i/dv^j via one extra jet level; N(0) = 0."""
-    if _is_exact_zero(v):
-        n = F.chart.dimension
-        return [[0.0] * n for _ in range(n)]
-    return _connection_at(F, x, v)
-
-
-def _connection_at(F: FinslerStructure, x, v) -> list:
-    """nonlinear_connection at a v != 0, over float or array leaves."""
     n = F.chart.dimension
+    if _is_exact_zero(v):
+        return [[0.0] * n for _ in range(n)]
     s = seed_group(_leaves(x) + _leaves(v), range(n, 2 * n))
     return _connection_from(spray(F, s[:n], s[n:]))
 

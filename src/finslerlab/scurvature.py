@@ -148,10 +148,15 @@ def s_curvature_from(N, measure: Measure, x, v) -> float:
     randers.InvalidSpaceError, a ValueError, so that a batch hands its
     lanes back to the float loop).
     """
+    return _trace_formula(N, measure.density(seed_group(_leaves(x), range(len(N)))), x, v)
+
+
+def _trace_formula(N, sigma, x, v):
+    """s_curvature_from given sigma evaluated on x seeded once,
+    seed_group(_leaves(x), range(n)): callers that read several densities
+    at one x (a measure and its scaled and shifted laws) seed x once."""
     n = len(N)
     trace = sum(N[i][i] for i in range(n))
-    xs = seed_group(_leaves(x), range(n))
-    sigma = measure.density(xs)
     sigma_val = standard_part(sigma)
     lowest = sigma_val.min() if isinstance(sigma_val, np.ndarray) else sigma_val
     if not lowest > 0.0:

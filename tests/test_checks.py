@@ -1,11 +1,16 @@
 import dataclasses
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from finslerlab import checks, core, jets, randers, scurvature
+from finslerlab import catalog, checks, core, jets, manifest, randers, scurvature
 from finslerlab.core import probe_grid
 from finslerlab.jets import Jet, standard_part
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import specgen  # noqa: E402
 
 
 @pytest.mark.parametrize("name", ["flat-nonkilling", "rotational-killing"])
@@ -48,11 +53,11 @@ def _lanes(x) -> int:
 def test_battery_evaluates_each_probe_value_once(spaces, monkeypatch, name):
     # flat-nonkilling refuses (the Lebesgue and volume floor is read),
     # polar-riemannian admits (the Killing-skew check runs)
-    calls = {"analyze_beta": 0, "s_bh": 0, "half_f_squared": 0, "geodesic": 0, "plain_f": 0}
-    lanes = {"s_bh": 0, "half_f_squared": 0, "geodesic": 0, "plain_f": 0}
+    calls = {"analyze_beta": 0, "bh_density": 0, "half_f_squared": 0, "geodesic": 0, "plain_f": 0}
+    lanes = {"bh_density": 0, "half_f_squared": 0, "geodesic": 0, "plain_f": 0}
     analyze_beta = randers.analyze_beta
     finsler = randers.finsler
-    s_curvature_from = scurvature.s_curvature_from
+    bh_density = randers.bh_density_closed_form
     half_f_squared = core._half_f_squared
     geodesic = core.geodesic
     lanewise = jets.lanewise
@@ -67,13 +72,12 @@ def test_battery_evaluates_each_probe_value_once(spaces, monkeypatch, name):
         calls["analyze_beta"] += 1
         return analyze_beta(*args, **kwargs)
 
-    def counting_s_curvature_from(N, measure, x, v):
-        # s_curvature evaluates through s_curvature_from too, so every S_BH
-        # read is counted here, whichever of the two the battery calls
-        if measure.kind == "busemann-hausdorff":
-            calls["s_bh"] += 1
-            lanes["s_bh"] += _lanes(x)
-        return s_curvature_from(N, measure, x, v)
+    def counting_bh_density(space, x):
+        # the Busemann-Hausdorff measure evaluates its density here, so the
+        # scaled and shifted laws count only if they evaluate it again
+        calls["bh_density"] += 1
+        lanes["bh_density"] += _lanes(x)
+        return bh_density(space, x)
 
     def counting_half_f_squared(F, x, *args):
         calls["half_f_squared"] += 1
@@ -100,7 +104,7 @@ def test_battery_evaluates_each_probe_value_once(spaces, monkeypatch, name):
     monkeypatch.setattr(randers, "analyze_beta", counting_analyze_beta)
     monkeypatch.setattr(randers, "finsler", counting_finsler)
     monkeypatch.setattr(scurvature, "geodesic", counting_geodesic)
-    monkeypatch.setattr(scurvature, "s_curvature_from", counting_s_curvature_from)
+    monkeypatch.setattr(randers, "bh_density_closed_form", counting_bh_density)
     monkeypatch.setattr(core, "_half_f_squared", counting_half_f_squared)
     monkeypatch.setattr(jets, "lanewise", counting_lanewise)
     space = spaces[name]
@@ -108,28 +112,105 @@ def test_battery_evaluates_each_probe_value_once(spaces, monkeypatch, name):
     checks.run_checks(space, pairs, points, transport_probes=5, mc_samples=10_000)
     subset = pairs[:20]
     transport = 5
-    # S_BH once per pair, plus S_BH at 0.5 v and 2 v on the homogeneity subset.
-    # F^2/2 once per pair for g, A, N and G, once more for g at 2 v; N at 0.5 v
-    # and 2 v on the subset; g at the four Richardson states of each oracle probe.
-    # One geodesic per oracle probe and direction.  F itself at v (read from
-    # PairTensors) and at 0.5 v, 2 v and 3 v per pair, and at the start of
-    # each oracle geodesic.
+    # The pair pass has one lane per pair and one per (pair, c) of the
+    # homogeneity subset, (x, 0.5 v) and (x, 2 v), whose own N gives S there.
+    pair_lanes = len(pairs) + 2 * len(subset)
+    # sigma_BH once per pair-pass lane (its scaled and shifted laws reuse
+    # that jet), at the four Richardson states of each oracle probe, and at
+    # the chart midpoint for the Monte-Carlo gate.  F^2/2 once per lane for
+    # g, A, N and G, once more for g at 2 v; g at the four Richardson states
+    # of each oracle probe.  One geodesic per oracle probe and direction.  F
+    # itself at v (read from PairTensors) and at 0.5 v, 2 v and 3 v per
+    # lane, and at the start of each oracle geodesic.
     assert lanes == {
-        "s_bh": len(pairs) + 2 * len(subset),
-        "half_f_squared": 2 * len(pairs) + 2 * len(subset) + 4 * transport,
+        "bh_density": pair_lanes + 4 * transport + 1,
+        "half_f_squared": 2 * pair_lanes + 4 * transport,
         "geodesic": 2 * transport,
-        "plain_f": 4 * len(pairs) + 2 * transport,
+        "plain_f": 4 * pair_lanes + 2 * transport,
     }
-    # Each of those is one pass over array leaves: S_BH on the grid and on
-    # the subset; F^2/2 for PairTensors, g at 2 v, the subset and the oracle;
-    # the oracle's forward and backward geodesics as one lock-step RK4 run;
-    # F once per factor c in the pair pass and once for the oracle's starts.
+    # Each of those is one pass over array leaves, or one float call: sigma_BH
+    # in the pair pass, at the oracle's end states and at the midpoint; F^2/2
+    # for PairTensors, g at 2 v and the oracle; the oracle's forward and
+    # backward geodesics as one lock-step RK4 run; F once per factor c in
+    # the pair pass and once for the oracle's starts.
     assert calls == {
-        "analyze_beta": 1, "s_bh": 2, "half_f_squared": 4, "geodesic": 1, "plain_f": 5
+        "analyze_beta": 1, "bh_density": 3, "half_f_squared": 3, "geodesic": 1, "plain_f": 5
     }
-    # One pass over the pairs builds every per-pair quantity.  The others
-    # are over the points (the beta analysis and the length-gradient gap),
-    # the oracle's trajectories and end states, and S at 0.5 v and 2 v on
-    # the subset.
-    assert len(passes) == 6
-    assert passes.count(len(pairs)) == 1
+    # One pass over the pairs and the subset builds every per-lane quantity.
+    # The others are over the points (the beta analysis and the
+    # length-gradient gap) and the oracle's trajectories and end states.
+    assert len(passes) == 5
+    assert passes.count(pair_lanes) == 1
+
+
+def _homogeneity_cases():
+    """The catalog spaces and one generated space per specgen family."""
+    shape = [(family, specgen.DIMENSIONS[family][0], 0) for family in specgen.FAMILIES]
+    generated = specgen.generate_set(0, shape, "homogeneity")
+    return [(name, None) for name in catalog.NAMES] + [(spec["name"], spec) for spec in generated]
+
+
+@pytest.mark.parametrize("bend", [0.0, 1e-3])
+@pytest.mark.parametrize("name,spec", _homogeneity_cases())
+def test_s_at_scaled_v_comes_from_its_own_connection(monkeypatch, name, spec, bend):
+    # S at 0.5 v and 2 v must be the float S of N(x, c v).  With c a power of
+    # two every float operation of F's chain scales exactly, so S(c v) equals
+    # c S(v) bit for bit and s-homogeneity reads 0 however S(c v) is formed.
+    # A bend of F by bend * (1 + x1^2) v1^2 breaks the homogeneity (and
+    # makes F depend on x on the flat spaces too): then an S at c v taken
+    # from S(v) or from a scaled N(v) no longer matches.
+    space = manifest.space_from_spec(spec) if spec else catalog.space(name)
+    F = randers.finsler(space)
+    if bend:
+        func = F.func
+        F = dataclasses.replace(
+            F, func=lambda x, v: func(x, v) + bend * (1.0 + x[0] * x[0]) * (v[0] * v[0])
+        )
+        monkeypatch.setattr(randers, "finsler", lambda _space: F)
+    bh = scurvature.busemann_hausdorff_measure(space)
+    pairs, points = probe_grid(space.chart, 25)
+    subset = pairs[:20]
+    lanewise = jets.lanewise
+    pair_pass = []  # (lanes, rows) of the pass over the pairs and the subset
+
+    def recording_lanewise(fn, lanes):
+        lanes = list(lanes)
+        rows = lanewise(fn, lanes)
+        if len(lanes) == len(pairs) + 2 * len(subset):
+            pair_pass.append((lanes, rows))
+        return rows
+
+    monkeypatch.setattr(jets, "lanewise", recording_lanewise)
+    results = checks.run_checks(space, pairs, points, transport_probes=0, mc_samples=10_000)
+    [(lanes, rows)] = pair_pass
+
+    def s_bh(x, v):
+        return scurvature.s_curvature_from(core.nonlinear_connection(F, x, v), bh, x, v)
+
+    s_homog = 0.0
+    for k, (x, v) in enumerate(subset):
+        s0 = s_bh(x, v)
+        for j, c in enumerate((0.5, 2.0)):
+            w = [c * vi for vi in v]
+            lane = len(pairs) + 2 * k + j
+            assert lanes[lane] == (*x, *w)
+            s_cv = s_bh(x, w)
+            # each row ends with S under sigma_BH and its two laws, then
+            # under the floor measures
+            assert repr(rows[lane][-2][0]) == repr(s_cv)
+            s_homog = max(s_homog, abs(s_cv - c * s0) / (1.0 + abs(s0)))
+    assert (s_homog > 0.0) == bool(bend)
+    by_name = {r.name: r for r in results}
+    assert repr(by_name["s-homogeneity"].observed) == repr(s_homog)
+
+
+@pytest.mark.parametrize("name,tolerance", [("flat-nonkilling", 0.05), ("polar-riemannian", 1e-8)])
+def test_no_probe_pairs_skip_the_theorem_entry(spaces, name, tolerance):
+    # flat-nonkilling refuses (the floor has no column to fold), polar-riemannian admits
+    space = spaces[name]
+    _, points = probe_grid(space.chart, 25)
+    results = checks.run_checks(space, [], points, transport_probes=0, mc_samples=10_000)
+    entry = {r.name: r for r in results}["theorem-end-to-end"]
+    assert (entry.skipped, entry.passed, entry.observed, entry.tolerance) == (True, True, 0.0, tolerance)
+    assert entry.note == "no probe pairs compared"
+    assert entry.line().startswith("SKIP theorem-end-to-end")

@@ -22,8 +22,9 @@ overflows, an OverflowError from math, at a point the command
 evaluates), 2 usage error, 3 no admissible
 measure, 4 runtime domain warning (a path left the chart or blew up,
 math overflowed or left its domain at an RK4 stage point of geodesic or
-s-curvature --oracle, math left its domain at one of validate's
-transport oracle, or a result came out non-finite).  FINSLERLAB_SEED
+s-curvature --oracle, the metric rounded to a singular matrix at one of
+geodesic's, math left its domain at one of validate's transport oracle,
+or a result came out non-finite).  FINSLERLAB_SEED
 sets the default seed; an explicit --seed wins.  Seeds are integers in
 [0, 2**64).
 """
@@ -193,36 +194,75 @@ def _json_text(value, newline: str) -> str:
     is the line break plus the indent of value's own line.  json.dumps
     runs its slower pure-Python encoder whenever indent is set.  Raises
     ValueError on a NaN or infinite float and TypeError on anything else."""
-    if isinstance(value, float):
-        if math.isfinite(value):
-            return float.__repr__(value)
-        raise ValueError(f"out of range float value {value!r}")
+    out: list[str] = []
+    _write_json(value, newline, out, {})
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: list, key_prefixes: dict) -> None:
+    """Append value's JSON text to `out`.  A dict or list writes its finite
+    floats and its str values in its own loop, and recurses only for other
+    items; the two loops stay apart because one loop over (prefix, item)
+    pairs for both measured slower.  `key_prefixes` maps (key set, newline)
+    to the sorted keys, each with the text before its value, so that dicts
+    sharing a key set at one depth (an analyze report's per-probe rows)
+    sort and escape their keys once."""
     if isinstance(value, dict):
         if not value:
-            return "{}"
+            out.append("{}")
+            return
         inner = newline + "  "
-        items = [
-            encode_basestring_ascii(key) + ": " + _json_text(item, inner)
-            for key, item in sorted(value.items())
-        ]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(value, (list, tuple)):
+        shape = (frozenset(value), newline)
+        prefixes = key_prefixes.get(shape)
+        if prefixes is None:
+            prefixes = key_prefixes[shape] = [
+                (key, ("," if i else "{") + inner + encode_basestring_ascii(key) + ": ")
+                for i, key in enumerate(sorted(value))
+            ]
+        for key, prefix in prefixes:
+            item = value[key]
+            kind = type(item)
+            if kind is float and math.isfinite(item):
+                out.append(prefix + float.__repr__(item))
+            elif kind is str:
+                out.append(prefix + encode_basestring_ascii(item))
+            else:
+                out.append(prefix)
+                _write_json(item, inner, out, key_prefixes)
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
         if not value:
-            return "[]"
+            out.append("[]")
+            return
         inner = newline + "  "
-        items = [_json_text(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"{type(value).__name__} is not a JSON value")
+        prefix, separator = "[" + inner, "," + inner
+        for item in value:
+            kind = type(item)
+            if kind is float and math.isfinite(item):
+                out.append(prefix + float.__repr__(item))
+            elif kind is str:
+                out.append(prefix + encode_basestring_ascii(item))
+            else:
+                out.append(prefix)
+                _write_json(item, inner, out, key_prefixes)
+            prefix = separator
+        out.append(newline + "]")
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"out of range float value {value!r}")
+        out.append(float.__repr__(value))
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"{type(value).__name__} is not a JSON value")
 
 
 def _emit_error(kind: str, message: str, **extra) -> None:
@@ -406,7 +446,8 @@ def cmd_geodesic(args) -> int:
         return EXIT_RUNTIME_WARNING
     except ExprError:
         raise  # a spec expression undefined at an RK4 stage point: exit 1 from main
-    except (ValueError, OverflowError) as exc:  # math at an RK4 stage point
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        # math, or a metric that rounds to singular, at an RK4 stage point
         _emit_error(type(exc).__name__, str(exc))
         return EXIT_RUNTIME_WARNING
     speeds = [float(F(x, v)) for x, v in zip(path.points, path.velocities)]

@@ -494,17 +494,28 @@ def _scrambled_halton(d: int, count: int, seed: int) -> np.ndarray:
     w_(j+1) = w_j / b, digits past i's length (0) included.  The sum runs
     in j order (cumsum), so the points match SciPy's qmc.Halton(d,
     scramble=True, seed=seed) bit for bit.
+
+    Every i < count has its nonzero digits in the first `length` places
+    (the fewest that hold count - 1), so only those columns are computed
+    per point; each later column j is perm_j[0] * w_j for every point.
     """
     rng = np.random.default_rng(seed)
     out = np.empty((count, d))
+    index = np.arange(count)[:, None]
     for column, base in enumerate(_primes(d)):
         depth = math.ceil(54 / math.log2(base)) - 1
         perms = rng.permuted(np.repeat(np.arange(base)[None], depth, axis=0), axis=1)
         weights = [1.0 / base]
         for _ in range(depth - 1):
             weights.append(weights[-1] / base)
-        digits = np.arange(count)[:, None] // base ** np.arange(depth) % base
-        terms = perms[np.arange(depth), digits] * np.array(weights)
+        weights = np.array(weights)
+        length = 0
+        while length < depth and base**length < count:
+            length += 1
+        digits = index // base ** np.arange(length) % base
+        terms = np.empty((count, depth))
+        terms[:, :length] = perms[np.arange(length), digits] * weights[:length]
+        terms[:, length:] = perms[length:, 0] * weights[length:]
         out[:, column] = np.cumsum(terms, axis=1)[:, -1]
     return out
 

@@ -244,6 +244,8 @@ def _unstack(value, size: int) -> list:
     if isinstance(value, (list, tuple)):
         parts = [_unstack(v, size) for v in value]
         return [list(lane) for lane in zip(*parts)] if parts else [[] for _ in range(size)]
+    if isinstance(value, np.ndarray) and value.shape == (size,):
+        return value.tolist()
     return np.broadcast_to(value, (size,)).tolist()
 
 

@@ -13,6 +13,7 @@ certificate measure is the Busemann-Hausdorff one.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import weakref
@@ -93,7 +94,8 @@ def _fns(space: RandersSpace) -> dict:
 @dataclass
 class BetaAnalysis:
     """Per-probe rows of the one-form's covariant derivative and length;
-    the sups and the length range are folds over the rows."""
+    the sups and the length range are folds over the rows, each computed
+    at its first read."""
 
     probes: list
     covariant: list  # one b_{i|j} matrix per probe
@@ -103,23 +105,23 @@ class BetaAnalysis:
     length_gradients: list  # d(||beta||^2)/dx_i per probe
     raised: list  # b^i = a^{ij} b_j per probe
 
-    @property
+    @functools.cached_property
     def killing_defect_sup(self) -> float:
         return max([0.0, *self.killing_defects])
 
-    @property
+    @functools.cached_property
     def parallel_defect_sup(self) -> float:
         return max([0.0, *self.parallel_defects])
 
-    @property
+    @functools.cached_property
     def length_min(self) -> float:
         return min([math.inf, *self.lengths])
 
-    @property
+    @functools.cached_property
     def length_max(self) -> float:
         return max([0.0, *self.lengths])
 
-    @property
+    @functools.cached_property
     def length_gradient_sup(self) -> float:
         return max([0.0, *(max(abs(c) for c in g) for g in self.length_gradients)])
 

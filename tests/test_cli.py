@@ -1,4 +1,7 @@
+import collections
 import copy
+import enum
+import itertools
 import json
 import math
 import os
@@ -430,6 +433,23 @@ class TestGeodesic:
         assert code == EXIT_WARNING
         assert report == {"error": {"type": "ValueError", "message": "math domain error"}}
 
+    def test_stage_singular_metric_exit_four(self, capsys, spec_path):
+        # The k2 stage point of the one step sits near x3 = 5e299, where
+        # sphere-hopf's metric rounds to the zero matrix.
+        code, report = run_json(
+            capsys,
+            "geodesic",
+            spec_path("sphere-hopf"),
+            "--from=0,0,0",
+            "--dir=0,0,1e300",
+            "--time", "1",
+            "--steps", "1",
+        )
+        assert code == EXIT_WARNING
+        assert report == {
+            "error": {"type": "SingularMatrixError", "message": "singular matrix (pivot column 0)"}
+        }
+
     def test_start_outside_domain(self, capsys, spec_path):
         # polar-riemannian's chart is x1 > 0; the run used to start anyway
         code, report = run_json(
@@ -785,6 +805,57 @@ class TestReportEncoder:
         with pytest.raises(cli.NonFiniteResultError):
             cli._emit(value)
 
-    def test_float_subclasses_write_as_floats(self):
-        value = {"x": [np.float64(0.1), np.float64(-0.0)], "n": np.float64(3.0)}
+    @staticmethod
+    def assert_as_json_dumps(value):
         assert cli._json_text(value, "\n") == json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
+
+    def test_float_subclasses_write_as_floats(self):
+        self.assert_as_json_dumps({"x": [np.float64(0.1), np.float64(-0.0)], "n": np.float64(3.0)})
+
+    def test_dict_subclasses_write_as_dicts(self):
+        ordered = collections.OrderedDict([("b", 1.5), ("a", [1, 2]), ("c", "x")])
+        default = collections.defaultdict(list, {"z": [0.25], "y": {"k": None}})
+        self.assert_as_json_dumps({"o": ordered, "d": default, "rows": [ordered, dict(ordered)]})
+        assert list(default) == ["z", "y"]  # writing inserts no key
+
+    def test_str_subclass_keys_and_values(self):
+        class Name(str):
+            pass
+
+        self.assert_as_json_dumps(
+            {Name("b\u00e9"): Name("v\n"), "a": [Name("x"), "y"], Name("c"): {Name("k"): Name("")}}
+        )
+        # one key set, once with str subclass keys and once with str keys
+        self.assert_as_json_dumps([{Name("q"): 1.0, "p": 2.0}, {"p": 3.0, "q": Name("4")}])
+
+    def test_int_enum_and_numpy_floats_inside_lists(self):
+        class Level(enum.IntEnum):
+            LOW = 1
+            HIGH = 2
+
+        self.assert_as_json_dumps(
+            [Level.HIGH, np.float64(0.1), [np.float64(-2.5e-300), Level.LOW], {"l": [Level.LOW]}]
+        )
+
+    def test_rows_sharing_a_key_set_in_any_insertion_order(self):
+        """The per_probe shape: many dicts with one key set, here inserted
+        in every order of the four keys, beside dicts with other key sets."""
+        keys = ["x", "beta_length", "killing_defect", "parallel_defect"]
+        orders = list(itertools.permutations(keys))
+        rows = []
+        for i in range(120):
+            values = {"x": [0.1 * i, -1.0 / (i + 1)], "beta_length": i / 7,
+                      "killing_defect": 1e-17 * i, "parallel_defect": str(i)}
+            rows.append({key: values[key] for key in orders[i % len(orders)]})
+        value = {"per_probe": rows, "other": [{"x": 1.0}, {"x": [1.0], "y": 2.0}, [rows[3]]]}
+        self.assert_as_json_dumps(value)
+
+    @pytest.mark.parametrize("index", [0, 57, 119])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_in_a_shared_key_row_is_an_error(self, index, bad):
+        rows = [{"x": [float(i)], "length": i / 3} for i in range(120)]
+        rows[index]["length" if index % 2 else "x"] = bad if index % 2 else [0.5, bad]
+        with pytest.raises(ValueError):
+            json.dumps(rows, sort_keys=True, indent=2, allow_nan=False)
+        with pytest.raises(cli.NonFiniteResultError):
+            cli._emit({"per_probe": rows})

@@ -508,7 +508,11 @@ class TestProbes:
 
 # Probe grids recorded with SciPy 1.17.1 (qmc.Halton and special.ndtri), on
 # the chart below: the first pair in full as float.hex, and every grid as
-# the first 16 hex digits of the sha256 of its float.hex lines.
+# the first 16 hex digits of the sha256 of its float.hex lines.  Counts
+# 125/126, 128/129 and 243/244 sit on either side of a digit boundary of
+# bases 5, 2 and 3 (5^3, 2^7, 3^5), where _scrambled_halton starts
+# computing one more digit column per point; their pins were recorded from
+# the code that computed every column.
 PIN_SEEDS = (0, 1, 7, 2**32, 2**64 - 1)
 GRID_DIGESTS = {
     (2, 0, 0): "e3b0c44298fc1c14",
@@ -526,6 +530,36 @@ GRID_DIGESTS = {
     (2, 100, 7): "46ed54748153405e",
     (2, 100, 4294967296): "639eb9d72e2fe690",
     (2, 100, 18446744073709551615): "609253e46de120f1",
+    (2, 125, 0): "0d9720bd785fa087",
+    (2, 125, 1): "668c035898eed75a",
+    (2, 125, 7): "a6d3802b41fba947",
+    (2, 125, 4294967296): "c2c927c5ade3abde",
+    (2, 125, 18446744073709551615): "98d48b0c51a64e63",
+    (2, 126, 0): "c3307579072e59f7",
+    (2, 126, 1): "11bf1dc9a596d1cc",
+    (2, 126, 7): "3b3d0b1ae7858731",
+    (2, 126, 4294967296): "4f2a146a8669c3d8",
+    (2, 126, 18446744073709551615): "4a526b6101b34b6f",
+    (2, 128, 0): "bb3dbdcc012f2254",
+    (2, 128, 1): "4116bbee98f80c39",
+    (2, 128, 7): "3456dd5d05e4edf9",
+    (2, 128, 4294967296): "dbd08411cc030703",
+    (2, 128, 18446744073709551615): "8d7eee9459f97821",
+    (2, 129, 0): "33ea3af0840cef7b",
+    (2, 129, 1): "8e742191cb00a7f8",
+    (2, 129, 7): "beefb79ccc2ed645",
+    (2, 129, 4294967296): "8524c8d9f51511ab",
+    (2, 129, 18446744073709551615): "1c12aa3120b6a715",
+    (2, 243, 0): "aa7c2085700a359f",
+    (2, 243, 1): "96dd595b58862f97",
+    (2, 243, 7): "23ba9a65d160877e",
+    (2, 243, 4294967296): "0c3d7187167412c4",
+    (2, 243, 18446744073709551615): "30732aa8dfd903ae",
+    (2, 244, 0): "a62e52b08079dc44",
+    (2, 244, 1): "4a6e054d39e966bb",
+    (2, 244, 7): "015cde1a33f2cd70",
+    (2, 244, 4294967296): "1f80004d8c483bb3",
+    (2, 244, 18446744073709551615): "9553eb93ce7078b4",
     (2, 257, 0): "0fe41bb2122e5cc5",
     (2, 257, 1): "a4b0fa2b645c847a",
     (2, 257, 7): "45d0650afb1a5798",
@@ -546,6 +580,36 @@ GRID_DIGESTS = {
     (3, 100, 7): "7d1c856671de65ed",
     (3, 100, 4294967296): "684f199d1ad209c4",
     (3, 100, 18446744073709551615): "288dd22cdb7c8b0f",
+    (3, 125, 0): "df2518bfc805b842",
+    (3, 125, 1): "73bd68fef2fd0bd5",
+    (3, 125, 7): "af605932ecbcb34d",
+    (3, 125, 4294967296): "7daff449e1147518",
+    (3, 125, 18446744073709551615): "c528b360962a12d4",
+    (3, 126, 0): "4b0277bb60d8f0e3",
+    (3, 126, 1): "7ebadb1143f661f3",
+    (3, 126, 7): "dc24fbaf93fbd152",
+    (3, 126, 4294967296): "06f2977e59ce4c4d",
+    (3, 126, 18446744073709551615): "f62c5633eb431375",
+    (3, 128, 0): "65d62c54962d965a",
+    (3, 128, 1): "8be19c278535578c",
+    (3, 128, 7): "e7a313bc653ef241",
+    (3, 128, 4294967296): "bac41123ef287e6b",
+    (3, 128, 18446744073709551615): "c249619a968cc31e",
+    (3, 129, 0): "5593ef455c0b2496",
+    (3, 129, 1): "da50516576507089",
+    (3, 129, 7): "e88f7dd1cc4a4456",
+    (3, 129, 4294967296): "79b025fe974f0ce5",
+    (3, 129, 18446744073709551615): "90056761a8ff5db5",
+    (3, 243, 0): "56842b20c6151a50",
+    (3, 243, 1): "639e12de81d656f2",
+    (3, 243, 7): "1a8a710c17540b19",
+    (3, 243, 4294967296): "50dad6e9705dbfc1",
+    (3, 243, 18446744073709551615): "286239a0281e0fd1",
+    (3, 244, 0): "2bfb33db0c2f9b77",
+    (3, 244, 1): "907660a7500d3d96",
+    (3, 244, 7): "0988432bd676dca9",
+    (3, 244, 4294967296): "9ce7612176797493",
+    (3, 244, 18446744073709551615): "0423e48e90cc0474",
     (3, 257, 0): "80b7c6611f04859a",
     (3, 257, 1): "7440f22787f508af",
     (3, 257, 7): "2b332542040782c3",
@@ -566,6 +630,36 @@ GRID_DIGESTS = {
     (4, 100, 7): "e25bfba6bf7c0918",
     (4, 100, 4294967296): "18649c98ecd4ece6",
     (4, 100, 18446744073709551615): "a4b8ec6540c17e67",
+    (4, 125, 0): "6eb6db5dd5837fb9",
+    (4, 125, 1): "34d94aba97e71b15",
+    (4, 125, 7): "620cf7d969996346",
+    (4, 125, 4294967296): "bd7901fa3ad1a8b2",
+    (4, 125, 18446744073709551615): "7e2829935ccf4345",
+    (4, 126, 0): "a05f4ffd9aadef62",
+    (4, 126, 1): "0acf1135d0d72dfb",
+    (4, 126, 7): "13472fb8e438cd29",
+    (4, 126, 4294967296): "a7e32586a682eaf4",
+    (4, 126, 18446744073709551615): "4b8a2ee8506eee94",
+    (4, 128, 0): "6d54107217e66d53",
+    (4, 128, 1): "2daef8cc8b48dc88",
+    (4, 128, 7): "2dbabf875bc7fdc5",
+    (4, 128, 4294967296): "8412f8892afb0e7d",
+    (4, 128, 18446744073709551615): "345d0fe5590bc4c3",
+    (4, 129, 0): "259f653d1fe54eb9",
+    (4, 129, 1): "e1970f7d7ac76277",
+    (4, 129, 7): "d068633f3df71f69",
+    (4, 129, 4294967296): "70847e5d456cc626",
+    (4, 129, 18446744073709551615): "495bae07ee580769",
+    (4, 243, 0): "298b6152d6312c85",
+    (4, 243, 1): "28b7eed4e549a0d8",
+    (4, 243, 7): "076468fbb6d68892",
+    (4, 243, 4294967296): "d07e00f8883c8b1d",
+    (4, 243, 18446744073709551615): "520264318b412080",
+    (4, 244, 0): "5c3d3ed50bbe560c",
+    (4, 244, 1): "04ee0311e65a6276",
+    (4, 244, 7): "7c625e73daa235e8",
+    (4, 244, 4294967296): "630161b450ce28a4",
+    (4, 244, 18446744073709551615): "c7785f1f4273672f",
     (4, 257, 0): "ceb5f12518a8e5b7",
     (4, 257, 1): "7558355e85d60bd4",
     (4, 257, 7): "846afc3289a92b6e",
@@ -610,7 +704,7 @@ class TestPinnedGrids:
         assert tuple(c.hex() for c in x + v) == FIRST_PAIRS[(n, seed)]
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    @pytest.mark.parametrize("count", [0, 1, 100, 257])
+    @pytest.mark.parametrize("count", [0, 1, 100, 125, 126, 128, 129, 243, 244, 257])
     def test_grid_bit_for_bit(self, n, count):
         for seed in PIN_SEEDS:
             pairs = probe_pairs(_pin_chart(n), count, seed)

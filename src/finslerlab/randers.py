@@ -4,8 +4,9 @@ A RandersSpace holds a Riemannian metric a_ij and a one-form b_i as
 parsed coordinate expressions.  PointData holds the covariant
 derivative b_{i|j} at a point, the closed-form spray and its X/Y split;
 analyze_beta folds it into the Killing / constant-length / parallel
-defects.  The geodesics of finsler(space) run PointData's spray as one
-function generated per space (_spray_function).  The module also gives the Busemann-Hausdorff density and the
+defects.  The geodesics of finsler(space) run PointData's spray: on
+array leaves directly, on float leaves as one function generated per
+space (_spray_function).  The module also gives the Busemann-Hausdorff density and the
 final verdict: the space admits a measure with vanishing S-curvature
 exactly when beta is a Killing form of constant length, and the
 certificate measure is the Busemann-Hausdorff one.
@@ -289,13 +290,15 @@ def finsler(space: RandersSpace) -> FinslerStructure:
 
     The exact closed-form spray rides along as fast_spray, which geodesic
     runs at every RK4 stage (and through it the transport oracle,
-    s_curvature_transport and its batch form).  Its first call writes the
-    space's spray as one straight-line function (_spray_function) that
-    later calls run: PointData(space, x).spray(v)[0] bit for bit, on float
-    and array leaves; PointData stays the reference it is tested against.
-    Nothing is compiled before that call.  The generic jet-derived spray
-    remains the reference for the closed form, and the two are compared
-    in the validation suite.
+    s_curvature_transport and its batch form).  On array leaves it is
+    PointData(space, x).spray(v)[0]: a lane batch runs each stage once,
+    so writing a function for it costs more than it saves.  Its first
+    call on float leaves writes the space's spray as one straight-line
+    function (_spray_function) that later float calls run, bit for bit
+    the same computation; PointData stays the reference it is tested
+    against.  Nothing is compiled before that call.  The generic
+    jet-derived spray remains the reference for the closed form, and the
+    two are compared in the validation suite.
     """
 
     def func(x, v):
@@ -303,7 +306,9 @@ def finsler(space: RandersSpace) -> FinslerStructure:
         return alpha(a, v) + beta(b, v)
 
     def fast_spray(x, v):
-        if not isinstance(v[0], np.ndarray) and all(standard_part(c) == 0.0 for c in v):
+        if isinstance(v[0], np.ndarray):
+            return PointData(space, x).spray(v)[0]
+        if all(standard_part(c) == 0.0 for c in v):
             return [0.0] * space.dimension
         spray_fn = _spray_function(space)
         if spray_fn is None:
@@ -362,7 +367,9 @@ def _spray_function(space: RandersSpace):
     written at the first call and kept in its _COMPILED table; None when
     writing it raises (a constant subexpression outside its domain), and
     finsler's fast_spray then builds a PointData per call, which raises
-    what it raises."""
+    what it raises.  fast_spray calls it on float leaves only (a long
+    float geodesic, or the float loop a failed lane batch hands back to);
+    it takes array leaves too, with the same bits as PointData."""
     table = _fns(space)
     if "spray" not in table:
         table["spray"] = _staged_spray(space)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from finslerlab import catalog, core, jets, linalg, manifest, randers
+from finslerlab import catalog, checks, core, jets, linalg, manifest, randers, scurvature
 from finslerlab.core import probe_pairs, probe_points, spray
 from finslerlab.expr import parse
 from finslerlab.jets import Jet, _leaves, partial, seed_group, standard_part
@@ -605,7 +605,10 @@ class TestUnrolledKernels:
                 assert _reprs(randers._first_order_data(sp, x)) == _reprs(expected)
                 a, da, b, db = expected
                 data = PointData(sp, x)
-                # The generated spray is PointData's, bit for bit.
+                # The generated spray is PointData's, bit for bit, on float
+                # and array leaves; fast_spray runs it on floats only.
+                spray_fn = randers._spray_function(sp)
+                assert _reprs(spray_fn(_leaves(x), v)) == _reprs(data.spray(v)[0])
                 assert _reprs(fast_spray(x, v)) == _reprs(data.spray(v)[0])
                 gamma = _levi_civita_unhoisted(data.a_inv, da)
                 b_up, bcov = _covariant_loops(data.a_inv, b, db, gamma)
@@ -626,6 +629,30 @@ class TestUnrolledKernels:
         assert spray_fn is not None and "spray" not in randers._fns(twins[1])
         structures[0].fast_spray((0.3, 0.2), (1.0, 0.5))
         assert randers._fns(twins[0])["spray"] is spray_fn
+
+    def test_lane_batches_leave_the_spray_unwritten(self, monkeypatch):
+        sp = catalog.space("sphere-hopf")
+        F = randers.finsler(sp)
+        pairs, points = core.probe_grid(sp.chart, 10)
+        bh = scurvature.busemann_hausdorff_measure(sp)
+        xs, vs = [x for x, _ in pairs], [v for _, v in pairs]
+        scurvature.s_curvature_transport_batch(F, bh, xs, vs)
+        assert "spray" not in randers._fns(sp)
+        checks.run_checks(sp, pairs, points, transport_probes=5, mc_samples=10_000)
+        assert "spray" not in randers._fns(sp)
+        written = []
+        staged_spray = randers._staged_spray
+        monkeypatch.setattr(
+            randers, "_staged_spray", lambda space: written.append(space) or staged_spray(space)
+        )
+        path = core.geodesic(F, xs[0], vs[0], 0.01, steps=20)
+        assert written == [sp] and randers._fns(sp)["spray"] is not None
+        # the float path runs the written function: PointData's bits
+        reference = core.FinslerStructure(
+            sp.chart, F.func, lambda x, v: PointData(sp, x).spray(v)[0]
+        )
+        assert repr(path) == repr(core.geodesic(reference, xs[0], vs[0], 0.01, steps=20))
+        assert written == [sp]
 
     def test_spray_calls_inv_through_the_module_binding(self, monkeypatch):
         sp = catalog.space("sphere-hopf")

@@ -7,12 +7,14 @@ errors against a fine reference run; consecutive ratios near 16 confirm
 fourth-order convergence.  Also reports the F-speed drift, a first
 integral of the flow.
 
-Then runs the S-curvature transport oracle (h = 1e-3, Richardson) on
-every catalog space at 50 probes and at a ladder of RK4 step counts, and
-prints the worst |S_formula - S_transport| per space and count.  The gap
-stays at the central difference's rounding floor down to a few steps.
-Exits 1 if the worst gap at scurvature.TRANSPORT_STEPS, the count
-`validate` and `s-curvature --oracle` run, exceeds 1e-9.
+Then runs the S-curvature transport oracle (h = 1e-3, Richardson) at 50
+probes and at a ladder of RK4 step counts, on every catalog space and on
+the specgen family grid (every family and dimension the benchmark draws
+from, at seed 7: perfbench/specgen.py, tag "verdict"), and prints the
+worst |S_formula - S_transport| per space and count.  The gap stays at
+the central difference's rounding floor down to 2 steps.  Exits 1 if the
+worst gap at scurvature.TRANSPORT_STEPS, the count `validate` and
+`s-curvature --oracle` run, exceeds 1e-9 on any of these spaces.
 """
 
 import argparse
@@ -20,14 +22,19 @@ import math
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
-from finslerlab import catalog, randers, scurvature
-from finslerlab.core import geodesic, probe_pairs
+import specgen  # noqa: E402
+from finslerlab import catalog, manifest, randers, scurvature  # noqa: E402
+from finslerlab.core import geodesic, probe_pairs  # noqa: E402
 
 TRANSPORT_LADDER = (100, 20, 10, 4, 2)
 TRANSPORT_PROBES = 50
 TRANSPORT_GATE = 1e-9
+# The seed of the specgen family grid in the transport ladder.
+GRID_SEED = 7
 
 
 def main() -> int:
@@ -62,18 +69,25 @@ def main() -> int:
     return transport_ladder()
 
 
+def ladder_spaces() -> list:
+    """(name, space) of the catalog, then of the specgen family grid."""
+    grid = specgen.generate_set(GRID_SEED, specgen.family_grid(), "verdict")
+    return [(name, catalog.space(name)) for name in catalog.NAMES] + [
+        (spec["name"], manifest.space_from_spec(spec)) for spec in grid
+    ]
+
+
 def transport_ladder() -> int:
-    """Worst formula-vs-transport gap per catalog space and step count;
-    1 if the worst at TRANSPORT_STEPS exceeds TRANSPORT_GATE."""
+    """Worst formula-vs-transport gap per space and step count; 1 if the
+    worst at TRANSPORT_STEPS exceeds TRANSPORT_GATE."""
     ladder = sorted({*TRANSPORT_LADDER, scurvature.TRANSPORT_STEPS}, reverse=True)
     print(
         f"transport oracle, h = 1e-3, Richardson, {TRANSPORT_PROBES} probes per space: "
         "worst |S_formula - S_transport|"
     )
-    print(f"{'space':20s} {'n':>2s} " + " ".join(f"{k:>8d}" for k in ladder))
+    print(f"{'space':34s} {'n':>2s} " + " ".join(f"{k:>8d}" for k in ladder))
     worst = dict.fromkeys(ladder, 0.0)
-    for name in catalog.NAMES:
-        sp = catalog.space(name)
+    for name, sp in ladder_spaces():
         F = randers.finsler(sp)
         bh = scurvature.busemann_hausdorff_measure(sp)
         pairs = probe_pairs(sp.chart, TRANSPORT_PROBES)
@@ -85,8 +99,8 @@ def transport_ladder() -> int:
             gap = max(abs(a - b) for a, b in zip(formula, transport))
             worst[steps] = max(worst[steps], gap)
             row.append(gap)
-        print(f"{name:20s} {sp.dimension:2d} " + " ".join(f"{g:8.1e}" for g in row))
-    print(f"{'worst':20s} {'':2s} " + " ".join(f"{worst[k]:8.1e}" for k in ladder))
+        print(f"{name:34s} {sp.dimension:2d} " + " ".join(f"{g:8.1e}" for g in row))
+    print(f"{'worst':34s} {'':2s} " + " ".join(f"{worst[k]:8.1e}" for k in ladder))
     gap = worst[scurvature.TRANSPORT_STEPS]
     if not gap <= TRANSPORT_GATE:
         print(

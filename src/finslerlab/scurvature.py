@@ -107,10 +107,11 @@ def unit_ball_volume(n: int) -> float:
 
 # RK4 steps per transport-oracle geodesic (validate, s-curvature --oracle).
 # At h = 1e-3 the oracle's error is the rounding floor of its central
-# difference at every count from 2 to 100 (scripts/geodesic_convergence.py);
-# RK4's share, C h^4 / steps^4, is about 1e-16 C at 10 steps.  Even, so
-# that the Richardson midpoint is a step index.
-TRANSPORT_STEPS = 10
+# difference at every count from 2 to 100, on the catalog and the specgen
+# families (scripts/geodesic_convergence.py); RK4's share, C h^4 / steps^4,
+# is about 6e-14 C at 2 steps.  Even, so that the Richardson midpoint is a
+# step index.
+TRANSPORT_STEPS = 2
 
 
 # The (F, key, N) of the last s_curvature call that computed N, rebound as

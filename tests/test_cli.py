@@ -1,5 +1,6 @@
 import collections
 import copy
+import dataclasses
 import enum
 import itertools
 import json
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finslerlab
-from finslerlab import catalog, checks, cli, core, randers, scurvature
+from finslerlab import catalog, checks, cli, core, manifest, randers, scurvature
 from finslerlab.cli import main
 from finslerlab.core import probe_points
 
@@ -515,31 +516,76 @@ class TestValidate:
         assert "SKIP s-formula-vs-transport" in captured.err
 
     def test_transport_leaving_the_chart_exit_four(self, capsys, spec_path):
-        def mutate(data):
-            data["domain"] = [[-0.01, 0.01], [-0.01, 0.01]]
+        # flat-const has constant a and b, so each transport geodesic is the
+        # straight line x + t v / F(v) to t = +-h (h = 1e-3), in steps of
+        # h / TRANSPORT_STEPS.  The probes run in order, each forward and then
+        # backward; the first path that leaves the box is reported at the
+        # first step end past its edge, here one before the path's end.
+        edge = 0.01
 
-        code, report = run_json(capsys, "validate", spec_path("flat-const", mutate))
+        def mutate(data):
+            data["domain"] = [[-edge, edge], [-edge, edge]]
+
+        path = spec_path("flat-const", mutate)
+        code, report = run_json(capsys, "validate", path, "--seed", "0")
         assert code == EXIT_WARNING
         assert report["error"]["type"] == "DomainExitError"
-        # the first step end past the edge: steps of h / TRANSPORT_STEPS = 1e-4
-        assert report["error"]["time"] == pytest.approx(-0.0005, abs=1e-12)
         assert "left the chart" in report["error"]["message"]
+        h, steps = 1e-3, scurvature.TRANSPORT_STEPS
+        space, pairs, _, _ = manifest.probed_space(json.loads(Path(path).read_text()), 100, 0)
+        F = randers.finsler(space)
+        exits = (
+            [s for s in (k * (t / steps) for k in range(1, steps + 1))
+             if any(abs(c + s * u) >= edge for c, u in zip(x, unit))]
+            for x, v in pairs[:50]
+            for unit in [[c / F(x, v) for c in v]]
+            for t in (h, -h)
+        )
+        first = next(times[0] for times in exits if times)
+        assert 0.0 < abs(first) < h
+        assert report["error"]["time"] == pytest.approx(first, abs=1e-12)
 
     @pytest.mark.parametrize("seed", ["1", "2"])
     def test_transport_math_domain_error_exit_four(self, capsys, spec_path, seed):
-        # An RK4 stage point of a transport geodesic reaches x1 < 0, where
-        # alpha^2 turns negative, before any geodesic leaves the chart: the
-        # chart's edge sits one RK4 step (h / TRANSPORT_STEPS = 1e-4) past 0.
+        # alpha^2 = x1 v1^2 + v2^2 turns negative past x1 = 0, and the chart's
+        # edge sits at x1 = 1e-4: near it a unit-speed path crosses far more
+        # than that in one RK4 step of h / TRANSPORT_STEPS = 5e-4.  Taken in
+        # order, the probes' paths stay in the chart until one evaluates the
+        # spray at a stage point with x1 < 0, where math.sqrt raises, before
+        # any path has a step end outside the chart.
         def mutate(data):
             metric_past_the_edge(data)
             data["domain"] = [[1e-4, 1e-2], [-1.0, 1.0]]
 
+        path = spec_path("euclidean2", mutate)
         code, report = run_json(
-            capsys, "validate", spec_path("euclidean2", mutate), "--mc-samples", "10000",
-            "--seed", seed,
+            capsys, "validate", path, "--mc-samples", "10000", "--seed", seed,
         )
         assert code == EXIT_WARNING
         assert report == {"error": {"type": "ValueError", "message": "math domain error"}}
+        # The float replay the failed lane batch hands back to, one probe at
+        # a time, with the spray's stage points recorded.
+        space, pairs, _, _ = manifest.probed_space(
+            json.loads(Path(path).read_text()), 100, int(seed)
+        )
+        F = randers.finsler(space)
+        stages = []
+
+        def recorded_spray(x, v):
+            stages.append(x[0])
+            return F.fast_spray(x, v)
+
+        traced = dataclasses.replace(F, fast_spray=recorded_spray)
+        bh = scurvature.busemann_hausdorff_measure(space)
+        for x, v in pairs[:50]:
+            stages.clear()
+            try:
+                scurvature.s_curvature_transport(traced, bh, x, v)
+            except ValueError as exc:  # DomainExitError is a ValueError too
+                raised = exc
+                break
+        assert (type(raised), str(raised)) == (ValueError, "math domain error")
+        assert stages[-1] < 0.0 < min(stages[:-1])
 
     def test_value_error_outside_the_oracle_is_not_a_warning(self, capsys, spec_path, monkeypatch):
         # Only math at a transport stage point is a runtime domain warning.

@@ -12,9 +12,9 @@ Every (x, v) quantity comes from one jets.lanewise pass: one lane per
 probe pair, then (x, 3v) and (x, v/3) for the first 20 pairs, whose own
 N gives the S that s-homogeneity compares.  The factors are not powers
 of two, which every float operation would scale exactly: S(cv) and g at
-3v then read their rounding, so a wrong N would show.  Each lane evaluates F^2/2
-once for PairTensors and sigma_BH once for S under it and its scaled and
-shifted laws.
+3v then read their rounding, so a wrong N would show.  Each lane
+evaluates F^2/2 once for PairTensors and sigma_BH once for S under it
+and its scaled and shifted laws, which are read at every pair.
 """
 
 from __future__ import annotations

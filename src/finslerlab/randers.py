@@ -6,10 +6,10 @@ derivative b_{i|j} at a point, the closed-form spray and its X/Y split;
 analyze_beta folds it into the Killing / constant-length / parallel
 defects.  The geodesics of finsler(space) run PointData's spray: on
 array leaves directly, on float leaves as one function generated per
-space (_spray_function).  The module also gives the Busemann-Hausdorff density and the
-final verdict: the space admits a measure with vanishing S-curvature
-exactly when beta is a Killing form of constant length, and the
-certificate measure is the Busemann-Hausdorff one.
+space (_spray_function).  The module also gives the Busemann-Hausdorff
+density and the final verdict: the space admits a measure with vanishing
+S-curvature exactly when beta is a Killing form of constant length, and
+the certificate measure is the Busemann-Hausdorff one.
 """
 
 from __future__ import annotations

@@ -52,9 +52,10 @@ EXIT_USAGE = 2
 EXIT_NO_MEASURE = 3
 EXIT_RUNTIME_WARNING = 4
 
-# Seeds key NumPy generators: default_rng(seed) shuffles the probe grid's
-# Halton digits (core._scrambled_halton) and the Monte-Carlo density keys
-# Philox with the seed, whose key is 64 bits wide.
+# Seeds key NumPy generators: default_rng(seed), a PCG64, shuffles the probe
+# grid's Halton digits (core._scrambled_halton), and the Monte-Carlo density
+# seeds a PCG64DXSM, a different stream, with the seed;
+# scurvature.bh_density_monte_carlo refuses a seed outside [0, 2**64).
 SEED_LIMIT = 2**64
 
 

@@ -295,11 +295,8 @@ def _unit_start(F: FinslerStructure, x, v) -> tuple:
 
 # -- Busemann-Hausdorff density by Monte Carlo -----------------------------------
 
-# Rows per Monte-Carlo chunk; the hit counts of the chunks are summed.  The
-# second half of the stream starts at a chunk boundary, a multiple of
-# MC_CHUNK_ROWS * n doubles in.  That must be divisible by 4, Philox4x64's
-# outputs per counter step, for the half to start on a whole step: keep
-# MC_CHUNK_ROWS divisible by 4 so that this holds for every n.
+# Rows per Monte-Carlo chunk; the hit counts of the chunks are summed, and
+# the second half of the stream starts at a chunk boundary.
 MC_CHUNK_ROWS = 32_768
 
 
@@ -310,17 +307,21 @@ def bh_density_monte_carlo(
 
     The F-unit ball satisfies alpha(v) < 1/(1 - ||beta||), so the sampling
     box is that ellipsoid's bounding box in the a(x)-eigenbasis.  The RNG
-    is counter-based (numpy Philox keyed with the 64-bit seed), which
-    makes estimates bit-reproducible for a fixed seed.  The stream's rows
-    are split at a chunk boundary into two contiguous halves: the caller
-    counts the hits of the first while a helper thread counts those of the
-    second, from a Philox advanced to the row where it starts, so every
-    sample has the bits of the one sequential stream.  Each half draws
-    MC_CHUNK_ROWS rows at a time into one reused buffer, so memory stays
-    bounded whatever the sample count.
+    is numpy's PCG64DXSM seeded with rng_seed, an int in [0, 2**64), so
+    estimates are bit-reproducible for a fixed seed.  (The probe grid's
+    default_rng(seed) is PCG64, so the two streams of one seed differ.)
+    The stream's rows are split at a chunk boundary into two contiguous
+    halves: the caller counts the hits of the first while a helper thread
+    counts those of the second, from a generator advanced to the row where
+    it starts, so every sample has the bits of the one sequential stream.
+    Each half draws MC_CHUNK_ROWS rows at a time into one reused buffer, so
+    memory stays bounded whatever the sample count.
     """
     if sample_count < 10_000:
         raise ValueError("sample_count must be at least 10^4")
+    if not (isinstance(rng_seed, int) and not isinstance(rng_seed, bool)
+            and 0 <= rng_seed < 2**64):
+        raise ValueError(f"rng_seed must be an int in [0, 2**64), got {rng_seed!r}")
     n = space.dimension
     a_x, b_x = randers.a_and_b(space, x)
     a = np.array([[standard_part(e) for e in row] for row in a_x])
@@ -369,14 +370,12 @@ def bh_density_monte_carlo(
 
 
 def _count_hits(seed: int, first_row: int, stop_row: int, half_width, lam, b_eigen) -> int:
-    """Hits in rows [first_row, stop_row) of the Philox stream keyed with
-    seed, first_row a multiple of MC_CHUNK_ROWS."""
+    """Hits in rows [first_row, stop_row) of the PCG64DXSM stream seeded
+    with seed."""
     n = len(lam)
-    bit_generator = np.random.Philox(key=seed)
-    # Philox4x64 gives 4 uint64s per counter step and Generator.random uses
-    # one per double, so row first_row starts first_row * n // 4 steps in.
-    bit_generator.advance(first_row * n // 4)
-    rng = np.random.Generator(bit_generator)
+    # PCG64DXSM gives one uint64 per step and Generator.random uses one per
+    # double, so row first_row starts first_row * n steps in.
+    rng = np.random.Generator(np.random.PCG64DXSM(seed).advance(first_row * n))
     # rng.uniform(low, high) draws low + (high - low) * U; the same
     # arithmetic on rng.random's U, in place, keeps every sample's bits.
     low = -half_width

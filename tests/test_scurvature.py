@@ -82,20 +82,31 @@ class TestMonteCarlo:
         assert a == b
         assert a != c
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 3.0, True])
+    def test_seed_outside_the_domain_is_refused(self, spaces, seed):
+        with pytest.raises(ValueError, match="rng_seed"):
+            bh_density_monte_carlo(spaces["euclidean2"], (0.0, 0.0), 10_000, seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_domain_ends_are_accepted(self, spaces, seed):
+        est, se = bh_density_monte_carlo(spaces["euclidean2"], (0.0, 0.0), 10_000, seed)
+        assert abs(est - 1.0) <= 5.0 * se
+
     def test_recorded_estimates(self, spaces):
-        # values of the single-draw implementation; chunked draws keep the stream
+        # values of the one sequential PCG64DXSM stream, as the uniform
+        # reference below computes them
         assert bh_density_monte_carlo(spaces["flat-const"], (0.0, 0.0), 200_000, 20240) == (
-            0.6486069563113785,
-            0.0022011239920046595,
+            0.6494758562098508,
+            0.0022061889781902705,
         )
         assert bh_density_monte_carlo(
             spaces["sphere-hopf"], (0.0, 0.0, 0.0), 200_000, 7
-        ) == (6.647796600308765, 0.028309593216158106)
+        ) == (6.665221006873872, 0.028431209441610324)
 
     def test_threads_calling_at_once_get_the_recorded_values(self, spaces):
         recorded = {
-            "flat-const": ((0.0, 0.0), 20240, (0.6486069563113785, 0.0022011239920046595)),
-            "sphere-hopf": ((0.0, 0.0, 0.0), 7, (6.647796600308765, 0.028309593216158106)),
+            "flat-const": ((0.0, 0.0), 20240, (0.6494758562098508, 0.0022061889781902705)),
+            "sphere-hopf": ((0.0, 0.0, 0.0), 7, (6.665221006873872, 0.028431209441610324)),
         }
         names = ["flat-const", "sphere-hopf"] * 2
         barrier = threading.Barrier(len(names))
@@ -157,7 +168,7 @@ class TestMonteCarlo:
         b = np.array([standard_part(c) for c in randers.b_at(space, x)])
         lam, q = np.linalg.eigh(a)
         half_width = 1.0 / (1.0 - randers.beta_length(space, x)) / np.sqrt(lam)
-        rng = np.random.Generator(np.random.Philox(key=seed))
+        rng = np.random.Generator(np.random.PCG64DXSM(seed))
         hits = 0
         for start in range(0, count, scurvature.MC_CHUNK_ROWS):
             rows = min(scurvature.MC_CHUNK_ROWS, count - start)
@@ -173,7 +184,7 @@ class TestMonteCarlo:
 
     def test_memory_is_bounded(self, spaces):
         # one draw of all samples peaked at 53 MB; its two halves of 32768-row
-        # chunks peak at 3.8 MB once the space is warm (one stream: 4.2 MB)
+        # chunks peak at 4.2 MB once the space is warm (10 runs, 4.20-4.21 MB)
         tracemalloc.start()
         try:
             bh_density_monte_carlo(spaces["sphere-hopf"], (0.0, 0.0, 0.0), 1_000_000, 7)
@@ -477,8 +488,10 @@ class TestMeasureUniqueness:
 
 class TestZermeloRotation:
     """The Randers space of Zermelo navigation on flat h with the rotation
-    W = 0.3 (x2, -x1): S_BH vanishes although ||beta|| is not constant.
-    Whether analyze should admit it is open, so no verdict is asserted."""
+    W = 0.3 (-x2, x1): S_BH vanishes, and so does e_ij = r_ij + b_i s_j +
+    b_j s_i, although beta is not Killing and ||beta|| is not constant.
+    analyze still refuses it (exit 3, killing-violated).  Whether it should
+    admit it is open, so no verdict is asserted."""
 
     L = "(1-0.09*(x1^2+x2^2))"
 
@@ -500,6 +513,22 @@ class TestZermeloRotation:
         bh = busemann_hausdorff_measure(space)
         pairs = probe_pairs(space.chart, 100, 0)
         assert max(abs(s_curvature(F, bh, x, v)) for x, v in pairs) <= 1e-12
+
+    def test_e_vanishes_on_the_probes(self, space):
+        # r_ij and s_ij are the symmetric and antisymmetric halves of b_{i|j}
+        # and s_j = b^i s_ij (Chern & Shen, Riemann-Finsler Geometry, 2005)
+        worst = 0.0
+        for x, _ in probe_pairs(space.chart, 100, 0):
+            data = randers.PointData(space, x)
+            q, b, b_up = data.bcov, data.b, data.b_up
+            r = [[0.5 * (q[i][j] + q[j][i]) for j in range(2)] for i in range(2)]
+            s_low = [sum(b_up[i] * 0.5 * (q[i][j] - q[j][i]) for i in range(2)) for j in range(2)]
+            worst = max(
+                worst,
+                *(abs(r[i][j] + b[i] * s_low[j] + b[j] * s_low[i])
+                  for i in range(2) for j in range(2)),
+            )
+        assert worst <= 1e-14
 
     def test_transport_oracle_agrees(self, space):
         F = randers.finsler(space)

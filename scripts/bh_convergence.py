@@ -4,8 +4,8 @@
 Sweeps the sample count and prints the estimate, the binomial standard
 error, and the true error against the closed-form density, showing the
 expected 1/sqrt(N) decay.  Each row is held to the agreement gate of
-`finslerlab bh`, max(1% of the closed form, 3 standard errors); the
-script exits 1 if any row misses it.
+`finslerlab bh`, scurvature.bh_agreement_gate: max(1% of the closed
+form, 3 standard errors); the script exits 1 if any row misses it.
 """
 
 import argparse
@@ -38,7 +38,7 @@ def main() -> int:
         n = 10**k
         estimate, std_error = scurvature.bh_density_monte_carlo(sp, x, n, args.seed)
         error = abs(estimate - closed)
-        gate = max(0.01 * closed, 3.0 * std_error)
+        gate = scurvature.bh_agreement_gate(closed, std_error)
         missed += error > gate
         print(f"{n:10d} {estimate:14.8f} {std_error:12.2e} {error:12.2e} {gate:10.2e}"
               f"{'' if error <= gate else '  MISSED'}")

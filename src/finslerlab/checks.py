@@ -245,7 +245,7 @@ def run_checks(
     midpoint = tuple(0.5 * (lo + hi) for lo, hi in space.chart.bounds)
     closed = float(randers.bh_density_closed_form(space, midpoint))
     mc, se = scurvature.bh_density_monte_carlo(space, midpoint, mc_samples, MC_SEED)
-    gate = max(0.01 * closed, 3.0 * se)
+    gate = scurvature.bh_agreement_gate(closed, se)
     results.append(
         _result("bh-monte-carlo-vs-closed", abs(mc - closed), gate,
                 f"{mc_samples} samples, seed {MC_SEED}")

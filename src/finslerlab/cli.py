@@ -551,7 +551,7 @@ def cmd_bh(args) -> int:
     estimate, std_error = scurvature.bh_density_monte_carlo(
         space, point, args.samples, seed
     )
-    gate = max(0.01 * closed, 3.0 * std_error)
+    gate = scurvature.bh_agreement_gate(closed, std_error)
     report = _base_report("bh", digest, data, seed)
     report["results"] = {
         "x": list(point),

@@ -29,8 +29,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .jets import Scalar, _leaves, partial, seed_group, sqrt, standard_part, value_of
+from .jets import Scalar, _leaves, partial, seed_group, standard_part, value_of
 from .linalg import _stacked, inv, sum_
+from .staged import Stage
 
 __all__ = [
     "CoordinateChart",
@@ -205,8 +206,8 @@ def _christoffel_and_spray(g, dg, v) -> tuple[list, list, list]:
     G^i = sum gamma^i_jk v^j v^k; raises on singular g."""
     n = len(g)
     g_inv = inv(g)
-    gamma = _kernel(_christoffel_source, n)(g_inv, dg)
-    return g_inv, gamma, _kernel(_spray_source, n)(gamma, v)
+    gamma = _kernel(_christoffel, n)(g_inv, dg)
+    return g_inv, gamma, _kernel(_spray_contraction, n)(gamma, v)
 
 
 def _connection_from(G) -> list[list[float]]:
@@ -291,91 +292,62 @@ class PairTensors:
         return out
 
 
-# -- unrolled kernels --------------------------------------------------------------
+# -- kernels ---------------------------------------------------------------------
 #
 # Fixed sequences of products and sums once n is fixed (the Christoffel
 # symbols, of g here and of a in randers, and their spray contraction), each
-# written once per n as straight-line source over plain local names and
-# compiled, to spare the loop and index bookkeeping.  A generated sum lists
-# a loop's terms in the loop's order, and Python adds left to right, so the
-# code equals the loop bit for bit on float, array and jet leaves.  A name
-# ending in the pair i_j with i <= j (_pair) is a symmetric entry [i][j].
+# written as the plain loop it computes.  _kernel runs a loop once per n on
+# staged leaves and calls the straight-line function that run writes, which
+# spares the loop and index bookkeeping: the loop's leaf operations in its
+# order, so its bits on float, array and jet leaves.  A product that several
+# terms share is written in one operand order (v^j v^k with j <= k), so that
+# the written function forms it once.
+
+
+def _shapes(shapes: Callable):
+    """Marks a kernel loop with shapes(n), the nested-list shape of each
+    of its parameters at dimension n."""
+
+    def mark(loop):
+        loop.shapes = shapes
+        return loop
+
+    return mark
 
 
 @cache
-def _kernel(source, n: int):
-    """The function that source(n) -> (name, parameters, body lines) writes."""
-    name, params, lines = source(n)
-    text = f"def {name}({', '.join(params)}):\n" + "".join(f"    {line}\n" for line in lines)
-    namespace = {"sqrt": sqrt}
-    exec(compile(text, f"<kernel {name}, n = {n}>", "exec"), namespace)
-    return namespace[name]
+def _kernel(loop, n: int):
+    """The straight-line function that loop, run on staged leaves of the
+    shapes its parameters take at dimension n, writes."""
+    stage = Stage()
+    params = loop.__code__.co_varnames[: loop.__code__.co_argcount]
+    args = [stage.unpack(name, shape) for name, shape in zip(params, loop.shapes(n))]
+    return stage.function(loop.__name__, params, loop(*args))
 
 
-def _grid(n: int, depth: int, leaf) -> str:
-    """Source of the depth-deep nested n x ... x n list of leaf(*index);
-    also an unpacking target when the leaves are names."""
-
-    def level(index):
-        if len(index) == depth:
-            return leaf(*index)
-        return "[" + ", ".join(level((*index, i)) for i in range(n)) + "]"
-
-    return level(())
-
-
-def _pair(i: int, j: int) -> str:
-    """The suffix of a symmetric entry: [i][j] and [j][i] read one name."""
-    return f"{min(i, j)}_{max(i, j)}"
-
-
-def _sum(terms) -> str:
-    return " + ".join(terms)
-
-
-def _christoffel_source(n: int):
+@_shapes(lambda n: [(n, n), (n, n, n)])
+def _christoffel(m_inv, dm):
     """gamma^k_ij = 0.5 * (0.0 + sum_l m^kl br_ijl) of a metric m, from its
     inverse and dm[k][i][j] = dm_ij/dx_k, per lower pair, with the bracket
     br_ijl = dm_li/dx_j + dm_jl/dx_i - dm_ij/dx_l shared by every k."""
+    n = len(m_inv)
     r = range(n)
     pairs = [(i, j) for i in r for j in range(i, n)]
-    lines = [
-        _grid(n, 2, lambda i, j: f"ai_{i}_{j}") + " = m_inv",
-        _grid(n, 3, lambda k, i, j: f"d_{k}_{i}_{j}") + " = dm",
-    ]
-    lines += [
-        f"br_{i}_{j}_{l} = d_{j}_{l}_{i} + d_{i}_{j}_{l} - d_{l}_{i}_{j}"
-        for i, j in pairs
-        for l in r
-    ]
-    lines += [
-        f"g_{k}_{i}_{j} = 0.5 * (0.0 + {_sum(f'ai_{k}_{l} * br_{i}_{j}_{l}' for l in r)})"
-        for k in r
-        for i, j in pairs
-    ]
-    lines.append("return " + _grid(n, 3, lambda k, i, j: f"g_{k}_{_pair(i, j)}"))
-    return "christoffel", ("m_inv", "dm"), lines
+    bracket = {(i, j): [dm[j][l][i] + dm[i][j][l] - dm[l][i][j] for l in r] for i, j in pairs}
+    gamma = [[[None] * n for _ in r] for _ in r]
+    for k in r:
+        for i, j in pairs:
+            terms = (m_inv[k][l] * bracket[i, j][l] for l in r)
+            gamma[k][i][j] = gamma[k][j][i] = 0.5 * sum_([0.0, *terms])
+    return gamma
 
 
-def _spray_lines(n: int) -> list:
-    """Lines that unpack gamma and v and set G_i = sum_jk gamma^i_jk v^j v^k,
-    each product vv_j_k = v^j v^k formed once per lower pair."""
-    r = range(n)
-    grid = [(j, k) for j in r for k in r]
-    lines = [
-        _grid(n, 3, lambda i, j, k: f"g_{i}_{j}_{k}") + " = gamma",
-        _grid(n, 1, lambda i: f"v_{i}") + " = v",
-    ]
-    lines += [f"vv_{j}_{k} = v_{j} * v_{k}" for j in r for k in range(j, n)]
-    lines += [
-        f"G_{i} = {_sum(f'g_{i}_{j}_{k} * vv_{_pair(j, k)}' for j, k in grid)}" for i in r
-    ]
-    return lines
-
-
-def _spray_source(n: int):
+@_shapes(lambda n: [(n, n, n), (n,)])
+def _spray_contraction(gamma, v):
     """G^i = sum_jk gamma^i_jk v^j v^k (no factor 1/2)."""
-    return "spray", ("gamma", "v"), [*_spray_lines(n), "return " + _grid(n, 1, lambda i: f"G_{i}")]
+    r = range(len(v))
+    vv = [[v[min(j, k)] * v[max(j, k)] for k in r] for j in r]
+    return [sum_(gamma[i][j][k] * vv[j][k] for j in r for k in r) for i in r]
 
 
 # -- geodesics ----------------------------------------------------------------

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import expr, jets
 from .core import CoordinateChart, FinslerStructure, probe_points
-from .core import _christoffel_source, _grid, _kernel, _pair, _spray_lines, _sum
+from .core import _christoffel, _kernel, _shapes, _spray_contraction
 from .jets import Jet, Scalar, _leaves, partial, seed_group, standard_part
 from .linalg import _stacked, det, inv, sum_
 from .staged import Stage
@@ -348,18 +348,21 @@ def _first_order_data(space: RandersSpace, x):
     """a, da, b, db at x from one jet pass (float leaves, array leaves for
     a batch of points, or the staged leaves of _staged_spray).
 
-    da[k][i][j] = da_ij/dx_k and db[k][i] = db_i/dx_k.
+    da[k][i][j] = da_ij/dx_k and db[k][i] = db_i/dx_k.  The kernel that
+    sorts them out takes one row (value, *partials) per entry of a
+    (row-major) and of b: nested lists of shapes (n*n, n+1) and (n, n+1),
+    which Stage.unpack binds.
     """
     n = space.dimension
     xs = seed_group(x, range(n))
     # Entries are one-level jets over leaves, or leaf constants.
     zeros = (0.0,) * n
     a_jets, b_jets = a_and_b(space, xs)
-    aj = [
-        (e.value, e.partials) if isinstance(e, Jet) else (e, zeros) for row in a_jets for e in row
+    a_rows = [
+        (e.value, *e.partials) if isinstance(e, Jet) else (e, *zeros) for row in a_jets for e in row
     ]
-    bj = [(e.value, e.partials) if isinstance(e, Jet) else (e, zeros) for e in b_jets]
-    return _kernel(_first_order_source, n)(aj, bj)
+    b_rows = [(e.value, *e.partials) if isinstance(e, Jet) else (e, *zeros) for e in b_jets]
+    return _kernel(_first_order, n)(a_rows, b_rows)
 
 
 def _spray_function(space: RandersSpace):
@@ -381,7 +384,10 @@ def _staged_spray(space: RandersSpace):
     the function that performs its leaf operations, a and b and their first
     partials straight from the expression DAG, inv through this module's
     binding (which a tracer may rebind), then the Christoffel, covariant
-    and X/Y kernels, with the space's constant entries folded in."""
+    and X/Y kernels, with the space's constant entries folded in.  The
+    kernels are the functions core._kernel wrote on their own stages; run
+    here on this stage's leaves, each of their operations writes its line
+    into the spray."""
     n = space.dimension
     stage = Stage()
     x, v = stage.unpack("x", (n,)), stage.unpack("v", (n,))
@@ -399,78 +405,57 @@ def _staged_spray(space: RandersSpace):
     return stage.function("spray", ("x", "v"), g)
 
 
-# -- unrolled kernels (compiled by core._kernel, like its Christoffel and spray) --
+# -- kernels ---------------------------------------------------------------------
+#
+# Plain loops that core._kernel writes once per n as straight-line functions,
+# like core's Christoffel and spray loops, which PointData runs too.
 
 
-def _first_order_source(n: int):
-    """a, da, b, db from the (value, partials) pairs of a (row-major) and b."""
+@_shapes(lambda n: [(n * n, n + 1), (n, n + 1)])
+def _first_order(a_rows, b_rows):
+    """a, da, b, db from the rows (value, *partials) of a (row-major) and b."""
+    n = len(b_rows)
     r = range(n)
-    a_pairs = [f"[a_{i}_{j}, {_grid(n, 1, lambda k: f's_{i}_{j}_{k}')}]" for i in r for j in r]
-    b_pairs = [f"[b_{i}, {_grid(n, 1, lambda k: f't_{i}_{k}')}]" for i in r]
-    a = _grid(n, 2, lambda i, j: f"a_{i}_{j}")
-    da = _grid(n, 3, lambda k, i, j: f"s_{i}_{j}_{k}")
-    b = _grid(n, 1, lambda i: f"b_{i}")
-    db = _grid(n, 2, lambda k, i: f"t_{i}_{k}")
-    lines = [
-        f"[{', '.join(a_pairs)}] = a_pairs",
-        f"[{', '.join(b_pairs)}] = b_pairs",
-        f"return {a}, {da}, {b}, {db}",
-    ]
-    return "first_order", ("a_pairs", "b_pairs"), lines
+    a = [[a_rows[n * i + j][0] for j in r] for i in r]
+    da = [[[a_rows[n * i + j][1 + k] for j in r] for i in r] for k in r]
+    b = [row[0] for row in b_rows]
+    db = [[row[1 + k] for row in b_rows] for k in r]
+    return a, da, b, db
 
 
-def _covariant_source(n: int):
+@_shapes(lambda n: [(n, n), (n,), (n, n), (n, n, n)])
+def _covariant(a_inv, b, db, gamma):
     """b^i = 0.0 + sum_j a^ij b_j and b_{i|j} = db_i/dx_j - (0.0 + sum_k b_k
     gamma^k_ij), the contraction once per lower pair."""
+    n = len(b)
     r = range(n)
-    lines = [
-        _grid(n, 2, lambda i, j: f"ai_{i}_{j}") + " = a_inv",
-        _grid(n, 1, lambda i: f"b_{i}") + " = b",
-        _grid(n, 2, lambda k, i: f"db_{k}_{i}") + " = db",
-        _grid(n, 3, lambda k, i, j: f"g_{k}_{i}_{j}") + " = gamma",
-    ]
-    lines += [f"bu_{i} = 0.0 + {_sum(f'ai_{i}_{j} * b_{j}' for j in r)}" for i in r]
-    lines += [
-        f"c_{i}_{j} = 0.0 + {_sum(f'b_{k} * g_{k}_{i}_{j}' for k in r)}"
-        for i in r
-        for j in range(i, n)
-    ]
-    b_up = _grid(n, 1, lambda i: f"bu_{i}")
-    bcov = _grid(n, 2, lambda i, j: f"db_{j}_{i} - c_{_pair(i, j)}")
-    lines.append(f"return {b_up}, {bcov}")
-    return "covariant", ("a_inv", "b", "db", "gamma"), lines
+    b_up = [sum_([0.0, *(a_inv[i][j] * b[j] for j in r)]) for i in r]
+    c = [[None] * n for _ in r]
+    for i in r:
+        for j in range(i, n):
+            c[i][j] = c[j][i] = sum_([0.0, *(b[k] * gamma[k][i][j] for k in r)])
+    return b_up, [[db[j][i] - c[i][j] for j in r] for i in r]
 
 
-def _xy_source(n: int):
-    """(X, Y, riem) of the spray decomposition at v (PointData._xy_split),
-    each product v^j v^k, a^ij v^k and b^k v^j formed once; riem is the
-    spray of a, through core's contraction lines."""
-    r = range(n)
-    grid = [(j, k) for j in r for k in r]
-    lines = [
-        _grid(n, 2, lambda i, j: f"a_{i}_{j}") + " = a",
-        _grid(n, 2, lambda i, j: f"ai_{i}_{j}") + " = a_inv",
-        _grid(n, 1, lambda i: f"b_{i}") + " = b",
-        _grid(n, 1, lambda i: f"bu_{i}") + " = b_up",
-        _grid(n, 2, lambda i, j: f"q_{i}_{j}") + " = bcov",
-        *_spray_lines(n),
-    ]
-    lines.append(f"al = sqrt({_sum(f'a_{i}_{j} * vv_{_pair(i, j)}' for i, j in grid)})")
-    lines.append(f"f = al + ({_sum(f'b_{i} * v_{i}' for i in r)})")
-    lines += [f"p_{i}_{j}_{k} = ai_{i}_{j} * v_{k}" for i in r for j, k in grid]
-    lines += [
-        f"x_{i} = ({_sum(f'q_{j}_{k} * (p_{i}_{j}_{k} - p_{i}_{k}_{j})' for j, k in grid)}) * al"
+@_shapes(lambda n: [(n, n), (n, n), (n,), (n,), (n, n), (n, n, n), (n,)])
+def _xy_split(a, a_inv, b, b_up, q, gamma, v):
+    """(X, Y, riem) of the spray decomposition at v (PointData._xy_split);
+    riem is the spray of a.  Each shared product is written in one operand
+    order (v^j v^k with j <= k, a^ij v^k, b^k v^j), so that the written
+    function forms it once."""
+    r = range(len(b))
+    riem = _spray_contraction(gamma, v)
+    vv = [[v[min(j, k)] * v[max(j, k)] for k in r] for j in r]
+    al = jets.sqrt(sum_(a[i][j] * vv[i][j] for i in r for j in r))
+    f = al + sum_(b[i] * v[i] for i in r)
+    x_cmp = [
+        sum_(q[j][k] * (a_inv[i][j] * v[k] - a_inv[i][k] * v[j]) for j in r for k in r) * al
         for i in r
     ]
-    lines.append(f"s1 = {_sum(f'q_{j}_{k} * vv_{_pair(j, k)}' for j, k in grid)}")
-    lines += [f"w_{k}_{j} = bu_{k} * v_{j}" for k, j in grid]
-    lines.append(f"s2 = {_sum(f'q_{j}_{k} * (w_{k}_{j} - w_{j}_{k})' for j, k in grid)}")
-    lines.append("common = s1 + s2 * al")
-    x_cmp = _grid(n, 1, lambda i: f"x_{i}")
-    y_cmp = _grid(n, 1, lambda i: f"(v_{i} / f) * common")
-    riem = _grid(n, 1, lambda i: f"G_{i}")
-    lines.append(f"return {x_cmp}, {y_cmp}, {riem}")
-    return "xy_split", ("a", "a_inv", "b", "b_up", "bcov", "gamma", "v"), lines
+    s1 = sum_(q[j][k] * vv[j][k] for j in r for k in r)
+    s2 = sum_(q[j][k] * (b_up[k] * v[j] - b_up[j] * v[k]) for j in r for k in r)
+    common = s1 + s2 * al
+    return x_cmp, [(v[i] / f) * common for i in r], riem
 
 
 class PointData:
@@ -496,8 +481,8 @@ class PointData:
         n = len(b)
         self.a, self.b = a, b
         self.a_inv = a_inv = inverse(a)
-        self.gamma = gamma = _kernel(_christoffel_source, n)(a_inv, da)
-        self.b_up, self.bcov = _kernel(_covariant_source, n)(a_inv, b, db, gamma)
+        self.gamma = gamma = _kernel(_christoffel, n)(a_inv, da)
+        self.b_up, self.bcov = _kernel(_covariant, n)(a_inv, b, db, gamma)
 
     def length_gradient(self) -> list:
         """d(||beta||^2)/dx_i via the covariant identity 2 sum_j b_{j|i} b^j."""
@@ -547,7 +532,7 @@ class PointData:
                          + alpha * sum_jk b_{j|k} (b^k v^j - b^j v^k)),
         riem^i = sum_jk gamma^i_jk v^j v^k.
         """
-        xy_split = _kernel(_xy_source, len(self.b))
+        xy_split = _kernel(_xy_split, len(self.b))
         return xy_split(self.a, self.a_inv, self.b, self.b_up, self.bcov, self.gamma, v)
 
 

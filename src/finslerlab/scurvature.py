@@ -41,6 +41,7 @@ __all__ = [
     "measure_from_kind",
     "unit_ball_volume",
     "bh_density_monte_carlo",
+    "bh_agreement_gate",
     "s_curvature",
     "s_curvature_from",
     "s_curvature_transport",
@@ -367,6 +368,13 @@ def bh_density_monte_carlo(
     estimate = omega / ball_volume
     std_error = omega * se_volume / (ball_volume * ball_volume)
     return estimate, std_error
+
+
+def bh_agreement_gate(closed: float, std_error: float) -> float:
+    """How far a bh_density_monte_carlo estimate may lie from the closed-form
+    density `closed` and still agree with it: 1% of it or 3 standard
+    errors, whichever is larger."""
+    return max(0.01 * closed, 3.0 * std_error)
 
 
 def _count_hits(seed: int, first_row: int, stop_row: int, half_width, lam, b_eigen) -> int:

@@ -29,6 +29,13 @@ value:
   raising error state no such t arises without raising first.  A value
   that stays a constant there is a float, where the computation may hold
   an array with that float in every lane.
+
+This module is the package's one writer of generated code.  Its callers:
+core._kernel writes each kernel (the Christoffel symbols and their spray
+contraction in core; the first-order data, the covariant derivative and
+the X/Y split in randers) from its plain loop once per dimension, with
+drop_zero_terms off, and randers._staged_spray writes a space's
+closed-form spray, through those kernels, once per space.
 """
 
 from __future__ import annotations

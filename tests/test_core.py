@@ -357,8 +357,8 @@ class TestKernelParity:
                 return Jet(leaf(), tuple(leaf() for _ in range(slots)))
             return leaf()
 
-        christoffel = core._kernel(core._christoffel_source, n)
-        contraction = core._kernel(core._spray_source, n)
+        christoffel = core._kernel(core._christoffel, n)
+        contraction = core._kernel(core._spray_contraction, n)
         for _ in range(8):
             g_inv = [[entry() for _ in range(n)] for _ in range(n)]
             dg = [[[entry() for _ in range(n)] for _ in range(n)] for _ in range(n)]

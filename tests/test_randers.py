@@ -1,4 +1,5 @@
 import copy
+import dis
 import math
 import random
 import sys
@@ -419,7 +420,7 @@ class TestLeviCivita:
             for _ in range(5):
                 a_inv = [[entry(lanes) for _ in range(n)] for _ in range(n)]
                 da = [[[entry(lanes) for _ in range(n)] for _ in range(n)] for _ in range(n)]
-                assert _reprs(core._kernel(core._christoffel_source, n)(a_inv, da)) == _reprs(
+                assert _reprs(core._kernel(core._christoffel, n)(a_inv, da)) == _reprs(
                     _levi_civita_unhoisted(a_inv, da)
                 )
 
@@ -714,6 +715,28 @@ class TestUnrolledKernels:
             errors.append((err.value.time, str(err.value)))
         assert errors[0] == errors[1]
 
+    @pytest.mark.parametrize(
+        "loop, counts",
+        [
+            (core._christoffel, [5, 42, 162, 440]),
+            (core._spray_contraction, [2, 17, 57, 134]),
+            (randers._covariant, [5, 24, 63, 128]),
+            (randers._xy_split, [17, 88, 248, 533]),
+            (randers._first_order, [0, 0, 0, 0]),
+        ],
+    )
+    def test_arithmetic_operation_counts(self, loop, counts):
+        """Each written kernel forms every shared product once: a loop that
+        writes one in the other operand order adds operations here."""
+        for n, count in zip([1, 2, 3, 4], counts):
+            code = list(dis.get_instructions(core._kernel(loop, n)))
+            arithmetic = [
+                i for i in code if i.opname.startswith("BINARY_") and i.opname != "BINARY_SUBSCR"
+            ]
+            sqrt_calls = [i for i in code if i.opname == "LOAD_GLOBAL" and i.argval == "sqrt"]
+            assert len(arithmetic) == count, (loop.__name__, n)
+            assert len(sqrt_calls) == (loop is randers._xy_split), (loop.__name__, n)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_random_entries_with_signed_zeros(self, n):
         rng = np.random.default_rng(50 + n)
@@ -744,12 +767,12 @@ class TestUnrolledKernels:
                 b = [entry(lanes, 0.1 / n) for _ in range(n)]
                 db = [[entry(lanes) for _ in range(n)] for _ in range(n)]
                 v = [1.0 + abs(entry(lanes)), *(entry(lanes) for _ in range(n - 1))]
-                gamma = core._kernel(core._christoffel_source, n)(a_inv, da)
+                gamma = core._kernel(core._christoffel, n)(a_inv, da)
                 assert _reprs(gamma) == _reprs(_levi_civita_unhoisted(a_inv, da))
-                covariant = core._kernel(randers._covariant_source, n)
+                covariant = core._kernel(randers._covariant, n)
                 b_up, bcov = covariant(a_inv, b, db, gamma)
                 assert _reprs([b_up, bcov]) == _reprs(_covariant_loops(a_inv, b, db, gamma))
-                xy_split = core._kernel(randers._xy_source, n)
+                xy_split = core._kernel(randers._xy_split, n)
                 for w in (v, seed_group(v, range(n)) if lanes is None else v):
                     args = (a, a_inv, b, b_up, bcov, gamma, w)
                     assert _reprs(xy_split(*args)) == _reprs(_xy_split_loops(*args))

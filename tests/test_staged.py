@@ -3,6 +3,7 @@ computation they record, on float and array leaves."""
 
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,3 +93,11 @@ def test_rewrites_write_no_line():
     assert (t + product).ref  # read outside a zero-started sum: written
     assert stage.lines == ["[t0, t1] = x", "t2 = t0 * t1", "t3 = (0.0) + t2", "t4 = t0 * (0.0)",
                            "t5 = t0 + t4"]
+
+
+def test_only_staged_executes_source():
+    """Every generated function is written by a Stage: no other module of
+    the package runs source text."""
+    package = Path(jets.__file__).resolve().parent
+    runners = [path.name for path in sorted(package.glob("*.py")) if "exec(" in path.read_text()]
+    assert runners == ["staged.py"]

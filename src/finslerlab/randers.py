@@ -394,7 +394,6 @@ def _staged_spray(space: RandersSpace):
     module = stage.constant(sys.modules[__name__], "randers")
     try:
         first_order = _first_order_data(space, x)
-        stage.drop_zero_terms = True  # the Christoffel and covariant sums start 0.0 + ...
         data = PointData.__new__(PointData)
         data._derive(
             *first_order, lambda a: stage.unpack(f"{module}.inv({stage.source(a)})", (n, n))

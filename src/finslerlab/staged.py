@@ -20,22 +20,21 @@ value:
   (equal bit for bit, -0.0, inf and NaN included);
 - an operation that repeats one already written, on the same operands,
   reads its result, and a guard repeated on one value is written once;
-- once Stage.drop_zero_terms is set, a product c * t or t * c by a
-  constant c = 0.0 is written only when a later operation reads it.  A
-  sum that starts `0.0 + ...`, or that adds a term to such a sum, is
-  never -0.0, so adding +-0.0 to it (the product at a finite t, or a
-  constant zero) leaves it as it is: such a term is dropped.  Where t is
-  inf or NaN the product would be NaN; on array leaves under NumPy's
-  raising error state no such t arises without raising first.  A value
-  that stays a constant there is a float, where the computation may hold
-  an array with that float in every lane.
+- a product c * t or t * c by a constant c = 0.0 is written only when a
+  later operation reads it.  A sum that starts `0.0 + ...`, or that adds
+  a term to such a sum, is never -0.0, so adding +-0.0 to it (the product
+  at a finite t, or a constant zero) leaves it as it is: such a term is
+  dropped.  Where t is inf or NaN the product would be NaN; on array
+  leaves under NumPy's raising error state no such t arises without
+  raising first.  A value that stays a constant there is a float, where
+  the computation may hold an array with that float in every lane.
 
 This module is the package's one writer of generated code.  Its callers:
 core._kernel writes each kernel (the Christoffel symbols and their spray
 contraction in core; the first-order data, the covariant derivative and
-the X/Y split in randers) from its plain loop once per dimension, with
-drop_zero_terms off, and randers._staged_spray writes a space's
-closed-form spray, through those kernels, once per space.
+the X/Y split in randers) from its plain loop once per dimension, and
+randers._staged_spray writes a space's closed-form spray, through those
+kernels, once per space.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ class Stage:
     def __init__(self):
         self.lines: list = []
         self.namespace: dict = {}
-        self.drop_zero_terms = False
         self._temps = itertools.count()
         self._values: dict = {}  # right-hand side -> the Sym that holds it
 
@@ -194,7 +192,7 @@ class Sym:
         if type(other) is float:
             if other == 1.0:
                 return self
-            if other == 0.0 and self.stage.drop_zero_terms:
+            if other == 0.0:
                 return self._zero_product(self, other)
         return self._binary(self, "*", other)
 
@@ -202,7 +200,7 @@ class Sym:
         if type(other) is float:
             if other == 1.0:
                 return self
-            if other == 0.0 and self.stage.drop_zero_terms:
+            if other == 0.0:
                 return self._zero_product(other, self)
         return self._binary(other, "*", self)
 

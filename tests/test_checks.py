@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import sys
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from finslerlab.jets import Jet, standard_part
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import specgen  # noqa: E402
+import workloads  # noqa: E402
 
 
 @pytest.mark.parametrize("name", ["flat-nonkilling", "rotational-killing"])
@@ -51,7 +53,7 @@ def _lanes(x) -> int:
 
 @pytest.mark.parametrize("name", ["flat-nonkilling", "polar-riemannian"])
 def test_battery_evaluates_each_probe_value_once(spaces, monkeypatch, name):
-    # flat-nonkilling refuses (the Lebesgue and volume floor is read),
+    # flat-nonkilling refuses (the even part of S is read),
     # polar-riemannian admits (the Killing-skew check runs)
     calls = {"analyze_beta": 0, "bh_density": 0, "half_f_squared": 0, "geodesic": 0, "plain_f": 0}
     lanes = {"bh_density": 0, "half_f_squared": 0, "geodesic": 0, "plain_f": 0}
@@ -113,12 +115,12 @@ def test_battery_evaluates_each_probe_value_once(spaces, monkeypatch, name):
     subset = pairs[:20]
     transport = 5
     # The pair pass has one lane per pair and one per (pair, c) of the
-    # homogeneity subset, (x, 0.5 v) and (x, 2 v), whose own N gives S there.
+    # homogeneity subset, (x, 3 v) and (x, v / 3), whose own N gives S there.
     pair_lanes = len(pairs) + 2 * len(subset)
     # sigma_BH once per pair-pass lane (its scaled and shifted laws reuse
     # that jet), at the four Richardson states of each oracle probe, and at
     # the chart midpoint for the Monte-Carlo gate.  F^2/2 once per lane for
-    # g, A, N and G, once more for g at 2 v; g at the four Richardson states
+    # g, A, N and G, once more for g at 3 v; g at the four Richardson states
     # of each oracle probe.  One geodesic per oracle probe and direction.  F
     # itself at v (read from PairTensors) and at 0.5 v, 2 v and 3 v per
     # lane, and at the start of each oracle geodesic.
@@ -130,7 +132,7 @@ def test_battery_evaluates_each_probe_value_once(spaces, monkeypatch, name):
     }
     # Each of those is one pass over array leaves, or one float call: sigma_BH
     # in the pair pass, at the oracle's end states and at the midpoint; F^2/2
-    # for PairTensors, g at 2 v and the oracle; the oracle's forward and
+    # for PairTensors, g at 3 v and the oracle; the oracle's forward and
     # backward geodesics as one lock-step RK4 run; F once per factor c in
     # the pair pass and once for the oracle's starts.
     assert calls == {
@@ -195,7 +197,7 @@ def test_s_at_scaled_v_comes_from_its_own_connection(monkeypatch, name, spec, be
             assert lanes[lane] == (*x, *w)
             s_cv = s_bh(x, w)
             # each row ends with S under sigma_BH and its two laws, then
-            # under the floor measures
+            # the even part of S
             assert repr(rows[lane][-2][0]) == repr(s_cv)
             s_homog = max(s_homog, abs(s_cv - c * s0) / (1.0 + abs(s0)))
     assert (s_homog > 1e-12) == bool(bend)
@@ -220,7 +222,8 @@ def test_homogeneity_entries_read_rounding(spaces):
 
 @pytest.mark.parametrize("name,tolerance", [("flat-nonkilling", 0.05), ("polar-riemannian", 1e-8)])
 def test_no_probe_pairs_skip_the_theorem_entry(spaces, name, tolerance):
-    # flat-nonkilling refuses (the floor has no column to fold), polar-riemannian admits
+    # flat-nonkilling refuses (no pair to read the even part of S at),
+    # polar-riemannian admits
     space = spaces[name]
     _, points = probe_grid(space.chart, 25)
     results = checks.run_checks(space, [], points, transport_probes=0, mc_samples=10_000)
@@ -262,3 +265,68 @@ def test_measure_laws_fold_every_pair(monkeypatch, spaces):
             if max(column[20:]) > max(column[:20]):
                 worst_past_the_subset.add(entry)
     assert worst_past_the_subset == {"measure-scale-invariance", "measure-density-shift"}
+
+
+def _even_parts(space, pairs) -> list:
+    """|E(x, v)| = |S(x, v) + S(x, -v)| per pair, from the closed-form Y
+    trace at v and at -v: one PointData with one array lane per pair."""
+    x, v = ([np.array(c) for c in zip(*(p[k] for p in pairs))] for k in range(2))
+    data = randers.PointData(space, x)
+    even = 0.5 * (data.trace_dY_closed_form(v) + data.trace_dY_closed_form([-c for c in v]))
+    return np.abs(np.broadcast_to(even, (len(pairs),))).tolist()
+
+
+def _refusing_cases():
+    """The refusing catalog spaces and the refused families of the seed-7
+    verdict grid."""
+    generated = specgen.generate_set(7, specgen.family_grid(), "verdict")
+    return [(name, None) for name in ("flat-nonkilling", "rotational-killing")] + [
+        (spec["name"], spec) for spec in generated if not spec["bench"]["admits"]
+    ]
+
+
+@pytest.mark.parametrize("name,spec", _refusing_cases())
+def test_refused_verdict_reads_the_even_part_of_s(name, spec):
+    # S_sigma(v) = S_BH(v) + v^i d_i log(sigma_BH / sigma), so E = S(v) + S(-v)
+    # is the same for every measure.  The entry reads max |E| over the pairs
+    # and names its pair, where S under any measure, at v and at -v, replays it.
+    space = manifest.space_from_spec(spec) if spec else catalog.space(name)
+    pairs, points = probe_grid(space.chart, 25)
+    results = checks.run_checks(space, pairs, points, transport_probes=0, mc_samples=10_000)
+    entry = {r.name: r for r in results}["theorem-end-to-end"]
+    evens = _even_parts(space, pairs)
+    assert repr(entry.observed) == repr(max(evens))
+    assert entry.passed and entry.tolerance == 0.05
+    point, vector = re.search(r"--point=(\S+) --vector=(\S+)$", entry.note).groups()
+    x, v = (tuple(map(float, text.split(","))) for text in (point, vector))
+    assert evens[pairs.index((x, v))] == entry.observed
+    F = randers.finsler(space)
+    for measure in (
+        scurvature.lebesgue_measure(),
+        scurvature.riemannian_volume_measure(space),
+        scurvature.busemann_hausdorff_measure(space),
+    ):
+        even = scurvature.s_curvature(F, measure, x, v) + scurvature.s_curvature(
+            F, measure, x, [-c for c in v]
+        )
+        assert abs(abs(even) - entry.observed) <= 1e-12 * (1.0 + entry.observed), measure.kind
+
+
+def test_refused_specs_clear_the_floor_twice_over():
+    # Every refused spec that validate-battery and verdict-batch generate,
+    # at seeds 0-49, reads max |E| at least twice the 0.05 floor on the
+    # battery's default grid (100 pairs, probe seed 0), so theorem-end-to-end
+    # passes on each of them with margin.
+    worst = {}
+    for seed in range(50):
+        for tag, shape in (
+            ("validate", workloads.ValidateBattery.SHAPE), ("verdict", specgen.family_grid())
+        ):
+            for spec in specgen.generate_set(seed, shape, tag):
+                if spec["bench"]["admits"]:
+                    continue
+                space = manifest.space_from_spec(spec)
+                pairs, _ = probe_grid(space.chart, 100, 0)
+                worst[seed, spec["name"]] = max(_even_parts(space, pairs))
+    low = {key: value for key, value in worst.items() if value < 0.1}
+    assert not low, low

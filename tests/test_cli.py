@@ -515,6 +515,30 @@ class TestValidate:
         assert check["note"] == "no transport probes compared"
         assert "SKIP s-formula-vs-transport" in captured.err
 
+    @pytest.mark.parametrize("name", ["flat-nonkilling", "rotational-killing"])
+    def test_refused_witness_replays_with_s_curvature(self, capsys, spec_path, name):
+        # The refused theorem-end-to-end entry names the pair of its max
+        # |S(v) + S(-v)|; s-curvature there at v and at -v sums to it, under
+        # any measure (here the default, Busemann-Hausdorff, and Lebesgue).
+        path = spec_path(name)
+        code, report = run_json(
+            capsys, "validate", path, "--probes", "25", "--transport-probes", "0",
+            "--mc-samples", "10000",
+        )
+        assert code == EXIT_OK
+        (entry,) = [c for c in report["results"]["checks"] if c["name"] == "theorem-end-to-end"]
+        point, vector = re.search(r"--point=(\S+) --vector=(\S+)$", entry["note"]).groups()
+        negated = ",".join(repr(-float(c)) for c in vector.split(","))
+        for measure in ([], ["--measure", "lebesgue"]):
+            total = 0.0
+            for v in (vector, negated):
+                code, s_report = run_json(
+                    capsys, "s-curvature", path, f"--point={point}", f"--vector={v}", *measure
+                )
+                assert code == EXIT_OK
+                total += s_report["results"]["s_formula"]
+            assert abs(abs(total) - entry["observed"]) <= 1e-12 * (1.0 + entry["observed"])
+
     def test_transport_leaving_the_chart_exit_four(self, capsys, spec_path):
         # flat-const has constant a and b, so each transport geodesic is the
         # straight line x + t v / F(v) to t = +-h (h = 1e-3), in steps of

@@ -1,4 +1,5 @@
 import inspect
+import json
 import math
 import random
 import sys
@@ -9,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from finslerlab import catalog, jets, manifest, randers, scurvature
+from finslerlab import catalog, checks, cli, jets, manifest, randers, scurvature
 from finslerlab.jets import standard_part
-from finslerlab.core import PairTensors, probe_pairs
+from finslerlab.core import PairTensors, probe_grid, probe_pairs
 from finslerlab.scurvature import (
     Measure,
     bh_density_monte_carlo,
@@ -491,22 +492,24 @@ class TestZermeloRotation:
     W = 0.3 (-x2, x1): S_BH vanishes, and so does e_ij = r_ij + b_i s_j +
     b_j s_i, although beta is not Killing and ||beta|| is not constant.
     analyze still refuses it (exit 3, killing-violated).  Whether it should
-    admit it is open, so no verdict is asserted."""
+    admit it is open: the tests pin today's readings, no verdict."""
 
     L = "(1-0.09*(x1^2+x2^2))"
+    SPEC = {
+        "schema": 1,
+        "dimension": 2,
+        "coordinates": ["x1", "x2"],
+        "metric": [
+            [f"1/{L} + 0.09*x2^2/{L}^2", f"-0.09*x1*x2/{L}^2"],
+            [f"-0.09*x1*x2/{L}^2", f"1/{L} + 0.09*x1^2/{L}^2"],
+        ],
+        "beta": [f"0.3*x2/{L}", f"-0.3*x1/{L}"],
+        "domain": [[-1.0, 1.0], [-1.0, 1.0]],
+    }
 
     @pytest.fixture(scope="class")
     def space(self):
-        L = self.L
-        return randers.build_space(
-            ["x1", "x2"],
-            [(-1.0, 1.0), (-1.0, 1.0)],
-            [
-                [f"1/{L} + 0.09*x2^2/{L}^2", f"-0.09*x1*x2/{L}^2"],
-                [f"-0.09*x1*x2/{L}^2", f"1/{L} + 0.09*x1^2/{L}^2"],
-            ],
-            [f"0.3*x2/{L}", f"-0.3*x1/{L}"],
-        )
+        return manifest.space_from_spec(self.SPEC)
 
     def test_bh_s_vanishes_on_the_probes(self, space):
         F = randers.finsler(space)
@@ -534,6 +537,20 @@ class TestZermeloRotation:
         F = randers.finsler(space)
         bh = busemann_hausdorff_measure(space)
         assert abs(s_curvature_transport(F, bh, (0.5, 0.3), (1.0, 0.4))) <= 1e-8
+
+    def test_battery_reads_no_measure_ruled_out(self, space, tmp_path, capsys):
+        # E = S(v) + S(-v), the same for every measure, vanishes on the
+        # battery's grid, so the refused branch of theorem-end-to-end FAILs
+        # while analyze refuses: the criterion and the space disagree here.
+        path = tmp_path / "zermelo-rotation.json"
+        path.write_text(json.dumps(self.SPEC))
+        assert cli.main(["analyze", str(path)]) == 3
+        assert json.loads(capsys.readouterr().out)["results"]["reason"] == "killing-violated"
+        pairs, points = probe_grid(space.chart, 100)
+        results = checks.run_checks(space, pairs, points, transport_probes=0, mc_samples=10_000)
+        entry = {r.name: r for r in results}["theorem-end-to-end"]
+        assert entry.observed <= 1e-12 and not entry.passed
+        assert entry.note.startswith("no measure admitted")
 
 
 class TestMeasureConstruction:

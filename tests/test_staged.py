@@ -61,7 +61,6 @@ def test_generated_function_equals_the_recorded_computation(seed):
     n = 3
     program = _program(rng, n, 40)
     stage = Stage()
-    stage.drop_zero_terms = seed % 2 == 0
     staged = stage.unpack("x", (n,))
     fn = stage.function("program", ("x",), _run(program, staged))
     points = [[rng.choice([-0.0, 0.0, rng.uniform(-2.0, 2.0)]) for _ in range(n)] for _ in range(6)]
@@ -86,7 +85,6 @@ def test_rewrites_write_no_line():
     assert t * 1.0 is t and 1.0 * t is t and t / 1.0 is t
     assert t - 0.0 is t and t + -0.0 is t and -0.0 + t is t
     assert t * u is t * u  # one product, written once
-    stage.drop_zero_terms = True
     s = 0.0 + t * u
     assert 0.0 + t * 0.0 == 0.0 and s + 0.0 * u is s and s + u * -0.0 is s and s + 0.0 is s
     product = t * 0.0

@@ -21,6 +21,11 @@ per spec: "library:sweep" in the s-curvature-sweep's order (four kinds
 at v, then one at 2v), point by point and space by space, and "library:interleaved"
 for the same calls with the spaces and points interleaved, so that a
 value carried over from another space or point would change a line.
+A third, "library:tensors", hashes the float.hex of the tensors behind
+those traces: every entry of core.nonlinear_connection at the sweep's
+points (v and 2v), then PairTensors' g, A, N and G at the spec's first
+probe pairs (each with its own v), so that a change in the rounding or
+in the sign of a zero entry shows even where a trace hides it.
 Last, one "contract:" line per malformed spec and command (`analyze`,
 `validate`) digests an error report: coordinate names that the
 expression grammar refuses, a non-finite metric or one-form,
@@ -162,6 +167,34 @@ def library_lines(specs: list[dict], seed: str) -> list[str]:
     ]
 
 
+def hexes(nested) -> str:
+    """float.hex of every entry of nested lists of scalars, in order."""
+    if isinstance(nested, (list, tuple)):
+        return ",".join(hexes(item) for item in nested)
+    return float(nested).hex()
+
+
+def pair_tensors(F, x, v) -> list:
+    """PairTensors' g, A, N and G at (x, v)."""
+    t = core.PairTensors(F, x, v)
+    return [t.g, t.A, t.N, t.G]
+
+
+def tensor_line(spec: dict, seed: str) -> str:
+    """The library:tensors line of one spec."""
+    space = manifest.space_from_spec(spec)
+    F = randers.finsler(space)
+    pairs = core.probe_pairs(space.chart, LIBRARY_POINTS, 1)
+    v = pairs[0][1]
+    calls = [
+        lambda x=x, w=w: hexes(core.nonlinear_connection(F, x, w))
+        for x, _ in pairs
+        for w in (v, [2.0 * c for c in v])
+    ]
+    calls += [lambda x=x, w=w: hexes(pair_tensors(F, x, w)) for x, w in pairs]
+    return f"library:tensors {spec['name']} {seed} sha256={sha256([outcome(c) for c in calls])}"
+
+
 def flat_spec(**fields) -> dict:
     """A flat Randers spec on (-1, 1)^2 with `fields` replaced."""
     spec = {
@@ -224,6 +257,8 @@ def main() -> int:
                     print(f"{label} {spec['name']} {seed} exit={code} sha256={sha}", flush=True)
             for line in library_lines(specs, seed):
                 print(line, flush=True)
+            for spec in specs:
+                print(tensor_line(spec, seed), flush=True)
         for case, spec in malformed_specs().items():
             path = Path(tmp) / "contract.json"
             path.write_text(json.dumps(spec))

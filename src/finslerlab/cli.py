@@ -52,10 +52,10 @@ EXIT_USAGE = 2
 EXIT_NO_MEASURE = 3
 EXIT_RUNTIME_WARNING = 4
 
-# Seeds key NumPy generators: default_rng(seed), a PCG64, shuffles the probe
-# grid's Halton digits (core._scrambled_halton), and the Monte-Carlo density
-# seeds a PCG64DXSM, a different stream, with the seed;
-# scurvature.bh_density_monte_carlo refuses a seed outside [0, 2**64).
+# Seeds key two generators: default_rng(seed)'s PCG64 stream, drawn in plain
+# Python (core._PCG64), shuffles the probe grid's Halton digits, and the
+# Monte-Carlo density seeds NumPy's PCG64DXSM, a different stream, with the
+# seed; scurvature.bh_density_monte_carlo refuses a seed outside [0, 2**64).
 SEED_LIMIT = 2**64
 
 

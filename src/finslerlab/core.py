@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -455,13 +456,118 @@ def _primes(count: int) -> list[int]:
     return primes
 
 
+# NumPy's default_rng(seed) stream, in plain Python.  The probe grid's digit
+# permutations are what SciPy's Halton draws: default_rng(seed), a PCG64
+# seeded through a SeedSequence, shuffling each row in turn with
+# Generator.shuffle.  Drawn here, they need no numpy.random, which a process
+# that runs no Monte Carlo then never imports under NumPy 2 (it loads OpenSSL
+# through secrets: about 6 MB resident), and no Generator method, whose
+# stream NumPy may change between versions (only a bit generator's is fixed).
+
+_M32 = 0xFFFFFFFF
+_M64 = 0xFFFFFFFFFFFFFFFF
+_M128 = (1 << 128) - 1
+_PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_words(seed: int) -> list[int]:
+    """SeedSequence(seed).generate_state(4, np.uint64): the seed's 32-bit
+    words hashed into a pool of four, the pool hashed out to eight words,
+    paired little-endian."""
+    seed = operator.index(seed)  # TypeError for a non-integer, as in NumPy
+    if seed < 0:
+        raise ValueError(f"expected a non-negative integer seed, got {seed}")
+    words = [seed & _M32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _M32)
+    multiplier = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal multiplier
+        value ^= multiplier
+        multiplier = multiplier * 0x931E8875 & _M32
+        value = value * multiplier & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    multiplier, state = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ multiplier
+        multiplier = multiplier * 0x58F38DED & _M32
+        value = value * multiplier & _M32
+        state.append(value ^ value >> 16)
+    return [state[2 * k] | state[2 * k + 1] << 32 for k in range(4)]
+
+
+class _PCG64:
+    """The 32-bit draws of np.random.PCG64(seed): a 128-bit LCG with the
+    XSL-RR output, each 64-bit output giving its low half, then its high."""
+
+    def __init__(self, seed: int):
+        high, low, inc_high, inc_low = _seed_words(seed)
+        self.inc = ((inc_high << 64 | inc_low) << 1 | 1) & _M128
+        # srandom: one step from 0 (the state becomes inc), the seed added, one step
+        self.state = ((self.inc + (high << 64 | low)) * _PCG_MULTIPLIER + self.inc) & _M128
+        self.held = None
+
+    def next32(self) -> int:
+        if self.held is not None:
+            word, self.held = self.held, None
+            return word
+        state = self.state = (self.state * _PCG_MULTIPLIER + self.inc) & _M128
+        rot = state >> 122
+        word = (state >> 64 ^ state) & _M64
+        word = (word >> rot | word << (-rot & 63)) & _M64
+        self.held = word >> 32
+        return word & _M32
+
+    def shuffled(self, row: list) -> list:
+        """Generator.shuffle(row): Fisher-Yates from the end, each index
+        drawn by masked rejection (random_interval)."""
+        for i in range(len(row) - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            j = self.next32() & mask
+            while j > i:
+                j = self.next32() & mask
+            row[i], row[j] = row[j], row[i]
+        return row
+
+
+@lru_cache(maxsize=32)
+def _digit_permutations(d: int, seed: int) -> tuple:
+    """Per column k of a d-dimensional Halton set, the k-th prime b's
+    ceil(54 / log2 b) - 1 digit permutations as a read-only (depth, b)
+    array: each range(b) shuffled in turn, in column order, by one
+    _PCG64(seed), as SciPy shuffles them with default_rng(seed).  They
+    depend on (d, seed) alone, and a grid of the same d and seed (every
+    spec of a dimension at the default seed) reuses them."""
+    rng = _PCG64(seed)
+    columns = []
+    for base in _primes(d):
+        depth = math.ceil(54 / math.log2(base)) - 1
+        perms = np.array([rng.shuffled(list(range(base))) for _ in range(depth)])
+        perms.flags.writeable = False
+        columns.append(perms)
+    return tuple(columns)
+
+
 def _scrambled_halton(d: int, count: int, seed: int) -> np.ndarray:
     """count x d scrambled Halton points (Owen, arXiv:1706.02808).
 
-    Column k uses the k-th prime b and ceil(54 / log2 b) - 1 digit
-    permutations of range(b), shuffled in base order by one
-    default_rng(seed): one permuted(axis=1) call per column draws what
-    SciPy's shuffle of each row in turn draws.  Point i is the sum over
+    Column k uses the k-th prime b and its digit permutations perm_j
+    (_digit_permutations).  Point i is the sum over
     every permutation j of perm_j[digit_j(i)] * w_j, with w_0 = 1/b and
     w_(j+1) = w_j / b, digits past i's length (0) included.  The sum runs
     in j order (cumsum), so the points match SciPy's qmc.Halton(d,
@@ -471,12 +577,10 @@ def _scrambled_halton(d: int, count: int, seed: int) -> np.ndarray:
     (the fewest that hold count - 1), so only those columns are computed
     per point; each later column j is perm_j[0] * w_j for every point.
     """
-    rng = np.random.default_rng(seed)
     out = np.empty((count, d))
     index = np.arange(count)[:, None]
-    for column, base in enumerate(_primes(d)):
-        depth = math.ceil(54 / math.log2(base)) - 1
-        perms = rng.permuted(np.repeat(np.arange(base)[None], depth, axis=0), axis=1)
+    for column, (base, perms) in enumerate(zip(_primes(d), _digit_permutations(d, seed))):
+        depth = len(perms)
         weights = [1.0 / base]
         for _ in range(depth - 1):
             weights.append(weights[-1] / base)

@@ -280,7 +280,8 @@ class _Parser:
             value = float(tok.text)
             if not math.isfinite(value):
                 raise ExprSyntaxError("number literal overflows", tok.offset)
-            return Num(value), 1
+            # A literal 0 is the jets' structural zero (never -0.0 here).
+            return Num(jets.ZERO if value == 0.0 else value), 1
         if tok.kind == "name":
             self.advance()
             nxt = self.peek()

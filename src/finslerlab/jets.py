@@ -20,6 +20,29 @@ fails back to the per-point loop.  A third kind of leaf, ``staged.Sym``,
 computes nothing: each operation on it, primitives included, writes a
 line of a generated function (see ``finslerlab.staged``).
 
+Three rules spare work that the plain product, sum and chain rules would
+do.  A square ``x * x`` forms each slot product ``x.value * p`` once and
+doubles it, and ``x * 1.0`` is ``x`` itself; neither changes a bit.
+``ZERO`` is the structural zero: the slots that ``seed_group`` gives a
+constant or an unseeded direction, a constant's ``partial``, and an
+expression's literal 0 hold it.  A Jet operation skips a term that holds
+ZERO: ``a + ZERO`` and ``a - ZERO`` are ``a``, ``ZERO - a`` is ``-a``, a
+Jet times ZERO and a product or quotient with a ZERO factor or
+numerator are ZERO, ``select`` between two ZEROs is ZERO, and a
+primitive's chain rule keeps a ZERO slot.  Leaf arithmetic takes ZERO as
+the float 0.0 and returns an ordinary float or array, so a computed zero
+is never ZERO, and a float run and a lane run skip the same terms, bit
+for bit.  The one exception is ``select`` between ZERO and another value
+under a mask that differs across lanes: the lane run holds an array
+where each lane's float run holds ZERO or the value, so it can skip
+fewer terms and differ in the sign of an exact zero.  A skipped term
+would have added +-0.0 (NaN beside an inf or a NaN), so a value differs
+from the rules without ZERO in the sign of an exact zero, or where a
+skip leaves a constant c that a Jet d then divides: c / d rounds each
+slot as -(c / d.value) / d.value * s, where the rule for a jet
+numerator rounds -((c / d.value) * s) / d.value, a unit or two in the
+last place.
+
 Discipline for nesting: every *Jet-valued* scalar entering a computation
 at a new derivative level must be wrapped as a constant at that level
 (see ``seed_group``); bare floats need no wrapping.
@@ -38,6 +61,7 @@ Scalar = Union[float, np.ndarray, "Jet"]
 
 __all__ = [
     "Jet",
+    "ZERO",
     "Scalar",
     "seed_group",
     "partial",
@@ -64,6 +88,19 @@ __all__ = [
 ]
 
 
+class _Zero(float):
+    """The type of ZERO: 0.0 that pickles, copies and deep-copies as ZERO."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return "ZERO"
+
+
+# The structural zero (see the module docstring).
+ZERO = float.__new__(_Zero, 0.0)
+
+
 class Jet:
     """Truncated first-order Taylor scalar with nestable slots."""
 
@@ -81,6 +118,8 @@ class Jet:
         return f"Jet({self.value!r}, {self.partials!r})"
 
     # -- ring operations ----------------------------------------------------
+    #
+    # A term that holds ZERO is skipped (the module docstring's zero rule).
 
     def __add__(self, other):
         if isinstance(other, Jet):
@@ -88,11 +127,18 @@ class Jet:
                 raise ValueError("jet slot count mismatch in +")
             return Jet(
                 self.value + other.value,
-                tuple([a + b for a, b in zip(self.partials, other.partials)]),
+                tuple([
+                    b if a is ZERO else a if b is ZERO else a + b
+                    for a, b in zip(self.partials, other.partials)
+                ]),
             )
+        if other is ZERO:
+            return self
         return Jet(self.value + other, self.partials)
 
     def __radd__(self, other):
+        if other is ZERO:
+            return self
         return Jet(other + self.value, self.partials)
 
     def __sub__(self, other):
@@ -101,15 +147,22 @@ class Jet:
                 raise ValueError("jet slot count mismatch in -")
             return Jet(
                 self.value - other.value,
-                tuple([a - b for a, b in zip(self.partials, other.partials)]),
+                tuple([
+                    a if b is ZERO else -b if a is ZERO else a - b
+                    for a, b in zip(self.partials, other.partials)
+                ]),
             )
+        if other is ZERO:
+            return self
         return Jet(self.value - other, self.partials)
 
     def __rsub__(self, other):
-        return Jet(other - self.value, tuple([-p for p in self.partials]))
+        if other is ZERO:
+            return -self
+        return Jet(other - self.value, _negated(self.partials))
 
     def __neg__(self):
-        return Jet(-self.value, tuple([-p for p in self.partials]))
+        return Jet(-self.value, _negated(self.partials))
 
     def __mul__(self, other):
         if isinstance(other, Jet):
@@ -118,26 +171,42 @@ class Jet:
                 # A square: the rule below would form sv * p + sv * p, one
                 # product evaluated twice; t + t with t = sv * p is that
                 # sum bit for bit, and sv * sv recurses into this rule.
-                return Jet(sv * sv, tuple([t + t for t in [sv * p for p in self.partials]]))
+                return Jet(
+                    sv * sv,
+                    tuple([p if p is ZERO else (t := sv * p) + t for p in self.partials]),
+                )
             if len(self.partials) != len(other.partials):
                 raise ValueError("jet slot count mismatch in *")
             ov = other.value
             return Jet(
                 sv * ov,
-                tuple([sv * q + ov * p for p, q in zip(self.partials, other.partials)]),
+                tuple([
+                    (p if p is ZERO else ov * p) if q is ZERO
+                    else sv * q if p is ZERO
+                    else sv * q + ov * p
+                    for p, q in zip(self.partials, other.partials)
+                ]),
             )
+        if other is ZERO:
+            return ZERO
         if type(other) is float and other == 1.0:
             # x * 1.0 equals x bit for bit (-0.0, inf and NaN included) and
             # raises no flag, and no Jet is changed in place, so the jet
             # itself serves.  The type is tested first: == on an array
             # leaf is an array, whose truth value raises.
             return self
-        return Jet(self.value * other, tuple([p * other for p in self.partials]))
+        return Jet(
+            self.value * other, tuple([p if p is ZERO else p * other for p in self.partials])
+        )
 
     def __rmul__(self, other):
+        if other is ZERO:
+            return ZERO
         if type(other) is float and other == 1.0:  # as in __mul__
             return self
-        return Jet(other * self.value, tuple([other * p for p in self.partials]))
+        return Jet(
+            other * self.value, tuple([p if p is ZERO else other * p for p in self.partials])
+        )
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
@@ -146,19 +215,33 @@ class Jet:
             d = other.value
             q = self.value / d
             return Jet(
-                q, tuple([(p - q * r) / d for p, r in zip(self.partials, other.partials)])
+                q,
+                tuple([
+                    (p if p is ZERO else p / d) if r is ZERO
+                    else -(q * r) / d if p is ZERO
+                    else (p - q * r) / d
+                    for p, r in zip(self.partials, other.partials)
+                ]),
             )
-        return Jet(self.value / other, tuple([p / other for p in self.partials]))
+        return Jet(
+            self.value / other, tuple([p if p is ZERO else p / other for p in self.partials])
+        )
 
     def __rtruediv__(self, other):
+        if other is ZERO:
+            return ZERO
         q = other / self.value
         factor = -q / self.value
-        return Jet(q, tuple([factor * p for p in self.partials]))
+        return Jet(q, tuple([p if p is ZERO else factor * p for p in self.partials]))
 
     def __pow__(self, exponent):
         if isinstance(exponent, int):
             return intpow(self, exponent)
         raise TypeError("Jet ** only supports integer exponents; use powf")
+
+
+def _negated(partials: tuple) -> tuple:
+    return tuple([p if p is ZERO else -p for p in partials])
 
 
 # -- seeding and extraction ---------------------------------------------------
@@ -173,22 +256,22 @@ def seed_group(values: Sequence[Scalar], indices: Sequence[int]) -> list:
     """
     width = len(indices)
     slot = {idx: k for k, idx in enumerate(indices)}
-    zeros = (0.0,) * width
+    zeros = (ZERO,) * width
     out = []
     for i, val in enumerate(values):
         k = slot.get(i)
         if k is None:
             out.append(Jet(val, zeros) if isinstance(val, Jet) else val)
         else:
-            out.append(Jet(val, tuple([1.0 if j == k else 0.0 for j in range(width)])))
+            out.append(Jet(val, tuple([1.0 if j == k else ZERO for j in range(width)])))
     return out
 
 
 def partial(scalar: Scalar, k: int) -> Scalar:
-    """Partial in slot k of the outermost level (0.0 for constants)."""
+    """Partial in slot k of the outermost level (ZERO for constants)."""
     if isinstance(scalar, Jet):
         return scalar.partials[k]
-    return 0.0
+    return ZERO
 
 
 def value_of(scalar: Scalar) -> Scalar:
@@ -253,9 +336,11 @@ def select(mask: np.ndarray, x: Scalar, y: Scalar) -> Scalar:
     """x in the lanes where mask holds, y elsewhere, at every jet level."""
     if np.ndim(mask) == 0:  # one decision for every lane
         return x if mask else y
+    if x is ZERO and y is ZERO:
+        return ZERO
     if isinstance(x, Jet) or isinstance(y, Jet):
         width = len((x if isinstance(x, Jet) else y).partials)
-        x, y = [s if isinstance(s, Jet) else Jet(s, (0.0,) * width) for s in (x, y)]
+        x, y = [s if isinstance(s, Jet) else Jet(s, (ZERO,) * width) for s in (x, y)]
         return Jet(
             select(mask, x.value, y.value),
             tuple([select(mask, p, q) for p, q in zip(x.partials, y.partials)]),
@@ -354,6 +439,11 @@ def fd_oracle(
 # anything else (ints) goes to math.
 
 
+def _scaled(d: Scalar, partials: tuple) -> tuple:
+    """The chain rule's slots d * p; a slot that holds ZERO stays ZERO."""
+    return tuple([p if p is ZERO else d * p for p in partials])
+
+
 def _per_lane(fn: Callable, x: np.ndarray) -> np.ndarray:
     """math's fn in every lane: equal to the float path bit for bit, and
     raising where math raises (OverflowError, ValueError)."""
@@ -376,7 +466,7 @@ def sin(x: Scalar) -> Scalar:
         return math.sin(x)
     if isinstance(x, Jet):
         d = cos(x.value)
-        return Jet(sin(x.value), tuple([d * p for p in x.partials]))
+        return Jet(sin(x.value), _scaled(d, x.partials))
     return _leaf(math.sin, x)
 
 
@@ -385,7 +475,7 @@ def cos(x: Scalar) -> Scalar:
         return math.cos(x)
     if isinstance(x, Jet):
         d = -sin(x.value)
-        return Jet(cos(x.value), tuple([d * p for p in x.partials]))
+        return Jet(cos(x.value), _scaled(d, x.partials))
     return _leaf(math.cos, x)
 
 
@@ -395,7 +485,7 @@ def tan(x: Scalar) -> Scalar:
     if isinstance(x, Jet):
         t = tan(x.value)
         d = 1.0 + t * t
-        return Jet(t, tuple([d * p for p in x.partials]))
+        return Jet(t, _scaled(d, x.partials))
     return _leaf(math.tan, x)
 
 
@@ -404,7 +494,7 @@ def exp(x: Scalar) -> Scalar:
         return math.exp(x)
     if isinstance(x, Jet):
         e = exp(x.value)
-        return Jet(e, tuple([e * p for p in x.partials]))
+        return Jet(e, _scaled(e, x.partials))
     return _leaf(math.exp, x)
 
 
@@ -413,7 +503,7 @@ def log(x: Scalar) -> Scalar:
         return math.log(x)
     if isinstance(x, Jet):
         v = x.value
-        return Jet(log(v), tuple([p / v for p in x.partials]))
+        return Jet(log(v), tuple([p if p is ZERO else p / v for p in x.partials]))
     return _leaf(math.log, x)
 
 
@@ -423,7 +513,7 @@ def sqrt(x: Scalar) -> Scalar:
     if isinstance(x, Jet):
         s = sqrt(x.value)
         d = 0.5 / s
-        return Jet(s, tuple([d * p for p in x.partials]))
+        return Jet(s, _scaled(d, x.partials))
     return np.sqrt(x) if isinstance(x, np.ndarray) else _leaf(math.sqrt, x)
 
 
@@ -432,7 +522,7 @@ def sinh(x: Scalar) -> Scalar:
         return math.sinh(x)
     if isinstance(x, Jet):
         d = cosh(x.value)
-        return Jet(sinh(x.value), tuple([d * p for p in x.partials]))
+        return Jet(sinh(x.value), _scaled(d, x.partials))
     return _leaf(math.sinh, x)
 
 
@@ -441,7 +531,7 @@ def cosh(x: Scalar) -> Scalar:
         return math.cosh(x)
     if isinstance(x, Jet):
         d = sinh(x.value)
-        return Jet(cosh(x.value), tuple([d * p for p in x.partials]))
+        return Jet(cosh(x.value), _scaled(d, x.partials))
     return _leaf(math.cosh, x)
 
 
@@ -451,7 +541,7 @@ def tanh(x: Scalar) -> Scalar:
     if isinstance(x, Jet):
         t = tanh(x.value)
         d = 1.0 - t * t
-        return Jet(t, tuple([d * p for p in x.partials]))
+        return Jet(t, _scaled(d, x.partials))
     return _leaf(math.tanh, x)
 
 

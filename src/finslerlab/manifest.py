@@ -25,7 +25,6 @@ points, and sup ||beta|| < 1.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from pathlib import Path
@@ -52,6 +51,10 @@ class SpecValidationError(ValueError):
 
 
 def spec_digest(raw: bytes) -> str:
+    # hashlib loads OpenSSL (about 3.5 MB resident): it is imported by the
+    # first digest, not by a process that only builds spaces from dicts.
+    import hashlib
+
     return hashlib.sha256(raw).hexdigest()
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from . import expr, jets
 from .core import CoordinateChart, FinslerStructure, probe_points
 from .core import _christoffel, _kernel, _shapes, _spray_contraction
-from .jets import Jet, Scalar, _leaves, partial, seed_group, standard_part
+from .jets import ZERO, Jet, Scalar, _leaves, partial, seed_group, standard_part
 from .linalg import _stacked, det, inv, sum_
 from .staged import Stage
 
@@ -356,7 +356,7 @@ def _first_order_data(space: RandersSpace, x):
     n = space.dimension
     xs = seed_group(x, range(n))
     # Entries are one-level jets over leaves, or leaf constants.
-    zeros = (0.0,) * n
+    zeros = (ZERO,) * n
     a_jets, b_jets = a_and_b(space, xs)
     a_rows = [
         (e.value, *e.partials) if isinstance(e, Jet) else (e, *zeros) for row in a_jets for e in row

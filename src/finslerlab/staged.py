@@ -5,8 +5,9 @@ stands for a value of a function being written.  Arithmetic on a Sym,
 a jets primitive applied to one (jets._leaf) and an expression guard
 checked on one (expr._require_positive, expr._require_nonzero) append a
 line of Python source to the Sym's Stage instead of computing.  Floats
-stay floats, so an operation whose operands are all constants runs once,
-while it is staged, and enters the source as a literal.
+(jets.ZERO, a float, among them) stay floats, so an operation whose
+operands are all constants runs once, while it is staged, and enters the
+source as a literal.
 
 Running a computation that is generic over leaves (jet arithmetic, the
 compiled expression closures, core's and randers' kernels) on Sym leaves
@@ -47,7 +48,7 @@ __all__ = ["Stage", "Sym"]
 
 def _signed_zero(value) -> float:
     """1.0 for the float 0.0, -1.0 for -0.0, 0.0 for anything else."""
-    if type(value) is float and value == 0.0:
+    if isinstance(value, float) and value == 0.0:
         return math.copysign(1.0, value)
     return 0.0
 
@@ -100,8 +101,8 @@ class Stage:
             return value.ref
         if isinstance(value, (list, tuple)):
             return "[" + ", ".join(self.source(v) for v in value) + "]"
-        if type(value) is float and math.isfinite(value):
-            return f"({value!r})"
+        if isinstance(value, float) and math.isfinite(value):
+            return f"({float.__repr__(value)})"
         if isinstance(value, str):
             return repr(value)
         return self.constant(value)
@@ -155,7 +156,7 @@ class Sym:
         """Whether adding `other` to this value (never -0.0) changes nothing."""
         if isinstance(other, Sym):
             return other._ref is None
-        return type(other) is float and other == 0.0
+        return isinstance(other, float) and other == 0.0
 
     def _binary(self, left, op: str, right, never_negative_zero: bool = False):
         if not all(isinstance(operand, (Sym, float, int)) for operand in (left, right)):
@@ -189,7 +190,7 @@ class Sym:
         return self._binary(other, "-", self)
 
     def __mul__(self, other):
-        if type(other) is float:
+        if isinstance(other, float):
             if other == 1.0:
                 return self
             if other == 0.0:
@@ -197,7 +198,7 @@ class Sym:
         return self._binary(self, "*", other)
 
     def __rmul__(self, other):
-        if type(other) is float:
+        if isinstance(other, float):
             if other == 1.0:
                 return self
             if other == 0.0:
@@ -205,7 +206,7 @@ class Sym:
         return self._binary(other, "*", self)
 
     def __truediv__(self, other):
-        if type(other) is float and other == 1.0:
+        if isinstance(other, float) and other == 1.0:
             return self
         return self._binary(self, "/", other)
 

@@ -1,5 +1,9 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -713,17 +717,53 @@ class TestPinnedGrids:
             assert _grid_digest(pairs) == GRID_DIGESTS[(n, count, seed)], seed
 
 
-@pytest.mark.parametrize("seed", PIN_SEEDS)
-def test_one_permuted_call_draws_the_row_shuffles(seed):
-    """_scrambled_halton's one permuted(axis=1) call per column against
-    SciPy's shuffle of each row, kept here as the reference: the same
+@pytest.mark.parametrize("seed", [*PIN_SEEDS, 2**32 - 1, 2**96 + 5])
+def test_digit_permutations_draw_the_row_shuffles(seed):
+    """_scrambled_halton's plain-Python PCG64 against SciPy's shuffle of
+    each row with default_rng(seed), kept here as the reference: the same
     permutations, and the same generator state afterwards."""
-    batched, rows = np.random.default_rng(seed), np.random.default_rng(seed)
-    for base in (2, 3, 5, 7, 11, 13, 17, 19):
+    ported, rows = core._PCG64(seed), np.random.default_rng(seed)
+    for base in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
         depth = math.ceil(54 / math.log2(base)) - 1
         expected = np.repeat(np.arange(base)[None], depth, axis=0)
         for perm in expected:
             rows.shuffle(perm)
-        got = batched.permuted(np.repeat(np.arange(base)[None], depth, axis=0), axis=1)
-        assert np.array_equal(got, expected)
-    assert batched.bit_generator.state == rows.bit_generator.state
+        got = [ported.shuffled(list(range(base))) for _ in range(depth)]
+        assert got == expected.tolist()
+    state = rows.bit_generator.state
+    assert (ported.state, ported.inc) == (state["state"]["state"], state["state"]["inc"])
+    assert (ported.held is not None) == bool(state["has_uint32"])
+    assert ported.held in (None, state["uinteger"])
+
+
+def test_building_and_probing_a_space_imports_neither_numpy_random_nor_hashlib():
+    """numpy.random and hashlib load OpenSSL, about 6 MB resident: a
+    process that builds spaces from dicts and evaluates S never needs it.
+    (NumPy 1.x imports numpy.random itself; only what the package adds
+    counts.)"""
+    script = (
+        "import sys, numpy; before = set(sys.modules); import finslerlab.cli\n"
+        "from finslerlab import catalog, core, manifest, randers, scurvature\n"
+        "space = manifest.space_from_spec(catalog.spec('sphere-hopf'))\n"
+        "F, bh = randers.finsler(space), scurvature.busemann_hausdorff_measure(space)\n"
+        "x, v = core.probe_pairs(space.chart, 1, 3)[0]\n"
+        "scurvature.s_curvature(F, bh, x, v)\n"
+        "print(sorted({'numpy.random', 'hashlib', '_hashlib'} & (set(sys.modules) - before)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(core.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("seed", [-1, 0.5, "7"])
+def test_the_ported_stream_refuses_what_default_rng_refuses(seed):
+    with pytest.raises((TypeError, ValueError)) as expected:
+        np.random.default_rng(seed)
+    with pytest.raises(expected.type):
+        core._PCG64(seed)
+
+
+def test_the_ported_stream_takes_numpy_integers():
+    ported, plain = core._PCG64(np.int64(2**40 + 7)), core._PCG64(2**40 + 7)
+    assert (ported.state, ported.inc) == (plain.state, plain.inc)

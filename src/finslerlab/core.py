@@ -545,21 +545,17 @@ class _PCG64:
         return row
 
 
-@lru_cache(maxsize=32)
 def _digit_permutations(d: int, seed: int) -> tuple:
     """Per column k of a d-dimensional Halton set, the k-th prime b's
-    ceil(54 / log2 b) - 1 digit permutations as a read-only (depth, b)
-    array: each range(b) shuffled in turn, in column order, by one
-    _PCG64(seed), as SciPy shuffles them with default_rng(seed).  They
-    depend on (d, seed) alone, and a grid of the same d and seed (every
-    spec of a dimension at the default seed) reuses them."""
+    ceil(54 / log2 b) - 1 digit permutations as a (depth, b) array: each
+    range(b) shuffled in turn, in column order, by one _PCG64(seed), as
+    SciPy shuffles them with default_rng(seed).  They are drawn once per
+    grid that _unit_grid builds."""
     rng = _PCG64(seed)
     columns = []
     for base in _primes(d):
         depth = math.ceil(54 / math.log2(base)) - 1
-        perms = np.array([rng.shuffled(list(range(base))) for _ in range(depth)])
-        perms.flags.writeable = False
-        columns.append(perms)
+        columns.append(np.array([rng.shuffled(list(range(base))) for _ in range(depth)]))
     return tuple(columns)
 
 
@@ -645,25 +641,46 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def probe_pairs(
-    chart: CoordinateChart, count: int = 100, seed: int = 0
-) -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
-    """Low-discrepancy (x, v) probes: x 1% inside the domain, v on the unit sphere.
+# The chart-free part of a grid, kept per process: (n, count, seed) names it,
+# and every spec of one dimension probed at one (count, seed) shares it.
+UNIT_GRIDS_KEPT = 32
 
-    Scrambled Halton in 2n dimensions; the first n map to the chart box,
-    the rest go through the normal inverse CDF and are normalized.
-    """
-    n = chart.dimension
+
+@lru_cache(maxsize=UNIT_GRIDS_KEPT, typed=True)
+def _unit_grid(n: int, count: int, seed: int) -> tuple[np.ndarray, tuple]:
+    """(fractions, directions) of the (n, count, seed) grid: the read-only
+    count x n array of position fractions 0.01 + 0.98 u in the box and the
+    tuple of unit directions (tuples of floats), u being the first n and
+    the last n columns of one scrambled Halton set in 2n dimensions.  The
+    directions go through the normal inverse CDF and are normalized."""
     u = _scrambled_halton(2 * n, count, seed)
-    lo, hi = np.array(chart.bounds, dtype=float).T
-    xs = lo + (0.01 + 0.98 * u[:, :n]) * (hi - lo)
+    fractions = 0.01 + 0.98 * u[:, :n]
+    fractions.flags.writeable = False
     zs = _ndtri(np.clip(u[:, n:], 1e-12, 1.0 - 1e-12))
     norms = np.sqrt([z.dot(z) for z in zs])  # np.linalg.norm, row by row
     degenerate = norms < 1e-9
     zs[degenerate] = np.eye(n)[0]
     norms[degenerate] = 1.0
     vs = zs / norms[:, None]
-    return [(tuple(x), tuple(v)) for x, v in zip(xs.tolist(), vs.tolist())]
+    return fractions, tuple(map(tuple, vs.tolist()))
+
+
+def probe_pairs(
+    chart: CoordinateChart, count: int = 100, seed: int = 0
+) -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
+    """Low-discrepancy (x, v) probes: x 1% inside the domain, v on the unit sphere.
+
+    Scrambled Halton in 2n dimensions; the first n map to the chart box,
+    the rest go through the normal inverse CDF and are normalized.  The
+    chart-free part (the fractions and the directions, _unit_grid) is
+    built once per (n, count, seed) and kept for the process, up to
+    UNIT_GRIDS_KEPT of them; each call maps the fractions to its chart's
+    box and returns a new list.
+    """
+    fractions, directions = _unit_grid(chart.dimension, count, seed)
+    lo, hi = np.array(chart.bounds, dtype=float).T
+    xs = lo + fractions * (hi - lo)
+    return list(zip(map(tuple, xs.tolist()), directions))
 
 
 def corner_points(chart: CoordinateChart) -> list[tuple[float, ...]]:

@@ -8,7 +8,10 @@ the same matrix.  A matrix whose leaves include 1-D arrays is a batch,
 one matrix per lane.  The elimination is the float path's own; each
 lane picks its pivot row from its own standard parts, and a lane whose
 pivot row differs from the others' swaps its rows by a masked select,
-so every lane equals the float result of its matrix bit for bit.  A
+so every lane equals the float result of its matrix bit for bit, with
+the exception jets names for select: where such a swap mixes a ZERO slot
+with a value, a lane can compute a zero that its float run skips, and
+the two then differ in the sign of an exact zero.  A
 zero pivot in any lane raises SingularMatrixError, in det as in inv:
 jets.lanewise then hands the batch to the per-matrix float loop, where
 det returns 0.0 for that matrix and inv raises.
@@ -63,7 +66,9 @@ def inv(matrix) -> list:
     """Inverse via Gauss-Jordan; raises SingularMatrixError on rank loss
     (in a batch, when any lane has a zero pivot).  The elimination updates
     only the columns of `a` right of the pivot: no later step reads the
-    others."""
+    others.  A batch of jets whose lanes swap different rows may hold a
+    partial slot that is -0.0 in a lane where the float run holds 0.0,
+    or the reverse (the module docstring)."""
     n = len(matrix)
     leaves = {type(entry) for row in matrix for entry in row}
     # Float matrices skip the standard-part walk; the pivots are the same.

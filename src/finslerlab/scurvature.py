@@ -298,7 +298,7 @@ def _unit_start(F: FinslerStructure, x, v) -> tuple:
 
 # Rows per Monte-Carlo chunk; the hit counts of the chunks are summed, and
 # the second half of the stream starts at a chunk boundary.
-MC_CHUNK_ROWS = 32_768
+MC_CHUNK_ROWS = 16_384
 
 
 def bh_density_monte_carlo(
@@ -315,8 +315,10 @@ def bh_density_monte_carlo(
     halves: the caller counts the hits of the first while a helper thread
     counts those of the second, from a generator advanced to the row where
     it starts, so every sample has the bits of the one sequential stream.
-    Each half draws MC_CHUNK_ROWS rows at a time into one reused buffer, so
-    memory stays bounded whatever the sample count.
+    Each half draws MC_CHUNK_ROWS rows at a time into one reused buffer,
+    maps it into the box in place (two passes over the flat chunk), forms
+    its b-projection and then squares it in place, so memory stays bounded
+    whatever the sample count.
     """
     if sample_count < 10_000:
         raise ValueError("sample_count must be at least 10^4")
@@ -385,19 +387,22 @@ def _count_hits(seed: int, first_row: int, stop_row: int, half_width, lam, b_eig
     # double, so row first_row starts first_row * n steps in.
     rng = np.random.Generator(np.random.PCG64DXSM(seed).advance(first_row * n))
     # rng.uniform(low, high) draws low + (high - low) * U; the same
-    # arithmetic on rng.random's U, in place, keeps every sample's bits.
+    # arithmetic on rng.random's U, in place, keeps every sample's bits.  It
+    # runs as two passes over the flat chunk, against the spans and lows
+    # repeated once per row.
+    size = min(MC_CHUNK_ROWS, stop_row - first_row)
     low = -half_width
-    span = half_width - low
-    draw = np.empty((min(MC_CHUNK_ROWS, stop_row - first_row), n))
-    squares = np.empty_like(draw)
+    spans, lows = np.tile(half_width - low, size), np.tile(low, size)
+    draw = np.empty((size, n))
     hits = 0
     for start in range(first_row, stop_row, MC_CHUNK_ROWS):
         rows = min(MC_CHUNK_ROWS, stop_row - start)
         y = rng.random(out=draw[:rows])
-        for column, lo, width in zip(y.T, low, span):
-            column *= width
-            column += lo
-        y2 = np.multiply(y, y, out=squares[:rows])
-        hits += int(np.count_nonzero(np.sqrt(y2 @ lam) + y @ b_eigen < 1.0))
+        flat = y.reshape(-1)
+        flat *= spans[: flat.size]
+        flat += lows[: flat.size]
+        linear = y @ b_eigen
+        np.multiply(y, y, out=y)
+        hits += int(np.count_nonzero(np.sqrt(y @ lam) + linear < 1.0))
     return hits
 

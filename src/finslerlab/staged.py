@@ -30,6 +30,10 @@ value:
   raising first.  A value that stays a constant there is a float, where
   the computation may hold an array with that float in every lane.
 
+Once the body is complete, a new value takes the name of a temporary
+whose last read has passed (_reuse_names): the written function keeps
+few locals alive, so a dead array is freed at once, and no line moves.
+
 This module is the package's one writer of generated code.  Its callers:
 core._kernel writes each kernel (the Christoffel symbols and their spray
 contraction in core; the first-order data, the covariant derivative and
@@ -42,8 +46,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 __all__ = ["Stage", "Sym"]
+
+
+# The tokens that _reuse_names reads: a temporary's name, a line break, and
+# a string literal (a guard's message), which it leaves as it is.
+_TOKENS = re.compile(r"""('(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*"|\bt\d+\b|\n)""")
 
 
 def _signed_zero(value) -> float:
@@ -124,8 +134,42 @@ class Stage:
         body = [*self.lines, f"return {returned}"]
         text = f"def {name}({', '.join(params)}):\n" + "".join(f"    {line}\n" for line in body)
         namespace = dict(self.namespace)
-        exec(compile(text, f"<staged {name}>", "exec"), namespace)
+        exec(compile(_reuse_names(text), f"<staged {name}>", "exec"), namespace)
         return namespace[name]
+
+
+def _reuse_names(text: str) -> str:
+    """The function source `text` with its temporaries renamed so that a
+    new value takes the name of one whose last read has passed.
+
+    A temporary is bound once, on the line where it first occurs, and read
+    on later lines only.  A line's right-hand side is evaluated before its
+    names are bound, so a line may bind a name that it reads for the last
+    time; a value that is never read frees its name after its own line.
+    No line is moved or dropped.
+    """
+    parts = _TOKENS.split(text)
+    bound, last_read = {}, {}  # temporary -> the line that binds it, reads it last
+    line = 0
+    for token in parts[1::2]:
+        if token == "\n":
+            line += 1
+        elif token[0] == "t":
+            if token in bound:
+                last_read[token] = line
+            else:
+                bound[token] = line
+    frees = [[] for _ in range(line + 2)]  # per line, the names free from its start
+    for temp, line in bound.items():
+        frees[last_read.get(temp, line + 1)].append(temp)
+    written, free, fresh, freed = {}, [], itertools.count(), 0
+    for temp, line in bound.items():  # in line order
+        while freed <= line:
+            free += [written[t] for t in frees[freed]]
+            freed += 1
+        written[temp] = free.pop() if free else f"t{next(fresh)}"
+    parts[1::2] = [written.get(token, token) for token in parts[1::2]]
+    return "".join(parts)
 
 
 class Sym:

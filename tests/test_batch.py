@@ -298,6 +298,27 @@ class TestInvBatch:
             assert_matches_lanes(inv(jets_matrix), [inv(m) for m in lanes])
             assert_matches_lanes(det(jets_matrix), [det(m) for m in lanes])
 
+    def test_a_lane_pivot_swap_can_flip_the_sign_of_a_zero_slot(self):
+        """Lane 1 swaps rows 0 and 1 and lane 0 does not, so jets.select
+        mixes ZERO slots with values: lane 0 then computes a zero where its
+        float run skips a ZERO term.  Every slot of both lanes equals the
+        float run's, but for one zero whose sign differs."""
+        ZERO = jets.ZERO
+        matrix = [
+            [Jet(leaves([3.0, 1.0]), (0.5, ZERO)), leaves([-0.0, 3.0]), -0.0],
+            [2.0, Jet(leaves([2.0, -1.0]), (1.0, ZERO)), Jet(leaves([2.0, 1.0]), (ZERO, 3.0))],
+            [0.5, -1.0, Jet(leaves([-0.0, -0.0]), (ZERO, 2.0))],
+        ]
+        batched = _entries(inv(matrix))
+        for k in range(2):
+            single = inv([[_lane(e, k) for e in row] for row in matrix])
+            expected = [_flat(e) for e in _entries(single)]
+            got = [_flat(_lane(e, k)) for e in batched]
+            if k == 0:  # entry (1, 2), its first partial slot
+                assert (got[5][1], expected[5][1]) == ("-0.0", "0.0")
+                got[5][1] = expected[5][1]
+            assert got == expected, k
+
     def test_singular_member_raises(self):
         a = leaves([1.0, 2.0, 1.0])
         with pytest.raises(SingularMatrixError):

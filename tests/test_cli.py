@@ -745,6 +745,8 @@ class TestProcess:
         ],
     )
     def test_one_probe_grid_per_command(self, capsys, monkeypatch, spec_path, name, argv):
+        """A cold process builds one unit grid per command; the same
+        command again builds none and prints the same report."""
         builds = []
         halton = core._scrambled_halton
 
@@ -753,9 +755,14 @@ class TestProcess:
             return halton(*args)
 
         monkeypatch.setattr(core, "_scrambled_halton", counting_halton)
+        core._unit_grid.cache_clear()
         command, *flags = argv
-        run(capsys, command, spec_path(name), *flags)
+        cold = run(capsys, command, spec_path(name), *flags)
         assert len(builds) == 1
+        warm = run(capsys, command, spec_path(name), *flags)
+        assert len(builds) == 1
+        wall_time = TestRepeatedCalls.WALL_TIME
+        assert warm[0] == cold[0] and wall_time.sub("", warm[1]) == wall_time.sub("", cold[1])
 
 
 class TestRepeatedCalls:

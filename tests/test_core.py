@@ -510,6 +510,63 @@ class TestProbes:
         assert probe_grid(chart, 10, 3) == (probe_pairs(chart, 10, 3), probe_points(chart, 10, 3))
 
 
+class TestUnitGridCache:
+    """probe_pairs keeps the chart-free part of a grid per (n, count, seed)
+    and maps it to each chart: a warm call returns the bits of a cold one."""
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        builds = []
+        halton = core._scrambled_halton
+        monkeypatch.setattr(core, "_scrambled_halton", lambda *a: builds.append(a) or halton(*a))
+        core._unit_grid.cache_clear()
+        return builds
+
+    @staticmethod
+    def hexes(pairs):
+        return [tuple(c.hex() for c in x + v) for x, v in pairs]
+
+    def test_one_build_per_dimension_count_and_seed(self, monkeypatch, spaces):
+        builds = self.count_builds(monkeypatch)
+        boxes = [spaces[name].chart for name in ("flat-const", "polar-riemannian", "flat-nonkilling")]
+        warm = [probe_pairs(chart, 20, 5) for chart in boxes]
+        assert builds == [(4, 20, 5)]
+        probe_pairs(boxes[0], 21, 5), probe_pairs(boxes[0], 20, 6)
+        probe_pairs(spaces["sphere-hopf"].chart, 20, 5)
+        assert builds == [(4, 20, 5), (4, 21, 5), (4, 20, 6), (6, 20, 5)]
+        for chart, pairs in zip(boxes, warm):
+            core._unit_grid.cache_clear()
+            assert self.hexes(pairs) == self.hexes(probe_pairs(chart, 20, 5))
+
+    def test_callers_cannot_change_the_kept_grid(self, spaces):
+        chart = spaces["sphere-hopf"].chart
+        pairs = probe_pairs(chart, 10, 3)
+        expected = self.hexes(pairs)
+        pairs[0] = ((9.0, 9.0, 9.0), (1.0, 0.0, 0.0))
+        pairs.clear()
+        assert self.hexes(probe_pairs(chart, 10, 3)) == expected
+        fractions, directions = core._unit_grid(3, 10, 3)
+        assert not fractions.flags.writeable
+        with pytest.raises(ValueError):
+            fractions[0, 0] = 0.5
+        assert type(directions) is tuple and all(type(v) is tuple for v in directions)
+
+    def test_the_cache_is_bounded(self, monkeypatch, spaces):
+        builds = self.count_builds(monkeypatch)
+        chart = spaces["flat-const"].chart
+        for seed in range(core.UNIT_GRIDS_KEPT + 3):
+            probe_pairs(chart, 2, seed)
+        assert core._unit_grid.cache_info().currsize == core.UNIT_GRIDS_KEPT
+        probe_pairs(chart, 2, 0)  # the oldest was dropped: built again
+        assert len(builds) == core.UNIT_GRIDS_KEPT + 4
+
+    def test_a_kept_grid_does_not_take_a_seed_of_another_type(self, spaces):
+        chart = spaces["flat-const"].chart
+        probe_pairs(chart, 3, 1)
+        with pytest.raises(TypeError):
+            probe_pairs(chart, 3, 1.0)
+
+
 # Probe grids recorded with SciPy 1.17.1 (qmc.Halton and special.ndtri), on
 # the chart below: the first pair in full as float.hex, and every grid as
 # the first 16 hex digits of the sha256 of its float.hex lines.  Counts

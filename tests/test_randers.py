@@ -738,6 +738,59 @@ class TestUnrolledKernels:
             assert len(sqrt_calls) == (loop is randers._xy_split), (loop.__name__, n)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_written_kernels_equal_their_loops_on_every_leaf(self, n):
+        """Each kernel's written function, whose temporaries take the names
+        of dead ones, against its loop run directly: floats, 5 lanes and
+        jets of 2 slots (ZERO slots among them)."""
+        rng = np.random.default_rng(90 + n)
+
+        def nested(shape, kind):
+            if shape:
+                return [nested(shape[1:], kind) for _ in range(shape[0])]
+            if kind == "lanes":
+                return rng.normal(size=5)
+            if kind == "float":
+                return float(rng.normal())
+            slots = tuple(jets.ZERO if rng.random() < 0.3 else float(rng.normal()) for _ in "ab")
+            return Jet(float(rng.normal()), slots)
+
+        def inputs(loop, kind):
+            args = [nested(shape, kind) for shape in loop.shapes(n)]
+            if loop is randers._xy_split:  # a positive definite, F = alpha + beta > 0
+                a, b = args[0], args[2]
+                for i in range(n):
+                    a[i][i] = 2.0 * n + 0.5 / n * a[i][i]
+                    b[i] = 0.1 / n * b[i]
+                    for j in range(i + 1, n):
+                        a[i][j] = a[j][i] = 0.5 / n * a[i][j]
+            return args
+
+        loops = (core._christoffel, core._spray_contraction, randers._covariant,
+                 randers._xy_split, randers._first_order)
+        for loop in loops:
+            written = core._kernel(loop, n)
+            for kind in ("float", "lanes", "jet"):
+                for _ in range(3):
+                    args = inputs(loop, kind)
+                    with np.errstate(all="raise", under="ignore"):
+                        expected = _reprs(loop(*args))
+                        assert _reprs(written(*args)) == expected, (loop.__name__, kind)
+
+    def test_written_sprays_equal_point_data_on_every_leaf(self, spaces):
+        """Each catalog space's written spray against PointData's on floats,
+        5 lanes and v as jets of 2 slots."""
+        for name, sp in spaces.items():
+            n = sp.dimension
+            pairs = probe_pairs(sp.chart, 5, 2)
+            spray_fn = randers._spray_function(sp)
+            lanes = [[np.array(c) for c in zip(*column)] for column in zip(*pairs)]
+            x0, v0 = pairs[0]
+            jet_v = [Jet(c, (0.5 * c, jets.ZERO if k % 2 else 1.0)) for k, c in enumerate(v0)]
+            for x, v in [*pairs[:2], lanes, (x0, jet_v)]:
+                expected = _reprs(PointData(sp, x).spray(v)[0])
+                assert _reprs(spray_fn(_leaves(x), v)) == expected, name
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_random_entries_with_signed_zeros(self, n):
         rng = np.random.default_rng(50 + n)
 

@@ -184,8 +184,8 @@ class TestMonteCarlo:
         assert bh_density_monte_carlo(space, x, count, seed) == expected
 
     def test_memory_is_bounded(self, spaces):
-        # one draw of all samples peaked at 53 MB; its two halves of 32768-row
-        # chunks peak at 4.2 MB once the space is warm (10 runs, 4.20-4.21 MB)
+        # one draw of all samples peaked at 53 MB; its two halves of 16384-row
+        # chunks peak at 3.2 MB once the space is warm (10 runs, 3.15-3.16 MB)
         tracemalloc.start()
         try:
             bh_density_monte_carlo(spaces["sphere-hopf"], (0.0, 0.0, 0.0), 1_000_000, 7)

@@ -93,6 +93,28 @@ def test_rewrites_write_no_line():
                            "t5 = t0 + t4"]
 
 
+def test_dead_temporaries_lend_their_names():
+    """A value takes the name of one whose last read has passed; the
+    recorded lines keep their own names, and a guard's message is text."""
+    stage = Stage()
+    t, u = stage.unpack("x", (2,))
+    messages = []
+    value = t
+    for _ in range(30):
+        value = value * u + t
+    stage.check("guard(t1, 't1 = t0')", "key")
+    stage.namespace["guard"] = lambda v, message: messages.append(message)
+    fn = stage.function("chain", ("x",), [value, u])
+    assert stage.lines[-2:] == ["t61 = t60 + t0", "guard(t1, 't1 = t0')"]
+    assert fn.__code__.co_varnames == ("x", "t0", "t1", "t2")
+    point = [0.5, -0.75]
+    expected = point[0]
+    for _ in range(30):
+        expected = expected * point[1] + point[0]
+    assert [c.hex() for c in fn(point)] == [expected.hex(), point[1].hex()]
+    assert messages == ["t1 = t0"]
+
+
 def test_only_staged_executes_source():
     """Every generated function is written by a Stage: no other module of
     the package runs source text."""

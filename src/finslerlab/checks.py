@@ -70,19 +70,19 @@ def _result(name, observed, tolerance, note="") -> CheckResult:
 def run_checks(
     space: RandersSpace,
     pairs: list,
-    points: list,
+    analysis: randers.BetaAnalysis,
     transport_probes: int = 50,
     mc_samples: int = 1_000_000,
     tol_killing: float = 1e-9,
     tol_length: float = 1e-8,
     tol_s: float = 1e-8,
 ) -> list[CheckResult]:
-    """The battery on one probe grid: (pairs, points) = core.probe_grid,
-    as manifest.probed_space returns them."""
+    """The battery on one probe grid: (pairs, points) = core.probe_grid and
+    analysis = randers.validate_space(space, points), as
+    manifest.probed_space returns them."""
     F = randers.finsler(space)
     n = space.dimension
     results: list[CheckResult] = []
-    analysis = randers.analyze_beta(space, points)
     verdict = randers.decide(analysis, tol_killing, tol_length)
 
     # S under Busemann-Hausdorff and its scale and shift laws: one sigma_BH jet per lane.
@@ -167,7 +167,7 @@ def run_checks(
         return jets.maximum([abs(a - b) for a, b in zip(p[n:], direct)])
 
     gaps = jets.lanewise(
-        gradient_gap, [(*x, *g) for x, g in zip(points, analysis.length_gradients)]
+        gradient_gap, [(*x, *g) for x, g in zip(analysis.probes, analysis.length_gradients)]
     )
     results.append(_result("length-gradient-two-path", max([0.0, *gaps]), 1e-10))
     results.append(_result("spray-closed-vs-generic", max([0.0, *sprays]), 1e-8, "relative to 1 + |G|_inf"))

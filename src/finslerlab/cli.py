@@ -17,9 +17,10 @@ one-form entry that is not finite at a probe point; a NaN, Infinity or
 -Infinity constant in the spec file; a domain bound or a domain width
 that is not finite, or an integer bound that no float holds; a name that
 is not a string; a measure density that is not positive at the
-s-curvature point; and a spec expression that is undefined or
-overflows, an OverflowError from math, at a point the command
-evaluates), 2 usage error, 3 no admissible
+s-curvature point; a unit ball at bh's point whose volume is out of
+float range, so that the Monte-Carlo estimate cannot be formed; and a
+spec expression that is undefined or overflows, an OverflowError from
+math, at a point the command evaluates), 2 usage error, 3 no admissible
 measure, 4 runtime domain warning (a path left the chart or blew up,
 math overflowed or left its domain at an RK4 stage point of geodesic or
 s-curvature --oracle, the metric rounded to a singular matrix at one of
@@ -326,11 +327,8 @@ def cmd_analyze(args) -> int:
         return _usage_error(message)
     seed = _resolve_seed(args.seed)
     data, digest = manifest.load_spec(args.spec)
-    space, _, points, _ = manifest.probed_space(data, args.probes, seed)
-    verdict = randers.theorem_verdict(
-        space, points, tol_killing=args.tol_killing, tol_length=args.tol_length
-    )
-    analysis = verdict.analysis
+    _, _, analysis, _ = manifest.probed_space(data, args.probes, seed)
+    verdict = randers.decide(analysis, args.tol_killing, args.tol_length)
     per_probe = [
         {"x": list(x), "beta_length": length, "killing_defect": kd, "parallel_defect": pd}
         for x, length, kd, pd in zip(
@@ -352,7 +350,7 @@ def cmd_analyze(args) -> int:
         "length_max": analysis.length_max,
         "length_gradient_sup": analysis.length_gradient_sup,
         "bh_density_probe_values": verdict.bh_density_probe_values,
-        "probe_count": len(points),
+        "probe_count": len(analysis.probes),
         "per_probe": per_probe,
     }
     report["wall_time_s"] = time.perf_counter() - started
@@ -490,12 +488,12 @@ def cmd_validate(args) -> int:
         return _usage_error(message)
     seed = _resolve_seed(args.seed)
     data, digest = manifest.load_spec(args.spec)
-    space, pairs, points, _ = manifest.probed_space(data, args.probes, seed)
+    space, pairs, analysis, _ = manifest.probed_space(data, args.probes, seed)
     try:
         results = checks.run_checks(
             space,
             pairs,
-            points,
+            analysis,
             transport_probes=args.transport_probes,
             mc_samples=args.mc_samples,
             tol_killing=args.tol_killing,

@@ -168,16 +168,17 @@ def space_from_spec(data: dict, probe_count: int = 100, seed: int = 0):
 
 
 def probed_space(data: dict, probe_count: int, seed: int):
-    """space_from_spec that also hands back the probe grid it validated on
-    and the parsed custom density: (space, pairs, points, density), with
-    (pairs, points) = core.probe_grid and density as validate_spec_data
-    returns it, for measure_from_spec.  The spec is validated here, and
-    only here.  A command that probes builds its one grid here."""
+    """space_from_spec that also hands back what its one probe pass
+    computed and the parsed custom density: (space, pairs, analysis,
+    density), with (pairs, points) = core.probe_grid, analysis =
+    randers.validate_space(space, points), whose probes are the points,
+    and density as validate_spec_data returns it, for measure_from_spec.
+    The spec is validated here, and only here.  A command that probes
+    builds its one grid here, and evaluates a and b on it once."""
     metric, one_form, density = validate_spec_data(data)
     space = randers.build_space(data["coordinates"], data["domain"], metric, one_form)
     pairs, points = probe_grid(space.chart, probe_count, seed)
-    randers.validate_space(space, points)
-    return space, pairs, points, density
+    return space, pairs, randers.validate_space(space, points), density
 
 
 def measure_from_spec(space, data: dict, kind: str | None = None, density=None):

@@ -3,10 +3,10 @@
 A RandersSpace holds a Riemannian metric a_ij and a one-form b_i as
 parsed coordinate expressions.  PointData holds the covariant
 derivative b_{i|j} at a point, the closed-form spray and its X/Y split;
-analyze_beta folds it into the Killing / constant-length / parallel
-defects.  The geodesics of finsler(space) run PointData's spray: on
-array leaves directly, on float leaves as one function generated per
-space (_spray_function).  The module also gives the Busemann-Hausdorff
+validate_space checks a probe grid and folds PointData into the rows of
+the Killing / constant-length / parallel defects.  The geodesics of
+finsler(space) run PointData's spray: on array leaves directly, on float
+leaves as one function generated per space (_spray_function).  The module also gives the Busemann-Hausdorff
 density and the final verdict: the space admits a measure with vanishing
 S-curvature exactly when beta is a Killing form of constant length, and
 the certificate measure is the Busemann-Hausdorff one.
@@ -44,7 +44,6 @@ __all__ = [
     "beta_length_squared",
     "PointData",
     "spray_closed_form",
-    "analyze_beta",
     "theorem_verdict",
     "decide",
     "bh_density_closed_form",
@@ -94,9 +93,9 @@ def _fns(space: RandersSpace) -> dict:
 
 @dataclass
 class BetaAnalysis:
-    """Per-probe rows of the one-form's covariant derivative and length;
-    the sups and the length range are folds over the rows, each computed
-    at its first read."""
+    """Per-probe rows of the one-form's covariant derivative and length from
+    validate_space's pass; the sups, the length range and the
+    Busemann-Hausdorff certificate are computed from them at first read."""
 
     probes: list
     covariant: list  # one b_{i|j} matrix per probe
@@ -105,6 +104,8 @@ class BetaAnalysis:
     lengths: list  # ||beta|| per probe
     length_gradients: list  # d(||beta||^2)/dx_i per probe
     raised: list  # b^i = a^{ij} b_j per probe
+    length_squares: list  # ||beta||^2 per probe
+    metric_dets: list  # det a per probe
 
     @functools.cached_property
     def killing_defect_sup(self) -> float:
@@ -126,13 +127,22 @@ class BetaAnalysis:
     def length_gradient_sup(self) -> float:
         return max([0.0, *(max(abs(c) for c in g) for g in self.length_gradients)])
 
+    @functools.cached_property
+    def bh_density_values(self) -> list:
+        """sigma_BH per probe, on the rows' floats; at a length >= 1 (which
+        validate_space refuses) the power raises."""
+        rows = zip(self.length_squares, self.metric_dets, self.raised)
+        return [_bh_density(lsq, d, len(b_up)) for lsq, d, b_up in rows]
+
 
 @dataclass
 class TheoremVerdict:
+    """decide's verdict on one validate_space analysis, which it holds."""
+
     admits: bool
     reason: str  # killing-violated | length-not-constant | satisfied
     analysis: BetaAnalysis
-    bh_density_probe_values: Optional[list]  # the certificate, set by theorem_verdict
+    bh_density_probe_values: Optional[list]  # the certificate when the space admits
     tol_killing: float
     tol_length: float
 
@@ -155,7 +165,7 @@ def build_space(
     ASTs match or the values agree at 20 probe points; the stored matrix
     then shares one field per unordered index pair, so symmetry is exact
     from here on.  Call validate_space afterwards for the probe-based
-    positivity checks.
+    positivity checks and the beta analysis.
     """
     chart = CoordinateChart(tuple(names), tuple((float(lo), float(hi)) for lo, hi in bounds))
     n = chart.dimension
@@ -197,19 +207,21 @@ def _check_symmetry(chart, parsed) -> None:
                     )
 
 
-def validate_space(space: RandersSpace, points: Sequence) -> None:
+def validate_space(space: RandersSpace, points: Sequence) -> BetaAnalysis:
     """Probe-based admissibility at the given x-positions (e.g. probe_points):
-    finite a and b, a positive definite and sup ||beta|| < 1.
+    finite a and b, a positive definite and sup ||beta|| < 1; returns the
+    BetaAnalysis of the points.
 
-    One pass over array leaves (jets.lanewise) evaluates a(x) and b(x)
-    once for the grid, runs one stacked Cholesky factorisation on a and
-    computes every ||beta|| from them with one beta_length call.  A
-    non-finite entry raises in the pass, so the per-point loop names the
-    first point that has one.
+    One pass over array leaves (jets.lanewise), one lane per point: the
+    first-order jets of a and b, the checks on their values (finite
+    metric, finite one-form, one stacked Cholesky), then PointData's
+    b_{i|j}, b^i and length gradient, ||beta||^2 and det a.  A failed
+    check raises in the pass, so the per-point loop names the first point.
     """
 
-    def length(x):
-        a, b = a_and_b(space, x)
+    def row(x):
+        first_order = _first_order_data(space, _leaves(x))
+        a, _, b, _ = first_order
         stacked = _stacked(a)
         for label, entries in (("metric", stacked), ("one-form", np.broadcast_arrays(*b))):
             if not np.isfinite(entries).all():
@@ -217,16 +229,24 @@ def validate_space(space: RandersSpace, points: Sequence) -> None:
         try:
             np.linalg.cholesky(stacked)
         except np.linalg.LinAlgError:
-            raise InvalidSpaceError(
-                f"metric not positive definite at x = {x}"
-            ) from None
-        return beta_length(space, x, a, b)
+            raise InvalidSpaceError(f"metric not positive definite at x = {x}") from None
+        data = PointData.__new__(PointData)
+        data._derive(*first_order, inv)
+        r, bc = range(len(b)), data.bcov
+        lsq = _length_squared(data.a_inv, b)
+        killing = jets.maximum([abs(bc[i][j] + bc[j][i]) for i in r for j in r])
+        parallel = jets.maximum([abs(bc[i][j]) for i in r for j in r])
+        gradient = data.length_gradient()
+        return [bc, killing, parallel, jets.sqrt(lsq), gradient, data.b_up, lsq, det(a)]
 
-    worst_len = max([0.0, *jets.lanewise(length, points)])
-    if worst_len >= 1.0:
+    probes = list(points)
+    rows = jets.lanewise(row, probes)
+    analysis = BetaAnalysis(probes, *map(list, zip(*rows) if rows else [()] * 8))
+    if analysis.length_max >= 1.0:
         raise InvalidSpaceError(
-            f"one-form length reaches {worst_len:.6g} >= 1; F is not positive"
+            f"one-form length reaches {analysis.length_max:.6g} >= 1; F is not positive"
         )
+    return analysis
 
 
 # -- pointwise evaluation -------------------------------------------------------
@@ -547,55 +567,26 @@ def spray_closed_form(space: RandersSpace, x, v):
 # -- beta analysis and the verdict ------------------------------------------------
 
 
-def analyze_beta(space: RandersSpace, probes: Sequence) -> BetaAnalysis:
-    """The per-probe rows, from one PointData over array leaves
-    (jets.lanewise)."""
-    probes = list(probes)
-    rows = jets.lanewise(lambda x: _beta_row(PointData(space, x)), probes)
-    return BetaAnalysis(probes, *map(list, zip(*rows) if rows else [()] * 6))
-
-
-def _beta_row(data: PointData) -> list:
-    """One probe's (or one batch's) row of BetaAnalysis fields; ||beta||^2
-    sums as beta_length_squared does, so the lengths equal beta_length."""
-    n = len(data.b)
-    bc = data.bcov  # b_{i|j} and b^i for every row
-    return [
-        bc,
-        jets.maximum([abs(bc[i][j] + bc[j][i]) for i in range(n) for j in range(n)]),
-        jets.maximum([abs(bc[i][j]) for i in range(n) for j in range(n)]),
-        jets.sqrt(_length_squared(data.a_inv, data.b)),
-        data.length_gradient(),
-        data.b_up,
-    ]
-
-
 def theorem_verdict(
     space: RandersSpace,
     probes: Optional[Sequence] = None,
     tol_killing: float = 1e-9,
     tol_length: float = 1e-8,
 ) -> TheoremVerdict:
-    """Decide whether the space admits a measure with vanishing S-curvature
-    (analyze_beta on the probes, then decide).  On success the
-    Busemann-Hausdorff density samples are attached as the certificate
-    (any other vanishing-S measure is a constant multiple of it).  The
-    probes default to probe_points(space.chart)."""
-    if probes is None:
-        probes = probe_points(space.chart)
-    verdict = decide(analyze_beta(space, probes), tol_killing, tol_length)
-    if verdict.admits:
-        verdict.bh_density_probe_values = jets.lanewise(
-            lambda x: bh_density_closed_form(space, x), verdict.analysis.probes
-        )
-    return verdict
+    """Decide whether the space admits a measure with vanishing S-curvature:
+    decide on validate_space's analysis of the probes, which default to
+    probe_points(space.chart)."""
+    probes = probe_points(space.chart) if probes is None else probes
+    return decide(validate_space(space, probes), tol_killing, tol_length)
 
 
 def decide(analysis: BetaAnalysis, tol_killing: float, tol_length: float) -> TheoremVerdict:
-    """The verdict from a finished analysis, without the certificate.
+    """The verdict from validate_space's analysis.
 
     The decision reads the one-form alone: the defect sups must certify a
-    Killing form of constant length.
+    Killing form of constant length.  An admitting verdict carries the
+    analysis' Busemann-Hausdorff density at each probe as its certificate
+    (any other vanishing-S measure is a constant multiple of it).
     """
     if not (tol_killing > 0 and tol_length > 0):
         raise ValueError("tolerances must be positive")
@@ -608,9 +599,9 @@ def decide(analysis: BetaAnalysis, tol_killing: float, tol_length: float) -> The
         reason = REASON_SATISFIED
     else:
         reason = REASON_LENGTH
-    return TheoremVerdict(
-        reason == REASON_SATISFIED, reason, analysis, None, tol_killing, tol_length
-    )
+    admits = reason == REASON_SATISFIED
+    certificate = analysis.bh_density_values if admits else None
+    return TheoremVerdict(admits, reason, analysis, certificate, tol_killing, tol_length)
 
 
 def bh_density_closed_form(space: RandersSpace, x) -> Scalar:
@@ -626,6 +617,9 @@ def bh_density_closed_form(space: RandersSpace, x) -> Scalar:
             f"||beta||^2 = {worst:.6g} >= 1 at x = "
             f"{tuple(standard_part(c) for c in x)}"
         )
-    base = 1.0 - len_sq
-    exponent = 0.5 * (n + 1)
-    return jets.powf(base, exponent) * jets.sqrt(det(a))
+    return _bh_density(len_sq, det(a), n)
+
+
+def _bh_density(len_sq, det_a, n: int) -> Scalar:
+    """(1 - ||beta||^2)^((n+1)/2) * sqrt(det a) from its two inputs."""
+    return jets.powf(1.0 - len_sq, 0.5 * (n + 1)) * jets.sqrt(det_a)

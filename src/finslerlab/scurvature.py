@@ -365,6 +365,10 @@ def bh_density_monte_carlo(
     if p == 0.0:
         raise randers.InvalidSpaceError("unit ball missed entirely; degenerate data")
     ball_volume = box_volume * p
+    if not 0.0 < ball_volume * ball_volume < math.inf:  # the standard error divides by it
+        raise randers.InvalidSpaceError(
+            f"unit-ball volume {ball_volume!r} is out of float range at x = {tuple(x)}"
+        )
     se_volume = box_volume * math.sqrt(p * (1.0 - p) / sample_count)
     omega = unit_ball_volume(n)
     estimate = omega / ball_volume

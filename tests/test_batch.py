@@ -706,13 +706,15 @@ def outcome(call):
 
 class TestLanePivots:
     def test_pivot_rows_vary_across_the_grid(self):
-        space, _, points, _ = manifest.probed_space(PIVOT_SPEC, 100, 0)
+        space, _, analysis, _ = manifest.probed_space(PIVOT_SPEC, 100, 0)
+        points = analysis.probes
         a = randers.a_at(space, [leaves(c) for c in zip(*points)])
         row_one = np.abs(a[1][0]) > np.abs(a[0][0])
         assert row_one.any() and not row_one.all()
 
     def test_inv_and_det_of_the_metric_equal_the_float_path(self):
-        space, _, points, _ = manifest.probed_space(PIVOT_SPEC, 100, 0)
+        space, _, analysis, _ = manifest.probed_space(PIVOT_SPEC, 100, 0)
+        points = analysis.probes
         columns = [leaves(c) for c in zip(*points)]
         for batched, singles in (
             (columns, [list(p) for p in points]),
@@ -730,17 +732,16 @@ class TestLanePivots:
         argv = [command, str(path), "--seed", "3"]
         if command == "validate":
             argv += ["--mc-samples", "10000"]
-        calls = []
-        beta_length = randers.beta_length
+        passes = []
 
-        def counted(space, x, *rest):
-            calls.append(isinstance(x[0], np.ndarray))
-            return beta_length(space, x, *rest)
+        def counted(fn, points):
+            passes.append(fn.__qualname__)
+            return batch_only(fn, points)
 
-        with mock.patch.object(jets, "lanewise", batch_only), \
-                mock.patch.object(randers, "beta_length", counted):
+        with mock.patch.object(jets, "lanewise", counted):
             batched = run_cli(argv)
-        assert calls.count(True) == 1  # validate_space: one call over the grid
+        # validate_space: one pass over the grid, on array leaves
+        assert passes.count("validate_space.<locals>.row") == 1
         with mock.patch.object(jets, "lanewise", per_point_loop):
             assert run_cli(argv) == batched
         assert batched[0] == (cli.EXIT_NO_MEASURE if command == "analyze" else cli.EXIT_OK)
@@ -906,7 +907,8 @@ class TestBatteryLanes:
         pairs, points = probe_grid(space.chart, 20, 5)
 
         def battery():
-            results = checks.run_checks(space, pairs, points, transport_probes=4, mc_samples=10_000)
+            analysis = randers.validate_space(space, points)
+            results = checks.run_checks(space, pairs, analysis, transport_probes=4, mc_samples=10_000)
             return [repr(r) for r in results]
 
         with mock.patch.object(jets, "lanewise", batch_only):

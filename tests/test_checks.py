@@ -18,9 +18,11 @@ import workloads  # noqa: E402
 @pytest.mark.parametrize("name", ["flat-nonkilling", "rotational-killing"])
 def test_battery_passes_on_refusing_spaces(spaces, name):
     # admits = False exercises the witness branch of theorem-end-to-end
+    pairs, points = probe_grid(spaces[name].chart, 25)
     results = checks.run_checks(
         spaces[name],
-        *probe_grid(spaces[name].chart, 25),
+        pairs,
+        randers.validate_space(spaces[name], points),
         transport_probes=5,
         mc_samples=50_000,
     )
@@ -32,9 +34,12 @@ def test_battery_passes_on_refusing_spaces(spaces, name):
 
 
 def test_battery_passes_on_admitting_space(spaces):
+    space = spaces["polar-riemannian"]
+    pairs, points = probe_grid(space.chart, 25)
     results = checks.run_checks(
-        spaces["polar-riemannian"],
-        *probe_grid(spaces["polar-riemannian"].chart, 25),
+        space,
+        pairs,
+        randers.validate_space(space, points),
         transport_probes=5,
         mc_samples=50_000,
     )
@@ -55,9 +60,9 @@ def _lanes(x) -> int:
 def test_battery_evaluates_each_probe_value_once(spaces, monkeypatch, name):
     # flat-nonkilling refuses (the even part of S is read),
     # polar-riemannian admits (the Killing-skew check runs)
-    calls = {"analyze_beta": 0, "bh_density": 0, "half_f_squared": 0, "geodesic": 0, "plain_f": 0}
+    calls = {"validate_space": 0, "bh_density": 0, "half_f_squared": 0, "geodesic": 0, "plain_f": 0}
     lanes = {"bh_density": 0, "half_f_squared": 0, "geodesic": 0, "plain_f": 0}
-    analyze_beta = randers.analyze_beta
+    validate_space = randers.validate_space
     finsler = randers.finsler
     bh_density = randers.bh_density_closed_form
     half_f_squared = core._half_f_squared
@@ -70,9 +75,9 @@ def test_battery_evaluates_each_probe_value_once(spaces, monkeypatch, name):
         passes.append(len(points))
         return lanewise(fn, points)
 
-    def counting_analyze_beta(*args, **kwargs):
-        calls["analyze_beta"] += 1
-        return analyze_beta(*args, **kwargs)
+    def counting_validate_space(*args, **kwargs):
+        calls["validate_space"] += 1
+        return validate_space(*args, **kwargs)
 
     def counting_bh_density(space, x):
         # the Busemann-Hausdorff measure evaluates its density here, so the
@@ -103,7 +108,7 @@ def test_battery_evaluates_each_probe_value_once(spaces, monkeypatch, name):
         lanes["geodesic"] += _lanes(x0)
         return geodesic(F, x0, *args)
 
-    monkeypatch.setattr(randers, "analyze_beta", counting_analyze_beta)
+    monkeypatch.setattr(randers, "validate_space", counting_validate_space)
     monkeypatch.setattr(randers, "finsler", counting_finsler)
     monkeypatch.setattr(scurvature, "geodesic", counting_geodesic)
     monkeypatch.setattr(randers, "bh_density_closed_form", counting_bh_density)
@@ -111,7 +116,9 @@ def test_battery_evaluates_each_probe_value_once(spaces, monkeypatch, name):
     monkeypatch.setattr(jets, "lanewise", counting_lanewise)
     space = spaces[name]
     pairs, points = probe_grid(space.chart, 25)
-    checks.run_checks(space, pairs, points, transport_probes=5, mc_samples=10_000)
+    # The grid pass, as manifest.probed_space runs it; the battery reads its rows.
+    analysis = randers.validate_space(space, points)
+    checks.run_checks(space, pairs, analysis, transport_probes=5, mc_samples=10_000)
     subset = pairs[:20]
     transport = 5
     # The pair pass has one lane per pair and one per (pair, c) of the
@@ -134,12 +141,13 @@ def test_battery_evaluates_each_probe_value_once(spaces, monkeypatch, name):
     # in the pair pass, at the oracle's end states and at the midpoint; F^2/2
     # for PairTensors, g at 3 v and the oracle; the oracle's forward and
     # backward geodesics as one lock-step RK4 run; F once per factor c in
-    # the pair pass and once for the oracle's starts.
+    # the pair pass and once for the oracle's starts.  The beta analysis is
+    # the one grid pass above: run_checks does not repeat it.
     assert calls == {
-        "analyze_beta": 1, "bh_density": 3, "half_f_squared": 3, "geodesic": 1, "plain_f": 5
+        "validate_space": 1, "bh_density": 3, "half_f_squared": 3, "geodesic": 1, "plain_f": 5
     }
     # One pass over the pairs and the subset builds every per-lane quantity.
-    # The others are over the points (the beta analysis and the
+    # The others are over the points (validate_space's grid pass and the
     # length-gradient gap) and the oracle's trajectories and end states.
     assert len(passes) == 5
     assert passes.count(pair_lanes) == 1
@@ -182,7 +190,8 @@ def test_s_at_scaled_v_comes_from_its_own_connection(monkeypatch, name, spec, be
         return rows
 
     monkeypatch.setattr(jets, "lanewise", recording_lanewise)
-    results = checks.run_checks(space, pairs, points, transport_probes=0, mc_samples=10_000)
+    analysis = randers.validate_space(space, points)
+    results = checks.run_checks(space, pairs, analysis, transport_probes=0, mc_samples=10_000)
     [(lanes, rows)] = pair_pass
 
     def s_bh(x, v):
@@ -211,9 +220,10 @@ def test_homogeneity_entries_read_rounding(spaces):
     # taken from g at v, would read 0 on every space.
     observed = []
     for name in catalog.NAMES:
+        pairs, points = probe_grid(spaces[name].chart, 25)
         results = checks.run_checks(
-            spaces[name], *probe_grid(spaces[name].chart, 25), transport_probes=0,
-            mc_samples=10_000,
+            spaces[name], pairs, randers.validate_space(spaces[name], points),
+            transport_probes=0, mc_samples=10_000,
         )
         observed.append({r.name: r.observed for r in results})
     for entry in ("s-homogeneity", "metric-zero-homogeneity"):
@@ -226,7 +236,8 @@ def test_no_probe_pairs_skip_the_theorem_entry(spaces, name, tolerance):
     # polar-riemannian admits
     space = spaces[name]
     _, points = probe_grid(space.chart, 25)
-    results = checks.run_checks(space, [], points, transport_probes=0, mc_samples=10_000)
+    analysis = randers.validate_space(space, points)
+    results = checks.run_checks(space, [], analysis, transport_probes=0, mc_samples=10_000)
     entry = {r.name: r for r in results}["theorem-end-to-end"]
     assert (entry.skipped, entry.passed, entry.observed, entry.tolerance) == (True, True, 0.0, tolerance)
     assert entry.note == "no probe pairs compared"
@@ -250,7 +261,8 @@ def test_measure_laws_fold_every_pair(monkeypatch, spaces):
     for name in catalog.NAMES:
         pairs, points = probe_grid(spaces[name].chart, 100)
         passes.clear()
-        results = checks.run_checks(spaces[name], pairs, points, transport_probes=0, mc_samples=10_000)
+        analysis = randers.validate_space(spaces[name], points)
+        results = checks.run_checks(spaces[name], pairs, analysis, transport_probes=0, mc_samples=10_000)
         [rows] = [rows for size, rows in passes if size == len(pairs) + 40]
         laws = [row[-2] for row in rows[: len(pairs)]]  # S under sigma_BH and its two laws
         gaps = {
@@ -292,7 +304,8 @@ def test_refused_verdict_reads_the_even_part_of_s(name, spec):
     # and names its pair, where S under any measure, at v and at -v, replays it.
     space = manifest.space_from_spec(spec) if spec else catalog.space(name)
     pairs, points = probe_grid(space.chart, 25)
-    results = checks.run_checks(space, pairs, points, transport_probes=0, mc_samples=10_000)
+    analysis = randers.validate_space(space, points)
+    results = checks.run_checks(space, pairs, analysis, transport_probes=0, mc_samples=10_000)
     entry = {r.name: r for r in results}["theorem-end-to-end"]
     evens = _even_parts(space, pairs)
     assert repr(entry.observed) == repr(max(evens))

@@ -110,7 +110,7 @@ class TestAnalyze:
         code, report = run_json(capsys, "analyze", spec_path("sphere-hopf"), "--probes", "12")
         assert code == EXIT_OK
         space = spaces["sphere-hopf"]
-        analysis = randers.analyze_beta(space, probe_points(space.chart, 12, 0))
+        analysis = randers.validate_space(space, probe_points(space.chart, 12, 0))
         rows = report["results"]["per_probe"]
         assert [row["x"] for row in rows] == [list(x) for x in analysis.probes]
         assert [row["beta_length"] for row in rows] == analysis.lengths
@@ -763,6 +763,22 @@ class TestProcess:
         assert len(builds) == 1
         wall_time = TestRepeatedCalls.WALL_TIME
         assert warm[0] == cold[0] and wall_time.sub("", warm[1]) == wall_time.sub("", cold[1])
+
+    @pytest.mark.parametrize("name,code", [("sphere-hopf", EXIT_OK), ("flat-nonkilling", EXIT_NO_MEASURE)])
+    def test_analyze_evaluates_a_and_b_in_one_pass(self, capsys, monkeypatch, spec_path, name, code):
+        """The checks, the beta rows and the certificate of an admitting
+        space, or the rows of a refused one, come from one evaluation of
+        a and b over the probe grid."""
+        calls = []
+        a_and_b = randers.a_and_b
+
+        def counting_a_and_b(space, x):
+            calls.append(x)
+            return a_and_b(space, x)
+
+        monkeypatch.setattr(randers, "a_and_b", counting_a_and_b)
+        assert run(capsys, "analyze", spec_path(name))[0] == code
+        assert len(calls) == 1
 
 
 class TestRepeatedCalls:

@@ -331,6 +331,27 @@ def test_malformed_specs_are_json_spec_errors(tmp_path, case, command):
     assert err == ""
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_bh_at_a_metric_scale_past_the_float_range_is_a_json_spec_error(tmp_path, n):
+    # a = 1e300 delta passes every probe check, but the Monte-Carlo unit
+    # ball's volume (n = 4) or its square (n = 2) underflows to 0.
+    names = [f"x{i + 1}" for i in range(n)]
+    spec = {
+        "schema": 1, "dimension": n, "coordinates": names,
+        "metric": [["1e300" if i == j else "0" for j in range(n)] for i in range(n)],
+        "beta": ["0"] * n, "domain": [[0.0, 1.0]] * n,
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    argv = ["bh", str(path), "--point=" + ",".join(["0.5"] * n), "--samples", "10000"]
+    code, out, err = _run(argv, None)
+    assert code in DOCUMENTED_EXIT_CODES and code == cli.EXIT_INVALID_SPEC
+    error = json.loads(out, parse_constant=_reject_constant)["error"]
+    assert error["type"] == "InvalidSpaceError"
+    assert error["message"].startswith("unit-ball volume") and "out of float range" in error["message"]
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("oracle", [[], ["--oracle"]])
 def test_a_density_not_positive_at_the_point_is_a_json_spec_error(tmp_path, oracle):
     path = tmp_path / "spec.json"

@@ -17,7 +17,6 @@ from finslerlab.randers import (
     InvalidSpaceError,
     PointData,
     a_at,
-    analyze_beta,
     b_at,
     beta_length,
     beta_length_squared,
@@ -239,19 +238,19 @@ class TestBerwald:
     # Berwald: beta is parallel, b_{i|j} = 0 up to the tolerance
     def test_constant_form_is_berwald(self, spaces):
         points = probe_points(spaces["flat-const"].chart, 30)
-        assert analyze_beta(spaces["flat-const"], points).parallel_defect_sup <= 1e-9
+        assert validate_space(spaces["flat-const"], points).parallel_defect_sup <= 1e-9
 
     def test_rotational_is_not(self, spaces):
         points = probe_points(spaces["rotational-killing"].chart, 30)
-        assert analyze_beta(spaces["rotational-killing"], points).parallel_defect_sup > 1e-9
+        assert validate_space(spaces["rotational-killing"], points).parallel_defect_sup > 1e-9
 
     def test_riemannian_is_berwald(self, spaces):
         points = probe_points(spaces["euclidean2"].chart, 30)
-        assert analyze_beta(spaces["euclidean2"], points).parallel_defect_sup <= 1e-9
+        assert validate_space(spaces["euclidean2"], points).parallel_defect_sup <= 1e-9
 
     def test_sphere_killing_not_parallel(self, spaces):
         points = probe_points(spaces["sphere-hopf"].chart, 30)
-        analysis = analyze_beta(spaces["sphere-hopf"], points)
+        analysis = validate_space(spaces["sphere-hopf"], points)
         assert analysis.killing_defect_sup <= 1e-12
         assert analysis.parallel_defect_sup > 0.1
 
@@ -299,7 +298,7 @@ class TestVerdict:
 
     def test_defect_bound_invariant(self, spaces):
         for name in catalog.NAMES:
-            analysis = analyze_beta(spaces[name], probe_points(spaces[name].chart, 20))
+            analysis = validate_space(spaces[name], probe_points(spaces[name].chart, 20))
             assert analysis.killing_defect_sup <= 2.0 * analysis.parallel_defect_sup + 1e-15
 
     def test_bad_tolerances(self, spaces):
@@ -314,7 +313,7 @@ class TestBetaAnalysisRows:
         for name in catalog.NAMES:
             sp = spaces[name]
             points = probe_points(sp.chart, 12)
-            analysis = analyze_beta(sp, points)
+            analysis = validate_space(sp, points)
             assert analysis.probes == points
             assert analysis.covariant == [PointData(sp, x).bcov for x in points]
             assert analysis.lengths == [beta_length(sp, x) for x in points]
@@ -329,7 +328,7 @@ class TestBetaAnalysisRows:
     def test_sups_are_folds_of_the_rows(self, spaces):
         for name in catalog.NAMES:
             sp = spaces[name]
-            analysis = analyze_beta(sp, probe_points(sp.chart, 12))
+            analysis = validate_space(sp, probe_points(sp.chart, 12))
             n = sp.dimension
             killing = parallel = grad = lmax = 0.0
             lmin = math.inf
@@ -623,7 +622,7 @@ class TestUnrolledKernels:
     def test_spray_is_generated_at_the_first_fast_spray_call_of_each_space(self):
         twins = [build_space(["x1", "x2"], BOX, FLAT, ["0.3*x2", "x1*x1/4"]) for _ in range(2)]
         structures = [randers.finsler(sp) for sp in twins]
-        analyze_beta(twins[0], probe_points(twins[0].chart, 4))
+        validate_space(twins[0], probe_points(twins[0].chart, 4))
         assert all("spray" not in randers._fns(sp) for sp in twins)
         structures[0].fast_spray((0.1, 0.2), (1.0, 0.5))
         spray_fn = randers._fns(twins[0])["spray"]
@@ -639,7 +638,7 @@ class TestUnrolledKernels:
         xs, vs = [x for x, _ in pairs], [v for _, v in pairs]
         scurvature.s_curvature_transport_batch(F, bh, xs, vs)
         assert "spray" not in randers._fns(sp)
-        checks.run_checks(sp, pairs, points, transport_probes=5, mc_samples=10_000)
+        checks.run_checks(sp, pairs, validate_space(sp, points), transport_probes=5, mc_samples=10_000)
         assert "spray" not in randers._fns(sp)
         written = []
         staged_spray = randers._staged_spray

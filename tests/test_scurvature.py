@@ -547,7 +547,8 @@ class TestZermeloRotation:
         assert cli.main(["analyze", str(path)]) == 3
         assert json.loads(capsys.readouterr().out)["results"]["reason"] == "killing-violated"
         pairs, points = probe_grid(space.chart, 100)
-        results = checks.run_checks(space, pairs, points, transport_probes=0, mc_samples=10_000)
+        analysis = randers.validate_space(space, points)
+        results = checks.run_checks(space, pairs, analysis, transport_probes=0, mc_samples=10_000)
         entry = {r.name: r for r in results}["theorem-end-to-end"]
         assert entry.observed <= 1e-12 and not entry.passed
         assert entry.note.startswith("no measure admitted")

@@ -129,24 +129,24 @@ def run_checks(
 
     # The pass runs one lane per pair, then one per (pair, c) of the
     # homogeneity subset with v scaled by c: S at cv from that lane's own N.
-    # The subset lanes' other rows are computed and not read.
+    # Each column holds a value per lane, the pairs' first: the subset
+    # lanes' other values are computed and not read.
     subset = pairs[:20]
     cs = (3.0, 1.0 / 3.0)
-    rows = jets.lanewise(
-        pair_row,
-        [(*x, *v) for x, v in pairs] + [(*x, *[c * vi for vi in v]) for x, v in subset for c in cs],
-    )
-    s_cv = [row[-2][0] for row in rows[len(pairs) :]]  # S_BH of each subset lane
+    m = len(pairs)
+    lanes = [(*x, *v) for x, v in pairs] + [(*x, *[c * vi for vi in v]) for x, v in subset for c in cs]
     (fvs, homogs, gvvs, g_homogs, eigs, cartans, rewrites, eulers, sprays, traces_x, traces_y,
-     law_rows, evens) = map(list, zip(*rows[: len(pairs)])) if pairs else [[]] * 13
-    min_f = min([math.inf, *fvs])
-    homog = max([0.0, *(h for row in homogs for h in row)])
-    gvv = max([0.0, *gvvs])
-    g_homog = max([0.0, *g_homogs])
-    min_eig = min([math.inf, *eigs])
-    cartan_defect = max([0.0, *cartans])
-    n_rewrite = max([0.0, *rewrites])
-    euler = max([0.0, *eulers])
+     s_laws, evens) = jets.lanewise(pair_row, lanes) if lanes else [[], [[]] * 3, *[[]] * 9, [[]] * 3, []]
+    s_bh, scaled, shifted = (col[:m] for col in s_laws)  # S under sigma_BH and its two laws
+    s_cv = s_laws[0][m:]  # S_BH of each subset lane
+    min_f = min([math.inf, *fvs[:m]])
+    homog = max([0.0, *(h for col in homogs for h in col[:m])])
+    gvv = max([0.0, *gvvs[:m]])
+    g_homog = max([0.0, *g_homogs[:m]])
+    min_eig = min([math.inf, *eigs[:m]])
+    cartan_defect = max([0.0, *cartans[:m]])
+    n_rewrite = max([0.0, *rewrites[:m]])
+    euler = max([0.0, *eulers[:m]])
     results.append(
         CheckResult("finsler-positivity", min_f, 0.0, min_f > 0.0, note="min F over probes; must stay positive")
     )
@@ -166,22 +166,24 @@ def run_checks(
         direct = [standard_part(partial(lsq, i)) for i in range(n)]
         return jets.maximum([abs(a - b) for a, b in zip(p[n:], direct)])
 
-    gaps = jets.lanewise(
-        gradient_gap, [(*x, *g) for x, g in zip(analysis.probes, analysis.length_gradients)]
-    )
+    gradients = zip(*analysis.length_gradients)  # each probe's d(||beta||^2)/dx
+    gaps = jets.lanewise(gradient_gap, [(*x, *g) for x, g in zip(analysis.probes, gradients)])
     results.append(_result("length-gradient-two-path", max([0.0, *gaps]), 1e-10))
-    results.append(_result("spray-closed-vs-generic", max([0.0, *sprays]), 1e-8, "relative to 1 + |G|_inf"))
-    results.append(_result("trace-dX-vanishes", max([0.0, *traces_x]), 1e-9))
-    results.append(_result("trace-dY-closed-form", max([0.0, *traces_y]), 1e-9))
+    results.append(_result("spray-closed-vs-generic", max([0.0, *sprays[:m]]), 1e-8, "relative to 1 + |G|_inf"))
+    results.append(_result("trace-dX-vanishes", max([0.0, *traces_x[:m]]), 1e-9))
+    results.append(_result("trace-dY-closed-form", max([0.0, *traces_y[:m]]), 1e-9))
 
     if (
         analysis.killing_defect_sup <= tol_killing
         and analysis.length_gradient_sup <= 1e-10
     ):
+        bc, b_up = analysis.covariant, analysis.raised
         skews = (
-            abs(sum((bc[i][j] - bc[j][i]) * b_up[j] for j in range(n)))
-            for bc, b_up in zip(analysis.covariant, analysis.raised)
+            abs(sum(terms))  # per probe, summed over j in order
             for i in range(n)
+            for terms in zip(*[
+                [(p - q) * u for p, q, u in zip(bc[i][j], bc[j][i], b_up[j])] for j in range(n)
+            ])
         )
         worst = max([0.0, *skews])
         results.append(
@@ -205,7 +207,6 @@ def run_checks(
     )
 
     # S-curvature: formula vs transport, homogeneity, measure laws.
-    s_bh = [row[0] for row in law_rows]
     transport_pairs = pairs[: min(transport_probes, len(pairs))]
     formula = s_bh[: len(transport_pairs)]
     try:
@@ -230,10 +231,10 @@ def run_checks(
         )
 
     s_homog = scale_diff = shift_diff = 0.0
-    for k, (s0, _, _) in enumerate(law_rows[: len(subset)]):
+    for k, s0 in enumerate(s_bh[: len(subset)]):
         for c, sc in zip(cs, s_cv[2 * k : 2 * k + 2]):
             s_homog = max(s_homog, abs(sc - c * s0) / (1.0 + abs(s0)))
-    for (_, v), (s0, scaled_s, shifted_s) in zip(pairs, law_rows):
+    for (_, v), s0, scaled_s, shifted_s in zip(pairs, s_bh, scaled, shifted):
         scale_diff = max(scale_diff, abs(scaled_s - s0))
         shift_diff = max(shift_diff, abs(shifted_s - (s0 - v[0])))
     results.append(_result("s-homogeneity", s_homog, 1e-9, "relative to 1 + |S|"))
@@ -262,7 +263,7 @@ def run_checks(
             _result("theorem-end-to-end", max_s_bh, tol_s, "admits: S vanishes for the BH measure")
         )
     else:
-        even = max(evens)
+        even = max(evens[:m])
         x, v = (",".join(map(repr, c)) for c in pairs[evens.index(even)])
         results.append(
             CheckResult(

@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import math
 import os
 import sys
@@ -202,13 +203,18 @@ def _json_text(value, newline: str) -> str:
 
 
 def _write_json(value, newline: str, out: list, key_prefixes: dict) -> None:
-    """Append value's JSON text to `out`.  A dict or list writes its finite
-    floats and its str values in its own loop, and recurses only for other
-    items; the two loops stay apart because one loop over (prefix, item)
-    pairs for both measured slower.  `key_prefixes` maps (key set, newline)
-    to the sorted keys, each with the text before its value, so that dicts
-    sharing a key set at one depth (an analyze report's per-probe rows)
-    sort and escape their keys once."""
+    """Append value's JSON text to `out`.  Two shapes are written in one
+    call: a list of finite plain floats by one join, and a table (a list
+    of dicts that share one key set, whose values are finite plain floats
+    or lists of them, each list key with one length over the rows, as an
+    analyze report's per-probe rows) by one % of a template cached in
+    `key_prefixes` under (keys, lengths, newline, row count).  Any other
+    dict or list writes its finite floats and its str values in its own
+    loop, and recurses only for other items; the two loops stay apart
+    because one loop over (prefix, item) pairs for both measured slower.
+    `key_prefixes` also maps (key set, newline) to the sorted keys, each
+    with the text before its value, so that dicts sharing a key set at
+    one depth sort and escape their keys once."""
     if isinstance(value, dict):
         if not value:
             out.append("{}")
@@ -237,6 +243,15 @@ def _write_json(value, newline: str, out: list, key_prefixes: dict) -> None:
             out.append("[]")
             return
         inner = newline + "  "
+        first = type(value[0])
+        if first is float and _finite_floats(value):
+            out.append("[" + inner + ("," + inner).join(map(float.__repr__, value)) + newline + "]")
+            return
+        if first is dict:
+            text = _table_text(value, newline, key_prefixes)
+            if text is not None:
+                out.append(text)
+                return
         prefix, separator = "[" + inner, "," + inner
         for item in value:
             kind = type(item)
@@ -265,6 +280,63 @@ def _write_json(value, newline: str, out: list, key_prefixes: dict) -> None:
         out.append(int.__repr__(value))
     else:
         raise TypeError(f"{type(value).__name__} is not a JSON value")
+
+
+def _finite_floats(values) -> bool:
+    """Every item is a plain float and finite: a sum of finite floats that
+    a NaN, an inf or an overflow left finite."""
+    return set(map(type, values)) == {float} and math.isfinite(sum(values))
+
+
+def _table_text(rows: list, newline: str, key_prefixes: dict):
+    """The JSON text of a table (see _write_json), or None when rows are
+    no table."""
+    key_set = rows[0].keys()
+    if not key_set or set(map(type, rows)) != {dict}:
+        return None
+    if not all(map(key_set.__eq__, map(dict.keys, rows))):
+        return None
+    keys = sorted(key_set)
+    columns, lengths = [], []
+    for key in keys:
+        column = [row[key] for row in rows]
+        kinds = set(map(type, column))
+        if kinds == {float}:
+            columns.append(column)
+            lengths.append(None)
+        elif kinds <= {list, tuple} and len(sizes := set(map(len, column))) == 1:
+            columns.extend(zip(*column))
+            lengths.append(sizes.pop())
+        else:
+            return None
+    values = tuple(itertools.chain.from_iterable(zip(*columns)))
+    if not _finite_floats(values):
+        return None
+    shape = (tuple(keys), tuple(lengths), newline, len(rows))
+    template = key_prefixes.get(shape)
+    if template is None:
+        template = key_prefixes[shape] = _table_template(keys, lengths, newline, len(rows))
+    return template % values
+
+
+def _table_template(keys, lengths, newline: str, count: int) -> str:
+    """The %-template of a table of `count` rows with the sorted `keys`,
+    a float at a key whose length is None and a list of that length
+    elsewhere; one %r per float, row by row."""
+    row_break, key_break = newline + "  ", newline + "    "
+    item_break = key_break + "  "
+    parts = []
+    for i, (key, length) in enumerate(zip(keys, lengths)):
+        name = encode_basestring_ascii(key).replace("%", "%%")
+        parts.append(("," if i else "{") + key_break + name + ": ")
+        if length is None:
+            parts.append("%r")
+        elif length:
+            parts.append("[" + item_break + ("," + item_break).join(["%r"] * length) + key_break + "]")
+        else:
+            parts.append("[]")
+    row = "".join(parts) + row_break + "}"
+    return "[" + row_break + ("," + row_break).join([row] * count) + newline + "]"
 
 
 def _emit_error(kind: str, message: str, **extra) -> None:

@@ -15,10 +15,11 @@ correctly rounded in NumPy as in Python, and the other primitives map
 ``tanh`` and their kin may differ from ``math`` in the last place.
 Jets sit above arrays: ``Jet.__array_ufunc__ = None`` makes
 ``ndarray * Jet`` defer to the Jet operators.  ``lanewise`` runs a
-per-point function once over the lanes of a grid and hands a batch that
-fails back to the per-point loop.  A third kind of leaf, ``staged.Sym``,
-computes nothing: each operation on it, primitives included, writes a
-line of a generated function (see ``finslerlab.staged``).
+per-point function once over the lanes of a grid, returns one list of
+values per quantity, and hands a batch that fails back to the per-point
+loop.  A third kind of leaf, ``staged.Sym``, computes nothing: each
+operation on it, primitives included, writes a line of a generated
+function (see ``finslerlab.staged``).
 
 Three rules spare work that the plain product, sum and chain rules would
 do.  A square ``x * x`` forms each slot product ``x.value * p`` once and
@@ -292,29 +293,32 @@ def standard_part(scalar: Scalar) -> Union[float, np.ndarray]:
 
 
 def lanewise(fn: Callable, points: Sequence) -> list:
-    """[fn(p) for p in points], from one call of fn over array leaves.
+    """fn at every point, from one call of fn over array leaves, as columns.
 
     fn maps a point (a sequence of scalars) to a scalar or to nested lists
-    of scalars.  The batch passes one 1-D array per coordinate, with one
-    lane per point, under NumPy's raising error state, and lane k of its
-    result is point k's value; the values come back as Python floats in
-    nested lists.  A batch that raises ArithmeticError or ValueError (a
-    singular pivot, a domain guard, an overflow that ``math`` raises or
-    NumPy would turn into inf, a geodesic that leaves its chart or blows
-    up: core re-bases DomainExitError on ValueError and
-    NonFiniteStateError on ArithmeticError for this clause) hands the
-    points to the per-point loop on float leaves, which raises what it
-    raises.
+    of scalars.  The result keeps that nesting, and each leaf becomes the
+    list of its values over the points as Python floats: for a scalar fn,
+    [fn(p) for p in points]; no points give [].  The batch passes one 1-D
+    array per coordinate, with one lane per point, under NumPy's raising
+    error state, and lane k of each leaf is point k's value.  A batch that
+    raises ArithmeticError or ValueError (a singular pivot, a domain
+    guard, an overflow that ``math`` raises or NumPy would turn into inf,
+    a geodesic that leaves its chart or blows up: core re-bases
+    DomainExitError on ValueError and NonFiniteStateError on
+    ArithmeticError for this clause) hands the points to the per-point
+    loop on float leaves, which raises what it raises; its rows are
+    transposed once into the same columns.
     """
     points = list(points)
-    if points:
-        try:
-            with np.errstate(all="raise", under="ignore"):
-                lanes = [np.array(c, dtype=float) for c in zip(*points)]
-                return _unstack(fn(lanes), len(points))
-        except (ArithmeticError, ValueError):
-            pass
-    return [_unstack(fn(p), 1)[0] for p in points]
+    if not points:
+        return []
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            lanes = [np.array(c, dtype=float) for c in zip(*points)]
+            return _columns(fn(lanes), len(points))
+    except (ArithmeticError, ValueError):
+        pass
+    return _transposed([fn(p) for p in points])
 
 
 def _leaves(values) -> list:
@@ -322,14 +326,24 @@ def _leaves(values) -> list:
     return [c if isinstance(c, np.ndarray) else float(c) for c in values]
 
 
-def _unstack(value, size: int) -> list:
-    """The `size` lanes of nested lists whose leaves are floats or arrays."""
+def _columns(value, size: int) -> list:
+    """Nested lists whose leaves are floats or arrays, each leaf as the
+    list of its `size` lanes."""
     if isinstance(value, (list, tuple)):
-        parts = [_unstack(v, size) for v in value]
-        return [list(lane) for lane in zip(*parts)] if parts else [[] for _ in range(size)]
+        return [_columns(v, size) for v in value]
     if isinstance(value, np.ndarray) and value.shape == (size,):
         return value.tolist()
+    if isinstance(value, float):  # a constant (ZERO included) as a plain float
+        return [float(value)] * size
     return np.broadcast_to(value, (size,)).tolist()
+
+
+def _transposed(rows: list) -> list:
+    """The per-point results `rows` (nested lists of floats) as the
+    columns _columns gives."""
+    if isinstance(rows[0], (list, tuple)):
+        return [_transposed(part) for part in zip(*rows)]
+    return np.array(rows).tolist()
 
 
 def select(mask: np.ndarray, x: Scalar, y: Scalar) -> Scalar:

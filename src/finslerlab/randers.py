@@ -3,7 +3,7 @@
 A RandersSpace holds a Riemannian metric a_ij and a one-form b_i as
 parsed coordinate expressions.  PointData holds the covariant
 derivative b_{i|j} at a point, the closed-form spray and its X/Y split;
-validate_space checks a probe grid and folds PointData into the rows of
+validate_space checks a probe grid and folds PointData into columns of
 the Killing / constant-length / parallel defects.  The geodesics of
 finsler(space) run PointData's spray: on array leaves directly, on float
 leaves as one function generated per space (_spray_function).  The module also gives the Busemann-Hausdorff
@@ -15,6 +15,7 @@ the certificate measure is the Busemann-Hausdorff one.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 import weakref
@@ -93,17 +94,19 @@ def _fns(space: RandersSpace) -> dict:
 
 @dataclass
 class BetaAnalysis:
-    """Per-probe rows of the one-form's covariant derivative and length from
-    validate_space's pass; the sups, the length range and the
-    Busemann-Hausdorff certificate are computed from them at first read."""
+    """The one-form's covariant derivative and length at the probes, from
+    validate_space's pass, in columns: each entry is the list of one
+    quantity's values over the probes (covariant[i][j][k] is b_{i|j} at
+    probe k).  The sups, the length range and the Busemann-Hausdorff
+    certificate are computed from the columns at first read."""
 
     probes: list
-    covariant: list  # one b_{i|j} matrix per probe
+    covariant: list  # n x n columns of b_{i|j}
     killing_defects: list  # max |b_{i|j} + b_{j|i}| per probe
     parallel_defects: list  # max |b_{i|j}| per probe
     lengths: list  # ||beta|| per probe
-    length_gradients: list  # d(||beta||^2)/dx_i per probe
-    raised: list  # b^i = a^{ij} b_j per probe
+    length_gradients: list  # n columns of d(||beta||^2)/dx_i
+    raised: list  # n columns of b^i = a^{ij} b_j
     length_squares: list  # ||beta||^2 per probe
     metric_dets: list  # det a per probe
 
@@ -125,14 +128,18 @@ class BetaAnalysis:
 
     @functools.cached_property
     def length_gradient_sup(self) -> float:
-        return max([0.0, *(max(abs(c) for c in g) for g in self.length_gradients)])
+        return max([0.0, *map(abs, itertools.chain.from_iterable(self.length_gradients))])
 
     @functools.cached_property
     def bh_density_values(self) -> list:
-        """sigma_BH per probe, on the rows' floats; at a length >= 1 (which
-        validate_space refuses) the power raises."""
-        rows = zip(self.length_squares, self.metric_dets, self.raised)
-        return [_bh_density(lsq, d, len(b_up)) for lsq, d, b_up in rows]
+        """sigma_BH per probe, from one _bh_density pass over the
+        length_squares and metric_dets columns (jets.lanewise: math lane
+        by lane, so each value is the float computation of its probe bit
+        for bit); an inf det a gives an inf value, and at a length >= 1
+        (which validate_space refuses) the power raises."""
+        n = len(self.raised)
+        points = list(zip(self.length_squares, self.metric_dets))
+        return jets.lanewise(lambda p: _bh_density(p[0], p[1], n), points)
 
 
 @dataclass
@@ -240,8 +247,12 @@ def validate_space(space: RandersSpace, points: Sequence) -> BetaAnalysis:
         return [bc, killing, parallel, jets.sqrt(lsq), gradient, data.b_up, lsq, det(a)]
 
     probes = list(points)
-    rows = jets.lanewise(row, probes)
-    analysis = BetaAnalysis(probes, *map(list, zip(*rows) if rows else [()] * 8))
+    if probes:
+        columns = jets.lanewise(row, probes)
+    else:
+        r = range(space.dimension)
+        columns = [[[[] for _ in r] for _ in r], [], [], [], [[] for _ in r], [[] for _ in r], [], []]
+    analysis = BetaAnalysis(probes, *columns)
     if analysis.length_max >= 1.0:
         raise InvalidSpaceError(
             f"one-form length reaches {analysis.length_max:.6g} >= 1; F is not positive"

@@ -232,17 +232,20 @@ def s_curvature_transport_batch(
     """
     steps = _integrated_steps(steps, richardson)
     n = F.chart.dimension
-    runs = jets.lanewise(
+    if not xs:
+        return []
+    fvals, ends = jets.lanewise(
         lambda p: _trajectory(F, p, steps, richardson),
         [(*x, *v, t) for x, v in zip(xs, vs) for t in (h, -h)],
     )
-    forward = runs[::2]
-    states = [s for f, b in zip(forward, runs[1::2]) for s in _end_states(f, b)]
+    # Each end index's (*x, *u) state per lane, in _end_states' order.
+    at_end = [list(zip(*end)) for end in ends]
+    states = [lanes[j] for k in range(len(xs)) for lanes in at_end for j in (2 * k, 2 * k + 1)]
     phis = jets.lanewise(lambda p: _log_ratio(F, measure, p[:n], p[n:]), states)
-    per_probe = 2 * len(_end_indices(steps, richardson))
+    per_probe = 2 * len(ends)
     return [
         _central_difference(fval, phis[k * per_probe : (k + 1) * per_probe], h, richardson)
-        for k, (fval, _) in enumerate(forward)
+        for k, fval in enumerate(fvals[::2])
     ]
 
 

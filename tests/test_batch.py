@@ -669,20 +669,25 @@ class TestGeodesicBatch:
         with pytest.raises(StructureValidityError):
             batch_only(spray_at, points)
         assert jets.lanewise(spray_at, points) == per_point_loop(spray_at, points)
-        assert per_point_loop(spray_at, points)[1] == [0.0, 0.0]
+        # one column per spray component; point 1 has v = 0
+        assert [column[1] for column in per_point_loop(spray_at, points)] == [0.0, 0.0]
 
 
 def per_point_loop(fn, points):
-    """jets.lanewise's fallback alone: fn on float leaves, point by point."""
-    return [jets._unstack(fn(p), 1)[0] for p in points]
+    """jets.lanewise's fallback alone: fn on float leaves, point by point,
+    its rows transposed into lanewise's columns."""
+    rows = [fn(p) for p in points]
+    return jets._transposed(rows) if rows else []
 
 
 def batch_only(fn, points):
     """jets.lanewise without its fallback: a batch that fails raises."""
     points = list(points)
+    if not points:
+        return []
     with np.errstate(all="raise", under="ignore"):
         lanes = [np.array(c, dtype=float) for c in zip(*points)]
-        return jets._unstack(fn(lanes), len(points))
+        return jets._columns(fn(lanes), len(points))
 
 
 def run_cli(argv):

@@ -147,9 +147,10 @@ def test_battery_evaluates_each_probe_value_once(spaces, monkeypatch, name):
         "validate_space": 1, "bh_density": 3, "half_f_squared": 3, "geodesic": 1, "plain_f": 5
     }
     # One pass over the pairs and the subset builds every per-lane quantity.
-    # The others are over the points (validate_space's grid pass and the
-    # length-gradient gap) and the oracle's trajectories and end states.
-    assert len(passes) == 5
+    # The others are over the points (validate_space's grid pass, the
+    # length-gradient gap and, when the space admits, the certificate) and
+    # the oracle's trajectories and end states.
+    assert len(passes) == 5 + randers.decide(analysis, 1e-9, 1e-8).admits
     assert passes.count(pair_lanes) == 1
 
 
@@ -180,19 +181,19 @@ def test_s_at_scaled_v_comes_from_its_own_connection(monkeypatch, name, spec, be
     pairs, points = probe_grid(space.chart, 25)
     subset = pairs[:20]
     lanewise = jets.lanewise
-    pair_pass = []  # (lanes, rows) of the pass over the pairs and the subset
+    pair_pass = []  # (lanes, columns) of the pass over the pairs and the subset
 
     def recording_lanewise(fn, lanes):
         lanes = list(lanes)
-        rows = lanewise(fn, lanes)
+        columns = lanewise(fn, lanes)
         if len(lanes) == len(pairs) + 2 * len(subset):
-            pair_pass.append((lanes, rows))
-        return rows
+            pair_pass.append((lanes, columns))
+        return columns
 
     monkeypatch.setattr(jets, "lanewise", recording_lanewise)
     analysis = randers.validate_space(space, points)
     results = checks.run_checks(space, pairs, analysis, transport_probes=0, mc_samples=10_000)
-    [(lanes, rows)] = pair_pass
+    [(lanes, columns)] = pair_pass
 
     def s_bh(x, v):
         return scurvature.s_curvature_from(core.nonlinear_connection(F, x, v), bh, x, v)
@@ -205,9 +206,9 @@ def test_s_at_scaled_v_comes_from_its_own_connection(monkeypatch, name, spec, be
             lane = len(pairs) + 2 * k + j
             assert lanes[lane] == (*x, *w)
             s_cv = s_bh(x, w)
-            # each row ends with S under sigma_BH and its two laws, then
+            # the last columns are S under sigma_BH and its two laws, then
             # the even part of S
-            assert repr(rows[lane][-2][0]) == repr(s_cv)
+            assert repr(columns[-2][0][lane]) == repr(s_cv)
             s_homog = max(s_homog, abs(s_cv - c * s0) / (1.0 + abs(s0)))
     assert (s_homog > 1e-12) == bool(bend)
     by_name = {r.name: r for r in results}
@@ -252,9 +253,9 @@ def test_measure_laws_fold_every_pair(monkeypatch, spaces):
 
     def recording_lanewise(fn, lanes):
         lanes = list(lanes)
-        rows = lanewise(fn, lanes)
-        passes.append((len(lanes), rows))
-        return rows
+        columns = lanewise(fn, lanes)
+        passes.append((len(lanes), columns))
+        return columns
 
     monkeypatch.setattr(jets, "lanewise", recording_lanewise)
     worst_past_the_subset = set()
@@ -263,8 +264,9 @@ def test_measure_laws_fold_every_pair(monkeypatch, spaces):
         passes.clear()
         analysis = randers.validate_space(spaces[name], points)
         results = checks.run_checks(spaces[name], pairs, analysis, transport_probes=0, mc_samples=10_000)
-        [rows] = [rows for size, rows in passes if size == len(pairs) + 40]
-        laws = [row[-2] for row in rows[: len(pairs)]]  # S under sigma_BH and its two laws
+        [columns] = [columns for size, columns in passes if size == len(pairs) + 40]
+        # S under sigma_BH and its two laws at each pair
+        laws = list(zip(*(column[: len(pairs)] for column in columns[-2])))
         gaps = {
             "measure-scale-invariance": [abs(scaled - s0) for s0, scaled, _ in laws],
             "measure-density-shift": [

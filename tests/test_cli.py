@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finslerlab
-from finslerlab import catalog, checks, cli, core, manifest, randers, scurvature
+from finslerlab import catalog, checks, cli, core, jets, manifest, randers, scurvature
 from finslerlab.cli import main
 from finslerlab.core import probe_points
 
@@ -880,6 +881,72 @@ def trees_holding_a_non_finite_float(draw):
     return value
 
 
+# Keys for the row tables below, among them keys that encode_basestring_ascii
+# escapes and keys holding the % the table template escapes.
+TABLE_KEYS = ["x", "beta_length", "killing_defect", "a%b", "%r", "%%s", "100%", 'q"',
+              "back\\slash", "tab\t", "\u00e9", "\u2028", ""]
+# Values that take a list of floats or a table off its one-call path.
+NON_TABLE_VALUES = [1, 0, -7, 2**70, True, False, None, jets.ZERO, np.float64(0.1), "s%",
+                    [1, 2.0], [jets.ZERO], [True], [None], [[0.5]], {"k": 1.0}, {}]
+
+
+def _table_float(rng):
+    return rng.choice([0.0, -0.0, 5e-324, 1e-300, 1e308, -2.5, 1 / 3, rng.uniform(-1e3, 1e3),
+                       rng.gauss(0.0, 1e-12)])
+
+
+def _row_table(rng, off_table=True):
+    """A list of dicts shaped as a table (one key set, float or float-list
+    values, each list key with one length), in shuffled insertion orders;
+    with off_table, most draws then change one thing that takes it off
+    the table shape."""
+    keys = rng.sample(TABLE_KEYS, rng.randint(1, 4))
+    lengths = {key: rng.choice([None, None, 0, 1, 2, 3]) for key in keys}
+    count = rng.choice([1, 1, 2, 3, 7, 40])
+    rows = []
+    for _ in range(count):
+        items = [(k, _table_float(rng) if n is None else [_table_float(rng) for _ in range(n)])
+                 for k, n in lengths.items()]
+        rng.shuffle(items)
+        rows.append(dict(items))
+    if not off_table or rng.random() < 0.2:
+        return rows
+    row, key = rng.choice(rows), rng.choice(keys)
+    change = rng.choice(["ragged", "value", "in-list", "tuple", "extra", "missing", "empty",
+                         "all-empty", "not-a-dict"])
+    if change == "ragged":
+        row[key] = [_table_float(rng) for _ in range(rng.choice([0, 1, 4]))]
+    elif change == "value":
+        row[key] = rng.choice(NON_TABLE_VALUES)
+    elif change == "in-list":
+        row[key] = [_table_float(rng), rng.choice(NON_TABLE_VALUES)]
+    elif change == "tuple":
+        row[key] = tuple(row[key]) if isinstance(row[key], list) else (row[key],)
+    elif change == "extra":
+        row[rng.choice([k for k in TABLE_KEYS if k not in keys] or ["z"])] = 1.5
+    elif change == "missing":
+        del row[key]
+    elif change == "empty":
+        rows[rows.index(row)] = {}
+    elif change == "all-empty":
+        rows = [{} for _ in rows]
+    else:
+        rows[rows.index(row)] = rng.choice([_table_float(rng), [1.0], "row", None])
+    return rows
+
+
+def _table_tree(rng):
+    """A report-like dict of row tables, lists of floats and both nested."""
+    floats = [_table_float(rng) for _ in range(rng.randint(1, 6))]
+    if rng.random() < 0.5:
+        floats.insert(rng.randint(0, len(floats)), rng.choice(NON_TABLE_VALUES))
+    return {
+        "per_probe": _row_table(rng),
+        "values": floats,
+        "nested": {"r%s": [_row_table(rng), _row_table(rng, off_table=False)], "f": floats[:1]},
+    }
+
+
 class TestReportEncoder:
     """_emit writes exactly what json.dumps(report, sort_keys=True,
     indent=2, allow_nan=False) writes, and NonFiniteResultError where
@@ -942,6 +1009,40 @@ class TestReportEncoder:
             rows.append({key: values[key] for key in orders[i % len(orders)]})
         value = {"per_probe": rows, "other": [{"x": 1.0}, {"x": [1.0], "y": 2.0}, [rows[3]]]}
         self.assert_as_json_dumps(value)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_row_tables_equal_json_dumps(self, seed):
+        rng = random.Random(seed)
+        for _ in range(25):
+            self.assert_as_json_dumps(_table_tree(rng))
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_in_a_row_table_is_an_error(self, seed, bad):
+        rng = random.Random(seed)
+        rows = _row_table(rng, off_table=False)
+        spots = [(row, key, i) for row in rows for key, value in row.items()
+                 for i in (range(len(value)) if isinstance(value, list) else [None])]
+        if not spots:  # every list key of length 0: give one row a value
+            spots = [(rows[0], "x", None)]
+        row, key, i = rng.choice(spots)
+        if i is None:
+            row[key] = bad  # a row value
+        else:
+            row[key][i] = bad  # an entry of a row's list
+        for value in (rows, {"per_probe": rows}, [rows]):
+            with pytest.raises(ValueError):
+                json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
+            with pytest.raises(ValueError):
+                cli._json_text(value, "\n")
+
+    def test_a_table_and_a_list_of_floats_are_one_piece_each(self):
+        rows = [{"x": [0.1 * i, 0.2], "beta_length": i / 7, "%d": -0.0} for i in range(50)]
+        for value in (rows, [r["beta_length"] for r in rows]):
+            out, cache = [], {}
+            cli._write_json(value, "\n", out, cache)
+            assert len(out) == 1
+            assert out[0] == json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
 
     @pytest.mark.parametrize("index", [0, 57, 119])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

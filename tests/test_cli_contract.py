@@ -377,3 +377,29 @@ def test_expressions_at_the_depth_bound_run(tmp_path, shape, command):
     if command == "analyze":
         assert report["results"]["admits_vanishing_s_measure"]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("scale,expected", [("1e300", cli.EXIT_RUNTIME_WARNING), ("1e-300", cli.EXIT_OK)])
+def test_analyze_at_a_metric_scale_past_the_float_range(tmp_path, scale, expected):
+    # a = scale * delta, b = 0 admits.  At 1e300, det a = 1e600 overflows
+    # to inf, so each certificate entry sqrt(det a) is inf and the report
+    # is a NonFiniteResultError; at 1e-300, det a underflows to 0 and the
+    # certificate reads 0.0 at every probe.
+    spec = {
+        "schema": 1, "dimension": 2, "coordinates": ["x1", "x2"],
+        "metric": [[scale, "0"], ["0", scale]], "beta": ["0", "0"], "domain": [[0.0, 1.0]] * 2,
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = _run(["analyze", str(path)], None)
+    assert code == expected
+    report = json.loads(out, parse_constant=_reject_constant)
+    if expected == cli.EXIT_OK:
+        results = report["results"]
+        assert results["reason"] == "satisfied"
+        assert results["bh_density_probe_values"] == [0.0] * results["probe_count"]
+    else:
+        assert report["error"] == {
+            "type": "NonFiniteResultError", "message": "the result holds a NaN or infinite value"
+        }
+    assert err == ""  # no traceback, no warning

@@ -346,6 +346,45 @@ class TestStructuralZero:
         assert jets.lanewise(product_slot, [(bad, 1.0), (0.5, 2.0)]) == [1.0, 2.0]
 
 
+class TestLanewiseColumns:
+    """lanewise keeps the nesting of fn's output, each leaf the list of
+    its values over the points, on both of its paths."""
+
+    POINTS = [(0.5, -1.0), (2.0, 0.25), (-0.0, 3.0)]
+
+    @staticmethod
+    def quantities(p):
+        x, y = p
+        xs = seed_group(list(p), [0, 1])  # one first-order jet level
+        q = jets.sin(xs[0]) * xs[1]
+        return [
+            x * y,  # a scalar leaf
+            [jets.exp(y), 2.0, ZERO, jets.partial(q, 0)],  # constant and ZERO leaves
+            [[x + y, x - y], [x / (1.0 + y * y), jets.tanh(-x)]],
+            [],
+        ]
+
+    def test_fallback_columns_equal_the_lane_columns(self):
+        def refused_on_arrays(p):
+            if isinstance(p[0], np.ndarray):
+                raise ArithmeticError("a lane batch this function refuses")
+            return self.quantities(p)
+
+        lanes = jets.lanewise(self.quantities, self.POINTS)
+        fallback = jets.lanewise(refused_on_arrays, self.POINTS)
+        assert repr(fallback) == repr(lanes)  # -0.0 and every bit included
+        # leaf by leaf, the values of the float evaluation at each point
+        rows = [self.quantities(p) for p in self.POINTS]
+        assert lanes[0] == [row[0] for row in rows]
+        assert lanes[1] == [[row[1][i] for row in rows] for i in range(4)]
+        assert lanes[2][1][0] == [row[2][1][0] for row in rows]
+        assert lanes[3] == [] and jets.lanewise(self.quantities, []) == []
+        assert all(type(v) is float for v in lanes[1][2])  # ZERO as a plain 0.0
+
+    def test_a_scalar_fn_gives_the_list_of_its_values(self):
+        assert jets.lanewise(lambda p: p[0] * p[1], self.POINTS) == [x * y for x, y in self.POINTS]
+
+
 def _lane(x, k):
     """Lane k of a nested jet over array leaves (float leaves pass)."""
     if isinstance(x, Jet):

@@ -315,10 +315,14 @@ class TestBetaAnalysisRows:
             points = probe_points(sp.chart, 12)
             analysis = validate_space(sp, points)
             assert analysis.probes == points
-            assert analysis.covariant == [PointData(sp, x).bcov for x in points]
+            r = range(sp.dimension)
+            data = [PointData(sp, x) for x in points]
+            # one column per quantity, one entry per probe
+            assert analysis.covariant == [[[d.bcov[i][j] for d in data] for j in r] for i in r]
             assert analysis.lengths == [beta_length(sp, x) for x in points]
-            assert analysis.length_gradients == [PointData(sp, x).length_gradient() for x in points]
-            for x, b_up in zip(points, analysis.raised):  # a_ij b^j = b_i
+            gradients = [d.length_gradient() for d in data]
+            assert analysis.length_gradients == [[g[i] for g in gradients] for i in r]
+            for x, b_up in zip(points, zip(*analysis.raised)):  # a_ij b^j = b_i
                 a = [[float(e) for e in row] for row in a_at(sp, x)]
                 for ai, bi in zip(a, b_at(sp, x)):
                     assert sum(aij * bj for aij, bj in zip(ai, b_up)) == pytest.approx(
@@ -332,9 +336,13 @@ class TestBetaAnalysisRows:
             n = sp.dimension
             killing = parallel = grad = lmax = 0.0
             lmin = math.inf
-            for bc, length, g in zip(
-                analysis.covariant, analysis.lengths, analysis.length_gradients
-            ):
+            r = range(n)
+            per_probe = zip(
+                *[analysis.covariant[i][j] for i in r for j in r], *analysis.length_gradients
+            )
+            for length, values in zip(analysis.lengths, per_probe):
+                bc = [values[n * i : n * i + n] for i in r]
+                g = values[n * n :]
                 killing = max(
                     killing, max(abs(bc[i][j] + bc[j][i]) for i in range(n) for j in range(n))
                 )

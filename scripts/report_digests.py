@@ -22,10 +22,11 @@ at v, then one at 2v), point by point and space by space, and "library:interleav
 for the same calls with the spaces and points interleaved, so that a
 value carried over from another space or point would change a line.
 A third, "library:tensors", hashes the float.hex of the tensors behind
-those traces: every entry of core.nonlinear_connection at the sweep's
-points (v and 2v), then PairTensors' g, A, N and G at the spec's first
-probe pairs (each with its own v), so that a change in the rounding or
-in the sign of a zero entry shows even where a trace hides it.
+those traces: every entry of core.nonlinear_connection and of
+core.spray at the sweep's points (v and 2v), then PairTensors' g, A, N
+and G at the spec's first probe pairs (each with its own v), so that a
+change in the rounding or in the sign of a zero entry shows even where
+a trace hides it, and G's own rounding even where N's jets hide it.
 Last, one "contract:" line per malformed spec and command (`analyze`,
 `validate`) digests an error report: coordinate names that the
 expression grammar refuses, a non-finite metric or one-form,
@@ -187,9 +188,10 @@ def tensor_line(spec: dict, seed: str) -> str:
     pairs = core.probe_pairs(space.chart, LIBRARY_POINTS, 1)
     v = pairs[0][1]
     calls = [
-        lambda x=x, w=w: hexes(core.nonlinear_connection(F, x, w))
+        lambda x=x, w=w, tensor=tensor: hexes(tensor(F, x, w))
         for x, _ in pairs
         for w in (v, [2.0 * c for c in v])
+        for tensor in (core.nonlinear_connection, core.spray)
     ]
     calls += [lambda x=x, w=w: hexes(pair_tensors(F, x, w)) for x, w in pairs]
     return f"library:tensors {spec['name']} {seed} sha256={sha256([outcome(c) for c in calls])}"

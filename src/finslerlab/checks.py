@@ -2,10 +2,11 @@
 
 One CheckResult per identity: homogeneity of F, g and S, the
 positive-definiteness and Euler contractions, the rewrite/definitional
-agreement of the nonlinear connection, the one-form identities behind
-the X/Y spray split, formula-vs-transport S-curvature, measure scale and
-shift laws, Monte-Carlo vs closed-form Busemann-Hausdorff density, and
-the end-to-end verdict coherence.  The `validate` CLI command prints one
+agreement of the nonlinear connection (N = (1/2) dG/dv of the Lagrangian
+spray against N from gamma and A: the two share only g and g^-1), the
+one-form identities behind the X/Y spray split, formula-vs-transport
+S-curvature, measure scale and shift laws, Monte-Carlo vs closed-form
+Busemann-Hausdorff density, and the end-to-end verdict coherence.  The `validate` CLI command prints one
 line per entry; the test suite asserts them at the same tolerances.
 
 Every (x, v) quantity comes from one jets.lanewise pass: one lane per

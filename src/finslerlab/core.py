@@ -10,13 +10,14 @@ probe pair, on 1-D array leaves for a grid of pairs with one lane per
 pair, each lane equal to the float evaluation of its pair bit for bit.
 The public functions that need less (fundamental_tensor, spray,
 nonlinear_connection) seed only the levels they read; spray, and through
-it nonlinear_connection, runs the chain from g to G that PairTensors
-runs (_christoffel_and_spray).
+it nonlinear_connection, takes G from the Lagrangian L = F^2/2 of the
+same evaluation, as PairTensors does (_spray_from), in 2n^2 products.
 
 Conventions match the source data for this tool: the geodesic equation
 is eta'' + G(eta') = 0 with G the plain gamma-contraction (no factor 2),
-and N = (1/2) dG/dv.  Textbooks that define G with an extra 1/2 differ
-by that factor.
+G^i = gamma^i_jk v^j v^k = g^il (L_{x^k v^l} v^k - L_{x^l}), summed over
+k and l, and N = (1/2) dG/dv.  Textbooks that define G with an extra 1/2
+(Chern and Shen, Riemann-Finsler Geometry, 2005) differ by that factor.
 """
 
 from __future__ import annotations
@@ -172,11 +173,11 @@ def _v_hessian(r, n: int) -> list:
     return [[partial(partial(r, i), j) for j in range(n)] for i in range(n)]
 
 
-def _metric_and_dx(F: FinslerStructure, x, v) -> tuple[list, list]:
-    """(g, dg) with dg[k][i][j] = dg_ij/dx_k, from one seeded evaluation."""
-    n = F.chart.dimension
+def _lagrangian(F: FinslerStructure, x, v) -> tuple:
+    """(r, g): r = F^2/2 at (x, v) under the levels "vvx" and g_ij = the
+    v-Hessian of its value, from one seeded evaluation."""
     r = _half_f_squared(F, x, v, "vvx")
-    return _v_hessian(value_of(r), n), [_v_hessian(partial(r, k), n) for k in range(n)]
+    return r, _v_hessian(value_of(r), F.chart.dimension)
 
 
 def _checked_standard_part(g, x, v) -> list[list[float]]:
@@ -201,14 +202,15 @@ def fundamental_tensor(F: FinslerStructure, x, v) -> list[list[float]]:
     return g
 
 
-def _christoffel_and_spray(g, dg, v) -> tuple[list, list, list]:
-    """(g^-1, gamma, G) from (g, dg) = _metric_and_dx: the formal Christoffel
-    symbols gamma^i_jk(v), symmetric in (j, k), and the spray
-    G^i = sum gamma^i_jk v^j v^k; raises on singular g."""
-    n = len(g)
-    g_inv = inv(g)
-    gamma = _kernel(_christoffel, n)(g_inv, dg)
-    return g_inv, gamma, _kernel(_spray_contraction, n)(gamma, v)
+def _spray_from(r, g_inv, v) -> list:
+    """G from r and g^-1, the inverse of g, with (r, g) = _lagrangian:
+    the Lagrangian kernel on r's x-partials, each L_x^l a value and each
+    L_x^k v^l one v-partial."""
+    n = len(v)
+    dx = [partial(r, k) for k in range(n)]
+    l_xv = [[value_of(partial(p, l)) for l in range(n)] for p in dx]
+    l_x = [value_of(value_of(p)) for p in dx]
+    return _kernel(_lagrangian_spray, n)(g_inv, l_xv, l_x, v)
 
 
 def _connection_from(G) -> list[list[float]]:
@@ -218,11 +220,14 @@ def _connection_from(G) -> list[list[float]]:
 
 
 def spray(F: FinslerStructure, x, v) -> list:
-    """Spray coefficients G^i(v) = sum gamma^i_jk v^j v^k; G(0) = 0."""
+    """Spray coefficients G^i(v) = sum_l g^il (sum_k L_{x^k v^l} v^k - L_{x^l})
+    of L = F^2/2, which is sum gamma^i_jk v^j v^k; G(0) = 0.  Raises on
+    singular g."""
     if _is_exact_zero(v):
         return [0.0] * F.chart.dimension
     _check_nonzero(v)
-    return _christoffel_and_spray(*_metric_and_dx(F, x, v), v)[2]
+    r, g = _lagrangian(F, x, v)
+    return _spray_from(r, inv(g), v)
 
 
 def nonlinear_connection(F: FinslerStructure, x, v) -> list[list[float]]:
@@ -239,12 +244,14 @@ class PairTensors:
 
     F^2/2 is evaluated once, over the four jet levels (v, v, v, x) that
     nonlinear_connection uses.  The value slots of the g jets are g_ij,
-    their outer-v partials give the Cartan tensor, and the formal
-    Christoffel symbols gamma, the spray G and the nonlinear connection N
-    follow from the same jets.  f is F(x, v).  On float leaves every
-    entry is a float; on 1-D array leaves (a grid of pairs, one lane per
-    pair, as jets.lanewise passes them) every entry is an array whose
-    lane k equals the float entry of pair k bit for bit.  The (x, v)
+    their outer-v partials give the Cartan tensor, and the spray G (the
+    Lagrangian kernel, as in spray) and the nonlinear connection N follow
+    from the same jets.  The formal Christoffel symbols gamma, which only
+    definitional_N reads, come from the standard parts of g^-1 and dg,
+    with no jets.  f is F(x, v).  On float leaves every entry is a float;
+    on 1-D array leaves (a grid of pairs, one lane per pair, as
+    jets.lanewise passes them) every entry is an array whose lane k
+    equals the float entry of pair k bit for bit.  The (x, v)
     counterpart of randers.PointData.
     """
 
@@ -254,9 +261,10 @@ class PairTensors:
         _check_nonzero(v)
         n = F.chart.dimension
         s = seed_group(_leaves(x) + _leaves(v), range(n, 2 * n))
-        g, dg = _metric_and_dx(F, s[:n], s[n:])
+        r, g = _lagrangian(F, s[:n], s[n:])
         self.g = _checked_standard_part(g, x, v)
-        g_inv, gamma, G = _christoffel_and_spray(g, dg, s[n:])
+        g_inv = inv(g)
+        G = _spray_from(r, g_inv, s[n:])
         self.N = _connection_from(G)
         self.f = F(x, v)
         half_f = 0.5 * self.f
@@ -265,7 +273,9 @@ class PairTensors:
             for i in range(n)
         ]
         self.g_inv = [[standard_part(e) for e in row] for row in g_inv]
-        self.gamma = [[[standard_part(e) for e in row] for row in m] for m in gamma]
+        dg = [[[standard_part(e) for e in row] for row in _v_hessian(partial(r, k), n)]
+              for k in range(n)]
+        self.gamma = _kernel(_christoffel, n)(self.g_inv, dg)
         self.G = [standard_part(c) for c in G]
         self.v = v
 
@@ -296,7 +306,8 @@ class PairTensors:
 # -- kernels ---------------------------------------------------------------------
 #
 # Fixed sequences of products and sums once n is fixed (the Christoffel
-# symbols, of g here and of a in randers, and their spray contraction), each
+# symbols, of g here and of a in randers, their spray contraction, and the
+# spray from a Lagrangian's x-partials), each
 # written as the plain loop it computes.  _kernel runs a loop once per n on
 # staged leaves and calls the straight-line function that run writes, which
 # spares the loop and index bookkeeping: the loop's leaf operations in its
@@ -349,6 +360,20 @@ def _spray_contraction(gamma, v):
     r = range(len(v))
     vv = [[v[min(j, k)] * v[max(j, k)] for k in r] for j in r]
     return [sum_(gamma[i][j][k] * vv[j][k] for j in r for k in r) for i in r]
+
+
+@_shapes(lambda n: [(n, n), (n, n), (n,), (n,)])
+def _lagrangian_spray(m_inv, l_xv, l_x, v):
+    """G^i = sum_l m^il (sum_k L_{x^k v^l} v^k - L_{x^l}) for a Lagrangian
+    L = (1/2) m_ij v^i v^j, from m^-1, l_xv[k][l] = L_{x^k v^l} and
+    l_x[l] = L_{x^l}: the spray contraction of m's Christoffel symbols
+    (no factor 1/2), in 2n^2 products.  Each inner sum starts at 0.0, so a
+    zero inner sum is +0.0 whether its products are jets.ZERO or computed
+    zeros: an L exactly independent of x gives G the same bits on float
+    leaves and in the standard parts of jets."""
+    r = range(len(v))
+    w = [sum_([0.0, *(l_xv[k][l] * v[k] for k in r)]) - l_x[l] for l in r]
+    return [sum_(m_inv[i][l] * w[l] for l in r) for i in r]
 
 
 # -- geodesics ----------------------------------------------------------------

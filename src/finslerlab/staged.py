@@ -35,8 +35,8 @@ whose last read has passed (_reuse_names): the written function keeps
 few locals alive, so a dead array is freed at once, and no line moves.
 
 This module is the package's one writer of generated code.  Its callers:
-core._kernel writes each kernel (the Christoffel symbols and their spray
-contraction in core; the first-order data, the covariant derivative and
+core._kernel writes each kernel (the Christoffel symbols, their spray
+contraction and the spray from a Lagrangian in core; the first-order data, the covariant derivative and
 the X/Y split in randers) from its plain loop once per dimension, and
 randers._staged_spray writes a space's closed-form spray, through those
 kernels, once per space.

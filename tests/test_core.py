@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from finslerlab import core, jets, randers
+from finslerlab import catalog, core, jets, manifest, randers
 from finslerlab.core import (
     CoordinateChart,
     DomainExitError,
@@ -26,8 +26,12 @@ from finslerlab.core import (
     probe_points,
     spray,
 )
-from finslerlab.jets import Jet, fd_oracle, standard_part
-from finslerlab.linalg import sum_
+from finslerlab.jets import Jet, _leaves, fd_oracle, partial, seed_group, standard_part
+from finslerlab.linalg import inv, sum_
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import specgen  # noqa: E402
+import workloads  # noqa: E402
 
 
 def euclidean_structure():
@@ -377,6 +381,127 @@ class TestKernelParity:
                 assert got == want or (want, got) == ("-0.0", "0.0")
             for same in (gamma, loop_gamma):
                 assert _split_reprs(contraction(same, v)) == _split_reprs(_spray_loop(same, v))
+
+
+def _space_cases(tag, shape):
+    """The catalog spaces and the specs specgen generates for `shape`."""
+    generated = specgen.generate_set(0, shape, tag)
+    return [(name, None) for name in catalog.NAMES] + [(spec["name"], spec) for spec in generated]
+
+
+def _space(name, spec):
+    return manifest.space_from_spec(spec) if spec else catalog.space(name)
+
+
+def _floats(nested) -> list:
+    """Every leaf of nested lists of floats and arrays, lane by lane."""
+    if isinstance(nested, list):
+        return [c for item in nested for c in _floats(item)]
+    if isinstance(nested, np.ndarray):
+        return nested.tolist()
+    return [float(nested)]
+
+
+def _hexes(nested) -> list:
+    return [c.hex() for c in _floats(nested)]  # -0.0 != 0.0
+
+
+def _lanes_of(pairs):
+    """x and v of a list of pairs as 1-D array leaves, one lane per pair."""
+    return [[np.array(c) for c in zip(*column)] for column in zip(*pairs)]
+
+
+def _christoffel_chain(F, x, v) -> tuple:
+    """(g, g^-1, gamma, G) over the leaves of x and v by the chain that
+    spray and PairTensors ran before the Lagrangian kernel: gamma from
+    g^-1 and dg of one evaluation, then G = gamma^i_jk v^j v^k."""
+    n = F.chart.dimension
+    r, g = core._lagrangian(F, x, v)
+    g_inv = inv(g)
+    gamma = core._kernel(core._christoffel, n)(g_inv, [core._v_hessian(partial(r, k), n) for k in range(n)])
+    return g, g_inv, gamma, core._kernel(core._spray_contraction, n)(gamma, list(v))
+
+
+def _standard_parts(nested):
+    if isinstance(nested, list):
+        return [_standard_parts(item) for item in nested]
+    return standard_part(nested)
+
+
+class TestLagrangianSpray:
+    """G^i = g^il (L_{x^k v^l} v^k - L_{x^l}) against the Christoffel contraction."""
+
+    @pytest.mark.parametrize("name, spec", _space_cases("lagrangian", specgen.family_grid()))
+    def test_matches_the_christoffel_contraction_on_floats(self, name, spec):
+        sp = _space(name, spec)
+        F = randers.finsler(sp)
+        for x, v in probe_pairs(sp.chart, 12, 3):
+            contraction = _christoffel_chain(F, x, v)[3]
+            G = spray(F, x, v)
+            assert all(type(c) is float for c in G + contraction)
+            tolerance = 8 * math.ulp(1.0 + max(map(abs, contraction)))
+            assert max(abs(a - b) for a, b in zip(G, contraction)) <= tolerance, (name, x, v)
+
+    @pytest.mark.parametrize("name, spec", _space_cases("lagrangian", specgen.family_grid()))
+    def test_pair_tensors_on_lanes_equal_the_float_spray_and_connection(self, name, spec):
+        sp = _space(name, spec)
+        F = randers.finsler(sp)
+        pairs = probe_pairs(sp.chart, 8, 5)
+        t = PairTensors(F, *_lanes_of(pairs))
+        for k, (x, v) in enumerate(pairs):
+            assert _hexes([c[k] for c in t.G]) == _hexes(spray(F, x, v)), (name, k)
+            N = [[c[k] for c in row] for row in t.N]
+            assert _hexes(N) == _hexes(nonlinear_connection(F, x, v)), (name, k)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_an_x_independent_structure_has_zero_spray(self, n):
+        chart = CoordinateChart(tuple(f"x{i}" for i in range(n)), ((-1.0, 1.0),) * n)
+        a = [[2.0 if i == j else 0.3 for j in range(n)] for i in range(n)]
+        b = [0.1 * (i + 1) for i in range(n)]
+
+        def func(x, v):
+            quad = sum_(a[i][j] * v[i] * v[j] for i in range(n) for j in range(n))
+            return jets.sqrt(quad) + sum_(b[i] * v[i] for i in range(n))
+
+        F = FinslerStructure(chart, func)
+        zero_N = [[0.0] * n for _ in range(n)]
+        for x, v in probe_pairs(chart, 6, 1):
+            t = PairTensors(F, x, v)
+            assert spray(F, x, v) == t.G == [0.0] * n
+            assert nonlinear_connection(F, x, v) == t.N == zero_N
+
+
+class TestChristoffelChainBits:
+    """PairTensors' g, g^-1, gamma and A keep the bits of the jet-valued
+    Christoffel chain that computed them before G came from the
+    Lagrangian kernel; G and N, which that kernel now computes, move by
+    rounding only."""
+
+    @pytest.mark.parametrize("name, spec", _space_cases("validate", workloads.ValidateBattery.SHAPE))
+    def test_against_the_jet_valued_christoffel_chain(self, name, spec):
+        sp = _space(name, spec)
+        F = randers.finsler(sp)
+        n = sp.dimension
+        pairs = probe_pairs(sp.chart, 10, 6)
+        for x, v in [*pairs, _lanes_of(pairs)]:
+            s = seed_group(_leaves(x) + _leaves(v), range(n, 2 * n))
+            g, g_inv, gamma, G = _christoffel_chain(F, s[:n], s[n:])
+            half_f = 0.5 * F(x, v)
+            chain = {
+                "g": _standard_parts(g),
+                "g_inv": _standard_parts(g_inv),
+                "gamma": _standard_parts(gamma),
+                "A": [[[half_f * partial(g[i][j], k) for k in range(n)] for j in range(n)]
+                      for i in range(n)],
+                "G": _standard_parts(G),
+                "N": core._connection_from(G),
+            }
+            t = PairTensors(F, x, v)
+            for field in ("g", "g_inv", "gamma", "A"):
+                assert _hexes(getattr(t, field)) == _hexes(chain[field]), (name, field)
+            for field in ("G", "N"):
+                got, want = np.array(_floats(getattr(t, field))), np.array(_floats(chain[field]))
+                assert np.abs(got - want).max() <= 1e-14 * (1.0 + np.abs(want).max()), (name, field)
 
 
 class TestNonlinearConnection:

@@ -730,6 +730,7 @@ class TestUnrolledKernels:
             (randers._covariant, [5, 24, 63, 128]),
             (randers._xy_split, [17, 88, 248, 533]),
             (randers._first_order, [0, 0, 0, 0]),
+            (core._lagrangian_spray, [4, 16, 36, 64]),
         ],
     )
     def test_arithmetic_operation_counts(self, loop, counts):
@@ -743,6 +744,16 @@ class TestUnrolledKernels:
             sqrt_calls = [i for i in code if i.opname == "LOAD_GLOBAL" and i.argval == "sqrt"]
             assert len(arithmetic) == count, (loop.__name__, n)
             assert len(sqrt_calls) == (loop is randers._xy_split), (loop.__name__, n)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_the_lagrangian_kernel_names_no_more_locals_than_its_inputs(self, n):
+        """Every temporary of the written Lagrangian spray takes the name of
+        an input entry whose last read has passed: the function holds its
+        parameters and the unpacked entries, however many lines it has."""
+        code = core._kernel(core._lagrangian_spray, n).__code__
+        entries = sum(math.prod(shape) for shape in core._lagrangian_spray.shapes(n))
+        stores = [i for i in dis.get_instructions(code) if i.opname == "STORE_FAST"]
+        assert code.co_nlocals == code.co_argcount + entries < len(stores)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_written_kernels_equal_their_loops_on_every_leaf(self, n):
@@ -773,7 +784,7 @@ class TestUnrolledKernels:
             return args
 
         loops = (core._christoffel, core._spray_contraction, randers._covariant,
-                 randers._xy_split, randers._first_order)
+                 randers._xy_split, randers._first_order, core._lagrangian_spray)
         for loop in loops:
             written = core._kernel(loop, n)
             for kind in ("float", "lanes", "jet"):

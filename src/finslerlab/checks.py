@@ -44,9 +44,10 @@ MC_SEED = 20240
 
 class TransportDomainError(ArithmeticError):
     """The transport oracle raised a ValueError other than DomainExitError
-    or ExprError, which is the __cause__: typically math leaving its domain
-    at an RK4 stage point, just past the chart, where the metric stops
-    being positive definite."""
+    or ExprError, or a ZeroDivisionError, which is the __cause__: typically
+    math leaving its domain at an RK4 stage point, just past the chart,
+    where the metric stops being positive definite, or a metric there that
+    rounds to singular (linalg.SingularMatrixError)."""
 
 
 @dataclass
@@ -216,7 +217,7 @@ def run_checks(
         )
     except (DomainExitError, ExprError):
         raise  # the chart's edge or an undefined spec expression
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise TransportDomainError(str(exc)) from exc
     if transport_pairs:
         transport_diff = max(abs(sf - st) for sf, st in zip(formula, transport))

@@ -24,8 +24,9 @@ math, at a point the command evaluates), 2 usage error, 3 no admissible
 measure, 4 runtime domain warning (a path left the chart or blew up,
 math overflowed or left its domain at an RK4 stage point of geodesic or
 s-curvature --oracle, the metric rounded to a singular matrix at one of
-geodesic's, math left its domain at one of validate's transport oracle,
-or a result came out non-finite).  FINSLERLAB_SEED
+geodesic's, s-curvature --oracle's or validate's transport oracle's,
+math left its domain at one of validate's transport oracle, or a result
+came out non-finite).  FINSLERLAB_SEED
 sets the default seed; an explicit --seed wins.  Seeds are integers in
 [0, 2**64).
 """
@@ -466,7 +467,8 @@ def cmd_s_curvature(args) -> int:
             )
         except (DomainExitError, NonFiniteStateError) as exc:
             warning = {"type": type(exc).__name__, "message": str(exc), "exit_time": exc.time}
-        except (ValueError, OverflowError) as exc:  # math or an expression at an RK4 stage point
+        except (ValueError, OverflowError, ZeroDivisionError) as exc:
+            # math, an expression, or a metric that rounds to singular, at an RK4 stage point
             warning = {"type": type(exc).__name__, "message": str(exc)}
     report = _base_report("s-curvature", digest, data, seed)
     report["results"] = {

@@ -18,6 +18,9 @@ is eta'' + G(eta') = 0 with G the plain gamma-contraction (no factor 2),
 G^i = gamma^i_jk v^j v^k = g^il (L_{x^k v^l} v^k - L_{x^l}), summed over
 k and l, and N = (1/2) dG/dv.  Textbooks that define G with an extra 1/2
 (Chern and Shen, Riemann-Finsler Geometry, 2005) differ by that factor.
+L is formed in one place, _half_f_squared, by jets.half_square: the bits
+of 0.5 * (F * F), but for the overflow the jets module names, without
+doubling and halving each slot product.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .jets import Scalar, _leaves, partial, seed_group, standard_part, value_of
+from .jets import Scalar, _leaves, half_square, partial, seed_group, standard_part, value_of
 from .linalg import _stacked, inv, sum_
 from .staged import Stage
 
@@ -165,8 +168,7 @@ def _half_f_squared(F: FinslerStructure, x, v, levels: str) -> Scalar:
     s = list(x) + list(v)
     for level in levels:
         s = seed_group(s, range(n, 2 * n) if level == "v" else range(n))
-    f = F(s[:n], s[n:])
-    return 0.5 * (f * f)
+    return half_square(F(s[:n], s[n:]))
 
 
 def _v_hessian(r, n: int) -> list:

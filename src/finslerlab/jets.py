@@ -21,9 +21,15 @@ loop.  A third kind of leaf, ``staged.Sym``, computes nothing: each
 operation on it, primitives included, writes a line of a generated
 function (see ``finslerlab.staged``).
 
-Three rules spare work that the plain product, sum and chain rules would
+Four rules spare work that the plain product, sum and chain rules would
 do.  A square ``x * x`` forms each slot product ``x.value * p`` once and
 doubles it, and ``x * 1.0`` is ``x`` itself; neither changes a bit.
+``half_square(x)``, x^2/2, writes each slot product ``x.value * p`` as
+it is, where ``0.5 * (x * x)`` doubles it and halves the sum again:
+0.5 * (t + t) is t for every leaf t, +-0.0, inf, NaN and subnormals
+included, so the two agree bit for bit, except for a slot product above
+half the largest float, where the doubling overflows to inf and
+half_square keeps the finite t.
 ``ZERO`` is the structural zero: the slots that ``seed_group`` gives a
 constant or an unseeded direction, a constant's ``partial``, and an
 expression's literal 0 hold it.  A Jet operation skips a term that holds
@@ -86,6 +92,7 @@ __all__ = [
     "tanh",
     "intpow",
     "powf",
+    "half_square",
 ]
 
 
@@ -589,3 +596,14 @@ def intpow(x: Scalar, k: int) -> Scalar:
 def powf(x: Scalar, y: Scalar) -> Scalar:
     """General power exp(y*log(x)); requires a positive base."""
     return exp(y * log(x))
+
+
+def half_square(x: Scalar) -> Scalar:
+    """x^2/2: on a Jet, each slot is x.value * p (a ZERO slot stays ZERO),
+    where 0.5 * (x * x) forms (x.value * p + x.value * p) / 2; on a leaf,
+    0.5 * (x * x).  Equal to 0.5 * (x * x) leaf for leaf, but for a slot
+    product above half the largest float (module docstring)."""
+    if isinstance(x, Jet):
+        v = x.value
+        return Jet(half_square(v), tuple([p if p is ZERO else v * p for p in x.partials]))
+    return 0.5 * (x * x)

@@ -135,12 +135,18 @@ def validate_spec_data(data):
             finite = False
         if not finite:
             raise SpecValidationError(f"bad domain interval [{lo!r}, {hi!r}]")
+    # Entries with the same source share one field: equal ASTs share one
+    # memo slot in expr.SharedSubtrees, so the values are those of one
+    # field per entry.
+    parsed: dict = {}
     fields = []
     for source in [e for row in metric for e in row] + list(one_form):
-        try:
-            fields.append(expr.parse(source, coords))
-        except expr.ExprError as exc:
-            raise SpecValidationError(f"bad expression '{source}': {exc}") from None
+        if source not in parsed:
+            try:
+                parsed[source] = expr.parse(source, coords)
+            except expr.ExprError as exc:
+                raise SpecValidationError(f"bad expression '{source}': {exc}") from None
+        fields.append(parsed[source])
     density = None
     measure = data.get("measure")
     if measure is not None:

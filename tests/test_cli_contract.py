@@ -23,10 +23,10 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from finslerlab import catalog, cli, expr, scurvature
+from finslerlab import catalog, cli, expr, linalg, scurvature
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
@@ -227,8 +227,14 @@ def spec_paths(tmp_path_factory):
     return paths
 
 
+# An oracle step so long that an RK4 stage point of sphere-hopf's geodesic
+# makes the written spray's inv meet a zero pivot.
+SINGULAR_STAGE = ["--point=0.5,0.5,0.5", "--vector=1,0,0", "--oracle", "--h=1e300"]
+
+
 @settings(max_examples=60, deadline=None)
 @given(invocations())
+@example(invocation=("sphere-hopf", ["s-curvature", *SINGULAR_STAGE], None))
 def test_every_invocation_keeps_the_contract(spec_paths, invocation):
     name, (command, *options), env_seed = invocation
     argv = [command, str(spec_paths[name]), *options]
@@ -350,6 +356,37 @@ def test_bh_at_a_metric_scale_past_the_float_range_is_a_json_spec_error(tmp_path
     assert error["type"] == "InvalidSpaceError"
     assert error["message"].startswith("unit-ball volume") and "out of float range" in error["message"]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("h", ["1e50", "1e200", "1e300"])
+def test_an_oracle_stage_with_a_singular_metric_is_a_json_warning(spec_paths, h):
+    argv = ["s-curvature", str(spec_paths["sphere-hopf"]), *SINGULAR_STAGE[:-1], f"--h={h}"]
+    code, out, err = _run(argv, None)
+    assert code == cli.EXIT_RUNTIME_WARNING
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert report["results"]["s_transport"] is None
+    assert report["warning"] == {
+        "type": "SingularMatrixError", "message": "singular matrix (pivot column 0)"
+    }
+    assert err == ""
+
+
+def test_a_singular_metric_in_the_validate_transport_is_a_json_runtime_error(
+    spec_paths, monkeypatch
+):
+    # The batch of trajectories and its per-probe float rerun both meet a
+    # zero pivot at an RK4 stage point.
+    def singular(*args):
+        raise linalg.SingularMatrixError("singular matrix (pivot column 0)")
+
+    monkeypatch.setattr(scurvature, "_trajectory", singular)
+    argv = ["validate", str(spec_paths["sphere-hopf"]), "--mc-samples=10000"]
+    code, out, err = _run(argv, None)
+    assert code == cli.EXIT_RUNTIME_WARNING
+    assert json.loads(out, parse_constant=_reject_constant) == {
+        "error": {"type": "SingularMatrixError", "message": "singular matrix (pivot column 0)"}
+    }
+    assert err == ""
 
 
 @pytest.mark.parametrize("oracle", [[], ["--oracle"]])

@@ -2,22 +2,28 @@ import copy
 import math
 import pickle
 import random
+import sys
+from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from finslerlab import expr, jets
+from finslerlab import catalog, core, expr, jets, manifest, randers
 from finslerlab.jets import (
     Jet,
     fd_oracle,
     gradient,
+    half_square,
     hessian,
     intpow,
     seed_group,
     third_order,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import specgen  # noqa: E402
 
 
 def randers_flat_half_f2(v):
@@ -563,6 +569,26 @@ def _matches_reference(got, ref, ulps=0):
     return all(_matches_reference(g, r, ulps) for g, r in zip(got_slots, ref_slots))
 
 
+def _zero_program(seed, depth):
+    """(program, run, points): a random program of ZERO_STEPS, run(point,
+    seed_fn, reference) that seeds `depth` random levels on point and
+    returns every value of the program, and LANES random 2-D points."""
+    rng = random.Random(seed)
+    levels = [rng.choice([[0], [1], [0, 1]]) for _ in range(depth)]
+    points = [[_draw(rng) for _ in range(2)] for _ in range(LANES)]
+    program = []
+    for k in range(6 if depth == 4 else 10):
+        operands = [("value", i) for i in range(2 + k)] + [("constant", c) for c in ZERO_CONSTANTS]
+        program.append((rng.choice(sorted(ZERO_STEPS)), rng.choice(operands), rng.choice(operands)))
+
+    def run(point, seed_fn, reference):
+        for level in levels:
+            point = seed_fn(point, level)
+        return _run_zero_program(program, point, reference)
+
+    return program, run, points
+
+
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
 def test_zero_skipping_equals_lanes_and_the_reference(seed, depth):
@@ -577,18 +603,7 @@ def test_zero_skipping_equals_lanes_and_the_reference(seed, depth):
     s, where the reference's Jet / Jet rule rounds -((c / d.value) * s) /
     d.value: a few units in the last place (22 of 12000 seeded programs,
     1.5 at most)."""
-    rng = random.Random(seed)
-    levels = [rng.choice([[0], [1], [0, 1]]) for _ in range(depth)]
-    points = [[_draw(rng) for _ in range(2)] for _ in range(LANES)]
-    program = []
-    for k in range(6 if depth == 4 else 10):
-        operands = [("value", i) for i in range(2 + k)] + [("constant", c) for c in ZERO_CONSTANTS]
-        program.append((rng.choice(sorted(ZERO_STEPS)), rng.choice(operands), rng.choice(operands)))
-
-    def run(point, seed_fn, reference):
-        for level in levels:
-            point = seed_fn(point, level)
-        return _run_zero_program(program, point, reference)
+    program, run, points = _zero_program(seed, depth)
 
     with np.errstate(all="raise", under="ignore"):
         batch = run([np.array(c) for c in zip(*points)], seed_group, False)
@@ -601,3 +616,89 @@ def test_zero_skipping_equals_lanes_and_the_reference(seed, depth):
             assert _matches_reference(got, ref) or (
                 quotients and _matches_reference(got, ref, ulps=4)
             ), (got, ref)
+
+
+# -- half_square: x^2/2 without doubling and halving each slot product -------
+
+
+def _hex_leaves(x):
+    """Every leaf of a nested jet, lane by lane, as float.hex (so -0.0 and
+    0.0 differ), with ZERO told apart from a computed 0.0."""
+    if x is ZERO:
+        return ["ZERO"]
+    if isinstance(x, Jet):
+        return ["jet", *_hex_leaves(x.value), *[h for p in x.partials for h in _hex_leaves(p)]]
+    if isinstance(x, np.ndarray):
+        return ["lanes", *[c.hex() for c in x.tolist()]]
+    return [float(x).hex()]
+
+
+# Factors that carry a program's leaves to signed zeros, subnormals (as
+# leaves, and as slot products at 1e-160), infinities and NaN.
+LEAF_SCALES = [1.0, 0.0, -0.0, 5e-324, -1e-310, 1e-160, -3e-162, math.inf, -math.inf, math.nan]
+LANE_SCALES = np.array([5e-324, math.nan, -math.inf])  # one per lane of LANES
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_half_square_equals_half_of_the_square(seed, depth):
+    """Every value of a random program of test_zero_skipping..., 1-4
+    levels deep, on float and array leaves, scaled by each LEAF_SCALE
+    (and the array run by LANE_SCALES too): half_square(y) and
+    0.5 * (y * y) agree in every leaf, ZERO in the same places."""
+    _, run, points = _zero_program(seed, depth)
+    with np.errstate(all="ignore"):
+        batch = run([np.array(c) for c in zip(*points)], seed_group, False)
+        runs = [(batch, [*LEAF_SCALES, LANE_SCALES])]
+        runs += [(run(point, seed_group, False), LEAF_SCALES) for point in points]
+        for values, scales in runs:
+            for x in values:
+                for scale in scales:
+                    y = x * scale
+                    assert _hex_leaves(half_square(y)) == _hex_leaves(0.5 * (y * y)), (x, scale)
+
+
+def test_half_square_keeps_a_slot_product_that_doubling_overflows():
+    """The one exception: a slot product t above half the largest float,
+    whose doubling t + t overflows to inf before 0.5 halves it."""
+    big = 1e154  # slot product 1e308 > sys.float_info.max / 2
+    for leaf in (big, np.array([big, 1.0])):
+        x = Jet(leaf, (leaf, ZERO))
+        with np.errstate(all="ignore"):
+            half, doubled = half_square(x), 0.5 * (x * x)
+        assert _hex_leaves(half.value) == _hex_leaves(doubled.value)
+        assert np.ravel(half.partials[0])[0] == big * big < math.inf
+        assert np.ravel(doubled.partials[0])[0] == math.inf
+        assert half.partials[1] is doubled.partials[1] is ZERO
+    below = Jet(1e154, (0.8e154,))  # slot product 8e307 < max / 2: both agree
+    assert _hex_leaves(half_square(below)) == _hex_leaves(0.5 * (below * below))
+
+
+def _old_half_f_squared(F, x, v, levels):
+    """The reference for core._half_f_squared: 0.5 * (f * f) of the same
+    seeded evaluation f of F."""
+    n = F.chart.dimension
+    s = list(x) + list(v)
+    for level in levels:
+        s = seed_group(s, range(n, 2 * n) if level == "v" else range(n))
+    f = F(s[:n], s[n:])
+    return 0.5 * (f * f)
+
+
+@pytest.mark.parametrize(
+    "name, spec",
+    [(name, None) for name in catalog.NAMES]
+    + [(spec["name"], spec) for spec in specgen.generate_set(0, specgen.family_grid(), "half")],
+)
+def test_core_lagrangian_equals_half_of_the_square(name, spec):
+    """core._half_f_squared at the levels "vvx" (spray, N, PairTensors) and
+    "vv" (fundamental_tensor) on every catalog space and the specgen
+    family grid (n = 2-4): on floats at 8 pairs and on 8 lanes."""
+    space = manifest.space_from_spec(spec) if spec else catalog.space(name)
+    F = randers.finsler(space)
+    pairs = core.probe_pairs(space.chart, 8, 5)
+    lanes = tuple([np.array(c) for c in zip(*column)] for column in zip(*pairs))
+    for levels in ("vvx", "vv"):
+        for x, v in [*pairs, lanes]:
+            got = core._half_f_squared(F, x, v, levels)
+            assert _hex_leaves(got) == _hex_leaves(_old_half_f_squared(F, x, v, levels)), levels

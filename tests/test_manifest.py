@@ -205,23 +205,62 @@ class TestMeasureSelection:
             measure_from_spec(space, flat_const_data, "custom")
 
 
+def _distinct_sources(data) -> int:
+    """The number of distinct expression strings in a spec's metric and beta."""
+    return len({*(e for row in data["metric"] for e in row), *data["beta"]})
+
+
 def test_s_curvature_parses_a_custom_density_once(tmp_path, capsys, flat_const_data):
     flat_const_data["measure"] = {"kind": "custom", "density": "2+x1"}
-    n = flat_const_data["dimension"]
     path = write_spec(tmp_path, flat_const_data)
     argv = ["s-curvature", str(path), "--point=0.1,0.2", "--vector=1,0"]
     with mock.patch.object(expr, "parse", wraps=expr.parse) as parse:
         assert cli.main(argv) == cli.EXIT_OK
     capsys.readouterr()
-    assert parse.call_count == n * n + n + 1
+    assert parse.call_count == _distinct_sources(flat_const_data) + 1
 
 
 @pytest.mark.parametrize("name", catalog.NAMES)
 def test_analyze_parses_each_expression_once(tmp_path, capsys, name):
     data = catalog.spec(name)
-    n = data["dimension"]
     path = write_spec(tmp_path, data)
     with mock.patch.object(expr, "parse", wraps=expr.parse) as parse:
         assert cli.main(["analyze", str(path)]) in (cli.EXIT_OK, cli.EXIT_NO_MEASURE)
     capsys.readouterr()
-    assert parse.call_count == n * n + n
+    assert parse.call_count == _distinct_sources(data)
+
+
+def _respaced_repeats(data) -> dict:
+    """A copy of the spec whose repeated metric and beta entries are
+    reworded (a space on each side, one more per repeat), so that no two
+    entries share a source text and each is parsed on its own."""
+    seen: dict = {}
+
+    def reword(source):
+        pad = " " * seen.get(source, 0)
+        seen[source] = seen.get(source, 0) + 1
+        return f"{pad}{source}{pad}"
+
+    copy = dict(data)
+    copy["metric"] = [[reword(e) for e in row] for row in data["metric"]]
+    copy["beta"] = [reword(e) for e in data["beta"]]
+    return copy
+
+
+@pytest.mark.parametrize("name", catalog.NAMES)
+def test_shared_entries_give_the_report_of_separate_ones(tmp_path, capsys, name):
+    data = catalog.spec(name)
+    n = data["dimension"]
+    assert _distinct_sources(data) < n * n + n  # the spec repeats an entry
+    reports = []
+    for spec in (data, _respaced_repeats(data)):
+        path = write_spec(tmp_path, spec)
+        with mock.patch.object(expr, "parse", wraps=expr.parse) as parse:
+            code = cli.main(["analyze", str(path)])
+        reports.append((code, parse.call_count, json.loads(capsys.readouterr().out)))
+    (code, shared_parses, shared), (respaced_code, separate_parses, separate) = reports
+    assert (shared_parses, separate_parses) == (_distinct_sources(data), n * n + n)
+    for report in (shared, separate):
+        report.pop("wall_time_s")
+        report.pop("spec_digest")
+    assert (code, shared) == (respaced_code, separate)

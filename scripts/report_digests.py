@@ -32,7 +32,8 @@ Last, one "contract:" line per malformed spec and command (`analyze`,
 expression grammar refuses, a non-finite metric or one-form,
 expressions of each deep shape one level past expr.MAX_DEPTH, a NaN or
 -Infinity constant in the file, domain bounds whose width overflows
-or that no float holds, and a name that is not a string.
+or that no float holds, a name that is not a string, and a well-formed
+flat spec one dimension past manifest.MAX_DIMENSION.
 Two checkouts that print the same lines produce the same reports; diff
 the output of a change against its parent's:
 
@@ -221,6 +222,7 @@ NESTED = {
 def malformed_specs() -> dict:
     """The contract cases: name -> a spec that every spec command refuses
     with exit 1.  tests/test_cli_contract.py runs the same cases."""
+    n = manifest.MAX_DIMENSION + 1
     return {
         **{f"coordinate-{name!r}": flat_spec(coordinates=[name, "x2"])
            for name in ["sin", "pi", "1a", "x 1", ""]},
@@ -238,6 +240,12 @@ def malformed_specs() -> dict:
         "schema-true": flat_spec(schema=True),
         "name-number": flat_spec(name=1.5),
         "name-list": flat_spec(name=["x", {"y": 1}]),
+        # refused before parsing; accepted, it would probe 2^13 corners in seconds
+        "dimension-past-the-ceiling": flat_spec(
+            dimension=n, coordinates=[f"x{i + 1}" for i in range(n)],
+            metric=[["1" if i == j else "0" for j in range(n)] for i in range(n)],
+            beta=["0.1", *["0"] * (n - 1)], domain=[[-1.0, 1.0]] * n,
+        ),
     }
 
 

@@ -16,8 +16,10 @@ an expression nested more than expr.MAX_DEPTH levels deep; a metric or
 one-form entry that is not finite at a probe point; a NaN, Infinity or
 -Infinity constant in the spec file; a domain bound or a domain width
 that is not finite, or an integer bound that no float holds; a name that
-is not a string; a measure density that is not positive at the
-s-curvature point; a unit ball at bh's point whose volume is out of
+is not a string; a spec path that cannot be read, such as a directory,
+or spec bytes that no JSON encoding decodes; a dimension above
+manifest.MAX_DIMENSION = 12, refused before anything is parsed; a
+measure density that is not positive at the s-curvature point; a unit ball at bh's point whose volume is out of
 float range, so that the Monte-Carlo estimate cannot be formed; and a
 spec expression that is undefined or overflows, an OverflowError from
 math, at a point the command evaluates), 2 usage error, 3 no admissible

@@ -117,8 +117,10 @@ class FinslerStructure:
 
     fast_spray, when set, is an exact closed-form spray used for ODE
     integration instead of the jet-derived one (the two are required to
-    agree and are cross-checked in the test suite).  geodesic over array
-    leaves calls it with 1-D arrays, one lane per trajectory.
+    agree and are cross-checked in the test suite).  geodesic calls it
+    at every RK4 stage, with float leaves for one trajectory and with
+    1-D arrays, one lane per trajectory, for several; one implementation
+    serves both (randers.finsler's is PointData's spray).
     """
 
     chart: CoordinateChart

@@ -39,7 +39,6 @@ import numpy as np
 
 from . import jets
 from .jets import Scalar
-from .staged import Sym
 
 __all__ = [
     "ScalarField",
@@ -377,31 +376,24 @@ def _nonpositive(leaf) -> Optional[float]:
 
 def _require_positive(scalar: Scalar, what: str, node) -> None:
     """Raises ExprDomainError(f"{what} {bad}") when the standard part of
-    `scalar` is <= 0 (bad, in an array its first such element).  On a
-    staged leaf the check becomes a line of the generated code."""
+    `scalar` is <= 0 (bad, in an array its first such element)."""
     if isinstance(scalar, float):
         if scalar <= 0.0:
             raise ExprDomainError(f"{what} {scalar}", node)
         return
-    leaf = jets.standard_part(scalar)
-    if isinstance(leaf, Sym):
-        return leaf.check(_require_positive, what, node)
-    bad = _nonpositive(leaf)
+    bad = _nonpositive(jets.standard_part(scalar))
     if bad is not None:
         raise ExprDomainError(f"{what} {bad}", node)
 
 
 def _require_nonzero(scalar: Scalar, message: str, node) -> None:
     """Raises ExprDomainError(message) when the standard part of `scalar`
-    is 0 (in any array element).  On a staged leaf the check becomes a
-    line of the generated code."""
+    is 0 (in any array element)."""
     if isinstance(scalar, float):
         if scalar == 0.0:
             raise ExprDomainError(message, node)
         return
     leaf = jets.standard_part(scalar)
-    if isinstance(leaf, Sym):
-        return leaf.check(_require_nonzero, message, node)
     if not leaf.all() if isinstance(leaf, np.ndarray) else leaf == 0.0:
         raise ExprDomainError(message, node)
 

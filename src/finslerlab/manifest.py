@@ -16,11 +16,12 @@ The on-disk format (schema 1):
 
 All expressions are strings in the expr-module grammar.  probed_space
 validates a spec once and builds its space from the parsed expressions.
-Validation reproduces the RandersSpace invariants: consistent shapes,
-coordinate names the grammar reads as names, finite domain intervals,
-parseable expressions (at most expr.MAX_DEPTH levels deep), a finite,
-symmetric, positive-definite metric and a finite one-form at probe
-points, and sup ||beta|| < 1.
+The dimension is at most MAX_DIMENSION, because every command probes the
+2^n domain corners.  Validation reproduces the RandersSpace invariants:
+consistent shapes, coordinate names the grammar reads as names, finite
+domain intervals, parseable expressions (at most expr.MAX_DEPTH levels
+deep), a finite, symmetric, positive-definite metric and a finite
+one-form at probe points, and sup ||beta|| < 1.
 """
 
 from __future__ import annotations
@@ -33,9 +34,13 @@ from . import expr, randers, scurvature
 from .core import probe_grid
 
 SCHEMA_VERSION = 1
+# The probe grid holds all 2^n domain corners (core.corner_points): at
+# n = 12, analyze peaks near 106 MB, and each further dimension doubles it.
+MAX_DIMENSION = 12
 
 __all__ = [
     "SCHEMA_VERSION",
+    "MAX_DIMENSION",
     "SpecValidationError",
     "validate_spec_data",
     "load_spec",
@@ -60,11 +65,19 @@ def spec_digest(raw: bytes) -> str:
 
 def load_spec(path) -> tuple[dict, str]:
     """Read and decode a spec file, refusing the non-JSON NaN, Infinity and
-    -Infinity; returns (data, sha256 digest).  probed_space validates."""
-    raw = Path(path).read_bytes()
+    -Infinity; returns (data, sha256 digest).  probed_space validates.  A
+    missing file raises FileNotFoundError; a path that cannot be read
+    (a directory, no permission) or bytes that no JSON encoding decodes
+    raise SpecValidationError."""
+    try:
+        raw = Path(path).read_bytes()
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise SpecValidationError(f"cannot read the spec file: {exc}") from None
     try:
         data = json.loads(raw, parse_constant=_refuse_constant)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SpecValidationError(f"not valid JSON: {exc}") from None
     return data, spec_digest(raw)
 
@@ -92,6 +105,11 @@ def validate_spec_data(data):
     n = data["dimension"]
     if not isinstance(n, int) or n < 2:
         raise SpecValidationError(f"dimension must be an integer >= 2, got {n!r}")
+    if n > MAX_DIMENSION:
+        raise SpecValidationError(
+            f"dimension {n} exceeds the maximum {MAX_DIMENSION}: "
+            f"every command probes the 2^n domain corners"
+        )
     coords = data["coordinates"]
     if (
         not isinstance(coords, list)

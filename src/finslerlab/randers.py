@@ -5,11 +5,12 @@ parsed coordinate expressions.  PointData holds the covariant
 derivative b_{i|j} at a point, the closed-form spray and its X/Y split;
 validate_space checks a probe grid and folds PointData into columns of
 the Killing / constant-length / parallel defects.  The geodesics of
-finsler(space) run PointData's spray: on array leaves directly, on float
-leaves as one function generated per space (_spray_function).  The module also gives the Busemann-Hausdorff
-density and the final verdict: the space admits a measure with vanishing
-S-curvature exactly when beta is a Killing form of constant length, and
-the certificate measure is the Busemann-Hausdorff one.
+finsler(space) run PointData's spray on every leaf, through the kernels
+core._kernel writes once per dimension; nothing is written per space.
+The module also gives the Busemann-Hausdorff density and the final
+verdict: the space admits a measure with vanishing S-curvature exactly
+when beta is a Killing form of constant length, and the certificate
+measure is the Busemann-Hausdorff one.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import sys
 import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -29,7 +29,6 @@ from .core import CoordinateChart, FinslerStructure, probe_points
 from .core import _christoffel, _kernel, _shapes, _spray_contraction
 from .jets import ZERO, Jet, Scalar, _leaves, partial, seed_group, standard_part
 from .linalg import _stacked, det, inv, sum_
-from .staged import Stage
 
 __all__ = [
     "RandersSpace",
@@ -321,15 +320,12 @@ def finsler(space: RandersSpace) -> FinslerStructure:
 
     The exact closed-form spray rides along as fast_spray, which geodesic
     runs at every RK4 stage (and through it the transport oracle,
-    s_curvature_transport and its batch form).  On array leaves it is
-    PointData(space, x).spray(v)[0]: a lane batch runs each stage once,
-    so writing a function for it costs more than it saves.  Its first
-    call on float leaves writes the space's spray as one straight-line
-    function (_spray_function) that later float calls run, bit for bit
-    the same computation; PointData stays the reference it is tested
-    against.  Nothing is compiled before that call.  The generic
-    jet-derived spray remains the reference for the closed form, and the
-    two are compared in the validation suite.
+    s_curvature_transport and its batch form).  On float and array
+    leaves alike it is PointData(space, x).spray(v)[0], one first-order
+    jet pass and the per-dimension kernels; an exact zero v on float
+    leaves gives the zero spray.  The generic jet-derived spray remains
+    the reference for the closed form, and the two are compared in the
+    validation suite.
     """
 
     def func(x, v):
@@ -337,14 +333,9 @@ def finsler(space: RandersSpace) -> FinslerStructure:
         return alpha(a, v) + beta(b, v)
 
     def fast_spray(x, v):
-        if isinstance(v[0], np.ndarray):
-            return PointData(space, x).spray(v)[0]
-        if all(standard_part(c) == 0.0 for c in v):
+        if not isinstance(v[0], np.ndarray) and all(standard_part(c) == 0.0 for c in v):
             return [0.0] * space.dimension
-        spray_fn = _spray_function(space)
-        if spray_fn is None:
-            return PointData(space, x).spray(v)[0]
-        return spray_fn(_leaves(x), v)
+        return PointData(space, x).spray(v)[0]
 
     return FinslerStructure(chart=space.chart, func=func, fast_spray=fast_spray)
 
@@ -376,8 +367,8 @@ def beta_length(space: RandersSpace, x, a=None, b=None) -> Union[float, np.ndarr
 
 
 def _first_order_data(space: RandersSpace, x):
-    """a, da, b, db at x from one jet pass (float leaves, array leaves for
-    a batch of points, or the staged leaves of _staged_spray).
+    """a, da, b, db at x from one jet pass (float leaves, or array leaves
+    for a batch of points).
 
     da[k][i][j] = da_ij/dx_k and db[k][i] = db_i/dx_k.  The kernel that
     sorts them out takes one row (value, *partials) per entry of a
@@ -394,45 +385,6 @@ def _first_order_data(space: RandersSpace, x):
     ]
     b_rows = [(e.value, *e.partials) if isinstance(e, Jet) else (e, *zeros) for e in b_jets]
     return _kernel(_first_order, n)(a_rows, b_rows)
-
-
-def _spray_function(space: RandersSpace):
-    """The space's closed-form spray (x, v) -> G as one generated function,
-    written at the first call and kept in its _COMPILED table; None when
-    writing it raises (a constant subexpression outside its domain), and
-    finsler's fast_spray then builds a PointData per call, which raises
-    what it raises.  fast_spray calls it on float leaves only (a long
-    float geodesic, or the float loop a failed lane batch hands back to);
-    it takes array leaves too, with the same bits as PointData."""
-    table = _fns(space)
-    if "spray" not in table:
-        table["spray"] = _staged_spray(space)
-    return table["spray"]
-
-
-def _staged_spray(space: RandersSpace):
-    """PointData(space, x).spray(v)[0] run once on staged leaves (staged.Sym):
-    the function that performs its leaf operations, a and b and their first
-    partials straight from the expression DAG, inv through this module's
-    binding (which a tracer may rebind), then the Christoffel, covariant
-    and X/Y kernels, with the space's constant entries folded in.  The
-    kernels are the functions core._kernel wrote on their own stages; run
-    here on this stage's leaves, each of their operations writes its line
-    into the spray."""
-    n = space.dimension
-    stage = Stage()
-    x, v = stage.unpack("x", (n,)), stage.unpack("v", (n,))
-    module = stage.constant(sys.modules[__name__], "randers")
-    try:
-        first_order = _first_order_data(space, x)
-        data = PointData.__new__(PointData)
-        data._derive(
-            *first_order, lambda a: stage.unpack(f"{module}.inv({stage.source(a)})", (n, n))
-        )
-        g = data.spray(v)[0]
-    except (ArithmeticError, ValueError):
-        return None
-    return stage.function("spray", ("x", "v"), g)
 
 
 # -- kernels ---------------------------------------------------------------------

@@ -1,45 +1,30 @@
 """Straight-line Python functions recorded from generic leaf arithmetic.
 
 A Sym is a leaf of the jet tower, next to floats and 1-D arrays, that
-stands for a value of a function being written.  Arithmetic on a Sym,
-a jets primitive applied to one (jets._leaf) and an expression guard
-checked on one (expr._require_positive, expr._require_nonzero) append a
-line of Python source to the Sym's Stage instead of computing.  Floats
-(jets.ZERO, a float, among them) stay floats, so an operation whose
-operands are all constants runs once, while it is staged, and enters the
-source as a literal.
+stands for a value of a function being written.  Arithmetic on a Sym and
+a jets primitive applied to one (jets._leaf) append a line of Python
+source to the Sym's Stage instead of computing.  Floats stay floats, so
+an operation whose operands are all constants runs once, while it is
+staged, and enters the source as a literal.
 
-Running a computation that is generic over leaves (jet arithmetic, the
-compiled expression closures, core's and randers' kernels) on Sym leaves
-therefore writes a function that performs that computation's leaf
-operations on its inputs, in its order, less the constant ones.  Called
-on float or 1-D array leaves, the function returns what the computation
-returns bit for bit and raises what it raises.  These rewrites change no
-value:
-
-- t * 1.0, 1.0 * t, t / 1.0, t - 0.0, t + -0.0 and -0.0 + t are t itself
-  (equal bit for bit, -0.0, inf and NaN included);
-- an operation that repeats one already written, on the same operands,
-  reads its result, and a guard repeated on one value is written once;
-- a product c * t or t * c by a constant c = 0.0 is written only when a
-  later operation reads it.  A sum that starts `0.0 + ...`, or that adds
-  a term to such a sum, is never -0.0, so adding +-0.0 to it (the product
-  at a finite t, or a constant zero) leaves it as it is: such a term is
-  dropped.  Where t is inf or NaN the product would be NaN; on array
-  leaves under NumPy's raising error state no such t arises without
-  raising first.  A value that stays a constant there is a float, where
-  the computation may hold an array with that float in every lane.
+Running a loop that is generic over leaves on Sym leaves therefore
+writes a function that performs the loop's leaf operations on its
+inputs, in its order, less the constant ones.  Called on float, 1-D
+array or jet leaves, the function returns what the loop returns bit for
+bit.  One rule changes what is written, and no value: an operation that
+repeats one already written, on the same operands, reads its result.
+No other rewrite is made: t * 1.0, t - 0.0 and a product by a constant
+0.0 are written as they stand.
 
 Once the body is complete, a new value takes the name of a temporary
 whose last read has passed (_reuse_names): the written function keeps
 few locals alive, so a dead array is freed at once, and no line moves.
 
-This module is the package's one writer of generated code.  Its callers:
-core._kernel writes each kernel (the Christoffel symbols, their spray
-contraction and the spray from a Lagrangian in core; the first-order data, the covariant derivative and
-the X/Y split in randers) from its plain loop once per dimension, and
-randers._staged_spray writes a space's closed-form spray, through those
-kernels, once per space.
+This module is the package's one writer of generated code, and
+core._kernel its one caller: it writes each kernel (the Christoffel
+symbols, their spray contraction and the spray from a Lagrangian in
+core; the first-order data, the covariant derivative and the X/Y split
+in randers) from its plain loop once per dimension.
 """
 
 from __future__ import annotations
@@ -51,21 +36,13 @@ import re
 __all__ = ["Stage", "Sym"]
 
 
-# The tokens that _reuse_names reads: a temporary's name, a line break, and
-# a string literal (a guard's message), which it leaves as it is.
-_TOKENS = re.compile(r"""('(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*"|\bt\d+\b|\n)""")
-
-
-def _signed_zero(value) -> float:
-    """1.0 for the float 0.0, -1.0 for -0.0, 0.0 for anything else."""
-    if isinstance(value, float) and value == 0.0:
-        return math.copysign(1.0, value)
-    return 0.0
+# The tokens that _reuse_names reads: a temporary's name and a line break.
+_TOKENS = re.compile(r"(\bt\d+\b|\n)")
 
 
 class Stage:
     """The source lines of one function under construction and the
-    objects its source names (functions, guard messages, nodes)."""
+    functions its source names (the jets primitives it calls)."""
 
     def __init__(self):
         self.lines: list = []
@@ -86,7 +63,7 @@ class Stage:
         self.lines.append(f"{self.source(syms)} = {source}")
         return syms
 
-    def assign(self, expression: str, never_negative_zero: bool = False) -> "Sym":
+    def assign(self, expression: str) -> "Sym":
         """The Sym holding `expression`, written once: an operation repeated
         on the same operands computes the bits the first did."""
         sym = self._values.get(expression)
@@ -94,44 +71,22 @@ class Stage:
             ref = f"t{next(self._temps)}"
             self.lines.append(f"{ref} = {expression}")
             sym = self._values[expression] = Sym(self, ref)
-        sym.never_negative_zero |= never_negative_zero
         return sym
 
-    def check(self, statement: str, key) -> None:
-        """Writes `statement`, a guard, unless one with this key (the guard
-        and its value) was written: it would pass where that one passed."""
-        if key not in self._values:
-            self._values[key] = None
-            self.lines.append(statement)
-
     def source(self, value) -> str:
-        """The source of a Sym, a float, nested lists of them, or an object
-        the function reads from its namespace."""
+        """The source of a Sym, a finite float, or nested lists of them."""
         if isinstance(value, Sym):
             return value.ref
         if isinstance(value, (list, tuple)):
             return "[" + ", ".join(self.source(v) for v in value) + "]"
         if isinstance(value, float) and math.isfinite(value):
             return f"({float.__repr__(value)})"
-        if isinstance(value, str):
-            return repr(value)
-        return self.constant(value)
-
-    def constant(self, obj, name: str = "") -> str:
-        """The name under which the function's namespace holds obj: `name`,
-        else obj's own __name__ when that is free, else a fresh one."""
-        name = name or getattr(obj, "__name__", "")
-        if not (name.isidentifier() and self.namespace.get(name, obj) is obj):
-            held = [key for key, value in self.namespace.items() if value is obj]
-            name = held[0] if held else f"k{len(self.namespace)}"
-        self.namespace[name] = obj
-        return name
+        raise TypeError(f"a written constant must be a finite float, got {value!r}")
 
     def function(self, name: str, params: tuple, result):
         """The function `def name(*params)` running the recorded lines and
         returning `result` (Syms and floats in nested lists)."""
-        returned = self.source(result)  # may write a zero product's line
-        body = [*self.lines, f"return {returned}"]
+        body = [*self.lines, f"return {self.source(result)}"]
         text = f"def {name}({', '.join(params)}):\n" + "".join(f"    {line}\n" for line in body)
         namespace = dict(self.namespace)
         exec(compile(_reuse_names(text), f"<staged {name}>", "exec"), namespace)
@@ -154,11 +109,10 @@ def _reuse_names(text: str) -> str:
     for token in parts[1::2]:
         if token == "\n":
             line += 1
-        elif token[0] == "t":
-            if token in bound:
-                last_read[token] = line
-            else:
-                bound[token] = line
+        elif token in bound:
+            last_read[token] = line
+        else:
+            bound[token] = line
     frees = [[] for _ in range(line + 2)]  # per line, the names free from its start
     for temp, line in bound.items():
         frees[last_read.get(temp, line + 1)].append(temp)
@@ -175,83 +129,35 @@ def _reuse_names(text: str) -> str:
 class Sym:
     """A value of the function a Stage writes; see the module docstring."""
 
-    __slots__ = ("stage", "_ref", "_product", "never_negative_zero")
+    __slots__ = ("stage", "ref")
 
-    # NumPy binary operators return NotImplemented, so `ndarray op Sym`
-    # reaches the reflected Sym method.
-    __array_ufunc__ = None
-
-    def __init__(self, stage: Stage, ref, product=None):
+    def __init__(self, stage: Stage, ref: str):
         self.stage = stage
-        self._ref = ref
-        self._product = product  # (left, right) of a zero product not yet written
-        self.never_negative_zero = False
+        self.ref = ref  # the local name holding this value
 
-    @property
-    def ref(self) -> str:
-        """The local name holding this value; a zero product is written
-        here, when first read."""
-        if self._ref is None:
-            left, right = map(self.stage.source, self._product)
-            self._ref = self.stage.assign(f"{left} * {right}").ref
-        return self._ref
-
-    def _is_dropped_term(self, other) -> bool:
-        """Whether adding `other` to this value (never -0.0) changes nothing."""
-        if isinstance(other, Sym):
-            return other._ref is None
-        return isinstance(other, float) and other == 0.0
-
-    def _binary(self, left, op: str, right, never_negative_zero: bool = False):
-        if not all(isinstance(operand, (Sym, float, int)) for operand in (left, right)):
-            return NotImplemented  # a Jet operand: its own method applies the jet rule
+    def _binary(self, left, op: str, right) -> "Sym":
         source = self.stage.source
-        return self.stage.assign(f"{source(left)} {op} {source(right)}", never_negative_zero)
-
-    def _zero_product(self, left, right):
-        """left * right with the constant right or left 0.0, unwritten."""
-        return Sym(self.stage, None, product=(left, right))
+        return self.stage.assign(f"{source(left)} {op} {source(right)}")
 
     def __add__(self, other):
-        if _signed_zero(other) < 0.0 or (self.never_negative_zero and self._is_dropped_term(other)):
-            return self  # t + -0.0 is t
-        return self._binary(self, "+", other, self.never_negative_zero)
+        return self._binary(self, "+", other)
 
     def __radd__(self, other):
-        sign = _signed_zero(other)
-        if sign < 0.0:
-            return self
-        if sign > 0.0 and self._ref is None:
-            return 0.0
-        return self._binary(other, "+", self, sign > 0.0)
+        return self._binary(other, "+", self)
 
     def __sub__(self, other):
-        if _signed_zero(other) > 0.0:
-            return self  # t - 0.0 is t
         return self._binary(self, "-", other)
 
     def __rsub__(self, other):
         return self._binary(other, "-", self)
 
     def __mul__(self, other):
-        if isinstance(other, float):
-            if other == 1.0:
-                return self
-            if other == 0.0:
-                return self._zero_product(self, other)
         return self._binary(self, "*", other)
 
     def __rmul__(self, other):
-        if isinstance(other, float):
-            if other == 1.0:
-                return self
-            if other == 0.0:
-                return self._zero_product(other, self)
         return self._binary(other, "*", self)
 
     def __truediv__(self, other):
-        if isinstance(other, float) and other == 1.0:
-            return self
         return self._binary(self, "/", other)
 
     def __rtruediv__(self, other):
@@ -260,14 +166,8 @@ class Sym:
     def __neg__(self):
         return self.stage.assign(f"-{self.ref}")
 
-    def call(self, fn, *args) -> "Sym":
-        """fn(self, *args) as a value of the function."""
-        stage = self.stage
-        return stage.assign(f"{stage.constant(fn)}({', '.join(map(stage.source, (self, *args)))})")
-
-    def check(self, fn, *args) -> None:
-        """fn(self, *args) as a statement: a guard that raises or returns
-        None, written once per value (it passes again where it passed)."""
-        stage = self.stage
-        name = stage.constant(fn)
-        stage.check(f"{name}({', '.join(map(stage.source, (self, *args)))})", (name, self.ref))
+    def call(self, fn) -> "Sym":
+        """fn(self) as a value of the function, which names fn (a jets
+        primitive) by its __name__."""
+        self.stage.namespace[fn.__name__] = fn
+        return self.stage.assign(f"{fn.__name__}({self.ref})")

@@ -26,7 +26,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from finslerlab import catalog, cli, expr, linalg, scurvature
+from finslerlab import catalog, cli, expr, linalg, manifest, scurvature
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
@@ -228,7 +228,7 @@ def spec_paths(tmp_path_factory):
 
 
 # An oracle step so long that an RK4 stage point of sphere-hopf's geodesic
-# makes the written spray's inv meet a zero pivot.
+# makes the spray's inv (PointData's) meet a zero pivot.
 SINGULAR_STAGE = ["--point=0.5,0.5,0.5", "--vector=1,0,0", "--oracle", "--h=1e300"]
 
 
@@ -312,6 +312,8 @@ def _expected_error(case):
         return "SpecValidationError", "name must be a string"
     if kind == "schema":
         return "SpecValidationError", "unsupported schema"
+    if kind == "dimension":
+        return "SpecValidationError", f"exceeds the maximum {manifest.MAX_DIMENSION}"
     return "InvalidSpaceError", {"beta": "one-form", "metric": "metric"}[detail] + " not finite at x = ("
 
 
@@ -334,6 +336,25 @@ def test_malformed_specs_are_json_spec_errors(tmp_path, case, command):
     assert code == cli.EXIT_INVALID_SPEC
     error = json.loads(out, parse_constant=_reject_constant)["error"]
     assert error["type"] == kind and fragment in error["message"]
+    assert err == ""
+
+
+@pytest.mark.parametrize("command", sorted(SPEC_COMMANDS))
+@pytest.mark.parametrize("case", ["directory", "undecodable-bytes"])
+def test_unreadable_spec_files_are_json_spec_errors(tmp_path, case, command):
+    """A spec path that cannot be read (here a directory; a file without
+    read permission takes the same path) and bytes that no JSON encoding
+    decodes (a UTF-16 byte-order mark before an odd byte) exit 1 with a
+    JSON error."""
+    if case == "directory":
+        path, fragment = tmp_path, "cannot read the spec file"
+    else:
+        path, fragment = tmp_path / "spec.json", "not valid JSON"
+        path.write_bytes(b"\xff\xfe{")
+    code, out, err = _run([command, str(path), *SPEC_COMMANDS[command]], None)
+    assert code == cli.EXIT_INVALID_SPEC
+    error = json.loads(out, parse_constant=_reject_constant)["error"]
+    assert error["type"] == "SpecValidationError" and fragment in error["message"]
     assert err == ""
 
 

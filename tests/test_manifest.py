@@ -6,6 +6,7 @@ import pytest
 
 from finslerlab import catalog, cli, expr
 from finslerlab.manifest import (
+    MAX_DIMENSION,
     SpecValidationError,
     load_spec,
     measure_from_spec,
@@ -85,6 +86,21 @@ class TestValidation:
         flat_const_data["dimension"] = 1
         with pytest.raises(SpecValidationError, match="dimension"):
             validate_spec_data(flat_const_data)
+
+    def test_dimension_ceiling(self):
+        def flat(n):
+            r = range(n)
+            return {
+                "schema": 1, "dimension": n, "coordinates": [f"x{i}" for i in r],
+                "metric": [["1" if i == j else "0" for j in r] for i in r],
+                "beta": ["0.1", *["0"] * (n - 1)], "domain": [[-1.0, 1.0]] * n,
+            }
+
+        assert len(validate_spec_data(flat(MAX_DIMENSION))[0]) == MAX_DIMENSION == 12
+        too_large = flat(MAX_DIMENSION + 1)
+        too_large["metric"] = None  # refused before the rest is read
+        with pytest.raises(SpecValidationError, match="dimension 13 exceeds the maximum 12"):
+            validate_spec_data(too_large)
 
     def test_coordinate_count(self, flat_const_data):
         flat_const_data["coordinates"] = ["x1"]

@@ -1,5 +1,8 @@
+import contextlib
 import copy
 import dis
+import io
+import json
 import math
 import random
 import sys
@@ -8,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from finslerlab import catalog, checks, core, jets, linalg, manifest, randers, scurvature
+from finslerlab import catalog, cli, core, jets, linalg, manifest, randers, staged
 from finslerlab.core import probe_pairs, probe_points, spray
 from finslerlab.expr import parse
 from finslerlab.jets import Jet, _leaves, partial, seed_group, standard_part
@@ -613,10 +616,6 @@ class TestUnrolledKernels:
                 assert _reprs(randers._first_order_data(sp, x)) == _reprs(expected)
                 a, da, b, db = expected
                 data = PointData(sp, x)
-                # The generated spray is PointData's, bit for bit, on float
-                # and array leaves; fast_spray runs it on floats only.
-                spray_fn = randers._spray_function(sp)
-                assert _reprs(spray_fn(_leaves(x), v)) == _reprs(data.spray(v)[0])
                 assert _reprs(fast_spray(x, v)) == _reprs(data.spray(v)[0])
                 gamma = _levi_civita_unhoisted(data.a_inv, da)
                 b_up, bcov = _covariant_loops(data.a_inv, b, db, gamma)
@@ -627,45 +626,48 @@ class TestUnrolledKernels:
                     vs = seed_group(list(v), range(sp.dimension))
                     assert _reprs(data._xy_split(vs)) == _reprs(_xy_split_loops(*args, vs))
 
-    def test_spray_is_generated_at_the_first_fast_spray_call_of_each_space(self):
-        twins = [build_space(["x1", "x2"], BOX, FLAT, ["0.3*x2", "x1*x1/4"]) for _ in range(2)]
-        structures = [randers.finsler(sp) for sp in twins]
-        validate_space(twins[0], probe_points(twins[0].chart, 4))
-        assert all("spray" not in randers._fns(sp) for sp in twins)
-        structures[0].fast_spray((0.1, 0.2), (1.0, 0.5))
-        spray_fn = randers._fns(twins[0])["spray"]
-        assert spray_fn is not None and "spray" not in randers._fns(twins[1])
-        structures[0].fast_spray((0.3, 0.2), (1.0, 0.5))
-        assert randers._fns(twins[0])["spray"] is spray_fn
+    def test_no_function_is_written_per_space(self, spaces, tmp_path, monkeypatch):
+        """Once the kernels of a dimension are written, float geodesics and
+        s-curvature --oracle on every catalog space write no function, and
+        each space's table holds its compiled a and b only."""
+        paths = {}
+        for name in spaces:
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(catalog.spec(name)))
 
-    def test_lane_batches_leave_the_spray_unwritten(self, monkeypatch):
-        sp = catalog.space("sphere-hopf")
-        F = randers.finsler(sp)
-        pairs, points = core.probe_grid(sp.chart, 10)
-        bh = scurvature.busemann_hausdorff_measure(sp)
-        xs, vs = [x for x, _ in pairs], [v for _, v in pairs]
-        scurvature.s_curvature_transport_batch(F, bh, xs, vs)
-        assert "spray" not in randers._fns(sp)
-        checks.run_checks(sp, pairs, validate_space(sp, points), transport_probes=5, mc_samples=10_000)
-        assert "spray" not in randers._fns(sp)
+        def run_all():
+            for name, sp in spaces.items():
+                n = sp.dimension
+                x = tuple(0.5 * (lo + hi) for lo, hi in sp.chart.bounds)
+                v = (1.0, *[0.0] * (n - 1))
+                core.geodesic(randers.finsler(sp), x, v, 0.1, steps=20)
+                argv = ["s-curvature", str(paths[name]), "--point=" + ",".join(map(repr, x)),
+                        "--vector=" + ",".join(map(repr, v)), "--oracle"]
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main(argv) == cli.EXIT_OK, name
+
         written = []
-        staged_spray = randers._staged_spray
-        monkeypatch.setattr(
-            randers, "_staged_spray", lambda space: written.append(space) or staged_spray(space)
-        )
-        path = core.geodesic(F, xs[0], vs[0], 0.01, steps=20)
-        assert written == [sp] and randers._fns(sp)["spray"] is not None
-        # the float path runs the written function: PointData's bits
-        reference = core.FinslerStructure(
-            sp.chart, F.func, lambda x, v: PointData(sp, x).spray(v)[0]
-        )
-        assert repr(path) == repr(core.geodesic(reference, xs[0], vs[0], 0.01, steps=20))
-        assert written == [sp]
+        function = staged.Stage.function
+
+        def counted(stage, name, params, result):
+            written.append(name)
+            return function(stage, name, params, result)
+
+        monkeypatch.setattr(staged.Stage, "function", counted)
+        run_all()  # writes each kernel a dimension needs, and no more
+        kernels = {loop.__name__ for loop in (core._christoffel, core._spray_contraction,
+                                              core._lagrangian_spray, randers._first_order,
+                                              randers._covariant, randers._xy_split)}
+        assert set(written) <= kernels
+        written.clear()
+        run_all()
+        assert written == []
+        assert all(set(randers._fns(sp)) == {"a", "b", "shared"} for sp in spaces.values())
+        assert all(set(table) == {"a", "b", "shared"} for table in randers._COMPILED.values())
 
     def test_spray_calls_inv_through_the_module_binding(self, monkeypatch):
         sp = catalog.space("sphere-hopf")
         fast_spray = randers.finsler(sp).fast_spray
-        fast_spray((0.1, 0.2, 0.3), (1.0, 0.5, 0.0))
         calls = []
 
         def counted(matrix):
@@ -675,7 +677,7 @@ class TestUnrolledKernels:
         monkeypatch.setattr(randers, "inv", counted)
         x, v = (0.2, -0.1, 0.3), (0.5, 1.0, -0.25)
         assert _reprs(fast_spray(x, v)) == _reprs(PointData(sp, x).spray(v)[0])
-        assert len(calls) == 2  # once in the generated spray, once in PointData
+        assert len(calls) == 2  # once in fast_spray, once in PointData
 
     @pytest.mark.parametrize(
         "entry,x",
@@ -689,7 +691,7 @@ class TestUnrolledKernels:
             ("1 + (1 + x2)^x1 + 0.1*x1^(x2 - 1)", (-0.25, 0.5)),
             ("1 + exp(800*x1)", (0.9, 0.5)),
             ("x1 - 0.9", (0.5, 0.5)),  # alpha^2 < 0: math.sqrt raises
-            ("2 + x1 + 0*log(0)", (0.5, 0.5)),  # fails at every x: nothing is generated
+            ("2 + x1 + 0*log(0)", (0.5, 0.5)),  # fails at every x
         ],
     )
     def test_spray_raises_what_point_data_raises(self, entry, x):
@@ -699,7 +701,6 @@ class TestUnrolledKernels:
             PointData(sp, x).spray(v)
         with pytest.raises(expected.type) as got:
             fast_spray(x, v)
-        assert (randers._spray_function(sp) is None) == ("log(0)" in entry)
         # A lane batch holding the point fails and hands back to the float loop.
         with pytest.raises(expected.type) as batched:
             jets.lanewise(lambda p: fast_spray(p, v), [(0.5, 0.1), x, (0.25, -0.3)])
@@ -793,20 +794,6 @@ class TestUnrolledKernels:
                     with np.errstate(all="raise", under="ignore"):
                         expected = _reprs(loop(*args))
                         assert _reprs(written(*args)) == expected, (loop.__name__, kind)
-
-    def test_written_sprays_equal_point_data_on_every_leaf(self, spaces):
-        """Each catalog space's written spray against PointData's on floats,
-        5 lanes and v as jets of 2 slots."""
-        for name, sp in spaces.items():
-            n = sp.dimension
-            pairs = probe_pairs(sp.chart, 5, 2)
-            spray_fn = randers._spray_function(sp)
-            lanes = [[np.array(c) for c in zip(*column)] for column in zip(*pairs)]
-            x0, v0 = pairs[0]
-            jet_v = [Jet(c, (0.5 * c, jets.ZERO if k % 2 else 1.0)) for k, c in enumerate(v0)]
-            for x, v in [*pairs[:2], lanes, (x0, jet_v)]:
-                expected = _reprs(PointData(sp, x).spray(v)[0])
-                assert _reprs(spray_fn(_leaves(x), v)) == expected, name
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_random_entries_with_signed_zeros(self, n):
